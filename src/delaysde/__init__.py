@@ -36,8 +36,6 @@ from .solver import (
     bihari_bound,
     cutoff_psi,
     simulate,
-    solve_path,
-    step,
     truncate_coefficients,
 )
 from .girsanov import direct_estimate, girsanov_shift, weak_estimate
@@ -58,7 +56,6 @@ from .coupling import (
     entropy_cost,
     fit_entropy_cost,
     gamma,
-    run_coupling,
     run_coupling_batch,
 )
 from .harnack import check_gradient_estimate, check_log_harnack, estimate_P

@@ -5,7 +5,9 @@ emitted bytes do not depend on the worker count; reruns with the same config
 and seed are byte-identical.
 
 Exit codes: 0 all asserted properties pass, 1 any failure, 2 inconclusive
-(degenerate weights or coverage problems), 3 config error.
+(degenerate weights) or a numerical failure (grid coverage, Picard or
+Theta^{-1} non-convergence, singular diffusion, explosion before the
+horizon), 3 config error.
 """
 
 from __future__ import annotations
@@ -22,8 +24,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .coupling import CouplingConfig, entropy_cost, run_coupling_batch
-from .girsanov import direct_estimate, weak_estimate
-from .harnack import check_gradient_estimate, check_log_harnack
+from .girsanov import SingularDiffusionError, direct_estimate, weak_estimate
+from .harnack import ExplosionBeforeHorizonError, check_gradient_estimate, check_log_harnack
 from .measure import (
     GridMismatchError,
     Segment,
@@ -34,7 +36,14 @@ from .measure import (
 )
 from .model import dini_check, make_functional, make_model, validate_assumptions
 from .solver import SolverConfig, apriori_check, simulate
-from .zvonkin import solve_u, transformed_model, verify_decay
+from .zvonkin import (
+    CoverageError,
+    DivergenceError,
+    InverseConvergenceError,
+    solve_u,
+    transformed_model,
+    verify_decay,
+)
 
 __all__ = ["ConfigError", "ExperimentConfig", "parse_config", "run", "main"]
 
@@ -42,7 +51,7 @@ SCENARIOS = (
     "simulate", "validate", "girsanov-check", "couple",
     "harnack", "gradient", "zvonkin", "bihari",
 )
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2  # 2: non-finite floats are written as null
 CHUNK = 1024  # fixed decomposition unit; independent of the worker count
 
 _ALLOWED = {
@@ -56,6 +65,15 @@ _ALLOWED = {
     "gradient": {"T", "eps_fd", "functional"},
     "bihari": {"T"},
 }
+_EXIT_CODES = {"pass": 0, "fail": 1, "inconclusive": 2}
+# library failures of a valid config: exit 2, one stderr line naming the error
+_NUMERICAL_ERRORS = (
+    CoverageError,
+    DivergenceError,
+    InverseConvergenceError,
+    SingularDiffusionError,
+    ExplosionBeforeHorizonError,
+)
 
 
 class ConfigError(ValueError):
@@ -187,8 +205,11 @@ def _fmt(x) -> str:
 
 
 def _jsonable(obj):
+    """Plain JSON values; non-finite floats become null."""
     if isinstance(obj, (np.floating, np.integer, np.bool_)):
-        return obj.item()
+        obj = obj.item()
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
     if isinstance(obj, np.ndarray):
         return [_jsonable(v) for v in obj]
     if isinstance(obj, dict):
@@ -210,7 +231,7 @@ def _write_verdict(cfg: ExperimentConfig, verdict: str, metrics: dict):
     }
     path = os.path.join(cfg.output, "verdict.json")
     with open(path, "w") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=1)
+        json.dump(payload, fh, sort_keys=True, indent=1, allow_nan=False)
         fh.write("\n")
     print(f"{cfg.scenario}: {verdict} ({path})")
 
@@ -229,7 +250,7 @@ def _write_rows(cfg: ExperimentConfig, header: list, rows):
             json.dump(
                 {"schema_version": SCHEMA_VERSION, "columns": header,
                  "rows": [[_jsonable(v) for v in row] for row in rows]},
-                fh, sort_keys=True, indent=1,
+                fh, sort_keys=True, indent=1, allow_nan=False,
             )
             fh.write("\n")
 
@@ -299,10 +320,8 @@ def _run_simulate(cfg, nu, m, scfg, xi) -> int:
     for start, term, lifetimes, sup in parts:
         term_all.append(term)
         for i in range(term.shape[0]):
-            lt = lifetimes[i]
             rows.append(
-                [start + i, *[float(v) for v in term[i]],
-                 float("nan") if np.isnan(lt) else float(lt), float(sup[i])]
+                [start + i, *[float(v) for v in term[i]], float(lifetimes[i]), float(sup[i])]
             )
     header = ["path", *[f"x{j}" for j in range(m.d)], "lifetime", "sup_norm"]
     _write_rows(cfg, header, rows)
@@ -356,7 +375,7 @@ def _run_couple(cfg, nu, m, scfg, xi) -> int:
     log_r = np.concatenate([p[2] for p in parts])
     equal = np.concatenate([p[3] for p in parts])
     rows = [
-        [i, float("nan") if np.isnan(tau[i]) else float(tau[i]), float(log_r[i]), int(equal[i])]
+        [i, float(tau[i]), float(log_r[i]), int(equal[i])]
         for i in range(len(tau))
     ]
     _write_rows(cfg, ["path", "tau", "log_R", "terminal_equal"], rows)
@@ -366,14 +385,21 @@ def _run_couple(cfg, nu, m, scfg, xi) -> int:
     se_r = float(r.std(ddof=1) / math.sqrt(n))
     ess = float(r.sum() ** 2 / (r**2).sum())
     frac = float((~np.isnan(tau)).mean())
+    equal_frac = float(equal.mean())
     mart = abs(mean_r - 1.0) <= 3.0 * se_r
-    inconclusive = ess < 0.01 * n
-    verdict = "inconclusive" if inconclusive else ("pass" if mart else "fail")
+    # every pair must meet and end with equal segments, whatever the weights
+    if frac < 1.0 or equal_frac < 1.0:
+        verdict = "fail"
+    elif ess < 0.01 * n:
+        verdict = "inconclusive"
+    else:
+        verdict = "pass" if mart else "fail"
     _write_verdict(cfg, verdict, {
-        "coupled_fraction": frac, "mean_R": mean_r, "stderr_R": se_r, "ess": ess,
+        "coupled_fraction": frac, "terminal_equal_fraction": equal_frac,
+        "mean_R": mean_r, "stderr_R": se_r, "ess": ess,
         "entropy_selfnorm": float((r * log_r).sum() / r.sum()),
     })
-    return 2 if inconclusive else (0 if mart else 1)
+    return _EXIT_CODES[verdict]
 
 def _run_harnack(cfg, nu, m, scfg, xi) -> int:
     tm, cc, xi_t, eta_t = _coupling_setup(cfg, nu, m, scfg, xi)
@@ -390,7 +416,7 @@ def _run_harnack(cfg, nu, m, scfg, xi) -> int:
         "entropy": rep.entropy, "coupled_fraction": rep.coupled_fraction,
         "jensen_ok": rep.jensen_ok, "mean_R": rep.mean_R,
     })
-    return {"pass": 0, "fail": 1, "inconclusive": 2}[verdict]
+    return _EXIT_CODES[verdict]
 
 def _run_gradient(cfg, nu, m, scfg, xi) -> int:
     raw = cfg.raw
@@ -511,6 +537,9 @@ def main(argv=None) -> int:
     except (ConfigError, GridMismatchError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return 3
+    except _NUMERICAL_ERRORS as e:
+        print(f"numerical error: {type(e).__name__}: {e}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -18,17 +18,20 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .girsanov import solve_qqt
-from .measure import DelayMeasure, grid_count, quotient_mask
+from .measure import DelayMeasure, grid_count
 from .rng import batch_increments
-from .zvonkin import TransformedModel, theta_inverse
+from .zvonkin import (
+    TransformedModel,
+    pulled_back_history,
+    theta_inverse,
+    transformed_coefficients,
+)
 
 __all__ = [
     "CouplingConfig",
     "CouplingResult",
     "gamma",
     "gamma_prime",
-    "coupled_step",
-    "run_coupling",
     "run_coupling_batch",
     "entropy_cost",
     "fit_entropy_cost",
@@ -98,47 +101,6 @@ class CouplingResult:
         return diff.reshape(diff.shape[0], -1).max(axis=1) == 0.0
 
 
-def coupled_step(
-    tm: TransformedModel,
-    nu: DelayMeasure,
-    x_seg: np.ndarray,
-    y_seg: np.ndarray,
-    t: float,
-    dW: np.ndarray,
-    cc: CouplingConfig,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One Euler step of the coupled pair from segment windows (n, n0+1, d).
-
-    Returns (X next, Y next, phi).  Generic reference path: each call pulls
-    the windows back through the transform; the batch runner caches those
-    inversions instead but takes the same step.
-    """
-    x_seg = np.asarray(x_seg, dtype=float)
-    y_seg = np.asarray(y_seg, dtype=float)
-    if x_seg.ndim == 2:
-        x_seg, y_seg = x_seg[None], y_seg[None]
-    dW = np.atleast_2d(np.asarray(dW, dtype=float))
-    m = tm.model
-    T, h, K = cc.T, cc.h, cc.K
-    msk = quotient_mask(nu)
-    xs, ys = x_seg[:, -1], y_seg[:, -1]
-    Bx = m.B(t, x_seg * msk[None, :, None], nu)
-    By = m.B(t, y_seg * msk[None, :, None], nu)
-    Qx, Qy = m.Q(t, xs), m.Q(t, ys)
-    if t < T - 1e-12:
-        gamma_floor = gamma(T - 0.5 * h, T, K)
-        ghat = max(gamma(min(t + 0.5 * h, T), T, K), gamma_floor)
-        z = solve_qqt(Qx, xs - ys)
-        phi = solve_qqt(Qy, By - Bx) - z / ghat
-        bridge = np.einsum("ncj,nj->nc", Qy, z) / ghat
-    else:
-        phi = np.zeros((xs.shape[0], m.dbar))
-        bridge = 0.0
-    xn = xs + h * Bx + np.einsum("ncj,nj->nc", Qx, dW)
-    yn = ys + h * (Bx + bridge) + np.einsum("ncj,nj->nc", Qy, dW)
-    return xn, yn, phi
-
-
 def run_coupling_batch(
     tm: TransformedModel,
     nu: DelayMeasure,
@@ -156,36 +118,21 @@ def run_coupling_batch(
     at its last-step value so the pull stays finite; states within
     delta = delta_scale * (1 + |xi(0) - eta(0)|) are declared met and clamped.
     """
-    m = tm.model
-    base = tm.base
     sol = tm.sol
     T, h, K = cc.T, cc.h, cc.K
     n0 = grid_count(nu.r0, h, "r0")
-    steps_T = grid_count(T, h, "T")
-    steps = steps_T + n0
-    d, dbar = m.d, m.dbar
+    steps = grid_count(T, h, "T") + n0
     xi_t = np.asarray(xi_t, dtype=float)
     eta_t = np.asarray(eta_t, dtype=float)
     delta = cc.delta_scale * (1.0 + float(np.linalg.norm(xi_t[-1] - eta_t[-1])))
     if dW is None:
-        dW = batch_increments(base_seed, path_offset, n_paths, steps, dbar, h)
-    x = np.empty((n_paths, n0 + steps + 1, d))
+        dW = batch_increments(base_seed, path_offset, n_paths, steps, tm.model.dbar, h)
+    x = np.empty((n_paths, n0 + steps + 1, tm.model.d))
     y = np.empty_like(x)
     x[:, : n0 + 1] = xi_t
     y[:, : n0 + 1] = eta_t
-    msk = quotient_mask(nu)
-    trivial = bool(np.all(msk > 0))
-    a = base.A.eigenvalues
-    lam = sol.lam if sol is not None else 0.0
-    if sol is None:
-        xinv, yinv = x, y
-    else:
-        xinv = np.empty_like(x)
-        yinv = np.empty_like(y)
-        for i in range(n0 + 1):
-            t_i = (i - n0) * h
-            xinv[:, i] = theta_inverse(sol, t_i, x[:, i])
-            yinv[:, i] = theta_inverse(sol, t_i, y[:, i])
+    xinv = pulled_back_history(tm, x, n0, h)
+    yinv = pulled_back_history(tm, y, n0, h)
     gamma_floor = gamma(T - 0.5 * h, T, K)
     log_r = np.zeros(n_paths)
     tau = np.full(n_paths, np.nan)
@@ -193,25 +140,12 @@ def run_coupling_batch(
     met = np.linalg.norm(x[:, n0] - y[:, n0], axis=1) <= delta
     tau[met] = 0.0
     y[met, n0] = x[met, n0]
-    eye = np.eye(d)[None]
-
-    def tilde_coeffs(t, point_inv, window_inv, state):
-        bw = window_inv if trivial else window_inv * msk[None, :, None]
-        Bv = base.B(t, bw, nu)
-        if sol is None:
-            return -a * state + Bv, base.Q(t, state)
-        u0 = sol.eval_u(t, point_inv)
-        dth = eye + sol.eval_du(t, point_inv)
-        drift = -a * state + (lam + a) * u0 + np.einsum("nck,nk->nc", dth, Bv)
-        Qv = np.einsum("nck,nkj->ncj", dth, base.Q(t, point_inv))
-        return drift, Qv
-
     for k in range(steps):
         t = k * h
         idx = n0 + k
         xs, ys = x[:, idx], y[:, idx]
-        Bx, Qx = tilde_coeffs(t, xinv[:, idx], xinv[:, k : idx + 1], xs)
-        By, Qy = tilde_coeffs(t, yinv[:, idx], yinv[:, k : idx + 1], ys)
+        Bx, Qx = transformed_coefficients(tm, nu, t, xs, xinv[:, idx], xinv[:, k : idx + 1])
+        By, Qy = transformed_coefficients(tm, nu, t, ys, yinv[:, idx], yinv[:, k : idx + 1])
         in_window = t < T - 1e-12
         if in_window:
             ghat = max(gamma(min(t + 0.5 * h, T), T, K), gamma_floor)
@@ -248,12 +182,6 @@ def run_coupling_batch(
     return CouplingResult(
         tau, log_r, x, y, delta, T, h, nu.r0, base_seed, path_offset, dW, failed
     )
-
-
-def run_coupling(tm, nu, xi_t, eta_t, cc, seed) -> CouplingResult:
-    """Single-pair convenience wrapper."""
-    base, idx = seed if isinstance(seed, tuple) else (seed, 0)
-    return run_coupling_batch(tm, nu, xi_t, eta_t, cc, base, 1, path_offset=idx)
 
 
 @dataclass

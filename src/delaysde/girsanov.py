@@ -14,8 +14,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .measure import DelayMeasure, Segment, grid_count, quotient_mask
+from .measure import DelayMeasure, Segment, grid_count, quotient_window
 from .model import ModelSpec, _zero_b, _zero_B
+from .rng import chunk_sums
 from .solver import SolverConfig, simulate
 
 __all__ = [
@@ -58,10 +59,8 @@ def girsanov_shift(
     seg = np.asarray(seg, dtype=float)
     if seg.ndim == 2:
         seg = seg[None]
-    mask = quotient_mask(nu)
-    bseg = seg if np.all(mask > 0) else seg * mask[None, :, None]
     x = seg[:, -1]
-    drift = m.b(t, x) + m.B(t, bseg, nu)
+    drift = m.b(t, x) + m.B(t, quotient_window(nu, seg), nu)
     return solve_qqt(m.Q(t, x), drift)
 
 
@@ -75,18 +74,10 @@ def _reference_model(m: ModelSpec) -> ModelSpec:
 def log_density(m: ModelSpec, nu: DelayMeasure, batch, cfg: SolverConfig) -> np.ndarray:
     """log R along simulated paths: sum <psi_k, dW_k> - (h/2) sum |psi_k|^2."""
     n0 = grid_count(nu.r0, cfg.h, "r0")
-    steps = batch.dW.shape[1]
-    mask = quotient_mask(nu)
-    mask_trivial = bool(np.all(mask > 0))
     log_r = np.zeros(batch.n_paths)
-    h = cfg.h
-    for k in range(steps):
-        seg = batch.states[:, k : n0 + k + 1]
-        bseg = seg if mask_trivial else seg * mask[None, :, None]
-        x = seg[:, -1]
-        drift = m.b(k * h, x) + m.B(k * h, bseg, nu)
-        psi = solve_qqt(m.Q(k * h, x), drift)
-        log_r += np.einsum("nk,nk->n", psi, batch.dW[:, k]) - 0.5 * h * np.sum(psi**2, axis=1)
+    for k in range(batch.dW.shape[1]):
+        psi = girsanov_shift(m, nu, k * cfg.h, batch.states[:, k : n0 + k + 1])
+        log_r += np.einsum("nk,nk->n", psi, batch.dW[:, k]) - 0.5 * cfg.h * np.sum(psi**2, axis=1)
     return log_r
 
 
@@ -121,20 +112,14 @@ def weak_estimate(
     if abs(cfg.t_end - T) > 1e-12:
         raise ValueError("cfg.t_end must equal the functional horizon T")
     ref = _reference_model(m)
-    s_r = s_r2 = s_rf = s_rf2 = 0.0
-    done = 0
-    while done < n_paths:
-        n = min(chunk, n_paths - done)
-        batch = simulate(ref, nu, xi, cfg, base_seed, n, path_offset=done)
-        log_r = log_density(m, nu, batch, cfg)
-        r = np.exp(log_r)
-        fv = np.asarray(f(batch.terminal_segments()), dtype=float)
-        rf = r * fv
-        s_r += r.sum()
-        s_r2 += (r**2).sum()
-        s_rf += rf.sum()
-        s_rf2 += (rf**2).sum()
-        done += n
+
+    def sample(offset, count):
+        batch = simulate(ref, nu, xi, cfg, base_seed, count, path_offset=offset)
+        r = np.exp(log_density(m, nu, batch, cfg))
+        rf = r * np.asarray(f(batch.terminal_segments()), dtype=float)
+        return r, r**2, rf, rf**2
+
+    s_r, s_r2, s_rf, s_rf2 = chunk_sums(n_paths, chunk, sample)
     n = float(n_paths)
     mean_rf = s_rf / n
     var_rf = max(s_rf2 / n - mean_rf**2, 0.0)
@@ -172,15 +157,13 @@ def direct_estimate(
     """Plain Monte Carlo (mean, stderr) of f at the T-segment of the full dynamics."""
     if abs(cfg.t_end - T) > 1e-12:
         raise ValueError("cfg.t_end must equal the functional horizon T")
-    s = s2 = 0.0
-    done = 0
-    while done < n_paths:
-        n = min(chunk, n_paths - done)
-        batch = simulate(m, nu, xi, cfg, base_seed, n, path_offset=done)
+
+    def sample(offset, count):
+        batch = simulate(m, nu, xi, cfg, base_seed, count, path_offset=offset)
         fv = np.asarray(f(batch.terminal_segments()), dtype=float)
-        s += fv.sum()
-        s2 += (fv**2).sum()
-        done += n
+        return fv, fv**2
+
+    s, s2 = chunk_sums(n_paths, chunk, sample)
     mean = s / n_paths
     var = max(s2 / n_paths - mean**2, 0.0)
     return float(mean), float(math.sqrt(var / n_paths))

@@ -20,7 +20,7 @@ import numpy as np
 from .coupling import CouplingConfig, entropy_cost, run_coupling_batch
 from .measure import DelayMeasure, Segment, batch_seg_norm, grid_count
 from .model import ModelSpec
-from .rng import batch_increments
+from .rng import batch_increments, chunk_sums
 from .solver import SolverConfig, simulate
 from .zvonkin import TransformedModel, simulate_transformed
 
@@ -48,32 +48,20 @@ class EstimateReport:
     setting: dict = field(default_factory=dict)
 
 
-def _terminal_values(m, nu, xi_vals, f, horizon, h, base_seed, n, chunk, path_offset=0):
-    """Stream terminal-segment f values (and squares) over chunks."""
-    s = s2 = 0.0
-    done = 0
-    while done < n:
-        k = min(chunk, n - done)
-        if isinstance(m, TransformedModel):
-            cfg = SolverConfig(h=h, t_end=horizon)
-            states, _ = simulate_transformed(
-                m, nu, xi_vals, cfg, base_seed, k, path_offset=path_offset + done
-            )
-            n0 = grid_count(nu.r0, h, "r0")
-            fv = np.asarray(f(states[:, -n0 - 1 :]), dtype=float)
-        else:
-            cfg = SolverConfig(h=h, t_end=horizon)
-            batch = simulate(m, nu, Segment(xi_vals), cfg, base_seed, k, path_offset=path_offset + done)
-            frac = float(np.mean(batch.lifetimes <= horizon))
-            if frac > 0:
-                raise ExplosionBeforeHorizonError(frac)
-            fv = np.asarray(f(batch.terminal_segments()), dtype=float)
-        s += fv.sum()
-        s2 += (fv**2).sum()
-        done += k
-    mean = s / n
-    var = max(s2 / n - mean**2, 0.0)
-    return mean, math.sqrt(var / n), s2 / n
+def _terminal_f(m, nu, f, xi_vals, cfg, base_seed, n, path_offset=0, dW=None):
+    """f at the t_end segment of n paths of a plain or a transformed model.
+
+    A plain path whose lifetime ends before the horizon is an error.
+    """
+    if isinstance(m, TransformedModel):
+        states, _ = simulate_transformed(m, nu, xi_vals, cfg, base_seed, n, path_offset, dW)
+        n0 = grid_count(nu.r0, cfg.h, "r0")
+        return np.asarray(f(states[:, -n0 - 1 :]), dtype=float)
+    batch = simulate(m, nu, Segment(xi_vals), cfg, base_seed, n, path_offset, dW)
+    frac = float(np.mean(batch.lifetimes <= cfg.t_end))
+    if frac > 0:
+        raise ExplosionBeforeHorizonError(frac)
+    return np.asarray(f(batch.terminal_segments()), dtype=float)
 
 
 def estimate_P(
@@ -96,7 +84,15 @@ def estimate_P(
     """
     if n < 2:
         raise ValueError("need n >= 2")
-    mean, se, _ = _terminal_values(m, nu, xi_vals, f, horizon, h, base_seed, n, chunk)
+    cfg = SolverConfig(h=h, t_end=horizon)
+
+    def sample(offset, count):
+        fv = _terminal_f(m, nu, f, xi_vals, cfg, base_seed, count, path_offset=offset)
+        return fv, fv**2
+
+    s, s2 = chunk_sums(n, chunk, sample)
+    mean = s / n
+    se = math.sqrt(max(s2 / n - mean**2, 0.0) / n)
     return EstimateReport(float(mean), float(se), n, tag, {"horizon": horizon, "h": h})
 
 
@@ -223,32 +219,23 @@ def check_gradient_estimate(
     if abs(nrm - 1.0) > 1e-9:
         raise ValueError("direction must be normalized in the segment norm")
     horizon = T + nu.r0
-    n0 = grid_count(nu.r0, h, "r0")
     steps = grid_count(horizon, h, "horizon")
     dbar = m.model.dbar if isinstance(m, TransformedModel) else m.dbar
-    s_d = s_d2 = s_f = s_f2 = 0.0
-    done = 0
     cfg = SolverConfig(h=h, t_end=horizon)
-    while done < n:
-        k = min(chunk, n - done)
-        dW = batch_increments(base_seed, done, k, steps, dbar, h)
+
+    def sample(offset, count):
+        dW = batch_increments(base_seed, offset, count, steps, dbar, h)
 
         def run(start):
-            if isinstance(m, TransformedModel):
-                states, _ = simulate_transformed(m, nu, start, cfg, base_seed, k, dW=dW)
-                return np.asarray(f(states[:, -n0 - 1 :]), dtype=float)
-            batch = simulate(m, nu, Segment(start), cfg, base_seed, k, dW=dW)
-            return np.asarray(f(batch.terminal_segments()), dtype=float)
+            return _terminal_f(m, nu, f, start, cfg, base_seed, count, dW=dW)
 
         fp = run(xi_vals + eps_fd * direction)
         fm = run(xi_vals - eps_fd * direction)
-        f0 = run(xi_vals)
         diff = (fp - fm) / (2.0 * eps_fd)
-        s_d += diff.sum()
-        s_d2 += (diff**2).sum()
-        s_f += f0.sum()
-        s_f2 += (f0**2).sum()
-        done += k
+        f0 = run(xi_vals)
+        return diff, diff**2, f0, f0**2
+
+    s_d, s_d2, s_f, s_f2 = chunk_sums(n, chunk, sample)
     D = s_d / n
     D_se = math.sqrt(max(s_d2 / n - D**2, 0.0) / n)
     pf = s_f / n

@@ -30,6 +30,7 @@ __all__ = [
     "check_shift_domination",
     "constant_segment",
     "quotient_mask",
+    "quotient_window",
 ]
 
 
@@ -188,6 +189,16 @@ def quotient_mask(m: DelayMeasure) -> np.ndarray:
     mask[:-1] = (m.weights > 0).astype(float)
     mask[-1] = 1.0
     return mask
+
+
+def quotient_window(m: DelayMeasure, seg: np.ndarray) -> np.ndarray:
+    """Quotient representative of batched windows (n, n_cells+1, d): null cells zeroed.
+
+    Every delay-drift evaluation goes through here; the window itself is
+    returned when all cells carry mass.
+    """
+    mask = quotient_mask(m)
+    return seg if np.all(mask > 0) else seg * mask[None, :, None]
 
 
 def _check_compat(m: DelayMeasure, xi: Segment) -> None:

@@ -2,7 +2,7 @@
 
 Coefficients are vectorized over path batches:
     b(t, x)            x: (n, d)            -> (n, d)
-    B(t, seg, m)       seg: (n, n0+1, d)    -> (n, d)   (seg already quotient-masked)
+    B(t, seg, m)       seg: (n, n0+1, d)    -> (n, d)   (seg from measure.quotient_window)
     Q(t, x)            x: (n, d)            -> (n, d, dbar)
 
 Validation is sampling-based: a pass is evidence at the sampled witnesses, not
@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .measure import DelayMeasure
+from .measure import DelayMeasure, batch_seg_norm, quotient_window
 
 __all__ = [
     "OperatorA",
@@ -392,13 +392,8 @@ def validate_assumptions(
 
     # (A4'): |B(t,xi)-B(t,eta)| <= sqrt(C_B) ||xi-eta|| (1+tol)
     worst_a4, wit_a4 = 0.0, None
-    segs = seg_amp * rng.standard_normal((n_samples, n0 + 1, m.d))
-    etas = seg_amp * rng.standard_normal((n_samples, n0 + 1, m.d))
-    from .measure import batch_seg_norm, quotient_mask
-
-    mask = quotient_mask(nu)[None, :, None]
-    segs *= mask
-    etas *= mask
+    segs = quotient_window(nu, seg_amp * rng.standard_normal((n_samples, n0 + 1, m.d)))
+    etas = quotient_window(nu, seg_amp * rng.standard_normal((n_samples, n0 + 1, m.d)))
     sqrt_cb = math.sqrt(m.B_lip_sq) if m.B_lip_sq > 0 else 0.0
     for t in ts:
         num = np.linalg.norm(m.B(t, segs, nu) - m.B(t, etas, nu), axis=1)
@@ -435,8 +430,6 @@ def make_functional(name: str, m: DelayMeasure | None = None, eps: float = 1e-6,
     if name == "expnorm_pos":
         if m is None:
             raise ValueError("expnorm_pos needs the delay measure")
-        from .measure import batch_seg_norm
-
         return (lambda seg: eps + np.exp(-batch_seg_norm(m, seg) ** 2)), True
     if name == "coord0":
         return (lambda seg: seg[:, -1, 0]), False

@@ -13,7 +13,7 @@ import numpy as np
 from numpy.random import Generator, Philox
 from scipy.special import ndtri
 
-__all__ = ["path_generator", "normal_increments", "coarsen_increments"]
+__all__ = ["path_generator", "normal_increments", "coarsen_increments", "chunk_sums"]
 
 _U64 = np.uint64
 # random() can return exactly 0.0; ndtri(0) = -inf.  Substitute the smallest
@@ -63,3 +63,22 @@ def coarsen_increments(dw: np.ndarray, factor: int) -> np.ndarray:
         raise ValueError(f"{n_steps} steps not divisible by factor {factor}")
     shape = dw.shape[:step_axis] + (n_steps // factor, factor) + dw.shape[step_axis + 1 :]
     return dw.reshape(shape).sum(axis=step_axis + 1)
+
+
+def chunk_sums(n_paths: int, chunk: int, sample) -> list:
+    """Monte Carlo sums over paths 0..n_paths-1 taken in consecutive chunks.
+
+    sample(path_offset, count) returns a sequence of per-path value arrays,
+    each of shape (count,).  Each array is summed within its chunk and the
+    chunk sums are added in path order, so only the chunk size enters the
+    rounding.
+    """
+    if n_paths < 1 or chunk < 1:
+        raise ValueError("need n_paths >= 1 and chunk >= 1")
+    sums = None
+    for start in range(0, n_paths, chunk):
+        parts = sample(start, min(chunk, n_paths - start))
+        if sums is None:
+            sums = [0.0] * len(parts)
+        sums = [s + np.sum(v) for s, v in zip(sums, parts)]
+    return sums

@@ -22,7 +22,7 @@ from .measure import (
     Segment,
     batch_seg_norm,
     grid_count,
-    quotient_mask,
+    quotient_window,
 )
 from .model import ModelSpec, semigroup_factors
 from .rng import batch_increments
@@ -31,26 +31,15 @@ __all__ = [
     "SolverConfig",
     "SamplePath",
     "PathBatch",
-    "NumericalOverflowError",
     "BoundExceedsCapError",
     "cutoff_psi",
     "truncate_coefficients",
-    "step",
     "simulate",
-    "solve_path",
     "bihari_bound",
     "apriori_check",
 ]
 
 SCHEMES = ("exponential-euler", "euler-maruyama")
-
-
-class NumericalOverflowError(FloatingPointError):
-    """Non-finite state produced at a known time."""
-
-    def __init__(self, t: float):
-        super().__init__(f"non-finite state at t={t}")
-        self.t = t
 
 
 class BoundExceedsCapError(ValueError):
@@ -168,40 +157,6 @@ def truncate_coefficients(m: ModelSpec, level: float) -> ModelSpec:
     )
 
 
-def step(
-    m: ModelSpec,
-    nu: DelayMeasure,
-    seg: np.ndarray,
-    t: float,
-    dW: np.ndarray,
-    cfg: SolverConfig,
-) -> np.ndarray:
-    """One scheme step from the segment window seg (n, n0+1, d) with noise dW (n, dbar)."""
-    seg = np.asarray(seg, dtype=float)
-    if seg.ndim == 2:
-        seg = seg[None]
-    dW = np.asarray(dW, dtype=float)
-    if dW.ndim == 1:
-        dW = dW[None]
-    x = seg[:, -1]
-    mask = quotient_mask(nu)
-    bseg = seg if np.all(mask > 0) else seg * mask[None, :, None]
-    bv = m.b(t, x)
-    Bv = m.B(t, bseg, nu)
-    Qv = m.Q(t, x)
-    noise = np.einsum("ndk,nk->nd", Qv, dW)
-    h = cfg.h
-    if cfg.scheme == "exponential-euler" and m.A is not None:
-        E, J = semigroup_factors(m.A, h)
-        out = E * x + J * (bv + Bv) + E * noise
-    else:
-        Ax = m.A.apply(x) if m.A is not None else 0.0
-        out = x + h * (Ax + bv + Bv) + noise
-    if not np.all(np.isfinite(out)):
-        raise NumericalOverflowError(t)
-    return out
-
-
 def simulate(
     m: ModelSpec,
     nu: DelayMeasure,
@@ -218,7 +173,7 @@ def simulate(
     if xi.values.shape[0] != n0 + 1:
         raise ValueError("initial segment grid does not match solver grid")
     d, dbar = m.d, m.dbar
-    m_eff = truncate_coefficients(m, cfg.trunc_level) if math.isfinite(cfg.trunc_level) else m
+    m_eff = truncate_coefficients(m, cfg.trunc_level)
     if dW is None:
         dW = batch_increments(base_seed, path_offset, n_paths, steps, dbar, cfg.h)
     elif dW.shape != (n_paths, steps, dbar):
@@ -227,8 +182,6 @@ def simulate(
     states[:, : n0 + 1] = xi.values
     lifetimes = np.full(n_paths, np.nan)
     alive = np.ones(n_paths, dtype=bool)
-    mask = quotient_mask(nu)
-    mask_trivial = bool(np.all(mask > 0))
     check_seg = math.isfinite(cfg.trunc_level)
     use_exp = cfg.scheme == "exponential-euler" and m.A is not None
     if use_exp:
@@ -238,11 +191,9 @@ def simulate(
         for k in range(steps):
             t = k * h
             idx = n0 + k
-            seg = states[:, k : idx + 1]
-            bseg = seg if mask_trivial else seg * mask[None, :, None]
             x = states[:, idx]
             bv = m_eff.b(t, x)
-            Bv = m_eff.B(t, bseg, nu)
+            Bv = m_eff.B(t, quotient_window(nu, states[:, k : idx + 1]), nu)
             Qv = m_eff.Q(t, x)
             noise = np.einsum("ndk,nk->nd", Qv, dW[:, k])
             if use_exp:
@@ -262,18 +213,6 @@ def simulate(
                 lifetimes[newly] = t + h
                 alive &= ~newly
     return PathBatch(cfg.h, nu.r0, states, dW, base_seed, path_offset, lifetimes)
-
-
-def solve_path(
-    m: ModelSpec,
-    nu: DelayMeasure,
-    xi: Segment,
-    cfg: SolverConfig,
-    seed: tuple[int, int] | int,
-) -> SamplePath:
-    """Single-path convenience wrapper around simulate."""
-    base, idx = seed if isinstance(seed, tuple) else (seed, 0)
-    return simulate(m, nu, xi, cfg, base, 1, path_offset=idx).path(0)
 
 
 # ---------------------------------------------------------------------------

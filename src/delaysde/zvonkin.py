@@ -23,13 +23,14 @@ import numpy as np
 from scipy.interpolate import RegularGridInterpolator
 from scipy.special import roots_hermitenorm
 
-from .measure import DelayMeasure, grid_count, quotient_mask
+from .measure import DelayMeasure, grid_count, quotient_window
 from .model import ModelSpec, OperatorA
 from .rng import batch_increments
 
 __all__ = [
     "CoverageError",
     "DivergenceError",
+    "InverseConvergenceError",
     "ZvonkinSolution",
     "TransformedModel",
     "ou_apply",
@@ -37,6 +38,7 @@ __all__ = [
     "theta",
     "theta_inverse",
     "transformed_model",
+    "transformed_coefficients",
     "measure_K",
     "simulate_transformed",
     "verify_decay",
@@ -49,6 +51,10 @@ class CoverageError(ValueError):
 
 class DivergenceError(RuntimeError):
     """Picard iteration failed to contract."""
+
+
+class InverseConvergenceError(RuntimeError):
+    """The fixed point for Theta^{-1} did not reach its tolerance."""
 
 
 def _hermite(order: int) -> tuple[np.ndarray, np.ndarray]:
@@ -322,7 +328,7 @@ def theta_inverse(
         if np.abs(xn - x).max() < tol:
             return xn
         x = xn
-    raise RuntimeError("inverse fixed point did not reach tolerance")
+    raise InverseConvergenceError("inverse fixed point did not reach tolerance")
 
 
 def _seg_times(t: float, n_nodes: int, h: float) -> np.ndarray:
@@ -366,53 +372,64 @@ class TransformedModel:
         return theta_inverse_segment(self.sol, t, seg, h) if self.sol is not None else seg
 
 
+def transformed_coefficients(
+    tm: TransformedModel,
+    nu: DelayMeasure,
+    t: float,
+    state: np.ndarray,
+    point_inv: np.ndarray,
+    window_inv: np.ndarray | None,
+) -> tuple[np.ndarray | None, np.ndarray]:
+    """Drift and diffusion of the transformed equation at time t.
+
+    state (n, d) is the transformed state, point_inv = Theta^{-1}(t, state) and
+    window_inv (n, n0+1, d) the pulled-back segment window.  The drift is
+    -a x + (lam + a) u + (I + grad u) B and the diffusion (I + grad u) Q, with
+    u, B and Q at the pulled-back arguments; sol None is the identity
+    transform, which only folds A into the delay drift.  Without a window
+    only the diffusion is formed and the drift is None.
+    """
+    base, sol = tm.base, tm.sol
+    Qv = base.Q(t, point_inv)
+    if sol is not None:
+        dth = np.eye(sol.d)[None] + sol.eval_du(t, point_inv)
+        Qv = np.einsum("nck,nkj->ncj", dth, Qv)
+    if window_inv is None:
+        return None, Qv
+    a = base.A.eigenvalues
+    Bv = base.B(t, quotient_window(nu, window_inv), nu)
+    if sol is None:
+        return -a * state + Bv, Qv
+    lam = sol.lam
+    u0 = sol.eval_u(t, point_inv)
+    return -a * state + (lam + a) * u0 + np.einsum("nck,nk->nc", dth, Bv), Qv
+
+
 def transformed_model(m: ModelSpec, nu: DelayMeasure, sol: ZvonkinSolution | None) -> TransformedModel:
     """Push the dynamics through Theta = id + u (identity transform when sol is None).
 
-    The new drift at segment xi is A xi(0) + (lam - A) u(t, Theta^{-1} xi(0))
-    + (grad Theta) B at the pulled-back segment; the new diffusion is
-    (grad Theta) Q at the pulled-back point.  With sol=None this reduces to
-    folding A into the delay drift.
+    The coefficients of the returned spec are transformed_coefficients at the
+    pulled-back segment and point; with sol=None this reduces to folding A
+    into the delay drift.
     """
     if m.A is None:
         raise ValueError("base model must carry an explicit linear part")
-    a = m.A.eigenvalues
+    tm = TransformedModel(None, m, sol)
 
-    if sol is None:
-        def B_t(t, seg, nu_):
-            return -a * seg[:, -1] + m.B(t, seg, nu_)
+    def B_t(t, seg, nu_):
+        window_inv = tm.seg_to_base(t, seg, nu.h)
+        return transformed_coefficients(tm, nu_, t, seg[:, -1], window_inv[:, -1], window_inv)[0]
 
-        Q_t = m.Q
-        name = f"{m.name}[folded]"
-    else:
-        lam = sol.lam
-        h_grid = nu.h
+    def Q_t(t, x):
+        return transformed_coefficients(tm, nu, t, x, tm.to_base(t, x), None)[1]
 
-        def B_t(t, seg, nu_):
-            x0 = seg[:, -1]
-            xinv = theta_inverse(sol, t, x0)
-            inv_seg = theta_inverse_segment(sol, t, seg, h_grid)
-            msk = quotient_mask(nu_)
-            if not np.all(msk > 0):
-                inv_seg = inv_seg * msk[None, :, None]
-            u0 = sol.eval_u(t, xinv)
-            dth = np.eye(sol.d)[None] + sol.eval_du(t, xinv)
-            Bv = m.B(t, inv_seg, nu_)
-            return -a * x0 + (lam + a) * u0 + np.einsum("nck,nk->nc", dth, Bv)
-
-        def Q_t(t, x):
-            xinv = theta_inverse(sol, t, x)
-            dth = np.eye(sol.d)[None] + sol.eval_du(t, xinv)
-            return np.einsum("nck,nkj->ncj", dth, m.Q(t, xinv))
-
-        name = f"{m.name}[zvonkin lam={sol.lam:g}]"
-
-    spec = ModelSpec(
+    name = f"{m.name}[folded]" if sol is None else f"{m.name}[zvonkin lam={sol.lam:g}]"
+    tm.model = ModelSpec(
         name=name, d=m.d, dbar=m.dbar, A=None,
         b=lambda t, x: np.zeros_like(np.atleast_2d(x)),
         B=B_t, Q=Q_t, Q_bounds=m.Q_bounds, params=m.params,
     )
-    return TransformedModel(spec, m, sol)
+    return tm
 
 
 def measure_K(
@@ -428,7 +445,6 @@ def measure_K(
     rng = np.random.default_rng(seed)
     m = tm.model
     n0 = nu.n_cells
-    msk = quotient_mask(nu)[None, :, None]
     q_sup = qinv_sup = lip = 0.0
     for t in np.linspace(0.0, T, 9):
         x = rng.uniform(-box, box, (n_samples, m.d))
@@ -437,14 +453,27 @@ def measure_K(
         ev = np.linalg.eigvalsh(QQt)
         q_sup = max(q_sup, float(np.sqrt(ev[:, -1].max())))
         qinv_sup = max(qinv_sup, float(1.0 / ev[:, 0].min()))
-        xi = (box / 2) * rng.standard_normal((n_samples, n0 + 1, m.d)) * msk
-        eta = xi + 0.3 * rng.standard_normal(xi.shape) * msk
+        xi = quotient_window(nu, (box / 2) * rng.standard_normal((n_samples, n0 + 1, m.d)))
+        eta = xi + quotient_window(nu, 0.3 * rng.standard_normal(xi.shape))
         num = np.linalg.norm(m.B(t, xi, nu) - m.B(t, eta, nu), axis=1)
         diff = xi - eta
         sq = np.sum(diff**2, axis=2)
         den = np.sqrt(sq[:, :-1] @ nu.weights + sq[:, -1])
         lip = max(lip, float((num / np.maximum(den, 1e-300)).max()))
     return {"Q_sup": q_sup, "QQt_inv_sup": qinv_sup, "B_lip": lip}
+
+
+def pulled_back_history(tm: TransformedModel, states: np.ndarray, n0: int, h: float) -> np.ndarray:
+    """Storage for Theta^{-1} along a path batch, filled on [-r0, 0].
+
+    With the identity transform the path is its own pull-back and is returned
+    as is; otherwise the caller fills each later node as the path grows.
+    """
+    if tm.sol is None:
+        return states
+    out = np.empty_like(states)
+    out[:, : n0 + 1] = theta_inverse_segment(tm.sol, 0.0, states[:, : n0 + 1], h)
+    return out
 
 
 def simulate_transformed(
@@ -464,47 +493,22 @@ def simulate_transformed(
     xi_t: transformed initial segment values (n0+1, d).  Returns (states, dW)
     with states of shape (n_paths, n0+steps+1, d) on [-r0, t_end].
     """
-    m = tm.model
-    base = tm.base
-    sol = tm.sol
     n0 = grid_count(nu.r0, cfg.h, "r0")
     steps = grid_count(cfg.t_end, cfg.h, "t_end")
     h = cfg.h
-    d, dbar = m.d, m.dbar
     if dW is None:
-        dW = batch_increments(base_seed, path_offset, n_paths, steps, dbar, h)
-    xi_t = np.asarray(xi_t, dtype=float)
-    states = np.empty((n_paths, n0 + steps + 1, d))
-    states[:, : n0 + 1] = xi_t
-    msk = quotient_mask(nu)
-    trivial = bool(np.all(msk > 0))
-    a = base.A.eigenvalues
-    if sol is None:
-        xinv = states  # pulled-back path equals the path itself
-    else:
-        xinv = np.empty_like(states)
-        for i in range(n0 + 1):
-            xinv[:, i] = theta_inverse(sol, (i - n0) * h, states[:, i])
-    lam = sol.lam if sol is not None else 0.0
+        dW = batch_increments(base_seed, path_offset, n_paths, steps, tm.model.dbar, h)
+    states = np.empty((n_paths, n0 + steps + 1, tm.model.d))
+    states[:, : n0 + 1] = np.asarray(xi_t, dtype=float)
+    xinv = pulled_back_history(tm, states, n0, h)
     for k in range(steps):
         t = k * h
         idx = n0 + k
         x = states[:, idx]
-        w = xinv[:, k : idx + 1]
-        bw = w if trivial else w * msk[None, :, None]
-        Bv = base.B(t, bw, nu)
-        if sol is None:
-            drift = -a * x + Bv
-            noise = np.einsum("ndk,nk->nd", base.Q(t, x), dW[:, k])
-        else:
-            xi0 = xinv[:, idx]
-            u0 = sol.eval_u(t, xi0)
-            dth = np.eye(d)[None] + sol.eval_du(t, xi0)
-            drift = -a * x + (lam + a) * u0 + np.einsum("nck,nk->nc", dth, Bv)
-            noise = np.einsum("nck,nkj,nj->nc", dth, base.Q(t, xi0), dW[:, k])
-        states[:, idx + 1] = x + h * drift + noise
-        if sol is not None:
-            xinv[:, idx + 1] = theta_inverse(sol, t + h, states[:, idx + 1])
+        drift, Qv = transformed_coefficients(tm, nu, t, x, xinv[:, idx], xinv[:, k : idx + 1])
+        states[:, idx + 1] = x + h * drift + np.einsum("ncj,nj->nc", Qv, dW[:, k])
+        if tm.sol is not None:
+            xinv[:, idx + 1] = theta_inverse(tm.sol, t + h, states[:, idx + 1])
     return states, dW
 
 

@@ -90,13 +90,57 @@ def test_simulate_zero_model_outputs(tmp_path):
     out = tmp_path / "out"
     assert main(["simulate", "--config", path, "--out", str(out)]) == 0
     verdict = json.loads((out / "verdict.json").read_text())
-    assert verdict["schema_version"] == 1
+    assert verdict["schema_version"] == 2
     assert verdict["verdict"] == "pass"
     assert verdict["metrics"]["explosion_fraction"] == 0.0
     rows = json.loads((out / "result.json").read_text())["rows"]
     assert len(rows) == 20
     for row in rows:
         assert row[1] == pytest.approx(math.exp(-1.0), rel=1e-12)
+
+
+def _reject_constant(token):
+    raise ValueError(f"non-standard JSON token {token}")
+
+
+def test_simulate_json_is_strict(tmp_path):
+    """No path of the zero model exits, so every lifetime is NaN: written as null."""
+    path = _write(tmp_path, BASE)
+    out = tmp_path / "strict"
+    assert main(["simulate", "--config", path, "--out", str(out)]) == 0
+    for name in ("result.json", "verdict.json"):
+        payload = json.loads((out / name).read_text(), parse_constant=_reject_constant)
+        assert payload["schema_version"] == 2
+    payload = json.loads((out / "result.json").read_text())
+    col = payload["columns"].index("lifetime")
+    assert all(row[col] is None for row in payload["rows"])
+
+
+def test_numerical_failure_exits_2(tmp_path, capsys):
+    """A singular diffusion met by the reweighting is exit 2 with a named error."""
+    text = BASE.replace("scenario = simulate", "scenario = girsanov-check").replace(
+        "name = zero", "name = ou\nsigma = 0.0"
+    )
+    path = _write(tmp_path, text)
+    assert main(["girsanov-check", "--config", path, "--out", str(tmp_path / "sing")]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert "SingularDiffusionError" in err[0]
+
+
+def test_couple_fails_when_pairs_do_not_meet(tmp_path):
+    """With the default K the bridge is too weak to meet by T at this step:
+    the verdict fails even though E[R] is within its error bar."""
+    text = BASE.replace("scenario = simulate", "scenario = couple").replace(
+        "name = zero", "name = ou"
+    ) + "[coupling]\nT = 0.5\ndistance0 = 0.1\n"
+    path = _write(tmp_path, text)
+    out = tmp_path / "nomeet"
+    assert main(["couple", "--config", path, "--out", str(out)]) == 1
+    verdict = json.loads((out / "verdict.json").read_text())
+    assert verdict["verdict"] == "fail"
+    assert verdict["metrics"]["coupled_fraction"] < 1.0
+    assert abs(verdict["metrics"]["mean_R"] - 1.0) <= 3.0 * verdict["metrics"]["stderr_R"]
 
 
 def test_simulate_csv_format(tmp_path):

@@ -5,12 +5,10 @@ import pytest
 
 from delaysde.coupling import (
     CouplingConfig,
-    coupled_step,
     entropy_cost,
     fit_entropy_cost,
     gamma,
     gamma_prime,
-    run_coupling,
     run_coupling_batch,
 )
 from delaysde.measure import constant_segment, make_measure
@@ -74,28 +72,38 @@ def test_config_validation():
 
 
 def test_coupled_step_contraction_factor(nu):
-    """Constant diffusion and shared drift: one step shrinks X - Y by exactly
-    1 - h/gamma_hat, since the noise difference vanishes."""
+    """Constant diffusion and shared drift: the one bridged step (T = h)
+    shrinks X - Y by exactly 1 - h/gamma_hat, since the noise difference
+    vanishes, and adds phi dW - h phi^2/2 to log R."""
     tm_ou = transformed_model(make_model("ou", lam=1.0, sigma=1.0), nu, None)
-    cc = CouplingConfig(T=0.5, h=H, K=2.0)
+    cc = CouplingConfig(T=H, h=H, K=2.0)
     n0 = nu.n_cells
-    x_seg = np.full((1, n0 + 1, 1), 1.0)
-    y_seg = np.full((1, n0 + 1, 1), 0.4)
-    dW = np.array([[0.37]])
-    xn, yn, phi = coupled_step(tm_ou, nu, x_seg, y_seg, 0.0, dW, cc)
-    ghat = max(gamma(0.5 * H, 0.5, 2.0), gamma(0.5 - 0.5 * H, 0.5, 2.0))
-    want = 0.6 * (1.0 - H / ghat)
-    assert float((xn - yn)[0, 0]) == pytest.approx(want, rel=1e-12)
+    xi = constant_segment(nu, 1.0).values
+    eta = constant_segment(nu, 0.4).values
+    dW = np.full((1, n0 + 1, 1), 0.37)
+    res = run_coupling_batch(tm_ou, nu, xi, eta, cc, 0, 1, dW=dW)
+    ghat = max(gamma(0.5 * H, H, 2.0), gamma(H - 0.5 * H, H, 2.0))
+    gap = res.x_states[0, n0 + 1, 0] - res.y_states[0, n0 + 1, 0]
+    assert gap == pytest.approx(0.6 * (1.0 - H / ghat), rel=1e-12)
     # phi carries the delay mismatch plus the bridge term
     by_minus_bx = -1.0 * 0.4 - (-1.0 * 1.0)
-    assert float(phi[0, 0]) == pytest.approx(by_minus_bx - 0.6 / ghat, rel=1e-12)
+    phi = by_minus_bx - 0.6 / ghat
+    assert res.log_R[0] == pytest.approx(phi * 0.37 - 0.5 * H * phi**2, rel=1e-12)
 
 
 def test_coupled_step_after_horizon_is_free(nu, tm):
-    cc = CouplingConfig(T=0.25, h=H, K=2.0)
-    seg = np.random.default_rng(0).normal(size=(2, nu.n_cells + 1, 1))
-    xn, yn, phi = coupled_step(tm, nu, seg, seg + 0.3, 0.3, np.zeros((2, 1)), cc)
-    np.testing.assert_array_equal(phi, 0.0)
+    """With T = h only step 0 is bridged: the steps on (T, T + r0] add nothing
+    to log R, whatever their noise."""
+    cc = CouplingConfig(T=H, h=H, K=2.0)
+    xi = constant_segment(nu, 1.0).values
+    eta = constant_segment(nu, 0.4).values
+    dW = normal_increments(0, 0, nu.n_cells + 1, 1, H)[None]
+    res = run_coupling_batch(tm, nu, xi, eta, cc, 0, 1, dW=dW)
+    ghat = gamma(0.5 * H, H, 2.0)
+    # folded drift -a x + beta nu(x) with a = 1, beta = 1/2
+    by_minus_bx = -(0.4 - 1.0) + 0.5 * nu.total_mass() * (0.4 - 1.0)
+    phi = by_minus_bx - 0.6 / ghat
+    assert res.log_R[0] == pytest.approx(phi * dW[0, 0, 0] - 0.5 * H * phi**2, rel=1e-12)
 
 
 def test_equal_starts_couple_immediately(nu, tm):
@@ -137,23 +145,10 @@ def test_run_coupling_single_pair_matches_batch(nu, tm):
     eta = xi + 0.05
     cc = CouplingConfig(T=0.25, h=H, K=6.0)
     batch = run_coupling_batch(tm, nu, xi, eta, cc, 9, 3, path_offset=1)
-    single = run_coupling(tm, nu, xi, eta, cc, (9, 1))
-    np.testing.assert_array_equal(single.x_states[0], batch.x_states[0])
-    np.testing.assert_array_equal(single.log_R[0], batch.log_R[0])
-
-
-def test_first_step_of_batch_matches_coupled_step(nu, tm):
-    xi = constant_segment(nu, 1.0).values
-    eta = xi + 0.05
-    cc = CouplingConfig(T=0.25, h=H, K=2.0)
-    res = run_coupling_batch(tm, nu, xi, eta, cc, 21, 2)
-    n0 = nu.n_cells
-    xn, yn, _phi = coupled_step(
-        tm, nu, res.x_states[:, : n0 + 1], res.y_states[:, : n0 + 1], 0.0,
-        res.dW[:, 0], cc,
-    )
-    np.testing.assert_allclose(xn, res.x_states[:, n0 + 1], rtol=0, atol=1e-14)
-    np.testing.assert_allclose(yn, res.y_states[:, n0 + 1], rtol=0, atol=1e-14)
+    single = run_coupling_batch(tm, nu, xi, eta, cc, 9, 1, path_offset=2)
+    np.testing.assert_array_equal(single.x_states[0], batch.x_states[1])
+    np.testing.assert_array_equal(single.y_states[0], batch.y_states[1])
+    np.testing.assert_array_equal(single.log_R[0], batch.log_R[1])
 
 
 def test_delta_scales_with_initial_gap(nu, tm):

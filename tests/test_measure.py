@@ -16,6 +16,7 @@ from delaysde.measure import (
     grid_count,
     make_measure,
     quotient_mask,
+    quotient_window,
     seg_inner,
     seg_norm,
     segments_equal,
@@ -100,6 +101,14 @@ def test_batch_norm_matches_scalar():
 def test_quotient_mask_keeps_endpoint():
     m = make_measure("atoms", 1.0, 0.25, weights=[0.0, 1.0, 0.0, 2.0])
     np.testing.assert_array_equal(quotient_mask(m), [0.0, 1.0, 0.0, 1.0, 1.0])
+
+
+def test_quotient_window_zeroes_null_cells_only():
+    m = make_measure("atoms", 1.0, 0.25, weights=[0.0, 1.0, 0.0, 2.0])
+    seg = np.arange(10.0).reshape(2, 5, 1) + 1.0
+    np.testing.assert_array_equal(quotient_window(m, seg)[0, :, 0], [0.0, 2.0, 0.0, 4.0, 5.0])
+    full = make_measure("uniform", 1.0, 0.25)
+    assert quotient_window(full, seg) is seg
 
 
 def test_null_cells_invisible_to_norm_and_equality():
@@ -206,12 +215,12 @@ def test_measured_kappa_makes_atoms_pass():
 
 def test_extract_segment_window():
     from delaysde.model import make_model
-    from delaysde.solver import SolverConfig, solve_path
+    from delaysde.solver import SolverConfig, simulate
 
     m = make_measure("uniform", 0.5, 0.25)
     model = make_model("zero", lam=1.0)
     xi = constant_segment(m, 1.0)
-    path = solve_path(model, m, xi, SolverConfig(h=0.25, t_end=1.0), 0)
+    path = simulate(model, m, xi, SolverConfig(h=0.25, t_end=1.0), 0, 1).path(0)
     seg = extract_segment(path, 0.5)
     np.testing.assert_array_equal(seg.values[:, 0], path.states[2:5, 0])
     with pytest.raises(ValueError):

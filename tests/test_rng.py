@@ -3,6 +3,7 @@ import pytest
 
 from delaysde.rng import (
     batch_increments,
+    chunk_sums,
     coarsen_increments,
     normal_increments,
     path_generator,
@@ -76,3 +77,17 @@ def test_coarsen_rejects_bad_factor():
         coarsen_increments(dw, 3)
     with pytest.raises(ValueError):
         coarsen_increments(dw, 0)
+
+
+def test_chunk_sums_visits_paths_in_order():
+    seen = []
+
+    def sample(offset, count):
+        seen.append((offset, count))
+        v = np.arange(offset, offset + count, dtype=float)
+        return v, v**2
+
+    assert chunk_sums(10, 4, sample) == [45.0, 285.0]
+    assert seen == [(0, 4), (4, 4), (8, 2)]
+    with pytest.raises(ValueError):
+        chunk_sums(0, 4, sample)

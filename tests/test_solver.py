@@ -13,8 +13,6 @@ from delaysde.solver import (
     bihari_bound,
     cutoff_psi,
     simulate,
-    solve_path,
-    step,
     truncate_coefficients,
 )
 
@@ -52,7 +50,7 @@ def test_zero_model_exact_decay():
     nu = make_measure("uniform", 0.5, 0.125)
     m = make_model("zero", lam=2.0)
     xi = constant_segment(nu, 1.0)
-    path = solve_path(m, nu, xi, SolverConfig(h=0.125, t_end=1.0), 0)
+    path = simulate(m, nu, xi, SolverConfig(h=0.125, t_end=1.0), 0, 1).path(0)
     ts = 0.125 * np.arange(9)
     np.testing.assert_allclose(path.states[4:, 0], np.exp(-2.0 * ts), rtol=1e-12)
     assert path.lifetime is None
@@ -72,17 +70,6 @@ def test_ou_terminal_moments():
     assert abs(x.var() / var_t - 1.0) <= 3.5 * math.sqrt(2.0 / 8000)
 
 
-def test_step_matches_simulate():
-    nu = make_measure("exponential", 1.0, 0.25, lam=1.0)
-    m = make_model("linear_delay", measure=nu)
-    xi = constant_segment(nu, 1.0)
-    cfg = SolverConfig(h=0.25, t_end=0.5)
-    batch = simulate(m, nu, xi, cfg, 3, 4)
-    n0 = nu.n_cells
-    got = step(m, nu, batch.states[:, :n0 + 1], 0.0, batch.dW[:, 0], cfg)
-    np.testing.assert_array_equal(got, batch.states[:, n0 + 1])
-
-
 def test_explicit_noise_reproduces_default():
     nu = make_measure("uniform", 0.5, 0.125)
     m = make_model("ou")
@@ -96,13 +83,15 @@ def test_explicit_noise_reproduces_default():
         simulate(m, nu, xi, cfg, 5, 3, dW=dw[:, :2])
 
 
-def test_solve_path_is_batch_member():
+def test_single_path_is_batch_member():
+    """Paths are keyed by (base_seed, index): a one-path run at index 3
+    reproduces that member of a batch starting at index 2."""
     nu = make_measure("uniform", 0.5, 0.125)
     m = make_model("ou")
     xi = constant_segment(nu, 1.0)
     cfg = SolverConfig(h=0.125, t_end=0.5)
     batch = simulate(m, nu, xi, cfg, 9, 4, path_offset=2)
-    single = solve_path(m, nu, xi, cfg, (9, 3))
+    single = simulate(m, nu, xi, cfg, 9, 1, path_offset=3).path(0)
     np.testing.assert_array_equal(single.states, batch.states[1])
     assert single.seed == (9, 3)
 

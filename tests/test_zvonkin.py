@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from delaysde.coupling import CouplingConfig, run_coupling_batch
 from delaysde.measure import constant_segment, make_measure
 from delaysde.model import ModelSpec, OperatorA, _const_Q, _zero_B, make_model
 from delaysde.solver import SolverConfig, simulate
@@ -191,6 +192,18 @@ def test_transform_equivalence_single_h(nu6, ref6, sol_small):
         back = theta_inverse(sol_small, t, states[:, k])
         err = max(err, float(np.abs(back - plain.states[:, k]).max()))
     assert err < 0.05
+
+
+def test_coupled_x_chain_is_simulate_transformed(nu6, ref6, sol_small):
+    """X of the coupled pair follows the transformed equation itself: under
+    shared noise it matches simulate_transformed bit for bit on [0, T + r0]."""
+    tm = transformed_model(ref6, nu6, sol_small)
+    xi_t = tm.seg_to_transformed(0.0, constant_segment(nu6, 0.5).values[None], nu6.h)[0]
+    cc = CouplingConfig(T=0.25, h=nu6.h, K=4.0)
+    res = run_coupling_batch(tm, nu6, xi_t, xi_t + 0.05, cc, 5, 4)
+    cfg = SolverConfig(h=nu6.h, t_end=cc.T + nu6.r0)
+    states, _ = simulate_transformed(tm, nu6, xi_t, cfg, 5, 4, dW=res.dW)
+    np.testing.assert_array_equal(states, res.x_states)
 
 
 def test_verify_decay_small_ladder(ref6):
