@@ -94,6 +94,22 @@ def test_solve_u_crude_sup_bound(sol_small, ref6):
     assert sol_small.ratios and sol_small.ratios[-1] < 1.0
 
 
+def test_solve_u_separable_d2_matches_d1(nu6):
+    """The d=2 reference drift acts componentwise, so each component of its u
+    is the d=1 u in that coordinate and the cross derivatives vanish (up to
+    rounding in the tensor quadrature)."""
+    kw = dict(n_x=13, n_t=5, quad_order=6)
+    u1 = solve_u(make_model("reference", measure=nu6), 16.0, 1.0, **kw).u_tab[..., 0]
+    sol2 = solve_u(make_model("reference", measure=nu6, d=2), 16.0, 1.0, **kw)
+    shape = (5, u1.shape[1], u1.shape[1])
+    assert sol2.u_tab.shape == (*shape, 2)
+    np.testing.assert_allclose(sol2.u_tab[..., 0], np.broadcast_to(u1[:, :, None], shape), atol=1e-12)
+    np.testing.assert_allclose(sol2.u_tab[..., 1], np.broadcast_to(u1[:, None, :], shape), atol=1e-12)
+    assert np.abs(sol2.du_tab[..., 0, 1]).max() < 1e-12
+    assert np.abs(sol2.du_tab[..., 1, 0]).max() < 1e-12
+    assert sol2.u_sup > 0.0
+
+
 def test_solve_u_terminal_condition(sol_small):
     # u(T, .) = 0
     assert np.abs(sol_small.u_tab[-1]).max() == 0.0
