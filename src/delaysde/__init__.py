@@ -43,6 +43,7 @@ from .zvonkin import (
     TransformedModel,
     ZvonkinSolution,
     ou_apply,
+    picard_u,
     simulate_transformed,
     solve_u,
     theta,

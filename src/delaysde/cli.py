@@ -2,12 +2,14 @@
 
 Path work is decomposed into fixed-size chunks keyed by path index, so the
 emitted bytes do not depend on the worker count; reruns with the same config
-and seed are byte-identical.
+and seed are byte-identical.  The per-run set-up, including the u solve of
+`couple` and `harnack`, is built once before worker processes fork.
 
 Exit codes: 0 all asserted properties pass, 1 any failure, 2 inconclusive
-(degenerate weights) or a numerical failure (grid coverage, Picard or
-Theta^{-1} non-convergence, singular diffusion, explosion before the
-horizon), 3 config error.
+(degenerate weights) or a numerical failure (grid coverage, sup |grad u| >= 1
+or a non-contracting Picard diagnostic, Theta^{-1} non-convergence, singular
+diffusion, explosion before the horizon), 3 config error, command-line usage
+errors included.
 """
 
 from __future__ import annotations
@@ -80,6 +82,13 @@ class ConfigError(ValueError):
     def __init__(self, field_name: str, message: str):
         super().__init__(f"[{field_name}] {message}")
         self.field = field_name
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    """Usage errors are configuration errors (exit 3), not argparse's exit 2."""
+
+    def error(self, message):
+        raise ConfigError("command line", message)
 
 
 @dataclass
@@ -259,29 +268,46 @@ def _chunks(n: int):
     return [(s, min(CHUNK, n - s)) for s in range(0, n, CHUNK)]
 
 
-def _sim_chunk(args):
-    cfg, start, count = args
-    nu, m, scfg, xi = _build(cfg)
+def _sim_chunk(setup, chunk):
+    cfg, nu, m, scfg, xi = setup
+    start, count = chunk
     batch = simulate(m, nu, xi, scfg, cfg.base_seed, count, path_offset=start)
     term = batch.states[:, -1]
     sup = np.abs(batch.states).reshape(count, -1).max(axis=1)
     return start, term, batch.lifetimes, sup
 
 
-def _couple_chunk(args):
-    cfg, start, count = args
-    nu, m, scfg, xi = _build(cfg)
-    tm, cc, xi_t, eta_t = _coupling_setup(cfg, nu, m, scfg, xi)
-    res = run_coupling_batch(tm, nu, xi_t, eta_t, cc, cfg.base_seed, count, path_offset=start)
+def _couple_chunk(setup, chunk):
+    base_seed, nu, tm, cc, xi_t, eta_t = setup
+    start, count = chunk
+    res = run_coupling_batch(tm, nu, xi_t, eta_t, cc, base_seed, count, path_offset=start)
     return start, res.tau, res.log_R, res.terminal_segments_equal()
 
 
-def _pool_map(cfg: ExperimentConfig, fn, args_list):
+# (chunk function, per-run set-up) inside a forked pool worker.  The pool
+# initializer sets it; under fork its arguments reach the worker unpickled,
+# which the set-up needs because transformed models hold closures.
+_WORKER = None
+
+
+def _init_worker(fn, setup):
+    global _WORKER
+    _WORKER = (fn, setup)
+
+
+def _worker_chunk(chunk):
+    fn, setup = _WORKER
+    return fn(setup, chunk)
+
+
+def _pool_map(cfg: ExperimentConfig, fn, setup, chunks):
+    """[fn(setup, chunk) for chunk in chunks] over cfg.workers processes;
+    the set-up is built once, in the parent."""
     if cfg.workers == 1:
-        return [fn(a) for a in args_list]
+        return [fn(setup, c) for c in chunks]
     ctx = multiprocessing.get_context("fork")
-    with ctx.Pool(cfg.workers) as pool:
-        return pool.map(fn, args_list)
+    with ctx.Pool(cfg.workers, initializer=_init_worker, initargs=(fn, setup)) as pool:
+        return pool.map(_worker_chunk, chunks)
 
 
 def _needs_transform(m) -> bool:
@@ -314,7 +340,7 @@ def _coupling_setup(cfg, nu, m, scfg, xi):
 # scenario handlers
 
 def _run_simulate(cfg, nu, m, scfg, xi) -> int:
-    parts = _pool_map(cfg, _sim_chunk, [(cfg, s, c) for s, c in _chunks(cfg.n_paths)])
+    parts = _pool_map(cfg, _sim_chunk, (cfg, nu, m, scfg, xi), _chunks(cfg.n_paths))
     rows = []
     term_all = []
     for start, term, lifetimes, sup in parts:
@@ -370,7 +396,9 @@ def _run_girsanov(cfg, nu, m, scfg, xi) -> int:
     return 2 if inconclusive else (0 if agree and mart else 1)
 
 def _run_couple(cfg, nu, m, scfg, xi) -> int:
-    parts = _pool_map(cfg, _couple_chunk, [(cfg, s, c) for s, c in _chunks(cfg.n_paths)])
+    tm, cc, xi_t, eta_t = _coupling_setup(cfg, nu, m, scfg, xi)
+    setup = (cfg.base_seed, nu, tm, cc, xi_t, eta_t)
+    parts = _pool_map(cfg, _couple_chunk, setup, _chunks(cfg.n_paths))
     tau = np.concatenate([p[1] for p in parts])
     log_r = np.concatenate([p[2] for p in parts])
     equal = np.concatenate([p[3] for p in parts])
@@ -487,7 +515,7 @@ def run(cfg: ExperimentConfig) -> int:
 
 
 def main(argv=None) -> int:
-    p = argparse.ArgumentParser(prog="delaysde", description=__doc__)
+    p = _ArgumentParser(prog="delaysde", description=__doc__)
     p.add_argument("scenario", choices=SCENARIOS)
     p.add_argument("--config", required=True)
     p.add_argument("--seed", type=int)
@@ -496,11 +524,11 @@ def main(argv=None) -> int:
     p.add_argument("--out")
     p.add_argument("--format", choices=("csv", "json"))
     p.add_argument("--workers", type=int)
-    args = p.parse_args(argv)
     try:
+        args = p.parse_args(argv)
         with open(args.config) as fh:
             text = fh.read()
-    except OSError as e:
+    except (ConfigError, OSError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return 3
     try:

@@ -38,6 +38,10 @@ class ExplosionBeforeHorizonError(RuntimeError):
         super().__init__(f"{fraction:.2%} of paths hit their lifetime before the horizon")
         self.fraction = fraction
 
+    def __reduce__(self):
+        # rebuild from the fraction, not from the formatted message in args
+        return type(self), (self.fraction,)
+
 
 @dataclass
 class EstimateReport:

@@ -1,5 +1,5 @@
-"""Drift-regularizing transform: fixed-point solve of u, Theta = id + u, and
-the transformed dynamics with the rough drift removed.
+"""Drift-regularizing transform: backward-sweep solve of u, Theta = id + u,
+and the transformed dynamics with the rough drift removed.
 
 u solves u(s,x) = int_s^T e^{-lam(t-s)} P0_{s,t}{(grad u) b + b}(t,x) dt where
 P0 is the Ornstein-Uhlenbeck semigroup of the linear part with constant
@@ -18,9 +18,12 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
+from scipy import sparse
 from scipy.interpolate import RegularGridInterpolator
+from scipy.sparse.linalg import splu
 from scipy.special import roots_hermitenorm
 
 from .measure import DelayMeasure, grid_count, quotient_window
@@ -34,6 +37,7 @@ __all__ = [
     "ZvonkinSolution",
     "TransformedModel",
     "ou_apply",
+    "picard_u",
     "solve_u",
     "theta",
     "theta_inverse",
@@ -50,7 +54,7 @@ class CoverageError(ValueError):
 
 
 class DivergenceError(RuntimeError):
-    """Picard iteration failed to contract."""
+    """The u solve is unusable: sup |grad u| >= 1, or Picard does not contract."""
 
 
 class InverseConvergenceError(RuntimeError):
@@ -202,12 +206,117 @@ class ZvonkinSolution:
 
 
 def _du_of(u_tab: np.ndarray, grids: list) -> np.ndarray:
-    n_t = u_tab.shape[0]
     d = len(grids)
     du = np.empty((*u_tab.shape, d))
     for k in range(d):
         du[..., k] = np.gradient(u_tab, grids[k], axis=1 + k)
     return du
+
+
+def _g_of(b_tab: np.ndarray, u_tab: np.ndarray, grids: list) -> np.ndarray:
+    """Integrand b + (grad u) b on a stack of time levels (n, *shape, d)."""
+    return b_tab + np.einsum("...ck,...k->...c", _du_of(u_tab, grids), b_tab)
+
+
+def _gradient_matrix(grids: list, k: int) -> sparse.csr_matrix:
+    """np.gradient(., grids[k], axis=k) on the flattened tensor grid.
+
+    The 1-d stencil is read off np.gradient itself: applied to the indicator
+    of the nodes j = m (mod 3), it returns at each row the one band entry
+    whose column is m (mod 3).
+    """
+    j = np.arange(len(grids[k]))
+    probe = np.stack([np.gradient((j % 3 == m).astype(float), grids[k]) for m in range(3)])
+    lower = probe[(j[1:] - 1) % 3, j[1:]]
+    main = probe[j % 3, j]
+    upper = probe[(j[:-1] + 1) % 3, j[:-1]]
+    stencil = sparse.diags([lower, main, upper], [-1, 0, 1])
+    before = sparse.identity(math.prod(len(g) for g in grids[:k]))
+    after = sparse.identity(math.prod(len(g) for g in grids[k + 1 :]))
+    return sparse.kron(sparse.kron(before, stencil), after, format="csr")
+
+
+@dataclass
+class _Discretization:
+    """Grid, time levels, drift table and semigroup shared by the backward
+    sweep and the Picard diagnostic."""
+
+    lam: float
+    T: float
+    rates: np.ndarray
+    sigma: float
+    s_grid: np.ndarray
+    grids: list
+    dt: float
+    b_tab: np.ndarray  # (n_t, *shape, d)
+    semigroup: Callable  # (k, vals (*shape, d)) -> P0_{k dt} vals
+
+    def tail(self, g: np.ndarray, i: int) -> np.ndarray:
+        """Trapezoid quadrature of the g_j, j > i, into level i:
+        sum_k e^{-lam k dt} dt P0_{k dt} g_{i+k}, the node at T at half weight."""
+        n_t = len(self.s_grid)
+        acc = np.zeros(g.shape[1:])
+        for k in range(1, n_t - i):
+            coeff = math.exp(-self.lam * k * self.dt) * self.dt
+            if coeff < 1e-16:
+                break
+            if i + k == n_t - 1:
+                coeff *= 0.5
+            acc += coeff * self.semigroup(k, g[i + k])
+        return acc
+
+    def solution(self, u: np.ndarray, ratios: list) -> ZvonkinSolution:
+        return ZvonkinSolution(
+            self.lam, self.T, self.rates, self.sigma, self.s_grid, self.grids,
+            u, _du_of(u, self.grids), ratios,
+        )
+
+
+def _discretize(
+    m: ModelSpec, lam: float, T: float, x_max: float, n_x: int, n_t: int, quad_order: int
+) -> _Discretization:
+    """The grid is padded past x_max by the quadrature reach so interior
+    queries never leave it."""
+    if m.A is None:
+        raise ValueError("transform needs an explicit linear part")
+    sigma = float(m.Q_bounds.get("Q", 0.0))
+    if sigma <= 0:
+        raise ValueError("transform needs a non-degenerate constant diffusion bound")
+    if lam <= 0 or T <= 0:
+        raise ValueError("lam and T must be positive")
+    rates = m.A.eigenvalues
+    d = m.d
+    z, w = _hermite(quad_order)
+    pad = x_max + float(np.abs(z).max()) * float(_ou_sd(rates, sigma, T).max()) + 1.0
+    nn = max(n_x, int(round(n_x * pad / max(x_max, 1.0))))
+    grids = [np.linspace(-pad, pad, nn) for _ in range(d)]
+    shape = tuple(len(g) for g in grids)
+    pts = np.array(np.meshgrid(*grids, indexing="ij")).reshape(d, -1).T
+    s_grid = np.linspace(0.0, T, n_t)
+    dt = float(s_grid[1] - s_grid[0])
+    b_tab = np.stack([np.asarray(m.b(s, pts), dtype=float) for s in s_grid]).reshape(n_t, *shape, d)
+    if d == 1:
+        # the quadrature gather (indices + blend weights) per time offset
+        # depends on the grid only, so it is built once
+        x = grids[0]
+        gathers = []
+        for k in range(1, n_t):
+            E = math.exp(-rates[0] * k * dt)
+            sd = float(_ou_sd(rates, sigma, k * dt)[0])
+            q = np.clip(E * x[:, None] + sd * z[None, :], x[0], x[-1]).ravel()
+            idx = np.clip(np.searchsorted(x, q) - 1, 0, nn - 2)
+            gathers.append((idx, (q - x[idx]) / (x[idx + 1] - x[idx])))
+
+        def semigroup(k, vals):
+            idx, frac = gathers[k - 1]
+            v = vals[:, 0]
+            return ((v[idx] * (1.0 - frac) + v[idx + 1] * frac).reshape(nn, quad_order) @ w)[:, None]
+    else:
+
+        def semigroup(k, vals):
+            return ou_apply(vals, grids, rates, sigma, k * dt, quad_order)
+
+    return _Discretization(lam, T, rates, sigma, s_grid, grids, dt, b_tab, semigroup)
 
 
 def solve_u(
@@ -218,81 +327,67 @@ def solve_u(
     n_x: int = 401,
     n_t: int = 65,
     quad_order: int = 24,
+) -> ZvonkinSolution:
+    """u as the exact fixed point of the discrete Picard map, in one backward
+    sweep.
+
+    The map is affine in u and upper-triangular in time: level s_i sees the
+    integrand g = b + (grad u) b at s_j for j >= i, and only the trapezoid
+    term j = i involves u_i.  So from u(T) = 0 downward each level solves
+    (I - dt/2 sum_k diag(b_k) D_k) u_i = dt/2 b_i + (quadrature of g_j, j > i)
+    with D_k the np.gradient stencil along axis k.  The returned ratios are
+    empty; picard_u measures the contraction.  Raises DivergenceError when
+    sup |grad u| >= 1, where Theta^{-1} no longer contracts.
+    """
+    disc = _discretize(m, lam, T, x_max, n_x, n_t, quad_order)
+    grids, b_tab = disc.grids, disc.b_tab
+    d = len(grids)
+    n = b_tab[0].size // d
+    half = 0.5 * disc.dt
+    grads = [_gradient_matrix(grids, k) for k in range(d)]
+    u = np.zeros(b_tab.shape)
+    g = np.empty_like(u)
+    g[-1] = b_tab[-1]  # u(T) = 0
+    for i in range(n_t - 2, -1, -1):
+        b = b_tab[i].reshape(n, d)
+        op = sparse.identity(n) - half * sum(sparse.diags(b[:, k]) @ grads[k] for k in range(d))
+        rhs = half * b + disc.tail(g, i).reshape(n, d)
+        u[i] = splu(sparse.csc_matrix(op)).solve(rhs).reshape(u[i].shape)
+        g[i] = _g_of(b_tab[i : i + 1], u[i : i + 1], grids)[0]
+    sol = disc.solution(u, [])
+    if not sol.du_sup < 1.0:
+        raise DivergenceError(
+            f"sup |grad u| = {sol.du_sup:.3g} >= 1 at lam={lam}: Theta^{{-1}} does not contract"
+        )
+    return sol
+
+
+def picard_u(
+    m: ModelSpec,
+    lam: float,
+    T: float,
+    x_max: float = 6.0,
+    n_x: int = 401,
+    n_t: int = 65,
+    quad_order: int = 24,
     tol: float = 1e-8,
     max_iter: int = 80,
 ) -> ZvonkinSolution:
-    """Picard iteration for u; raises DivergenceError after three consecutive
-    non-contracting sweeps.  The grid is padded past x_max by the quadrature
-    reach so interior queries never leave it.
+    """Picard iteration for the u of solve_u, kept as the measured contraction
+    diagnostic: the solution carries the ratio of successive sup-norm updates.
+    Raises DivergenceError after three consecutive non-contracting sweeps or
+    when max_iter sweeps do not reach tol.
     """
-    if m.A is None:
-        raise ValueError("transform needs an explicit linear part")
-    sigma = float(m.Q_bounds.get("Q", 0.0))
-    if sigma <= 0:
-        raise ValueError("transform needs a non-degenerate constant diffusion bound")
-    if lam <= 0 or T <= 0:
-        raise ValueError("lam and T must be positive")
-    rates = m.A.eigenvalues
-    d = m.d
-    z, _ = _hermite(quad_order)
-    pad = x_max + float(np.abs(z).max()) * float(_ou_sd(rates, sigma, T).max()) + 1.0
-    nn = max(n_x, int(round(n_x * pad / max(x_max, 1.0))))
-    grids = [np.linspace(-pad, pad, nn) for _ in range(d)]
-    shape = tuple(len(g) for g in grids)
-    pts = np.array(np.meshgrid(*grids, indexing="ij")).reshape(d, -1).T
-    s_grid = np.linspace(0.0, T, n_t)
-    dt = s_grid[1] - s_grid[0]
-    b_tab = np.stack([np.asarray(m.b(s, pts), dtype=float) for s in s_grid])  # (n_t, N, d)
-    u = np.zeros((n_t, *shape, d))
+    disc = _discretize(m, lam, T, x_max, n_x, n_t, quad_order)
+    u = np.zeros(disc.b_tab.shape)
     ratios: list = []
     prev_diff = None
     bad = 0
-    if d == 1:
-        # precompute the quadrature gather (indices + blend weights) per time
-        # offset; queries depend on the grid only, not on the iterate
-        x = grids[0]
-        z, w = _hermite(quad_order)
-        gathers = []
-        for k in range(1, n_t):
-            dtk = k * dt
-            E = math.exp(-rates[0] * dtk)
-            sd = float(_ou_sd(rates, sigma, dtk)[0])
-            q = np.clip(E * x[:, None] + sd * z[None, :], x[0], x[-1]).ravel()
-            idx = np.clip(np.searchsorted(x, q) - 1, 0, len(x) - 2)
-            frac = (q - x[idx]) / (x[idx + 1] - x[idx])
-            gathers.append((idx, frac))
     for _ in range(max_iter):
-        du = _du_of(u, grids)  # (n_t, *shape, d, d)
-        du_flat = du.reshape(n_t, -1, d, d)
-        g = b_tab + np.einsum("tnck,tnk->tnc", du_flat, b_tab)
-        g = g.reshape(n_t, *shape, d)
-        if d == 1:
-            gf = g[:, :, 0]  # (n_t, nn)
-            new_u = np.zeros_like(gf)
-            new_u[:-1] = 0.5 * dt * gf[:-1]
-            for k in range(1, n_t):
-                coeff = math.exp(-lam * k * dt) * dt
-                if coeff < 1e-16:
-                    break
-                idx, frac = gathers[k - 1]
-                tab = gf[k:]  # rows j = k .. n_t-1 feed i = j - k
-                vals = tab[:, idx] * (1.0 - frac) + tab[:, idx + 1] * frac
-                pk = vals.reshape(tab.shape[0], len(x), quad_order) @ w
-                wrow = np.full(tab.shape[0], coeff)
-                wrow[-1] *= 0.5
-                new_u[: n_t - k] += wrow[:, None] * pk
-            new_u = new_u[..., None]
-        else:
-            new_u = np.zeros_like(u)
-            for i in range(n_t - 1):
-                acc = np.zeros((*shape, d))
-                for j in range(i, n_t):
-                    wgt = dt * (0.5 if j in (i, n_t - 1) else 1.0)
-                    coeff = math.exp(-lam * (s_grid[j] - s_grid[i])) * wgt
-                    if coeff < 1e-16:
-                        continue
-                    acc += coeff * ou_apply(g[j], grids, rates, sigma, s_grid[j] - s_grid[i], quad_order)
-                new_u[i] = acc
+        g = _g_of(disc.b_tab, u, disc.grids)
+        new_u = np.zeros_like(u)
+        for i in range(n_t - 1):
+            new_u[i] = 0.5 * disc.dt * g[i] + disc.tail(g, i)
         diff = float(np.abs(new_u - u).max())
         if prev_diff is not None and prev_diff > 0:
             r = diff / prev_diff
@@ -305,10 +400,8 @@ def solve_u(
         prev_diff = diff
         u = new_u
         if diff < tol:
-            break
-    else:
-        raise DivergenceError(f"no convergence in {max_iter} sweeps (last diff {prev_diff:g})")
-    return ZvonkinSolution(lam, T, rates, sigma, s_grid, grids, u, _du_of(u, grids), ratios)
+            return disc.solution(u, ratios)
+    raise DivergenceError(f"no convergence in {max_iter} sweeps (last diff {prev_diff:g})")
 
 
 def theta(sol: ZvonkinSolution, t: float, x: np.ndarray) -> np.ndarray:
@@ -524,12 +617,13 @@ class DecayReport:
 
 
 def verify_decay(m: ModelSpec, lams, T: float, **solve_kwargs) -> DecayReport:
-    """Solve u over a ladder of lam values and check the three norms shrink."""
+    """Picard-solve u over a ladder of lam values and check the three norms
+    shrink; each solution carries its contraction ratios."""
     lams = sorted(float(x) for x in lams)
     us, dus, d2us = [], [], []
     sols = {}
     for lam in lams:
-        sol = solve_u(m, lam, T, **solve_kwargs)
+        sol = picard_u(m, lam, T, **solve_kwargs)
         sols[lam] = sol
         us.append(sol.u_sup)
         dus.append(sol.du_sup)

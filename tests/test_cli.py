@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from delaysde import cli
 from delaysde.cli import ConfigError, main, parse_config
 
 BASE = """\
@@ -78,6 +79,24 @@ def test_parse_keys_are_case_sensitive():
 
 def test_main_missing_config_exits_3(tmp_path):
     assert main(["simulate", "--config", str(tmp_path / "absent.ini")]) == 3
+
+
+@pytest.mark.parametrize("argv", [
+    ["cpl", "--config", "x.ini"],  # unknown scenario
+    ["couple"],  # no --config
+])
+def test_main_usage_error_exits_3(argv, capsys):
+    assert main(argv) == 3
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("config error:")
+
+
+def test_main_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert "usage:" in capsys.readouterr().out
 
 
 def test_main_config_error_exits_3(tmp_path):
@@ -171,6 +190,47 @@ def test_worker_count_does_not_change_bytes(tmp_path):
     assert main(["simulate", "--config", path, "--out", str(out2), "--workers", "2"]) == 0
     assert (out1 / "result.json").read_bytes() == (out2 / "result.json").read_bytes()
     assert (out1 / "verdict.json").read_bytes() == (out2 / "verdict.json").read_bytes()
+
+
+def test_couple_solves_u_once_per_run(tmp_path, monkeypatch):
+    """u is solved once, before the chunks (two here) are spread over workers;
+    with the transform in use, worker counts still give the same bytes."""
+    text = """\
+[experiment]
+scenario = couple
+n_paths = 1100
+base_seed = 3
+[model]
+name = reference
+[measure]
+kind = uniform
+r0 = 0.5
+[solver]
+h = 0.03125
+t_end = 1.0
+[coupling]
+T = 0.5
+K = 6.0
+distance0 = 0.05
+distance_seg = 0.05
+"""
+    path = _write(tmp_path, text)
+    calls = []
+    real_solve_u = cli.solve_u
+
+    def counted(*args, **kwargs):
+        calls.append(args[1:])
+        return real_solve_u(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "solve_u", counted)
+    out1, out2 = tmp_path / "w1", tmp_path / "w2"
+    assert main(["couple", "--config", path, "--out", str(out1), "--workers", "1"]) == 0
+    assert len(calls) == 1
+    assert main(["couple", "--config", path, "--out", str(out2), "--workers", "2"]) == 0
+    assert len(calls) == 2  # the second run solved once more, in the parent
+    for name in ("result.json", "verdict.json"):
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+    assert json.loads((out1 / "verdict.json").read_text())["metrics"]["coupled_fraction"] == 1.0
 
 
 def test_validate_scenario(tmp_path):

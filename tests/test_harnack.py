@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -63,6 +64,15 @@ def test_estimate_p_explosion_reported(nu):
     with pytest.raises(ExplosionBeforeHorizonError) as exc:
         estimate_P(m, nu, f, constant_segment(nu, 3.0).values, 0.5, H, 16, 0)
     assert exc.value.fraction > 0.0
+
+
+def test_explosion_error_pickle_roundtrip():
+    """A worker process can hand the error back to its parent intact."""
+    err = ExplosionBeforeHorizonError(0.5)
+    back = pickle.loads(pickle.dumps(err))
+    assert type(back) is ExplosionBeforeHorizonError
+    assert back.fraction == 0.5
+    assert str(back) == str(err) == "50.00% of paths hit their lifetime before the horizon"
 
 
 def test_estimate_p_needs_samples(nu):

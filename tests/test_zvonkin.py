@@ -12,6 +12,7 @@ from delaysde.zvonkin import (
     DivergenceError,
     measure_K,
     ou_apply,
+    picard_u,
     simulate_transformed,
     solve_u,
     theta,
@@ -91,7 +92,21 @@ def test_solve_u_crude_sup_bound(sol_small, ref6):
     bound = (sol_small.du_sup * ref6.b_sup + ref6.b_sup) / sol_small.lam
     assert 0.0 < sol_small.u_sup <= bound
     assert sol_small.du_sup <= 0.5
-    assert sol_small.ratios and sol_small.ratios[-1] < 1.0
+    assert sol_small.ratios == []  # the direct solve has no contraction history
+
+
+@pytest.mark.parametrize("d, kw", [
+    (1, dict(n_x=101, n_t=17)),
+    (2, dict(n_x=13, n_t=5, quad_order=6)),
+])
+def test_solve_u_is_picard_fixed_point(nu6, d, kw):
+    """The backward sweep solves the discrete equation Picard iterates on."""
+    m = make_model("reference", measure=nu6, d=d)
+    sol = solve_u(m, 4.0, 1.0, **kw)
+    pic = picard_u(m, 4.0, 1.0, **kw)
+    assert pic.ratios and max(pic.ratios) < 1.0
+    assert sol.u_sup > 0.0
+    np.testing.assert_allclose(sol.u_tab, pic.u_tab, rtol=0, atol=1e-7)
 
 
 def test_solve_u_separable_d2_matches_d1(nu6):
@@ -129,7 +144,9 @@ def test_solve_u_divergence_reported():
     m = ModelSpec("steep", 1, 1, OperatorA([1.0]), b, _zero_B, _const_Q(1.0, 1, 1),
                   Q_bounds={"Q": 1.0})
     with pytest.raises(DivergenceError):
-        solve_u(m, 0.05, 1.0, n_x=101, n_t=17, max_iter=30)
+        solve_u(m, 0.05, 1.0, n_x=101, n_t=17)
+    with pytest.raises(DivergenceError):
+        picard_u(m, 0.05, 1.0, n_x=101, n_t=17)
 
 
 def test_theta_roundtrip(sol_small):
