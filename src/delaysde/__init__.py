@@ -43,7 +43,6 @@ from .zvonkin import (
     TransformedModel,
     ZvonkinSolution,
     ou_apply,
-    picard_u,
     simulate_transformed,
     solve_u,
     theta,

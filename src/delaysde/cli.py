@@ -269,9 +269,9 @@ def _chunks(n: int):
 
 
 def _sim_chunk(setup, chunk):
-    cfg, nu, m, scfg, xi = setup
+    base_seed, nu, m, scfg, xi = setup
     start, count = chunk
-    batch = simulate(m, nu, xi, scfg, cfg.base_seed, count, path_offset=start)
+    batch = simulate(m, nu, xi, scfg, base_seed, count, path_offset=start)
     term = batch.states[:, -1]
     sup = np.abs(batch.states).reshape(count, -1).max(axis=1)
     return start, term, batch.lifetimes, sup
@@ -340,7 +340,7 @@ def _coupling_setup(cfg, nu, m, scfg, xi):
 # scenario handlers
 
 def _run_simulate(cfg, nu, m, scfg, xi) -> int:
-    parts = _pool_map(cfg, _sim_chunk, (cfg, nu, m, scfg, xi), _chunks(cfg.n_paths))
+    parts = _pool_map(cfg, _sim_chunk, (cfg.base_seed, nu, m, scfg, xi), _chunks(cfg.n_paths))
     rows = []
     term_all = []
     for start, term, lifetimes, sup in parts:

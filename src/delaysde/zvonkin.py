@@ -122,7 +122,8 @@ def ou_apply(
 
 @dataclass
 class ZvonkinSolution:
-    """Tabulated u on [0, T] x grid, with its gradient and Picard history."""
+    """Tabulated u on [0, T] x grid, with its gradient and, from picard_u,
+    the Picard contraction ratios (empty from solve_u)."""
 
     lam: float
     T: float
