@@ -82,6 +82,11 @@ class ConfigError(ValueError):
     def __init__(self, field_name: str, message: str):
         super().__init__(f"[{field_name}] {message}")
         self.field = field_name
+        self.message = message
+
+    def __reduce__(self):
+        # rebuild from the two parts, not from the joined message in args
+        return type(self), (self.field, self.message)
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -322,6 +327,10 @@ def _coupling_setup(cfg, nu, m, scfg, xi):
     d0 = _getf(raw, "coupling", "distance0", 0.1)
     dseg = _getf(raw, "coupling", "distance_seg", 0.0)
     grid_count(T, scfg.h, "coupling.T / solver.h")
+    try:
+        cc = CouplingConfig(T=T, h=scfg.h, K=K)
+    except ValueError as e:  # solver.h > 0 holds already
+        raise ConfigError("coupling.T" if T <= 0 else "coupling.K", str(e)) from e
     if _needs_transform(m):
         lam_u = _getf(raw, "coupling", "lam_u", 16.0)
         sol = solve_u(m, lam_u, T + nu.r0)
@@ -333,7 +342,7 @@ def _coupling_setup(cfg, nu, m, scfg, xi):
     eta_vals[-1] += d0
     xi_t = tm.seg_to_transformed(0.0, xi.values[None], nu.h)[0]
     eta_t = tm.seg_to_transformed(0.0, eta_vals[None], nu.h)[0]
-    return tm, CouplingConfig(T=T, h=scfg.h, K=K), xi_t, eta_t
+    return tm, cc, xi_t, eta_t
 
 
 # ---------------------------------------------------------------------------

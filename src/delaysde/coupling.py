@@ -70,6 +70,13 @@ class CouplingConfig:
         if self.T <= 0 or self.h <= 0 or self.K < 0:
             raise ValueError("need T > 0, h > 0, K >= 0")
         grid_count(self.T, self.h, "T")
+        # the bridge scales X - Y by 1 - h/ghat with ghat <= 1/K^2, which is
+        # below -1 on every step once h K^2 > 2: the gap then grows
+        if self.h * self.K**2 >= 2.0:
+            raise ValueError(
+                f"h*K^2 = {self.h * self.K**2:g} >= 2 makes the coupled step unstable; "
+                "lower K or h"
+            )
 
 
 @dataclass
@@ -99,6 +106,19 @@ class CouplingResult:
         n0 = grid_count(self.r0, self.h, "r0")
         diff = np.abs(self.x_states[:, -n0 - 1 :] - self.y_states[:, -n0 - 1 :])
         return diff.reshape(diff.shape[0], -1).max(axis=1) == 0.0
+
+
+def _pull_back_y(sol, t: float, yn: np.ndarray, x_inv: np.ndarray, met: np.ndarray) -> np.ndarray:
+    """Theta^{-1}(t, yn), inverted only on the rows that have not met: a met
+    row equals its X row, whose pull-back x_inv already holds.  In d=1 the
+    inverse works point by point, so the bits are those of a full-batch
+    inverse; in d>1 the fixed point stops on the batch maximum, so the roots
+    agree to its tolerance."""
+    out = x_inv.copy()
+    live = ~met
+    if np.any(live):
+        out[live] = theta_inverse(sol, t, yn[live])
+    return out
 
 
 def run_coupling_batch(
@@ -176,9 +196,7 @@ def run_coupling_batch(
         y[:, idx + 1] = yn
         if sol is not None:
             xinv[:, idx + 1] = theta_inverse(sol, t + h, xn)
-            yinv[:, idx + 1] = np.where(
-                (already | newly)[:, None], xinv[:, idx + 1], theta_inverse(sol, t + h, yn)
-            )
+            yinv[:, idx + 1] = _pull_back_y(sol, t + h, yn, xinv[:, idx + 1], already | newly)
     return CouplingResult(
         tau, log_r, x, y, delta, T, h, nu.r0, base_seed, path_offset, dW, failed
     )

@@ -11,6 +11,13 @@ Tables live on a padded tensor grid; the semigroup is applied by Gauss-Hermite
 quadrature with linear interpolation of the integrand.  Queries beyond the
 padded grid use constant extension during the solve (the drifts of interest
 saturate); public evaluation outside the grid raises CoverageError.
+
+Between the nodes u and grad u are linear in x and in t.  In d=1 one gather
+per time level on a stacked (u, du/dx) table serves both, and Theta(t, .)
+is piecewise linear with nodes g + u(t, g), so theta_inverse returns its
+exact root by interpolating back, with no iteration.  In d>1 the tables are
+read by multilinear interpolation and Theta^{-1} is the fixed point
+x = y - u(t, x).
 """
 
 from __future__ import annotations
@@ -58,7 +65,9 @@ class DivergenceError(RuntimeError):
 
 
 class InverseConvergenceError(RuntimeError):
-    """The fixed point for Theta^{-1} did not reach its tolerance."""
+    """Theta^{-1} is not defined by the table: in d=1 Theta(t, .) is not
+    strictly increasing on the grid; in d>1 the fixed point did not reach its
+    tolerance."""
 
 
 def _hermite(order: int) -> tuple[np.ndarray, np.ndarray]:
@@ -120,6 +129,9 @@ def ou_apply(
     return out.reshape(*shape, nc)
 
 
+_CELL_ENDS = np.array([[0], [1]])  # a cell's two nodes, k + (0, 1)
+
+
 @dataclass
 class ZvonkinSolution:
     """Tabulated u on [0, T] x grid, with its gradient and, from picard_u,
@@ -134,6 +146,19 @@ class ZvonkinSolution:
     u_tab: np.ndarray  # (n_t, *shape, d)
     du_tab: np.ndarray  # (n_t, *shape, d, d) du[..., c, k] = d u_c / d x_k
     ratios: list = field(default_factory=list)
+    # d=1: (n_t, 2, n_x + 1) table of u and du/dx, the last node repeated,
+    # and the grid with +inf appended, so the right edge is a zero-slope cell;
+    # u_tab and du_tab become views into it, so it costs no extra memory
+    _ud: np.ndarray = field(default=None, init=False, repr=False, compare=False)
+    _gx: np.ndarray = field(default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.d == 1:
+            ud = np.stack([self.u_tab[..., 0], self.du_tab[..., 0, 0]], axis=1)
+            self._ud = np.concatenate([ud, ud[..., -1:]], axis=-1)
+            self._gx = np.append(self.grids[0], np.inf)
+            self.u_tab = self._ud[:, 0, :-1, None]
+            self.du_tab = self._ud[:, 1, :-1, None, None]
 
     @property
     def d(self) -> int:
@@ -157,10 +182,11 @@ class ZvonkinSolution:
 
     def _check_cover(self, x: np.ndarray) -> None:
         for k in range(self.d):
-            if x[:, k].min() < self.grids[k][0] or x[:, k].max() > self.grids[k][-1]:
+            lo, hi = x[:, k].min(), x[:, k].max()
+            if not (lo >= self.grids[k][0] and hi <= self.grids[k][-1]):  # NaN fails too
                 raise CoverageError(
                     f"query outside tabulated grid along axis {k}: "
-                    f"[{x[:, k].min():.3g}, {x[:, k].max():.3g}] vs "
+                    f"[{lo:.3g}, {hi:.3g}] vs "
                     f"[{self.grids[k][0]:.3g}, {self.grids[k][-1]:.3g}]"
                 )
 
@@ -172,7 +198,41 @@ class ZvonkinSolution:
         frac = pos - i if j > i else 0.0
         return i, j, frac
 
+    def _u_level(self, t: float) -> np.ndarray:
+        """d=1: u(t, .) on the grid nodes, blended between the two time levels."""
+        i, j, frac = self._time_blend(t)
+        u = self.u_tab[i, :, 0]
+        return (1 - frac) * u + frac * self.u_tab[j, :, 0] if frac else u
+
+    def _lookup(self, t: float, x: np.ndarray) -> np.ndarray:
+        """d=1: u and du/dx at (t, x), stacked into shape (2, n).
+
+        The cell k of x is floor((x - x0)/dx), nudged to np.interp's
+        g[k] <= x < g[k + 1] where rounding puts x on the other side of a
+        node; each time level is then one gather of both ends of the cells,
+        and the arithmetic is np.interp's, so the values match it bit for bit.
+        """
+        x = np.atleast_2d(np.asarray(x, dtype=float))
+        self._check_cover(x)
+        x = x[:, 0]
+        gx = self._gx
+        k = np.minimum(((x - gx[0]) / (gx[1] - gx[0])).astype(np.intp), len(gx) - 2)
+        k -= x < gx[k]
+        k += x >= gx[k + 1]
+        cell = k + _CELL_ENDS
+        ends = gx.take(cell)
+        span = ends[1] - ends[0]
+        off = x - ends[0]
+        i, j, frac = self._time_blend(t)
+        lo, hi = self._ud[i].take(cell, axis=1).transpose(1, 0, 2)
+        out = (hi - lo) / span * off + lo
+        if frac:
+            lo, hi = self._ud[j].take(cell, axis=1).transpose(1, 0, 2)
+            out = (1 - frac) * out + frac * ((hi - lo) / span * off + lo)
+        return out
+
     def _eval_tab(self, tab: np.ndarray, t: float, x: np.ndarray) -> np.ndarray:
+        """d>1: multilinear interpolation, blended between the two time levels."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
         self._check_cover(x)
         i, j, frac = self._time_blend(t)
@@ -180,30 +240,32 @@ class ZvonkinSolution:
         flat = tab.reshape(tab.shape[0], *tab.shape[1 : 1 + self.d], -1)
         nc = flat.shape[-1]
         out = np.empty((x.shape[0], nc))
-        if self.d == 1:
-            g = self.grids[0]
-            for c in range(nc):
-                lo = np.interp(x[:, 0], g, flat[i, :, c])
-                if frac:
-                    hi = np.interp(x[:, 0], g, flat[j, :, c])
-                    lo = (1 - frac) * lo + frac * hi
-                out[:, c] = lo
-        else:
-            for c in range(nc):
-                lo = RegularGridInterpolator(self.grids, flat[i, ..., c])(x)
-                if frac:
-                    hi = RegularGridInterpolator(self.grids, flat[j, ..., c])(x)
-                    lo = (1 - frac) * lo + frac * hi
-                out[:, c] = lo
+        for c in range(nc):
+            lo = RegularGridInterpolator(self.grids, flat[i, ..., c])(x)
+            if frac:
+                hi = RegularGridInterpolator(self.grids, flat[j, ..., c])(x)
+                lo = (1 - frac) * lo + frac * hi
+            out[:, c] = lo
         return out.reshape(x.shape[0], *comp_shape)
 
     def eval_u(self, t: float, x: np.ndarray) -> np.ndarray:
         """u(t, x) for batched x (n, d); t is clamped into [0, T]."""
+        if self.d == 1:
+            return self._lookup(t, x)[0][:, None]
         return self._eval_tab(self.u_tab, t, x)
 
     def eval_du(self, t: float, x: np.ndarray) -> np.ndarray:
         """Jacobian of u, shape (n, d, d)."""
+        if self.d == 1:
+            return self._lookup(t, x)[1][:, None, None]
         return self._eval_tab(self.du_tab, t, x)
+
+    def eval_u_du(self, t: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(eval_u, eval_du) from one lookup in d=1."""
+        if self.d == 1:
+            u, du = self._lookup(t, x)
+            return u[:, None], du[:, None, None]
+        return self._eval_tab(self.u_tab, t, x), self._eval_tab(self.du_tab, t, x)
 
 
 def _du_of(u_tab: np.ndarray, grids: list) -> np.ndarray:
@@ -414,8 +476,30 @@ def theta(sol: ZvonkinSolution, t: float, x: np.ndarray) -> np.ndarray:
 def theta_inverse(
     sol: ZvonkinSolution, t: float, y: np.ndarray, tol: float = 1e-12, max_iter: int = 200
 ) -> np.ndarray:
-    """Fixed point x = y - u(t, x); contracts since the gradient of u is < 1."""
+    """Theta^{-1}(t, y) for batched y (n, d).
+
+    In d=1 Theta(t, .) is piecewise linear with nodes g + u(t, g), so the
+    root is np.interp(y, g + u(t, g), g): exact, with no iteration, and point
+    by point.  It raises CoverageError when y or its root lies outside the
+    grid, and InverseConvergenceError when the nodes are not strictly
+    increasing (a cell slope of u at or below -1).  In d>1 it iterates the
+    fixed point x = y - u(t, x), which contracts since |grad u| < 1, to tol.
+    """
     y = np.atleast_2d(np.asarray(y, dtype=float))
+    if sol.d == 1:
+        sol._check_cover(y)
+        g = sol.grids[0]
+        nodes = g + sol._u_level(t)
+        if not np.all(np.diff(nodes) > 0):
+            raise InverseConvergenceError(
+                f"Theta(t={t:g}, .) is not strictly increasing on the grid"
+            )
+        if y.min() < nodes[0] or y.max() > nodes[-1]:
+            raise CoverageError(
+                f"root of Theta(t={t:g}, x) = y outside tabulated grid: y in "
+                f"[{y.min():.3g}, {y.max():.3g}] vs [{nodes[0]:.3g}, {nodes[-1]:.3g}]"
+            )
+        return np.interp(y[:, 0], nodes, g)[:, None]
     x = y.copy()
     for _ in range(max_iter):
         xn = y - sol.eval_u(t, x)
@@ -486,7 +570,8 @@ def transformed_coefficients(
     base, sol = tm.base, tm.sol
     Qv = base.Q(t, point_inv)
     if sol is not None:
-        dth = np.eye(sol.d)[None] + sol.eval_du(t, point_inv)
+        u0, du = sol.eval_u_du(t, point_inv)
+        dth = np.eye(sol.d)[None] + du
         Qv = np.einsum("nck,nkj->ncj", dth, Qv)
     if window_inv is None:
         return None, Qv
@@ -494,9 +579,7 @@ def transformed_coefficients(
     Bv = base.B(t, quotient_window(nu, window_inv), nu)
     if sol is None:
         return -a * state + Bv, Qv
-    lam = sol.lam
-    u0 = sol.eval_u(t, point_inv)
-    return -a * state + (lam + a) * u0 + np.einsum("nck,nk->nc", dth, Bv), Qv
+    return -a * state + (sol.lam + a) * u0 + np.einsum("nck,nk->nc", dth, Bv), Qv
 
 
 def transformed_model(m: ModelSpec, nu: DelayMeasure, sol: ZvonkinSolution | None) -> TransformedModel:

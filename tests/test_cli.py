@@ -1,5 +1,6 @@
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -102,6 +103,28 @@ def test_main_help_exits_0(capsys):
 def test_main_config_error_exits_3(tmp_path):
     path = _write(tmp_path, BASE.replace("h = 0.0625", "h = 0.3"))
     assert main(["simulate", "--config", path]) == 3
+
+
+def test_couple_unstable_step_exits_3(tmp_path, capsys):
+    """h K^2 >= 2 would make the bridged step grow X - Y: a config error on K."""
+    text = BASE.replace("scenario = simulate", "scenario = couple").replace(
+        "name = zero", "name = ou"
+    ) + "[coupling]\nT = 0.5\nK = 6.0\n"  # h K^2 = 2.25
+    path = _write(tmp_path, text)
+    assert main(["couple", "--config", path, "--out", str(tmp_path / "unstable")]) == 3
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("config error: [coupling.K] h*K^2 = 2.25 >= 2")
+    assert not (tmp_path / "unstable").exists()
+
+
+def test_config_error_pickle_roundtrip():
+    """A worker process can hand the error back to its parent intact."""
+    err = ConfigError("coupling.K", "h*K^2 = 2.25 >= 2")
+    back = pickle.loads(pickle.dumps(err))
+    assert type(back) is ConfigError
+    assert (back.field, back.message) == ("coupling.K", "h*K^2 = 2.25 >= 2")
+    assert str(back) == str(err) == "[coupling.K] h*K^2 = 2.25 >= 2"
 
 
 def test_simulate_zero_model_outputs(tmp_path):

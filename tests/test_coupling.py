@@ -69,6 +69,9 @@ def test_config_validation():
         CouplingConfig(T=1.0, h=0.1, K=-1.0)
     with pytest.raises(Exception):
         CouplingConfig(T=1.0, h=0.3, K=1.0)
+    CouplingConfig(T=1.0, h=0.125, K=3.9)  # h K^2 = 1.90
+    with pytest.raises(ValueError, match=r"h\*K\^2 = 2 "):
+        CouplingConfig(T=1.0, h=0.125, K=4.0)  # bridge factor 1 - h/ghat reaches -1
 
 
 def test_coupled_step_contraction_factor(nu):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from delaysde import coupling
 from delaysde.coupling import CouplingConfig, run_coupling_batch
 from delaysde.measure import constant_segment, make_measure
 from delaysde.model import ModelSpec, OperatorA, _const_Q, _zero_B, make_model
@@ -10,6 +11,8 @@ from delaysde.solver import SolverConfig, simulate
 from delaysde.zvonkin import (
     CoverageError,
     DivergenceError,
+    InverseConvergenceError,
+    ZvonkinSolution,
     measure_K,
     ou_apply,
     picard_u,
@@ -157,6 +160,80 @@ def test_theta_roundtrip(sol_small):
         assert np.abs(back - x).max() < 1e-10
 
 
+def _fixed_point_inverse(sol, t, y, tol=1e-12, max_iter=200):
+    """The Theta^{-1} fixed-point loop that d=1 used before the exact
+    inverse, kept as its oracle."""
+    y = np.atleast_2d(np.asarray(y, dtype=float))
+    x = y.copy()
+    for _ in range(max_iter):
+        xn = y - sol.eval_u(t, x)
+        if np.abs(xn - x).max() < tol:
+            return xn
+        x = xn
+    raise AssertionError("oracle fixed point did not converge")
+
+
+def _table_solution(u_nodes):
+    """A d=1 solution on the grid -2..2 with u(t, .) = u_nodes at both levels."""
+    g = np.linspace(-2.0, 2.0, len(u_nodes))
+    u = np.tile(np.asarray(u_nodes, dtype=float)[None, :, None], (2, 1, 1))
+    du = np.gradient(u, g, axis=1)[..., None]
+    return ZvonkinSolution(1.0, 1.0, RATES, 1.0, np.array([0.0, 1.0]), [g], u, du)
+
+
+@pytest.mark.parametrize("t", [5.0 / 32.0, 0.37, -0.5, 1.5])  # level node, between, clamped
+def test_theta_inverse_matches_fixed_point_oracle(sol_small, t):
+    g = sol_small.grids[0]
+    rng = np.random.default_rng(3)
+    x = np.concatenate([rng.uniform(-4.0, 4.0, 400), g[(np.abs(g) < 4.0)]])[:, None]
+    y = theta(sol_small, t, x)
+    exact = theta_inverse(sol_small, t, y)
+    np.testing.assert_allclose(exact, _fixed_point_inverse(sol_small, t, y), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(exact, x, rtol=0, atol=1e-12)
+
+
+def test_eval_u_du_matches_separate_lookups(sol_small):
+    rng = np.random.default_rng(4)
+    g = sol_small.grids[0]
+    x = np.concatenate([rng.uniform(g[0], g[-1], 500), g, [g[-1]]])[:, None]
+    for t in (0.0, 5.0 / 32.0, 0.37, -0.5, 1.5):
+        u, du = sol_small.eval_u_du(t, x)
+        assert u.shape == (len(x), 1) and du.shape == (len(x), 1, 1)
+        np.testing.assert_allclose(u, sol_small.eval_u(t, x), rtol=0, atol=1e-14)
+        np.testing.assert_allclose(du, sol_small.eval_du(t, x), rtol=0, atol=1e-14)
+
+
+def test_lookup_is_np_interp_bit_for_bit(sol_small):
+    """On a time level the d=1 lookup is np.interp of u and of du, also on and
+    next to the nodes, where rounding puts floor((x - x0)/dx) in the cell
+    below (on the solved grid) or above (on the 11-node grid)."""
+    rng = np.random.default_rng(5)
+    for sol, i in ((sol_small, 7), (_table_solution(rng.uniform(-0.3, 0.3, 11)), 0)):
+        g = sol.grids[0]
+        x = np.concatenate([
+            g, np.nextafter(g, -np.inf)[1:], np.nextafter(g, np.inf)[:-1],
+            rng.uniform(g[0], g[-1], 200),
+        ])
+        u, du = sol.eval_u_du(sol.s_grid[i], x[:, None])
+        np.testing.assert_array_equal(u[:, 0], np.interp(x, g, sol.u_tab[i, :, 0]))
+        np.testing.assert_array_equal(du[:, 0, 0], np.interp(x, g, sol.du_tab[i, :, 0, 0]))
+
+
+def test_theta_inverse_root_outside_grid_raises():
+    sol = _table_solution(np.full(5, 0.5))  # Theta(t, x) = x + 1/2
+    np.testing.assert_allclose(theta_inverse(sol, 0.3, np.array([[1.0]])), [[0.5]], atol=1e-15)
+    with pytest.raises(CoverageError):
+        theta_inverse(sol, 0.3, np.array([[-1.9]]))  # y on the grid, root -2.4 is not
+
+
+@pytest.mark.parametrize("drop", [1.0, 1.5])
+def test_theta_inverse_nonmonotone_table_raises(drop):
+    """A cell slope of u at or below -1 makes Theta(t, .) flat or decreasing."""
+    sol = _table_solution([0.0, 0.0, 0.0, -drop, -drop])
+    with pytest.raises(InverseConvergenceError):
+        theta_inverse(sol, 0.5, np.array([[0.5]]))
+
+
 def test_theta_segment_roundtrip(sol_small, nu6):
     rng = np.random.default_rng(0)
     seg = rng.uniform(-2.0, 2.0, (3, nu6.n_cells + 1, 1))
@@ -237,6 +314,32 @@ def test_coupled_x_chain_is_simulate_transformed(nu6, ref6, sol_small):
     cfg = SolverConfig(h=nu6.h, t_end=cc.T + nu6.r0)
     states, _ = simulate_transformed(tm, nu6, xi_t, cfg, 5, 4, dW=res.dW)
     np.testing.assert_array_equal(states, res.x_states)
+
+
+def test_coupling_skips_met_rows_in_y_inverse(nu6, ref6, sol_small, monkeypatch):
+    """Inverting Y only on the rows that have not met gives the bits of the
+    full-batch inverse."""
+    tm = transformed_model(ref6, nu6, sol_small)
+    xi_t = tm.seg_to_transformed(0.0, constant_segment(nu6, 0.5).values[None], nu6.h)[0]
+    cc = CouplingConfig(T=0.25, h=nu6.h, K=8.0)
+    sizes = []
+
+    def counted(sol, t, y):
+        sizes.append(len(y))
+        return theta_inverse(sol, t, y)
+
+    monkeypatch.setattr(coupling, "theta_inverse", counted)
+    res = run_coupling_batch(tm, nu6, xi_t, xi_t + 0.5, cc, 5, 32)
+    assert res.coupled.all() and len(np.unique(res.tau)) > 1  # rows meet at different steps
+    assert any(0 < n < 32 for n in sizes)
+
+    def full_batch(sol, t, yn, x_inv, met):
+        return np.where(met[:, None], x_inv, theta_inverse(sol, t, yn))
+
+    monkeypatch.setattr(coupling, "_pull_back_y", full_batch)
+    ref = run_coupling_batch(tm, nu6, xi_t, xi_t + 0.5, cc, 5, 32)
+    for name in ("x_states", "y_states", "log_R", "tau"):
+        np.testing.assert_array_equal(getattr(res, name), getattr(ref, name))
 
 
 def test_verify_decay_small_ladder(ref6):
