@@ -20,11 +20,14 @@ import json
 import math
 import multiprocessing
 import os
+import platform
 import sys
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy
 
+from . import __version__
 from .coupling import CouplingConfig, entropy_cost, run_coupling_batch
 from .girsanov import SingularDiffusionError, direct_estimate, weak_estimate
 from .harnack import ExplosionBeforeHorizonError, check_gradient_estimate, check_log_harnack
@@ -47,13 +50,15 @@ from .zvonkin import (
     verify_decay,
 )
 
-__all__ = ["ConfigError", "ExperimentConfig", "parse_config", "run", "main"]
+__all__ = ["ConfigError", "ExperimentConfig", "parse_config", "resolved_config", "run", "main"]
 
 SCENARIOS = (
     "simulate", "validate", "girsanov-check", "couple",
     "harnack", "gradient", "zvonkin", "bihari",
 )
-SCHEMA_VERSION = 2  # 2: non-finite floats are written as null
+# 2: non-finite floats are written as null; 3: verdict.json carries the
+# resolved configuration and the library versions
+SCHEMA_VERSION = 3
 CHUNK = 1024  # fixed decomposition unit; independent of the worker count
 
 _ALLOWED = {
@@ -233,6 +238,20 @@ def _jsonable(obj):
     return obj
 
 
+def resolved_config(cfg: ExperimentConfig) -> dict:
+    """The configuration a run used: the parsed sections after the
+    command-line overrides, as INI strings.  `output` and `workers` are left
+    out because they do not change the results; keys absent here took their
+    defaults."""
+    out = {sec: dict(keys) for sec, keys in cfg.raw.items()}
+    exp = out.setdefault("experiment", {})
+    exp.pop("output", None)
+    exp.pop("workers", None)
+    exp.update(scenario=cfg.scenario, n_paths=str(cfg.n_paths),
+               base_seed=str(cfg.base_seed), format=cfg.format)
+    return out
+
+
 def _write_verdict(cfg: ExperimentConfig, verdict: str, metrics: dict):
     os.makedirs(cfg.output, exist_ok=True)
     payload = {
@@ -242,6 +261,13 @@ def _write_verdict(cfg: ExperimentConfig, verdict: str, metrics: dict):
         "n_paths": cfg.n_paths,
         "verdict": verdict,
         "metrics": _jsonable(metrics),
+        "config": resolved_config(cfg),
+        "versions": {
+            "delaysde": __version__,
+            "numpy": np.__version__,
+            "scipy": scipy.__version__,
+            "python": platform.python_version(),
+        },
     }
     path = os.path.join(cfg.output, "verdict.json")
     with open(path, "w") as fh:

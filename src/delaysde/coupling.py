@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .girsanov import solve_qqt
-from .measure import DelayMeasure, grid_count
+from .measure import DelayMeasure, delay_averages, grid_count
 from .rng import batch_increments
 from .zvonkin import (
     TransformedModel,
@@ -153,6 +153,8 @@ def run_coupling_batch(
     y[:, : n0 + 1] = eta_t
     xinv = pulled_back_history(tm, x, n0, h)
     yinv = pulled_back_history(tm, y, n0, h)
+    avg_x = delay_averages(nu, xinv, path_offset)
+    avg_y = delay_averages(nu, yinv, path_offset)
     gamma_floor = gamma(T - 0.5 * h, T, K)
     log_r = np.zeros(n_paths)
     tau = np.full(n_paths, np.nan)
@@ -164,8 +166,8 @@ def run_coupling_batch(
         t = k * h
         idx = n0 + k
         xs, ys = x[:, idx], y[:, idx]
-        Bx, Qx = transformed_coefficients(tm, nu, t, xs, xinv[:, idx], xinv[:, k : idx + 1])
-        By, Qy = transformed_coefficients(tm, nu, t, ys, yinv[:, idx], yinv[:, k : idx + 1])
+        Bx, Qx = transformed_coefficients(tm, t, xs, xinv[:, idx], next(avg_x))
+        By, Qy = transformed_coefficients(tm, t, ys, yinv[:, idx], next(avg_y))
         in_window = t < T - 1e-12
         if in_window:
             ghat = max(gamma(min(t + 0.5 * h, T), T, K), gamma_floor)

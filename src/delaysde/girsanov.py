@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .measure import DelayMeasure, Segment, grid_count, quotient_window
+from .measure import DelayMeasure, Segment, delay_averages, grid_count
 from .model import ModelSpec, _zero_b, _zero_B
 from .rng import chunk_sums
 from .solver import SolverConfig, simulate
@@ -52,6 +52,11 @@ def solve_qqt(Q: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return np.einsum("ndk,nd->nk", Q, y)
 
 
+def _shift(m: ModelSpec, t: float, x: np.ndarray, avg: np.ndarray) -> np.ndarray:
+    """Q*(QQ*)^{-1}{b(t, x) + B(t, avg)} at states x and segment averages avg."""
+    return solve_qqt(m.Q(t, x), m.b(t, x) + m.B(t, avg))
+
+
 def girsanov_shift(
     m: ModelSpec, nu: DelayMeasure, t: float, seg: np.ndarray
 ) -> np.ndarray:
@@ -59,9 +64,7 @@ def girsanov_shift(
     seg = np.asarray(seg, dtype=float)
     if seg.ndim == 2:
         seg = seg[None]
-    x = seg[:, -1]
-    drift = m.b(t, x) + m.B(t, quotient_window(nu, seg), nu)
-    return solve_qqt(m.Q(t, x), drift)
+    return _shift(m, t, seg[:, -1], nu.average(seg))
 
 
 def _reference_model(m: ModelSpec) -> ModelSpec:
@@ -75,8 +78,9 @@ def log_density(m: ModelSpec, nu: DelayMeasure, batch, cfg: SolverConfig) -> np.
     """log R along simulated paths: sum <psi_k, dW_k> - (h/2) sum |psi_k|^2."""
     n0 = grid_count(nu.r0, cfg.h, "r0")
     log_r = np.zeros(batch.n_paths)
+    averages = delay_averages(nu, batch.states, batch.path_offset)
     for k in range(batch.dW.shape[1]):
-        psi = girsanov_shift(m, nu, k * cfg.h, batch.states[:, k : n0 + k + 1])
+        psi = _shift(m, k * cfg.h, batch.states[:, n0 + k], next(averages))
         log_r += np.einsum("nk,nk->n", psi, batch.dW[:, k]) - 0.5 * cfg.h * np.sum(psi**2, axis=1)
     return log_r
 

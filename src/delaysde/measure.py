@@ -9,6 +9,15 @@ evaluation, so the theta = 0 node carries no cell mass.
 Two segments are identified when they agree at theta = 0 and on every cell of
 positive mass; equality, norms and the coefficients downstream all see only
 this quotient representative.
+
+The delay drift enters through the average nu(window_k) = sum_j w_j x(k + j)
+of each step's window.  delay_averages streams these averages for a path
+batch that grows by one row per step: at the start of a block of steps the
+rows already known go through one matrix product against the block's
+Toeplitz weights, and the rows written inside the block are added step by
+step.  Every product has a fixed shape on a zero-padded tile of paths
+aligned to the global path index, so a path's bits never depend on the batch
+it runs in.
 """
 
 from __future__ import annotations
@@ -31,7 +40,13 @@ __all__ = [
     "constant_segment",
     "quotient_mask",
     "quotient_window",
+    "delay_averages",
 ]
+
+# Steps per block of delay averages (capped at n0) and paths per product
+# tile.  Both fix the shape of every matrix product in delay_averages.
+AVERAGE_BLOCK = 32
+PATH_TILE = 256
 
 
 class GridMismatchError(ValueError):
@@ -84,6 +99,15 @@ class DelayMeasure:
             return float(self.weights.sum())
         k = grid_count(self.r0 - window, self.h, "r0 - window")
         return float(self.weights[k:].sum())
+
+    def average(self, window: np.ndarray) -> np.ndarray:
+        """nu(window) per component for batched windows (n, n_cells+1, d) -> (n, d).
+
+        The theta = 0 node carries no mass and a null cell has weight 0, so
+        the average sees only the quotient representative.  For one-off
+        windows; a path batch stepped in time uses delay_averages.
+        """
+        return np.einsum("j,njd->nd", self.weights, window[:, :-1])
 
 
 @dataclass(frozen=True)
@@ -194,11 +218,66 @@ def quotient_mask(m: DelayMeasure) -> np.ndarray:
 def quotient_window(m: DelayMeasure, seg: np.ndarray) -> np.ndarray:
     """Quotient representative of batched windows (n, n_cells+1, d): null cells zeroed.
 
-    Every delay-drift evaluation goes through here; the window itself is
-    returned when all cells carry mass.
+    The window itself is returned when all cells carry mass.
     """
     mask = quotient_mask(m)
     return seg if np.all(mask > 0) else seg * mask[None, :, None]
+
+
+def _toeplitz_weights(w: np.ndarray, n_steps: int) -> np.ndarray:
+    """(n0+1, n_steps) weights of the rows k0..k0+n0 in the averages of steps
+    k0..k0+n_steps-1: column i holds w_j at row i + j, for the rows known
+    when step k0 starts."""
+    n0 = len(w)
+    j = np.arange(n0 + 1)[:, None] - np.arange(n_steps)[None, :]
+    return np.where((j >= 0) & (j < n0), w[np.clip(j, 0, n0 - 1)], 0.0)
+
+
+def delay_averages(m: DelayMeasure, rows: np.ndarray, path_offset: int = 0):
+    """Yield nu(window_k) per component, shape (n, d), for k = 0, 1, ...,
+    n_rows - n0 - 2, where window_k = rows[:, k : k + n0 + 1].
+
+    rows (n, n_rows, d) holds a path batch whose first path has global index
+    path_offset; the caller may write it one row per step, but row k + n0
+    must be written before average k is taken.  A yielded array is valid
+    until the next one is taken.
+
+    Steps run in blocks of L = min(AVERAGE_BLOCK, n0) steps.  At a block's
+    first step the known rows k0..k0+n0 are multiplied by the block's
+    Toeplitz weights, one fixed-shape product per PATH_TILE-path tile,
+    zero-padded and aligned to the global index, so a path always takes the
+    same place in a product of the same shape.  The up to L - 1 rows written
+    inside the block are added at each step.
+    """
+    w = m.weights
+    n0 = len(w)
+    n, n_rows, d = rows.shape
+    steps = n_rows - n0 - 1
+    first, last = path_offset // PATH_TILE, (path_offset + n - 1) // PATH_TILE
+    tile = np.empty((PATH_TILE, d, n0 + 1))
+    toeplitz = {}
+    for k0 in range(0, steps, min(AVERAGE_BLOCK, n0)):
+        L = min(AVERAGE_BLOCK, n0, steps - k0)
+        if L not in toeplitz:
+            toeplitz[L] = _toeplitz_weights(w, L)
+        known = np.empty((L, n, d))
+        for t in range(first, last + 1):
+            lo = max(t * PATH_TILE - path_offset, 0)
+            hi = min((t + 1) * PATH_TILE - path_offset, n)
+            at = path_offset + lo - t * PATH_TILE
+            if hi - lo < PATH_TILE:
+                tile.fill(0.0)
+            tile[at : at + hi - lo] = rows[lo:hi, k0 : k0 + n0 + 1].transpose(0, 2, 1)
+            out = tile.reshape(PATH_TILE * d, n0 + 1) @ toeplitz[L]
+            known[:, lo:hi] = out.reshape(PATH_TILE, d, L)[at : at + hi - lo].transpose(2, 0, 1)
+        for i in range(L):
+            if i < 2:
+                yield known[i]
+            else:
+                # rows k0+n0+1 .. k0+n0+i-1 were written inside the block
+                yield known[i] + np.einsum(
+                    "j,njd->nd", w[n0 + 1 - i :], rows[:, k0 + n0 + 1 : k0 + n0 + i]
+                )
 
 
 def _check_compat(m: DelayMeasure, xi: Segment) -> None:

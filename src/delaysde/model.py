@@ -2,8 +2,17 @@
 
 Coefficients are vectorized over path batches:
     b(t, x)            x: (n, d)            -> (n, d)
-    B(t, seg, m)       seg: (n, n0+1, d)    -> (n, d)   (seg from measure.quotient_window)
+    B(t, avg)          avg: (n, d)          -> (n, d)
     Q(t, x)            x: (n, d)            -> (n, d, dbar)
+
+The delay drift of every catalog model is B(xi) = beta nu(xi), so B receives
+the average avg = nu(xi) of the segment, not the segment: the runners stream
+these averages with measure.delay_averages, and one-off segments go through
+DelayMeasure.average.  A null cell has weight 0, so the average sees only the
+quotient representative.  The spec of a transformed equation
+(zvonkin.transformed_model, A None) is the exception: its drift depends on
+the whole pulled-back window, so its B takes the transformed segment,
+B(t, seg) with seg (n, n0+1, d).
 
 Validation is sampling-based: a pass is evidence at the sampled witnesses, not
 a proof, and every report carries its sample count.
@@ -172,8 +181,8 @@ def _zero_b(t, x):
     return np.zeros_like(x)
 
 
-def _zero_B(t, seg, m):
-    return np.zeros(seg.shape[0::2])
+def _zero_B(t, avg):
+    return np.zeros_like(avg)
 
 
 def _const_Q(sigma: float, d: int, dbar: int):
@@ -187,9 +196,9 @@ def _const_Q(sigma: float, d: int, dbar: int):
 
 
 def _nu_B(beta: float):
-    def B(t, seg, m: DelayMeasure):
-        # componentwise nu(xi): weights contract the cell nodes
-        return beta * np.einsum("j,njd->nd", m.weights, seg[:, :-1, :])
+    def B(t, avg):
+        # avg is the componentwise segment average nu(xi)
+        return beta * avg
 
     return B
 
@@ -395,8 +404,9 @@ def validate_assumptions(
     segs = quotient_window(nu, seg_amp * rng.standard_normal((n_samples, n0 + 1, m.d)))
     etas = quotient_window(nu, seg_amp * rng.standard_normal((n_samples, n0 + 1, m.d)))
     sqrt_cb = math.sqrt(m.B_lip_sq) if m.B_lip_sq > 0 else 0.0
+    avg_segs, avg_etas = nu.average(segs), nu.average(etas)
     for t in ts:
-        num = np.linalg.norm(m.B(t, segs, nu) - m.B(t, etas, nu), axis=1)
+        num = np.linalg.norm(m.B(t, avg_segs) - m.B(t, avg_etas), axis=1)
         if sqrt_cb == 0.0:
             r = float(num.max())
             if r > worst_a4:

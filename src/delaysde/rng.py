@@ -5,6 +5,11 @@ is carried by the counter because every step consumes a fixed number of
 uniforms.  Results are therefore independent of how paths are distributed over
 workers.  Gaussian increments come from the inverse normal CDF, so refinement
 coupling (summing child increments pairwise) is exact.
+
+A batch reuses one Philox generator: before each path its key, counter and
+output buffer are reset to those of a fresh generator keyed by that path, so
+no buffered word of one path leaks into the next and the draws equal those
+of a generator built per path.
 """
 
 from __future__ import annotations
@@ -33,19 +38,25 @@ def normal_increments(
     base_seed: int, path_index: int, n_steps: int, dbar: int, h: float
 ) -> np.ndarray:
     """Gaussian increments dW ~ N(0, h I), shape (n_steps, dbar)."""
-    gen = path_generator(base_seed, path_index)
-    u = gen.random((n_steps, dbar))
-    np.maximum(u, _U_FLOOR, out=u)
-    return ndtri(u) * np.sqrt(h)
+    return batch_increments(base_seed, path_index, 1, n_steps, dbar, h)[0]
 
 
 def batch_increments(
     base_seed: int, path_offset: int, n_paths: int, n_steps: int, dbar: int, h: float
 ) -> np.ndarray:
     """Increments for paths path_offset..path_offset+n_paths-1, shape (n_paths, n_steps, dbar)."""
+    gen = path_generator(base_seed, path_offset)
+    bitgen = gen.bit_generator
+    fresh = bitgen.state  # zero counter, empty buffer
+    key = fresh["state"]["key"]
     out = np.empty((n_paths, n_steps, dbar))
     for i in range(n_paths):
-        out[i] = normal_increments(base_seed, path_offset + i, n_steps, dbar, h)
+        key[1] = path_offset + i
+        bitgen.state = fresh
+        gen.random(out=out[i])
+    np.maximum(out, _U_FLOOR, out=out)
+    ndtri(out, out=out)
+    out *= np.sqrt(h)
     return out
 
 

@@ -3,8 +3,9 @@
 Paths live on a uniform grid over [-r0, T_end].  The exponential-Euler step
 uses the diagonal semigroup factors (E, J) so the drift-free case reproduces
 the exact Ornstein-Uhlenbeck flow up to O(h^2) in the variance; the delay
-drift is evaluated at the left-endpoint segment.  Everything is vectorized
-over a batch of paths sharing one initial segment.
+drift is evaluated at the left-endpoint segment, through the segment
+averages that measure.delay_averages streams.  Everything is vectorized over
+a batch of paths sharing one initial segment.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ from .measure import (
     DelayMeasure,
     Segment,
     batch_seg_norm,
+    delay_averages,
     grid_count,
-    quotient_window,
 )
 from .model import ModelSpec, semigroup_factors
 from .rng import batch_increments
@@ -131,7 +132,12 @@ def cutoff_psi(r: np.ndarray) -> np.ndarray:
 
 
 def truncate_coefficients(m: ModelSpec, level: float) -> ModelSpec:
-    """b, Q, B cut off outside radius `level`; coincide with the originals inside."""
+    """b and Q cut off outside radius `level`; they coincide with the originals inside.
+
+    B is cut off by the segment norm, which B(t, avg) does not see: simulate
+    multiplies it by cutoff_psi(||x_t|| / level), from the norms of its exit
+    check.  The returned spec keeps m.B.
+    """
     if not level > 0:
         raise ValueError("truncation level must be positive")
     if not math.isfinite(level):
@@ -146,13 +152,9 @@ def truncate_coefficients(m: ModelSpec, level: float) -> ModelSpec:
         fac = cutoff_psi(inv * np.linalg.norm(x, axis=-1))
         return _Q(t, x * fac[..., None])
 
-    def B_m(t, seg, nu, _B=m.B):
-        fac = cutoff_psi(inv * batch_seg_norm(nu, seg))
-        return _B(t, seg, nu) * fac[:, None]
-
     return ModelSpec(
         name=f"{m.name}[trunc={level:g}]", d=m.d, dbar=m.dbar, A=m.A,
-        b=b_m, B=B_m, Q=Q_m, phi=m.phi, b_sup=min(m.b_sup, np.inf),
+        b=b_m, B=m.B, Q=Q_m, phi=m.phi, b_sup=min(m.b_sup, np.inf),
         B_lip_sq=m.B_lip_sq, Q_bounds=m.Q_bounds, bihari=m.bihari, params=m.params,
     )
 
@@ -183,17 +185,24 @@ def simulate(
     lifetimes = np.full(n_paths, np.nan)
     alive = np.ones(n_paths, dtype=bool)
     check_seg = math.isfinite(cfg.trunc_level)
+    if check_seg:
+        # segment norms of the current windows: they cut B off and end paths
+        seg_n = batch_seg_norm(nu, states[:, : n0 + 1])
+        inv_level = 1.0 / cfg.trunc_level
     use_exp = cfg.scheme == "exponential-euler" and m.A is not None
     if use_exp:
         E, J = semigroup_factors(m.A, cfg.h)
     h = cfg.h
+    averages = delay_averages(nu, states, path_offset)
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(steps):
             t = k * h
             idx = n0 + k
             x = states[:, idx]
             bv = m_eff.b(t, x)
-            Bv = m_eff.B(t, quotient_window(nu, states[:, k : idx + 1]), nu)
+            Bv = m_eff.B(t, next(averages))
+            if check_seg:
+                Bv = Bv * cutoff_psi(inv_level * seg_n)[:, None]
             Qv = m_eff.Q(t, x)
             noise = np.einsum("ndk,nk->nd", Qv, dW[:, k])
             if use_exp:

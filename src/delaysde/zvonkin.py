@@ -33,7 +33,7 @@ from scipy.interpolate import RegularGridInterpolator
 from scipy.sparse.linalg import splu
 from scipy.special import roots_hermitenorm
 
-from .measure import DelayMeasure, grid_count, quotient_window
+from .measure import DelayMeasure, delay_averages, grid_count, quotient_window
 from .model import ModelSpec, OperatorA
 from .rng import batch_increments
 
@@ -552,20 +552,19 @@ class TransformedModel:
 
 def transformed_coefficients(
     tm: TransformedModel,
-    nu: DelayMeasure,
     t: float,
     state: np.ndarray,
     point_inv: np.ndarray,
-    window_inv: np.ndarray | None,
+    avg_inv: np.ndarray | None,
 ) -> tuple[np.ndarray | None, np.ndarray]:
     """Drift and diffusion of the transformed equation at time t.
 
     state (n, d) is the transformed state, point_inv = Theta^{-1}(t, state) and
-    window_inv (n, n0+1, d) the pulled-back segment window.  The drift is
-    -a x + (lam + a) u + (I + grad u) B and the diffusion (I + grad u) Q, with
-    u, B and Q at the pulled-back arguments; sol None is the identity
-    transform, which only folds A into the delay drift.  Without a window
-    only the diffusion is formed and the drift is None.
+    avg_inv (n, d) the average nu(.) of the pulled-back segment window.  The
+    drift is -a x + (lam + a) u + (I + grad u) B and the diffusion
+    (I + grad u) Q, with u, B and Q at the pulled-back arguments; sol None is
+    the identity transform, which only folds A into the delay drift.  Without
+    an average only the diffusion is formed and the drift is None.
     """
     base, sol = tm.base, tm.sol
     Qv = base.Q(t, point_inv)
@@ -573,10 +572,10 @@ def transformed_coefficients(
         u0, du = sol.eval_u_du(t, point_inv)
         dth = np.eye(sol.d)[None] + du
         Qv = np.einsum("nck,nkj->ncj", dth, Qv)
-    if window_inv is None:
+    if avg_inv is None:
         return None, Qv
     a = base.A.eigenvalues
-    Bv = base.B(t, quotient_window(nu, window_inv), nu)
+    Bv = base.B(t, avg_inv)
     if sol is None:
         return -a * state + Bv, Qv
     return -a * state + (sol.lam + a) * u0 + np.einsum("nck,nk->nc", dth, Bv), Qv
@@ -587,18 +586,19 @@ def transformed_model(m: ModelSpec, nu: DelayMeasure, sol: ZvonkinSolution | Non
 
     The coefficients of the returned spec are transformed_coefficients at the
     pulled-back segment and point; with sol=None this reduces to folding A
-    into the delay drift.
+    into the delay drift.  Its B takes the transformed segment, B(t, seg),
+    since the drift depends on the state as well as on the window average.
     """
     if m.A is None:
         raise ValueError("base model must carry an explicit linear part")
     tm = TransformedModel(None, m, sol)
 
-    def B_t(t, seg, nu_):
+    def B_t(t, seg):
         window_inv = tm.seg_to_base(t, seg, nu.h)
-        return transformed_coefficients(tm, nu_, t, seg[:, -1], window_inv[:, -1], window_inv)[0]
+        return transformed_coefficients(tm, t, seg[:, -1], window_inv[:, -1], nu.average(window_inv))[0]
 
     def Q_t(t, x):
-        return transformed_coefficients(tm, nu, t, x, tm.to_base(t, x), None)[1]
+        return transformed_coefficients(tm, t, x, tm.to_base(t, x), None)[1]
 
     name = f"{m.name}[folded]" if sol is None else f"{m.name}[zvonkin lam={sol.lam:g}]"
     tm.model = ModelSpec(
@@ -632,7 +632,7 @@ def measure_K(
         qinv_sup = max(qinv_sup, float(1.0 / ev[:, 0].min()))
         xi = quotient_window(nu, (box / 2) * rng.standard_normal((n_samples, n0 + 1, m.d)))
         eta = xi + quotient_window(nu, 0.3 * rng.standard_normal(xi.shape))
-        num = np.linalg.norm(m.B(t, xi, nu) - m.B(t, eta, nu), axis=1)
+        num = np.linalg.norm(m.B(t, xi) - m.B(t, eta), axis=1)
         diff = xi - eta
         sq = np.sum(diff**2, axis=2)
         den = np.sqrt(sq[:, :-1] @ nu.weights + sq[:, -1])
@@ -664,8 +664,8 @@ def simulate_transformed(
     dW: np.ndarray | None = None,
 ):
     """Euler integration of the transformed equation with the pulled-back states
-    cached along the path, so each drift evaluation is a weighted window sum
-    instead of a fresh fixed-point inversion per node.
+    cached along the path, so the delay drift reads the streamed averages of
+    the pulled-back windows instead of inverting every node again.
 
     xi_t: transformed initial segment values (n0+1, d).  Returns (states, dW)
     with states of shape (n_paths, n0+steps+1, d) on [-r0, t_end].
@@ -678,11 +678,12 @@ def simulate_transformed(
     states = np.empty((n_paths, n0 + steps + 1, tm.model.d))
     states[:, : n0 + 1] = np.asarray(xi_t, dtype=float)
     xinv = pulled_back_history(tm, states, n0, h)
+    averages = delay_averages(nu, xinv, path_offset)
     for k in range(steps):
         t = k * h
         idx = n0 + k
         x = states[:, idx]
-        drift, Qv = transformed_coefficients(tm, nu, t, x, xinv[:, idx], xinv[:, k : idx + 1])
+        drift, Qv = transformed_coefficients(tm, t, x, xinv[:, idx], next(averages))
         states[:, idx + 1] = x + h * drift + np.einsum("ncj,nj->nc", Qv, dW[:, k])
         if tm.sol is not None:
             xinv[:, idx + 1] = theta_inverse(tm.sol, t + h, states[:, idx + 1])

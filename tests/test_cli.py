@@ -132,13 +132,37 @@ def test_simulate_zero_model_outputs(tmp_path):
     out = tmp_path / "out"
     assert main(["simulate", "--config", path, "--out", str(out)]) == 0
     verdict = json.loads((out / "verdict.json").read_text())
-    assert verdict["schema_version"] == 2
+    assert verdict["schema_version"] == 3
     assert verdict["verdict"] == "pass"
     assert verdict["metrics"]["explosion_fraction"] == 0.0
     rows = json.loads((out / "result.json").read_text())["rows"]
     assert len(rows) == 20
     for row in rows:
         assert row[1] == pytest.approx(math.exp(-1.0), rel=1e-12)
+
+
+def test_verdict_config_round_trips(tmp_path):
+    """verdict.json carries the resolved configuration, command-line
+    overrides included; written back as INI it reruns to the same bytes."""
+    path = _write(tmp_path, BASE.replace("name = zero", "name = ou"))
+    out = tmp_path / "first"
+    argv = ["simulate", "--config", path, "--out", str(out), "--seed", "7", "--paths", "30",
+            "--step", "0.125", "--workers", "2"]
+    assert main(argv) == 0
+    verdict = json.loads((out / "verdict.json").read_text())
+    config = verdict["config"]
+    assert config["experiment"] == {
+        "scenario": "simulate", "n_paths": "30", "base_seed": "7", "format": "json",
+    }
+    assert config["solver"]["h"] == "0.125"
+    assert set(verdict["versions"]) == {"delaysde", "numpy", "scipy", "python"}
+    text = "\n".join(f"[{sec}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+                     for sec, keys in config.items())
+    assert cli.resolved_config(parse_config(text)) == config
+    again = tmp_path / "again"
+    assert main(["simulate", "--config", _write(tmp_path, text, "resolved.ini"), "--out", str(again)]) == 0
+    assert (again / "result.json").read_bytes() == (out / "result.json").read_bytes()
+    assert (again / "verdict.json").read_bytes() == (out / "verdict.json").read_bytes()
 
 
 def _reject_constant(token):
@@ -152,7 +176,7 @@ def test_simulate_json_is_strict(tmp_path):
     assert main(["simulate", "--config", path, "--out", str(out)]) == 0
     for name in ("result.json", "verdict.json"):
         payload = json.loads((out / name).read_text(), parse_constant=_reject_constant)
-        assert payload["schema_version"] == 2
+        assert payload["schema_version"] == 3
     payload = json.loads((out / "result.json").read_text())
     col = payload["columns"].index("lifetime")
     assert all(row[col] is None for row in payload["rows"])

@@ -62,6 +62,21 @@ def test_log_density_zero_for_driftless_model():
     np.testing.assert_array_equal(log_density(m, nu, batch, cfg), 0.0)
 
 
+@pytest.mark.parametrize("offset", [255, 256, 511])
+def test_log_density_is_batch_member(offset):
+    """log R of a single path and of batches of 3 and 300 equals that of the
+    same paths in a wider batch, bit for bit, across tile edges."""
+    nu = make_measure("exponential", 0.5, 2.0**-6, lam=1.0)
+    m = make_model("reference", measure=nu)
+    ref = make_model("ou")
+    xi = constant_segment(nu, 1.0)
+    cfg = SolverConfig(h=2.0**-6, t_end=1.0)
+    wide = log_density(m, nu, simulate(ref, nu, xi, cfg, 2, 600, path_offset=250), cfg)
+    for count in (1, 3, 300):
+        sub = log_density(m, nu, simulate(ref, nu, xi, cfg, 2, count, path_offset=offset), cfg)
+        np.testing.assert_array_equal(sub, wide[offset - 250 : offset - 250 + count])
+
+
 def test_weak_estimate_equals_direct_for_driftless_model():
     """b = B = 0 makes R = 1 and the reference process the process itself."""
     nu = make_measure("uniform", 0.5, 0.125)

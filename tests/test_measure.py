@@ -12,6 +12,7 @@ from delaysde.measure import (
     batch_seg_norm,
     check_shift_domination,
     constant_segment,
+    delay_averages,
     extract_segment,
     grid_count,
     make_measure,
@@ -240,3 +241,65 @@ def test_weights_are_frozen():
     m = make_measure("uniform", 1.0, 0.5)
     with pytest.raises(ValueError):
         m.weights[0] = 7.0
+
+
+# ---------------------------------------------------------------------------
+# streamed delay averages
+
+
+def _per_step_averages(m, rows):
+    """Oracle: the per-step window contraction nu(rows[:, k : k + n0 + 1])."""
+    n0 = m.n_cells
+    return np.stack(
+        [np.einsum("j,njd->nd", m.weights, rows[:, k : k + n0]) for k in range(rows.shape[1] - n0 - 1)]
+    )
+
+
+_ATOMS = [0.0, 0.1, 0.0, 0.0, 0.3, 0.2, 0.0, 0.25, 0.15, 0.0]
+
+
+@pytest.mark.parametrize(
+    "m, d, steps",
+    [
+        (make_measure("exponential", 1.0, 2.0**-6, lam=1.0), 1, 100),  # three blocks and a tail
+        (make_measure("exponential", 0.5, 2.0**-6, lam=2.0), 2, 70),
+        (make_measure("atoms", 1.0, 0.1, weights=_ATOMS), 1, 23),  # null cells, n0 < block
+        (make_measure("uniform", 0.3, 0.1), 3, 7),  # n0 = 3
+        (make_measure("uniform", 0.1, 0.1), 1, 9),  # n0 = 1
+    ],
+    ids=["exp-d1", "exp-d2", "atoms", "n0-3", "n0-1"],
+)
+def test_delay_averages_match_per_step_oracle(m, d, steps):
+    rows = np.random.default_rng(3).standard_normal((5, m.n_cells + steps + 1, d))
+    got = np.stack(list(delay_averages(m, rows)))
+    np.testing.assert_allclose(got, _per_step_averages(m, rows), rtol=0, atol=1e-12)
+
+
+def test_delay_averages_read_only_written_rows():
+    """Average k reads rows up to k + n0 only, so a runner can write row
+    k + n0 + 1 after taking it."""
+    m = make_measure("exponential", 0.5, 2.0**-5, lam=1.0)
+    n0, steps = m.n_cells, 50
+    full = np.random.default_rng(4).standard_normal((7, n0 + steps + 1, 2))
+    rows = np.full_like(full, np.nan)
+    rows[:, : n0 + 1] = full[:, : n0 + 1]
+    got = []
+    for k, avg in enumerate(delay_averages(m, rows)):
+        got.append(avg.copy())
+        rows[:, n0 + k + 1] = full[:, n0 + k + 1]
+    np.testing.assert_allclose(np.stack(got), _per_step_averages(m, full), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_delay_averages_are_batch_independent(d):
+    """A path's averages are the same bits in any batch that holds it: single
+    paths and batches of 3 and 300 at offsets that straddle a tile."""
+    m = make_measure("exponential", 1.0, 2.0**-6, lam=1.0)
+    start = 250
+    rows = np.random.default_rng(5).standard_normal((600, m.n_cells + 40, d))
+    ref = np.stack(list(delay_averages(m, rows, path_offset=start)))
+    for offset in (255, 256, 511):
+        for count in (1, 3, 300):
+            lo = offset - start
+            sub = np.stack(list(delay_averages(m, rows[lo : lo + count], path_offset=offset)))
+            np.testing.assert_array_equal(sub, ref[:, lo : lo + count])

@@ -80,7 +80,7 @@ def test_catalog_reference_coefficients():
     x = np.array([[4.0], [0.25], [-0.25]])
     np.testing.assert_allclose(m.b(0.0, x), [[1.0], [0.5], [0.5]])
     seg = np.ones((2, nu.n_cells + 1, 1))
-    np.testing.assert_allclose(m.B(0.0, seg, nu), 0.5 * nu.total_mass() * np.ones((2, 1)))
+    np.testing.assert_allclose(m.B(0.0, nu.average(seg)), 0.5 * nu.total_mass() * np.ones((2, 1)))
     Q = m.Q(0.0, x)
     assert Q.shape == (3, 1, 1)
     np.testing.assert_allclose(Q, 1.0)

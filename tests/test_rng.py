@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
 from delaysde.rng import (
     batch_increments,
@@ -49,6 +50,17 @@ def test_batch_matches_per_path():
     got = batch_increments(3, 10, 4, 16, 2, 0.25)
     for i in range(4):
         np.testing.assert_array_equal(got[i], normal_increments(3, 10 + i, 16, 2, 0.25))
+
+
+def test_batch_matches_fresh_generators_with_partial_buffer():
+    """7 steps x 1 draw leave one of Philox's four buffered words unused per
+    path; the reused generator must not hand it to the next path.  Oracle: a
+    fresh generator per path."""
+    h = 0.25
+    got = batch_increments(3, 0, 5, 7, 1, h)
+    for i in range(5):
+        u = np.maximum(path_generator(3, i).random((7, 1)), 2.0**-54)
+        np.testing.assert_array_equal(got[i], ndtri(u) * np.sqrt(h))
 
 
 def test_coarsen_sums_consecutive_pairs():

@@ -96,6 +96,20 @@ def test_single_path_is_batch_member():
     assert single.seed == (9, 3)
 
 
+@pytest.mark.parametrize("offset", [255, 256, 511])
+def test_paths_are_batch_members_across_tiles(offset):
+    """With delay drift, a single path and batches of 3 and 300 reproduce
+    their members of a wider batch bit for bit, on either side of a tile edge."""
+    nu = make_measure("exponential", 0.5, 2.0**-6, lam=1.0)
+    m = make_model("reference", measure=nu)
+    xi = constant_segment(nu, 1.0)
+    cfg = SolverConfig(h=2.0**-6, t_end=1.0)
+    wide = simulate(m, nu, xi, cfg, 9, 600, path_offset=250)
+    for count in (1, 3, 300):
+        sub = simulate(m, nu, xi, cfg, 9, count, path_offset=offset)
+        np.testing.assert_array_equal(sub.states, wide.states[offset - 250 : offset - 250 + count])
+
+
 def test_schemes_agree_to_first_order():
     nu = make_measure("uniform", 0.5, 2.0**-8)
     m = make_model("ou", lam=1.0)
@@ -153,11 +167,31 @@ def test_truncated_coefficients_match_inside():
     x = np.array([[0.5], [-2.0]])
     np.testing.assert_array_equal(tm.b(0.0, x), m.b(0.0, x))
     seg = np.ones((2, nu.n_cells + 1, 1))
-    np.testing.assert_array_equal(tm.B(0.0, seg, nu), m.B(0.0, seg, nu))
+    np.testing.assert_array_equal(tm.B(0.0, nu.average(seg)), m.B(0.0, nu.average(seg)))
     far = np.array([[100.0]])
     np.testing.assert_array_equal(tm.b(0.0, far), 0.0)
     with pytest.raises(ValueError):
         truncate_coefficients(m, -1.0)
+
+
+def test_truncated_run_cuts_B_off_at_step_0():
+    """An initial segment outside the truncation ball (norm 1.27 > 1) gets a
+    partial B cut-off at step 0, from the initial segment's norm; the paths
+    then move inside and run on.  Values pinned from the per-step solver."""
+    nu = make_measure("uniform", 0.5, 2.0**-4)
+    m = make_model("linear_delay", measure=nu)
+    vals = np.full(nu.n_cells + 1, 0.2)
+    vals[0] = 5.0
+    cfg = SolverConfig(h=2.0**-4, t_end=0.5, trunc_level=1.0)
+    batch = simulate(m, nu, Segment(vals), cfg, 0, 3)
+    free = simulate(m, nu, Segment(vals), SolverConfig(h=2.0**-4, t_end=0.5), 0, 3)
+    step1 = [-0.33512253686039595, 0.40753239975315725, 0.40847868797051157]
+    final = [0.2328377546485193, 0.686044153163658, -0.2016134159382263]
+    np.testing.assert_allclose(batch.states[:, 9, 0], step1, rtol=1e-12)
+    np.testing.assert_allclose(batch.states[:, -1, 0], final, rtol=1e-12)
+    assert np.all(np.isnan(batch.lifetimes))
+    # the cut-off is what moves step 1
+    np.testing.assert_allclose(free.states[:, 9, 0] - batch.states[:, 9, 0], 1.5631253266e-3, rtol=1e-9)
 
 
 def test_bihari_bound_closed_form():

@@ -316,6 +316,22 @@ def test_coupled_x_chain_is_simulate_transformed(nu6, ref6, sol_small):
     np.testing.assert_array_equal(states, res.x_states)
 
 
+@pytest.mark.parametrize("offset", [255, 256, 511])
+def test_coupled_pairs_are_batch_members(nu6, ref6, sol_small, offset):
+    """Averages of the pulled-back X and Y series keep each pair's bits: a
+    single pair and batches of 3 and 300 match a wider batch across tile edges."""
+    tm = transformed_model(ref6, nu6, sol_small)
+    xi_t = tm.seg_to_transformed(0.0, constant_segment(nu6, 0.5).values[None], nu6.h)[0]
+    cc = CouplingConfig(T=0.125, h=nu6.h, K=4.0)
+    wide = run_coupling_batch(tm, nu6, xi_t, xi_t + 0.05, cc, 5, 600, path_offset=250)
+    for count in (1, 3, 300):
+        sub = run_coupling_batch(tm, nu6, xi_t, xi_t + 0.05, cc, 5, count, path_offset=offset)
+        rows = slice(offset - 250, offset - 250 + count)
+        np.testing.assert_array_equal(sub.x_states, wide.x_states[rows])
+        np.testing.assert_array_equal(sub.y_states, wide.y_states[rows])
+        np.testing.assert_array_equal(sub.log_R, wide.log_R[rows])
+
+
 def test_coupling_skips_met_rows_in_y_inverse(nu6, ref6, sol_small, monkeypatch):
     """Inverting Y only on the rows that have not met gives the bits of the
     full-batch inverse."""
