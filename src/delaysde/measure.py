@@ -239,8 +239,7 @@ def delay_averages(m: DelayMeasure, rows: np.ndarray, path_offset: int = 0):
 
     rows (n, n_rows, d) holds a path batch whose first path has global index
     path_offset; the caller may write it one row per step, but row k + n0
-    must be written before average k is taken.  A yielded array is valid
-    until the next one is taken.
+    must be written before average k is taken.
 
     Steps run in blocks of L = min(AVERAGE_BLOCK, n0) steps.  At a block's
     first step the known rows k0..k0+n0 are multiplied by the block's
@@ -254,13 +253,14 @@ def delay_averages(m: DelayMeasure, rows: np.ndarray, path_offset: int = 0):
     n, n_rows, d = rows.shape
     steps = n_rows - n0 - 1
     first, last = path_offset // PATH_TILE, (path_offset + n - 1) // PATH_TILE
+    block = min(AVERAGE_BLOCK, n0)
     tile = np.empty((PATH_TILE, d, n0 + 1))
+    known = np.empty((block, n, d))  # one buffer for every block
     toeplitz = {}
-    for k0 in range(0, steps, min(AVERAGE_BLOCK, n0)):
-        L = min(AVERAGE_BLOCK, n0, steps - k0)
+    for k0 in range(0, steps, block):
+        L = min(block, steps - k0)
         if L not in toeplitz:
             toeplitz[L] = _toeplitz_weights(w, L)
-        known = np.empty((L, n, d))
         for t in range(first, last + 1):
             lo = max(t * PATH_TILE - path_offset, 0)
             hi = min((t + 1) * PATH_TILE - path_offset, n)
@@ -269,10 +269,10 @@ def delay_averages(m: DelayMeasure, rows: np.ndarray, path_offset: int = 0):
                 tile.fill(0.0)
             tile[at : at + hi - lo] = rows[lo:hi, k0 : k0 + n0 + 1].transpose(0, 2, 1)
             out = tile.reshape(PATH_TILE * d, n0 + 1) @ toeplitz[L]
-            known[:, lo:hi] = out.reshape(PATH_TILE, d, L)[at : at + hi - lo].transpose(2, 0, 1)
+            known[:L, lo:hi] = out.reshape(PATH_TILE, d, L)[at : at + hi - lo].transpose(2, 0, 1)
         for i in range(L):
             if i < 2:
-                yield known[i]
+                yield known[i].copy()  # known is refilled by the next block
             else:
                 # rows k0+n0+1 .. k0+n0+i-1 were written inside the block
                 yield known[i] + np.einsum(
