@@ -241,12 +241,12 @@ def delay_averages(m: DelayMeasure, rows: np.ndarray, path_offset: int = 0):
     path_offset; the caller may write it one row per step, but row k + n0
     must be written before average k is taken.
 
-    Steps run in blocks of L = min(AVERAGE_BLOCK, n0) steps.  At a block's
-    first step the known rows k0..k0+n0 are multiplied by the block's
+    Steps run in blocks of min(AVERAGE_BLOCK, n0) steps; the last block may
+    be shorter.  At a block's first step the known rows k0..k0+n0 are multiplied by the block's
     Toeplitz weights, one fixed-shape product per PATH_TILE-path tile,
     zero-padded and aligned to the global index, so a path always takes the
-    same place in a product of the same shape.  The up to L - 1 rows written
-    inside the block are added at each step.
+    same place in a product of the same shape.  The rows written inside the
+    block are added at each step.
     """
     w = m.weights
     n0 = len(w)
@@ -256,11 +256,9 @@ def delay_averages(m: DelayMeasure, rows: np.ndarray, path_offset: int = 0):
     block = min(AVERAGE_BLOCK, n0)
     tile = np.empty((PATH_TILE, d, n0 + 1))
     known = np.empty((block, n, d))  # one buffer for every block
-    toeplitz = {}
+    toeplitz = _toeplitz_weights(w, block)
     for k0 in range(0, steps, block):
         L = min(block, steps - k0)
-        if L not in toeplitz:
-            toeplitz[L] = _toeplitz_weights(w, L)
         for t in range(first, last + 1):
             lo = max(t * PATH_TILE - path_offset, 0)
             hi = min((t + 1) * PATH_TILE - path_offset, n)
@@ -268,7 +266,7 @@ def delay_averages(m: DelayMeasure, rows: np.ndarray, path_offset: int = 0):
             if hi - lo < PATH_TILE:
                 tile.fill(0.0)
             tile[at : at + hi - lo] = rows[lo:hi, k0 : k0 + n0 + 1].transpose(0, 2, 1)
-            out = tile.reshape(PATH_TILE * d, n0 + 1) @ toeplitz[L]
+            out = tile.reshape(PATH_TILE * d, n0 + 1) @ toeplitz[:, :L]
             known[:L, lo:hi] = out.reshape(PATH_TILE, d, L)[at : at + hi - lo].transpose(2, 0, 1)
         for i in range(L):
             if i < 2:
