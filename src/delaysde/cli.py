@@ -30,7 +30,8 @@ import scipy
 from . import __version__
 from .coupling import CouplingConfig, entropy_cost, run_coupling_batch
 from .girsanov import SingularDiffusionError, direct_estimate, weak_estimate
-from .harnack import ExplosionBeforeHorizonError, check_gradient_estimate, check_log_harnack
+from .harnack import EPS_FD_RANGE, ExplosionBeforeHorizonError
+from .harnack import check_gradient_estimate, check_log_harnack
 from .measure import (
     GridMismatchError,
     Segment,
@@ -147,6 +148,8 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ConfigError("experiment", f"non-integer count: {e}") from e
     if n_paths < 1:
         raise ConfigError("experiment.n_paths", "need n_paths >= 1")
+    if base_seed < 0:
+        raise ConfigError("experiment.base_seed", "need base_seed >= 0")
     if workers < 1:
         raise ConfigError("experiment.workers", "need workers >= 1")
     cfg = ExperimentConfig(
@@ -167,6 +170,14 @@ def _getf(raw, sec, key, default=None):
         return float(v)
     except ValueError as e:
         raise ConfigError(f"{sec}.{key}", f"not a number: {v!r}") from e
+
+
+def _functional(raw, sec, default, nu):
+    name = raw.get(sec, {}).get("functional", default)
+    try:
+        return name, make_functional(name, nu)[0]
+    except ValueError as e:
+        raise ConfigError(f"{sec}.functional", str(e)) from e
 
 
 def _build(cfg: ExperimentConfig):
@@ -359,6 +370,8 @@ def _coupling_setup(cfg, nu, m, scfg, xi):
         raise ConfigError("coupling.T" if T <= 0 else "coupling.K", str(e)) from e
     if _needs_transform(m):
         lam_u = _getf(raw, "coupling", "lam_u", 16.0)
+        if not lam_u > 0:
+            raise ConfigError("coupling.lam_u", f"need lam_u > 0, got {lam_u:g}")
         sol = solve_u(m, lam_u, T + nu.r0)
         tm = transformed_model(m, nu, sol)
     else:
@@ -412,8 +425,7 @@ def _run_validate(cfg, nu, m, scfg, xi) -> int:
 def _run_girsanov(cfg, nu, m, scfg, xi) -> int:
     raw = cfg.raw
     T = _getf(raw, "girsanov", "T", scfg.t_end)
-    fname = raw.get("girsanov", {}).get("functional", "tanh0")
-    f, _pos = make_functional(fname, nu)
+    _, f = _functional(raw, "girsanov", "tanh0", nu)
     gcfg = SolverConfig(h=scfg.h, t_end=T, scheme=scfg.scheme)
     direct, d_se = direct_estimate(m, nu, xi, f, T, gcfg, cfg.base_seed, cfg.n_paths)
     west = weak_estimate(m, nu, xi, f, T, gcfg, cfg.base_seed + 1, cfg.n_paths)
@@ -442,25 +454,21 @@ def _run_couple(cfg, nu, m, scfg, xi) -> int:
         for i in range(len(tau))
     ]
     _write_rows(cfg, ["path", "tau", "log_R", "terminal_equal"], rows)
-    r = np.exp(log_r)
-    n = len(r)
-    mean_r = float(r.mean())
-    se_r = float(r.std(ddof=1) / math.sqrt(n))
-    ess = float(r.sum() ** 2 / (r**2).sum())
+    ent = entropy_cost(log_r)
     frac = float((~np.isnan(tau)).mean())
     equal_frac = float(equal.mean())
-    mart = abs(mean_r - 1.0) <= 3.0 * se_r
+    mart = abs(ent.mean_R - 1.0) <= 3.0 * ent.stderr_R
     # every pair must meet and end with equal segments, whatever the weights
     if frac < 1.0 or equal_frac < 1.0:
         verdict = "fail"
-    elif ess < 0.01 * n:
+    elif ent.warnings:  # degenerate weights
         verdict = "inconclusive"
     else:
         verdict = "pass" if mart else "fail"
     _write_verdict(cfg, verdict, {
         "coupled_fraction": frac, "terminal_equal_fraction": equal_frac,
-        "mean_R": mean_r, "stderr_R": se_r, "ess": ess,
-        "entropy_selfnorm": float((r * log_r).sum() / r.sum()),
+        "mean_R": ent.mean_R, "stderr_R": ent.stderr_R, "ess": ent.ess,
+        "entropy_selfnorm": ent.value,
     })
     return _EXIT_CODES[verdict]
 
@@ -485,8 +493,9 @@ def _run_gradient(cfg, nu, m, scfg, xi) -> int:
     raw = cfg.raw
     T = _getf(raw, "gradient", "T", 1.0)
     eps = _getf(raw, "gradient", "eps_fd", 0.01)
-    fname = raw.get("gradient", {}).get("functional", "coord0")
-    f, _pos = make_functional(fname, nu)
+    if not EPS_FD_RANGE[0] <= eps <= EPS_FD_RANGE[1]:
+        raise ConfigError("gradient.eps_fd", f"got {eps:g}; need a value in {list(EPS_FD_RANGE)}")
+    fname, f = _functional(raw, "gradient", "coord0", nu)
     direction = np.zeros((nu.n_cells + 1, m.d))
     direction[-1, 0] = 1.0
     rep = check_gradient_estimate(
@@ -507,7 +516,12 @@ def _run_gradient(cfg, nu, m, scfg, xi) -> int:
 def _run_zvonkin(cfg, nu, m, scfg, xi) -> int:
     raw = cfg.raw
     T = _getf(raw, "zvonkin", "T", 1.0)
-    lams = [float(x) for x in raw.get("zvonkin", {}).get("lams", "2,4,8,16,32").split(",")]
+    try:
+        lams = [float(x) for x in raw.get("zvonkin", {}).get("lams", "2,4,8,16,32").split(",")]
+    except ValueError as e:
+        raise ConfigError("zvonkin.lams", f"need comma-separated numbers: {e}") from e
+    if not min(lams) > 0:
+        raise ConfigError("zvonkin.lams", "need every lam > 0")
     kw = {}
     for key in ("x_max", "n_x", "n_t"):
         if key in raw.get("zvonkin", {}):
@@ -522,6 +536,8 @@ def _run_zvonkin(cfg, nu, m, scfg, xi) -> int:
     return 0 if ok else 1
 
 def _run_bihari(cfg, nu, m, scfg, xi) -> int:
+    if m.bihari is None:
+        raise ConfigError("model.name", f"model {m.name!r} declares no (Phi, h) growth data")
     T = _getf(cfg.raw, "bihari", "T", scfg.t_end)
     rep = apriori_check(m, nu, xi, scfg, T, cfg.n_paths, cfg.base_seed)
     ok = rep.pass_fraction >= 0.999
@@ -572,17 +588,11 @@ def main(argv=None) -> int:
         cp.read_string(text)
         if not cp.has_section("experiment"):
             cp.add_section("experiment")
-        cp.set("experiment", "scenario", args.scenario)
-        if args.seed is not None:
-            cp.set("experiment", "base_seed", str(args.seed))
-        if args.paths is not None:
-            cp.set("experiment", "n_paths", str(args.paths))
-        if args.out is not None:
-            cp.set("experiment", "output", args.out)
-        if args.format is not None:
-            cp.set("experiment", "format", args.format)
-        if args.workers is not None:
-            cp.set("experiment", "workers", str(args.workers))
+        flags = {"scenario": args.scenario, "base_seed": args.seed, "n_paths": args.paths,
+                 "output": args.out, "format": args.format, "workers": args.workers}
+        for key, value in flags.items():
+            if value is not None:
+                cp.set("experiment", key, str(value))
         if args.step is not None:
             if not cp.has_section("solver"):
                 cp.add_section("solver")
@@ -591,13 +601,8 @@ def main(argv=None) -> int:
         for sec in cp.sections():
             buf.append(f"[{sec}]")
             buf.extend(f"{k} = {v}" for k, v in cp[sec].items())
-        cfg = parse_config("\n".join(buf))
-    except (ConfigError, configparser.Error) as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return 3
-    try:
-        return run(cfg)
-    except (ConfigError, GridMismatchError) as e:
+        return run(parse_config("\n".join(buf)))
+    except (ConfigError, GridMismatchError, configparser.Error) as e:
         print(f"config error: {e}", file=sys.stderr)
         return 3
     except _NUMERICAL_ERRORS as e:

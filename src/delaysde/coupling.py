@@ -19,7 +19,7 @@ import numpy as np
 
 from .girsanov import solve_qqt
 from .measure import DelayMeasure, delay_averages, grid_count
-from .rng import batch_increments
+from .rng import path_increments
 from .zvonkin import (
     TransformedModel,
     pulled_back_history,
@@ -145,8 +145,7 @@ def run_coupling_batch(
     xi_t = np.asarray(xi_t, dtype=float)
     eta_t = np.asarray(eta_t, dtype=float)
     delta = cc.delta_scale * (1.0 + float(np.linalg.norm(xi_t[-1] - eta_t[-1])))
-    if dW is None:
-        dW = batch_increments(base_seed, path_offset, n_paths, steps, tm.model.dbar, h)
+    dW = path_increments(dW, base_seed, path_offset, n_paths, steps, tm.model.dbar, h)
     x = np.empty((n_paths, n0 + steps + 1, tm.model.d))
     y = np.empty_like(x)
     x[:, : n0 + 1] = xi_t
@@ -216,10 +215,10 @@ class EntropyEstimate:
     warnings: list = field(default_factory=list)
 
 
-def entropy_cost(res: CouplingResult) -> EntropyEstimate:
-    """Relative-entropy cost of the coupling from one result batch."""
-    r = res.R
-    rlr = r * res.log_R
+def entropy_cost(log_R: np.ndarray) -> EntropyEstimate:
+    """Relative-entropy cost of the coupling from the log-weights of one batch."""
+    r = np.exp(log_R)
+    rlr = r * log_R
     n = len(r)
     mean_r = float(r.mean())
     stderr_r = float(r.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0

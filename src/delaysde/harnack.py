@@ -32,6 +32,8 @@ __all__ = [
     "check_gradient_estimate",
 ]
 
+EPS_FD_RANGE = (1e-3, 1e-1)  # finite-difference step of check_gradient_estimate
+
 
 class ExplosionBeforeHorizonError(RuntimeError):
     def __init__(self, fraction: float):
@@ -151,16 +153,15 @@ def check_log_harnack(
         raise ValueError("log-Harnack check needs a strictly positive f")
     logf = np.log(fv)
     r = res.R
-    mean_r = float(r.mean())
+    ent = entropy_cost(res.log_R)
     # self-normalized E_Q[log f(X_{T+r0})]; valid because X = Y there under Q
     lhs = float((r * logf).sum() / r.sum())
     resid = r * (logf - lhs)
-    lhs_se = float(resid.std(ddof=1) / (mean_r * math.sqrt(n)))
+    lhs_se = float(resid.std(ddof=1) / (ent.mean_R * math.sqrt(n)))
     pf = float(fv.mean())
     pf_se = float(fv.std(ddof=1) / math.sqrt(n))
     log_pf = math.log(pf)
     log_pf_se = pf_se / pf
-    ent = entropy_cost(res)
     rhs = log_pf + ent.value
     sigma = math.sqrt(lhs_se**2 + log_pf_se**2 + ent.stderr**2)
     if ent.warnings:
@@ -216,8 +217,8 @@ def check_gradient_estimate(
 ) -> GradientReport:
     """Directional derivative of P_{T+r0} f by central differences with common
     random numbers, against the variance form of the gradient estimate."""
-    if not 1e-3 <= eps_fd <= 1e-1:
-        raise ValueError("eps_fd must lie in [1e-3, 1e-1]")
+    if not EPS_FD_RANGE[0] <= eps_fd <= EPS_FD_RANGE[1]:
+        raise ValueError(f"eps_fd must lie in {list(EPS_FD_RANGE)}")
     direction = np.asarray(direction, dtype=float)
     nrm = float(batch_seg_norm(nu, direction[None])[0])
     if abs(nrm - 1.0) > 1e-9:

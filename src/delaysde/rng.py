@@ -60,6 +60,16 @@ def batch_increments(
     return out
 
 
+def path_increments(dW, base_seed, path_offset, n_paths, n_steps, dbar, h) -> np.ndarray:
+    """A caller's increments, checked to have shape (n_paths, n_steps, dbar),
+    or when dW is None the batch_increments of those paths."""
+    if dW is None:
+        return batch_increments(base_seed, path_offset, n_paths, n_steps, dbar, h)
+    if dW.shape != (n_paths, n_steps, dbar):
+        raise ValueError(f"dW shape {dW.shape} != {(n_paths, n_steps, dbar)}")
+    return dW
+
+
 def coarsen_increments(dw: np.ndarray, factor: int) -> np.ndarray:
     """Sum consecutive groups of `factor` increments along the step axis.
 

@@ -26,7 +26,7 @@ from .measure import (
     grid_count,
 )
 from .model import ModelSpec, semigroup_factors
-from .rng import batch_increments
+from .rng import path_increments
 
 __all__ = [
     "SolverConfig",
@@ -176,10 +176,7 @@ def simulate(
         raise ValueError("initial segment grid does not match solver grid")
     d, dbar = m.d, m.dbar
     m_eff = truncate_coefficients(m, cfg.trunc_level)
-    if dW is None:
-        dW = batch_increments(base_seed, path_offset, n_paths, steps, dbar, cfg.h)
-    elif dW.shape != (n_paths, steps, dbar):
-        raise ValueError(f"dW shape {dW.shape} != {(n_paths, steps, dbar)}")
+    dW = path_increments(dW, base_seed, path_offset, n_paths, steps, dbar, cfg.h)
     states = np.empty((n_paths, n0 + steps + 1, d))
     states[:, : n0 + 1] = xi.values
     lifetimes = np.full(n_paths, np.nan)

@@ -7,10 +7,10 @@ diffusion.  Large lam makes u and its derivatives small; once the gradient of
 u stays below 1/2 the map Theta(t, x) = x + u(t, x) is a bi-Lipschitz change
 of variables, and in the new coordinates the drift is Lipschitz.
 
-Tables live on a padded tensor grid; the semigroup is applied by Gauss-Hermite
-quadrature with linear interpolation of the integrand.  Queries beyond the
-padded grid use constant extension during the solve (the drifts of interest
-saturate); public evaluation outside the grid raises CoverageError.
+Tables live on a padded tensor grid; the semigroup is Gauss-Hermite quadrature
+with linear interpolation of the integrand, applied axis by axis.  Queries
+beyond the padded grid use constant extension during the solve (the drifts of
+interest saturate); public evaluation outside the grid raises CoverageError.
 
 Between the nodes u and grad u are linear in x and in t.  In d=1 one gather
 per time level on a stacked (u, du/dx) table serves both, and Theta(t, .)
@@ -22,10 +22,8 @@ x = y - u(t, x).
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 from scipy import sparse
@@ -35,7 +33,7 @@ from scipy.special import roots_hermitenorm
 
 from .measure import DelayMeasure, delay_averages, grid_count, quotient_window
 from .model import ModelSpec, OperatorA
-from .rng import batch_increments
+from .rng import path_increments
 
 __all__ = [
     "CoverageError",
@@ -86,6 +84,31 @@ def _ou_sd(rates: np.ndarray, sigma: float, dt: float) -> np.ndarray:
     return np.sqrt(var)
 
 
+def _ou_gathers(grids: list, rates: np.ndarray, sigma: float, z: np.ndarray, k: int, dt: float):
+    """Per grid axis, the (cell index, blend weight) of the Gauss-Hermite nodes
+    E x + sd z of P0 over k steps of dt, clipped to the grid."""
+    gathers = []
+    for x, rate, sd in zip(grids, rates, _ou_sd(rates, sigma, k * dt)):
+        E = math.exp(-rate * k * dt)
+        q = np.clip(E * x[:, None] + sd * z[None, :], x[0], x[-1]).ravel()
+        idx = np.clip(np.searchsorted(x, q) - 1, 0, len(x) - 2)
+        gathers.append((idx, (q - x[idx]) / (x[idx + 1] - x[idx])))
+    return gathers
+
+
+def _apply_gathers(vals: np.ndarray, gathers: list, w: np.ndarray) -> np.ndarray:
+    """P0 on the grid one axis at a time, exact because linear interpolation on
+    a tensor grid and the tensor Gauss-Hermite weights both factor by axis."""
+    for a, (idx, frac) in enumerate(gathers):
+        frac = frac.reshape(-1, *(1,) * (vals.ndim - a - 1))
+        blend = vals.take(idx, axis=a)
+        blend *= 1.0 - frac
+        blend += vals.take(idx + 1, axis=a) * frac
+        blend = blend.reshape(*vals.shape[: a + 1], len(w), *vals.shape[a + 1 :])
+        vals = np.tensordot(blend, w, axes=([a + 1], [0]))
+    return vals
+
+
 def ou_apply(
     vals: np.ndarray,
     grids: list,
@@ -96,37 +119,16 @@ def ou_apply(
 ) -> np.ndarray:
     """(P0_dt g) on the grid for componentwise g given by `vals` (*shape, c).
 
-    Gauss-Hermite in each noise direction; interpolation queries are clipped
-    to the grid (constant extension past the edges).
+    Gauss-Hermite in each noise direction, applied axis by axis; interpolation
+    queries are clipped to the grid (constant extension past the edges).
     """
     if dt < 0:
         raise ValueError("dt must be non-negative")
     if dt == 0:
         return vals.copy()
-    d = len(grids)
     z, w = _hermite(quad_order)
-    E = np.exp(-np.asarray(rates, dtype=float) * dt)
-    sd = _ou_sd(np.asarray(rates, dtype=float), sigma, dt)
-    shape = vals.shape[:-1]
-    nc = vals.shape[-1]
-    if d == 1:
-        x = grids[0]
-        q = np.clip(E[0] * x[:, None] + sd[0] * z[None, :], x[0], x[-1])
-        out = np.empty((len(x), nc))
-        for c in range(nc):
-            out[:, c] = np.interp(q.ravel(), x, vals[:, c]).reshape(len(x), -1) @ w
-        return out
-    znodes = np.array(list(itertools.product(*([z] * d))))  # (nq^d, d)
-    wnodes = np.prod(np.array(list(itertools.product(*([w] * d)))), axis=1)
-    pts = np.array(np.meshgrid(*grids, indexing="ij")).reshape(d, -1).T  # (N, d)
-    q = E * pts[:, None, :] + sd * znodes[None, :, :]
-    for k in range(d):
-        np.clip(q[:, :, k], grids[k][0], grids[k][-1], out=q[:, :, k])
-    out = np.empty((pts.shape[0], nc))
-    for c in range(nc):
-        itp = RegularGridInterpolator(grids, vals[..., c])
-        out[:, c] = itp(q.reshape(-1, d)).reshape(pts.shape[0], -1) @ wnodes
-    return out.reshape(*shape, nc)
+    gathers = _ou_gathers(grids, np.asarray(rates, dtype=float), sigma, z, 1, dt)
+    return _apply_gathers(vals, gathers, w)
 
 
 _CELL_ENDS = np.array([[0], [1]])  # a cell's two nodes, k + (0, 1)
@@ -312,7 +314,11 @@ class _Discretization:
     grids: list
     dt: float
     b_tab: np.ndarray  # (n_t, *shape, d)
-    semigroup: Callable  # (k, vals (*shape, d)) -> P0_{k dt} vals
+    gathers: list  # per time offset k = 1..n_t-1, the _ou_gathers of P0_{k dt}
+    w: np.ndarray  # Gauss-Hermite weights
+
+    def semigroup(self, k: int, vals: np.ndarray) -> np.ndarray:
+        return _apply_gathers(vals, self.gathers[k - 1], self.w)
 
     def tail(self, g: np.ndarray, i: int) -> np.ndarray:
         """Trapezoid quadrature of the g_j, j > i, into level i:
@@ -358,28 +364,8 @@ def _discretize(
     s_grid = np.linspace(0.0, T, n_t)
     dt = float(s_grid[1] - s_grid[0])
     b_tab = np.stack([np.asarray(m.b(s, pts), dtype=float) for s in s_grid]).reshape(n_t, *shape, d)
-    if d == 1:
-        # the quadrature gather (indices + blend weights) per time offset
-        # depends on the grid only, so it is built once
-        x = grids[0]
-        gathers = []
-        for k in range(1, n_t):
-            E = math.exp(-rates[0] * k * dt)
-            sd = float(_ou_sd(rates, sigma, k * dt)[0])
-            q = np.clip(E * x[:, None] + sd * z[None, :], x[0], x[-1]).ravel()
-            idx = np.clip(np.searchsorted(x, q) - 1, 0, nn - 2)
-            gathers.append((idx, (q - x[idx]) / (x[idx + 1] - x[idx])))
-
-        def semigroup(k, vals):
-            idx, frac = gathers[k - 1]
-            v = vals[:, 0]
-            return ((v[idx] * (1.0 - frac) + v[idx + 1] * frac).reshape(nn, quad_order) @ w)[:, None]
-    else:
-
-        def semigroup(k, vals):
-            return ou_apply(vals, grids, rates, sigma, k * dt, quad_order)
-
-    return _Discretization(lam, T, rates, sigma, s_grid, grids, dt, b_tab, semigroup)
+    gathers = [_ou_gathers(grids, rates, sigma, z, k, dt) for k in range(1, n_t)]
+    return _Discretization(lam, T, rates, sigma, s_grid, grids, dt, b_tab, gathers, w)
 
 
 def solve_u(
@@ -673,8 +659,7 @@ def simulate_transformed(
     n0 = grid_count(nu.r0, cfg.h, "r0")
     steps = grid_count(cfg.t_end, cfg.h, "t_end")
     h = cfg.h
-    if dW is None:
-        dW = batch_increments(base_seed, path_offset, n_paths, steps, tm.model.dbar, h)
+    dW = path_increments(dW, base_seed, path_offset, n_paths, steps, tm.model.dbar, h)
     states = np.empty((n_paths, n0 + steps + 1, tm.model.d))
     states[:, : n0 + 1] = np.asarray(xi_t, dtype=float)
     xinv = pulled_back_history(tm, states, n0, h)

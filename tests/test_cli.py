@@ -105,6 +105,27 @@ def test_main_config_error_exits_3(tmp_path):
     assert main(["simulate", "--config", path]) == 3
 
 
+@pytest.mark.parametrize("scenario, model, extra, argv, field", [
+    ("bihari", "ou", "", [], "model.name"),  # no growth data
+    ("simulate", "ou", "", ["--seed", "-1"], "experiment.base_seed"),
+    ("gradient", "ou", "[gradient]\neps_fd = 0.5\n", [], "gradient.eps_fd"),
+    ("girsanov-check", "ou", "[girsanov]\nfunctional = nope\n", [], "girsanov.functional"),
+    ("zvonkin", "reference", "[zvonkin]\nlams = 2,x\n", [], "zvonkin.lams"),
+    ("zvonkin", "reference", "[zvonkin]\nlams = 0,2\n", [], "zvonkin.lams"),
+    ("couple", "reference", "[coupling]\nT = 0.5\nlam_u = 0\n", [], "coupling.lam_u"),
+], ids=["bihari-ou", "seed", "eps_fd", "functional", "lams-text", "lams-zero", "lam_u"])
+def test_invalid_scenario_value_exits_3(tmp_path, capsys, scenario, model, extra, argv, field):
+    """A bad value of a scenario's own section is a config error naming the
+    field, not a traceback under the exit code of a failed verdict."""
+    path = _write(tmp_path, BASE.replace("name = zero", f"name = {model}") + extra)
+    out = tmp_path / "out"
+    assert main([scenario, "--config", path, "--out", str(out), *argv]) == 3
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"config error: [{field}] ")
+    assert not out.exists()
+
+
 def test_couple_unstable_step_exits_3(tmp_path, capsys):
     """h K^2 >= 2 would make the bridged step grow X - Y: a config error on K."""
     text = BASE.replace("scenario = simulate", "scenario = couple").replace(

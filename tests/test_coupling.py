@@ -118,7 +118,7 @@ def test_equal_starts_couple_immediately(nu, tm):
     np.testing.assert_array_equal(res.R, 1.0)
     assert res.terminal_segments_equal().all()
     np.testing.assert_array_equal(res.x_states, res.y_states)
-    ent = entropy_cost(res)
+    ent = entropy_cost(res.log_R)
     assert ent.value == 0.0
     assert ent.mean_R == 1.0
 
@@ -137,7 +137,7 @@ def test_coupling_succeeds_and_is_absorbing(nu, tm):
     for i in (0, 64, 127):
         k = n0 + int(round(res.tau[i] / H))
         np.testing.assert_array_equal(res.x_states[i, k:], res.y_states[i, k:])
-    ent = entropy_cost(res)
+    ent = entropy_cost(res.log_R)
     assert abs(ent.mean_R - 1.0) <= 3.5 * ent.stderr_R
     assert ent.ess > 0.5 * 128
     assert not ent.warnings

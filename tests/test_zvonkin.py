@@ -1,9 +1,11 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from scipy.interpolate import RegularGridInterpolator
 
-from delaysde import coupling
+from delaysde import coupling, zvonkin
 from delaysde.coupling import CouplingConfig, run_coupling_batch
 from delaysde.measure import constant_segment, make_measure
 from delaysde.model import ModelSpec, OperatorA, _const_Q, _zero_B, make_model
@@ -27,6 +29,58 @@ from delaysde.zvonkin import (
 )
 
 RATES = np.array([1.0])
+
+
+def _old_d1_semigroup(disc):
+    """The d=1 quadrature gather closure that _discretize built before P0 was
+    applied axis by axis in every dimension, kept as its oracle."""
+    x = disc.grids[0]
+    nn, quad_order = len(x), len(disc.w)
+    z, w = zvonkin._hermite(quad_order)
+    rates, dt = disc.rates, disc.dt
+    gathers = []
+    for k in range(1, len(disc.s_grid)):
+        E = math.exp(-rates[0] * k * dt)
+        sd = float(zvonkin._ou_sd(rates, disc.sigma, k * dt)[0])
+        q = np.clip(E * x[:, None] + sd * z[None, :], x[0], x[-1]).ravel()
+        idx = np.clip(np.searchsorted(x, q) - 1, 0, nn - 2)
+        gathers.append((idx, (q - x[idx]) / (x[idx + 1] - x[idx])))
+
+    def semigroup(k, vals):
+        idx, frac = gathers[k - 1]
+        v = vals[:, 0]
+        return ((v[idx] * (1.0 - frac) + v[idx + 1] * frac).reshape(nn, quad_order) @ w)[:, None]
+
+    return semigroup
+
+
+def _old_ou_apply(vals, grids, rates, sigma, dt, quad_order=24):
+    """ou_apply before it went axis by axis, kept as its oracle: np.interp in
+    d=1, RegularGridInterpolator over all quad_order^d tensor nodes in d>1."""
+    d = len(grids)
+    z, w = zvonkin._hermite(quad_order)
+    E = np.exp(-np.asarray(rates, dtype=float) * dt)
+    sd = zvonkin._ou_sd(np.asarray(rates, dtype=float), sigma, dt)
+    shape = vals.shape[:-1]
+    nc = vals.shape[-1]
+    if d == 1:
+        x = grids[0]
+        q = np.clip(E[0] * x[:, None] + sd[0] * z[None, :], x[0], x[-1])
+        out = np.empty((len(x), nc))
+        for c in range(nc):
+            out[:, c] = np.interp(q.ravel(), x, vals[:, c]).reshape(len(x), -1) @ w
+        return out
+    znodes = np.array(list(itertools.product(*([z] * d))))  # (nq^d, d)
+    wnodes = np.prod(np.array(list(itertools.product(*([w] * d)))), axis=1)
+    pts = np.array(np.meshgrid(*grids, indexing="ij")).reshape(d, -1).T  # (N, d)
+    q = E * pts[:, None, :] + sd * znodes[None, :, :]
+    for k in range(d):
+        np.clip(q[:, :, k], grids[k][0], grids[k][-1], out=q[:, :, k])
+    out = np.empty((pts.shape[0], nc))
+    for c in range(nc):
+        itp = RegularGridInterpolator(grids, vals[..., c])
+        out[:, c] = itp(q.reshape(-1, d)).reshape(pts.shape[0], -1) @ wnodes
+    return out.reshape(*shape, nc)
 
 
 @pytest.fixture(scope="module")
@@ -82,6 +136,57 @@ def test_ou_apply_two_dimensional_separable():
     out = ou_apply(vals, [g, g], np.array([1.0, 1.0]), 1.0, dt, quad_order=12)
     inner = (np.abs(xx) < 4) & (np.abs(yy) < 4)
     np.testing.assert_allclose(out[..., 0][inner], E * (xx + yy)[inner], atol=1e-10)
+
+
+def test_semigroup_gathers_match_old_d1_closure_bit_for_bit(ref6):
+    disc = zvonkin._discretize(ref6, 16.0, 1.0, 6.0, 101, 17, 24)
+    old = _old_d1_semigroup(disc)
+    rng = np.random.default_rng(6)
+    for k in range(1, len(disc.s_grid)):
+        vals = rng.standard_normal((len(disc.grids[0]), 1))
+        np.testing.assert_array_equal(disc.semigroup(k, vals), old(k, vals))
+
+
+@pytest.mark.parametrize("sizes, rates", [
+    ((81,), [1.0]),
+    ((21, 17), [1.0, 0.5]),
+    ((9, 7, 8), [1.0, 0.5, 2.0]),
+])
+def test_ou_apply_matches_old_tensor_quadrature(sizes, rates):
+    """Axis by axis equals the old quadrature over all tensor nodes, on grids
+    whose axes differ in length, range and rate."""
+    grids = [np.linspace(-3.0 - k, 3.0 + k, n) for k, n in enumerate(sizes)]
+    mesh = np.meshgrid(*grids, indexing="ij")
+    vals = np.stack([np.sin(sum(mesh)), np.tanh(mesh[0] * mesh[-1])], axis=-1)
+    for dt in (0.05, 0.3):
+        new = ou_apply(vals, grids, np.array(rates), 0.8, dt, quad_order=6)
+        old = _old_ou_apply(vals, grids, np.array(rates), 0.8, dt, quad_order=6)
+        assert new.shape == vals.shape
+        np.testing.assert_allclose(new, old, rtol=0, atol=1e-14)
+
+
+def test_solve_u_and_picard_u_match_old_d1_closure(ref6, monkeypatch):
+    """In d=1 the sweep, the Picard iterates and their ratios keep the bits of
+    a run through the old gather closure."""
+    kw = dict(n_x=101, n_t=17)
+    new_s = solve_u(ref6, 16.0, 1.0, **kw)
+    new_p = picard_u(ref6, 4.0, 1.0, **kw)
+    discretize = zvonkin._discretize
+    calls = []
+
+    def with_old_closure(*args):
+        disc = discretize(*args)
+        old = _old_d1_semigroup(disc)
+        disc.semigroup = lambda k, vals: calls.append(k) or old(k, vals)
+        return disc
+
+    monkeypatch.setattr(zvonkin, "_discretize", with_old_closure)
+    old_s = solve_u(ref6, 16.0, 1.0, **kw)
+    old_p = picard_u(ref6, 4.0, 1.0, **kw)
+    assert calls
+    np.testing.assert_array_equal(new_s.u_tab, old_s.u_tab)
+    np.testing.assert_array_equal(new_p.u_tab, old_p.u_tab)
+    assert new_p.ratios == old_p.ratios and len(new_p.ratios) > 3
 
 
 def test_solve_u_zero_drift_is_zero():
@@ -267,6 +372,33 @@ def test_identity_transform_matches_plain_euler(nu6):
     np.testing.assert_array_equal(states, plain.states)
     np.testing.assert_array_equal(dW, plain.dW)
     np.testing.assert_array_equal(tm.to_base(0.0, np.array([[2.0]])), [[2.0]])
+
+
+@pytest.mark.parametrize("runner", ["simulate_transformed", "run_coupling_batch"])
+@pytest.mark.parametrize("shape", ["one-path", "surplus-steps"])
+def test_runners_reject_misshapen_noise(nu6, runner, shape):
+    """A caller's dW must have shape (n_paths, steps, dbar): one path's noise
+    would be shared by every path, and surplus steps would be ignored."""
+    tm = transformed_model(make_model("linear_delay", measure=nu6), nu6, None)
+    xi = constant_segment(nu6, 1.0).values
+    n, T = 5, 0.125
+    if runner == "simulate_transformed":
+        steps = 8
+        cfg = SolverConfig(h=nu6.h, t_end=T)
+
+        def run(dW):
+            return simulate_transformed(tm, nu6, xi, cfg, 2, n, dW=dW)
+    else:
+        steps = 8 + nu6.n_cells
+        cc = CouplingConfig(T=T, h=nu6.h, K=4.0)
+
+        def run(dW):
+            return run_coupling_batch(tm, nu6, xi, xi + 0.1, cc, 2, n, dW=dW)
+
+    run(np.zeros((n, steps, 1)))
+    bad = np.zeros((1, steps, 1)) if shape == "one-path" else np.zeros((n, steps + 7, 1))
+    with pytest.raises(ValueError, match="dW shape"):
+        run(bad)
 
 
 def test_transformed_model_requires_linear_part(nu6, sol_small, ref6):
