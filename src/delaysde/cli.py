@@ -516,6 +516,8 @@ def _run_gradient(cfg, nu, m, scfg, xi) -> int:
 def _run_zvonkin(cfg, nu, m, scfg, xi) -> int:
     raw = cfg.raw
     T = _getf(raw, "zvonkin", "T", 1.0)
+    if not 0 < T < math.inf:
+        raise ConfigError("zvonkin.T", f"need a finite T > 0, got {T:g}")
     try:
         lams = [float(x) for x in raw.get("zvonkin", {}).get("lams", "2,4,8,16,32").split(",")]
     except ValueError as e:
@@ -526,7 +528,13 @@ def _run_zvonkin(cfg, nu, m, scfg, xi) -> int:
     for key in ("x_max", "n_x", "n_t"):
         if key in raw.get("zvonkin", {}):
             v = _getf(raw, "zvonkin", key)
-            kw[key] = int(v) if key in ("n_x", "n_t") else v
+            if key == "x_max":
+                ok, need = 0 < v < math.inf, "a finite x_max > 0"
+            else:  # np.gradient and the time step need two nodes
+                ok, need = v.is_integer() and v >= 2, f"an integer {key} >= 2"
+            if not ok:
+                raise ConfigError(f"zvonkin.{key}", f"need {need}, got {v:g}")
+            kw[key] = v if key == "x_max" else int(v)
     rep = verify_decay(m, lams, T, **kw)
     ok = rep.monotone and rep.lam_star is not None
     _write_verdict(cfg, "pass" if ok else "fail", {

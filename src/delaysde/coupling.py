@@ -8,6 +8,12 @@ law started from the second initial segment accumulates the delay-mismatch
 drift over all of [0, T): histories keep differing for up to r0 after the
 states meet, and that tail is what produces the segment-norm term in the
 entropy cost.
+
+Every pair of a batch starts from the same two segments, so their pull-backs
+through Theta are computed once per run.  Before T the density reads Y's
+drift and diffusion on every row; from T on nothing reads Y's drift, and Y's
+diffusion, noise and pull-back are evaluated only on the rows that have
+neither met nor failed.
 """
 
 from __future__ import annotations
@@ -108,14 +114,15 @@ class CouplingResult:
         return diff.reshape(diff.shape[0], -1).max(axis=1) == 0.0
 
 
-def _pull_back_y(sol, t: float, yn: np.ndarray, x_inv: np.ndarray, met: np.ndarray) -> np.ndarray:
-    """Theta^{-1}(t, yn), inverted only on the rows that have not met: a met
-    row equals its X row, whose pull-back x_inv already holds.  In d=1 the
-    inverse works point by point, so the bits are those of a full-batch
-    inverse; in d>1 the fixed point stops on the batch maximum, so the roots
-    agree to its tolerance."""
+def _pull_back_y(sol, t: float, yn: np.ndarray, x_inv: np.ndarray, skip: np.ndarray) -> np.ndarray:
+    """Theta^{-1}(t, yn), inverted only on the rows not in skip: a met row
+    equals its X row, whose pull-back x_inv already holds, and past T no
+    step reads the pull-back of a failed row.  Skipped rows get x_inv.  In
+    d=1 the inverse works point by point, so the bits are those of a
+    full-batch inverse; in d>1 the fixed point stops on the batch maximum,
+    so the roots agree to its tolerance."""
     out = x_inv.copy()
-    live = ~met
+    live = ~skip
     if np.any(live):
         out[live] = theta_inverse(sol, t, yn[live])
     return out
@@ -132,16 +139,23 @@ def run_coupling_batch(
     path_offset: int = 0,
     dW: np.ndarray | None = None,
 ) -> CouplingResult:
-    """Integrate the coupled pair on [0, T + r0] from transformed segments xi_t, eta_t.
+    """Integrate the coupled pair on [0, T + r0] from transformed segments
+    xi_t, eta_t of shape (n0+1, d), shared by every pair.
 
     The bridging drift uses the midpoint value of gamma on each step, floored
     at its last-step value so the pull stays finite; states within
     delta = delta_scale * (1 + |xi(0) - eta(0)|) are declared met and clamped.
+
+    Before T the density reads Y's drift and diffusion on every row.  From T
+    on, Y moves with X's drift and its own noise, and only rows that have
+    neither met nor failed evaluate that noise: a met row copies X and a
+    failed row keeps its state.
     """
     sol = tm.sol
     T, h, K = cc.T, cc.h, cc.K
     n0 = grid_count(nu.r0, h, "r0")
-    steps = grid_count(T, h, "T") + n0
+    n_T = grid_count(T, h, "T")
+    steps = n_T + n0
     xi_t = np.asarray(xi_t, dtype=float)
     eta_t = np.asarray(eta_t, dtype=float)
     delta = cc.delta_scale * (1.0 + float(np.linalg.norm(xi_t[-1] - eta_t[-1])))
@@ -150,8 +164,8 @@ def run_coupling_batch(
     y = np.empty_like(x)
     x[:, : n0 + 1] = xi_t
     y[:, : n0 + 1] = eta_t
-    xinv = pulled_back_history(tm, x, n0, h)
-    yinv = pulled_back_history(tm, y, n0, h)
+    xinv = pulled_back_history(tm, x, xi_t, h)
+    yinv = pulled_back_history(tm, y, eta_t, h)
     avg_x = delay_averages(nu, xinv, path_offset)
     avg_y = delay_averages(nu, yinv, path_offset)
     gamma_floor = gamma(T - 0.5 * h, T, K)
@@ -166,26 +180,36 @@ def run_coupling_batch(
         idx = n0 + k
         xs, ys = x[:, idx], y[:, idx]
         Bx, Qx = transformed_coefficients(tm, t, xs, xinv[:, idx], next(avg_x))
-        By, Qy = transformed_coefficients(tm, t, ys, yinv[:, idx], next(avg_y))
-        in_window = t < T - 1e-12
-        if in_window:
+        noise_x = np.einsum("ncj,nj->nc", Qx, dW[:, k])
+        with np.errstate(over="ignore", invalid="ignore"):
+            xn = xs + h * Bx + noise_x
+        if k < n_T:
+            live = slice(None)  # phi reads Y's drift and diffusion on every row
+            By, Qy = transformed_coefficients(tm, t, ys, yinv[:, idx], next(avg_y))
             ghat = max(gamma(min(t + 0.5 * h, T), T, K), gamma_floor)
             z = solve_qqt(Qx, xs - ys)  # (n, dbar): Q*(QQ*)^{-1}(X - Y)
             phi = solve_qqt(Qy, By - Bx) - z / ghat
             log_r += np.einsum("nk,nk->n", phi, dW[:, k]) - 0.5 * h * np.sum(phi**2, axis=1)
             bridge = np.einsum("ncj,nj->nc", Qy, z) / ghat
         else:
+            live = np.isnan(tau) & ~failed
+            if not np.any(live):
+                # every row has met or failed for good: Y copies X on met rows,
+                # stays frozen on failed ones, and no step reads its pull-back
+                failed |= ~np.all(np.isfinite(xn), axis=1)
+                xn[failed] = xs[failed]
+                x[:, idx + 1] = xn
+                y[:, idx + 1] = np.where(np.isnan(tau)[:, None], ys, xn)
+                if sol is not None:
+                    xinv[:, idx + 1] = theta_inverse(sol, t + h, xn)
+                continue
             bridge = 0.0
-        noise_x = np.einsum("ncj,nj->nc", Qx, dW[:, k])
-        noise_y = np.einsum("ncj,nj->nc", Qy, dW[:, k])
+            Qy = transformed_coefficients(tm, t, ys[live], yinv[live, idx], None)[1]
+        noise_y = np.einsum("ncj,nj->nc", Qy, dW[live, k])
+        yn = ys.copy()  # finite off the live rows; a met row takes xn below
         with np.errstate(over="ignore", invalid="ignore"):
-            xn = xs + h * Bx + noise_x
-            yn = ys + h * (Bx + bridge) + noise_y
-        bad = ~(np.all(np.isfinite(xn), axis=1) & np.all(np.isfinite(yn), axis=1))
-        if np.any(bad):
-            failed |= bad
-            xn[bad] = xs[bad]
-            yn[bad] = ys[bad]
+            yn[live] = ys[live] + h * (Bx[live] + bridge) + noise_y
+        failed |= ~(np.all(np.isfinite(xn), axis=1) & np.all(np.isfinite(yn), axis=1))
         xn[failed] = xs[failed]
         yn[failed] = ys[failed]
         already = ~np.isnan(tau)
@@ -197,7 +221,10 @@ def run_coupling_batch(
         y[:, idx + 1] = yn
         if sol is not None:
             xinv[:, idx + 1] = theta_inverse(sol, t + h, xn)
-            yinv[:, idx + 1] = _pull_back_y(sol, t + h, yn, xinv[:, idx + 1], already | newly)
+            skip = already | newly
+            if k + 1 >= n_T:  # past T no step reads a failed row's pull-back
+                skip |= failed
+            yinv[:, idx + 1] = _pull_back_y(sol, t + h, yn, xinv[:, idx + 1], skip)
     return CouplingResult(
         tau, log_r, x, y, delta, T, h, nu.r0, base_seed, path_offset, dW, failed
     )

@@ -48,10 +48,10 @@ class OperatorA:
     eigenvalues: np.ndarray
 
     def __post_init__(self):
-        lam = np.atleast_1d(np.asarray(self.eigenvalues, dtype=float))
+        # a copy in the order given: rate i belongs to axis i
+        lam = np.array(self.eigenvalues, dtype=float, ndmin=1)
         if np.any(lam <= 0):
             raise ValueError("operator rates must be strictly positive")
-        lam = np.sort(lam)
         lam.flags.writeable = False
         object.__setattr__(self, "eigenvalues", lam)
 

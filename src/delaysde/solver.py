@@ -25,7 +25,7 @@ from .measure import (
     delay_averages,
     grid_count,
 )
-from .model import ModelSpec, semigroup_factors
+from .model import ModelSpec, _zero_B, semigroup_factors
 from .rng import path_increments
 
 __all__ = [
@@ -190,14 +190,17 @@ def simulate(
     if use_exp:
         E, J = semigroup_factors(m.A, cfg.h)
     h = cfg.h
-    averages = delay_averages(nu, states, path_offset)
+    if m.B is _zero_B:  # reads no window, so the averages are never formed
+        averages, B_zero = None, np.zeros((n_paths, d))
+    else:
+        averages = delay_averages(nu, states, path_offset)
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(steps):
             t = k * h
             idx = n0 + k
             x = states[:, idx]
             bv = m_eff.b(t, x)
-            Bv = m_eff.B(t, next(averages))
+            Bv = B_zero if averages is None else m_eff.B(t, next(averages))
             if check_seg:
                 Bv = Bv * cutoff_psi(inv_level * seg_n)[:, None]
             Qv = m_eff.Q(t, x)

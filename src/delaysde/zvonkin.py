@@ -626,16 +626,27 @@ def measure_K(
     return {"Q_sup": q_sup, "QQt_inv_sup": qinv_sup, "B_lip": lip}
 
 
-def pulled_back_history(tm: TransformedModel, states: np.ndarray, n0: int, h: float) -> np.ndarray:
-    """Storage for Theta^{-1} along a path batch, filled on [-r0, 0].
+def pulled_back_history(tm: TransformedModel, states: np.ndarray, seg: np.ndarray, h: float) -> np.ndarray:
+    """Storage for Theta^{-1} along a path batch whose rows all start from the
+    one initial segment seg (n0+1, d), filled on [-r0, 0].
 
-    With the identity transform the path is its own pull-back and is returned
-    as is; otherwise the caller fills each later node as the path grows.
+    With the identity transform the path is its own pull-back and states is
+    returned as is.  Otherwise seg is pulled back once and broadcast to every
+    row, with the bits of a batch inverse of the identical rows.  Every node
+    of [-r0, 0] reads u(0), and the d=1 inverse works point by point, so in
+    d=1 the whole segment is one call.  In d>1 the fixed point stops on the
+    batch maximum, so each node keeps its own call; for identical rows that
+    maximum is the row's own value.  The caller fills each later node as the
+    path grows.
     """
-    if tm.sol is None:
+    sol = tm.sol
+    if sol is None:
         return states
     out = np.empty_like(states)
-    out[:, : n0 + 1] = theta_inverse_segment(tm.sol, 0.0, states[:, : n0 + 1], h)
+    if sol.d == 1:
+        out[:, : len(seg)] = theta_inverse(sol, 0.0, seg)
+    else:
+        out[:, : len(seg)] = theta_inverse_segment(sol, 0.0, seg[None], h)
     return out
 
 
@@ -661,8 +672,9 @@ def simulate_transformed(
     h = cfg.h
     dW = path_increments(dW, base_seed, path_offset, n_paths, steps, tm.model.dbar, h)
     states = np.empty((n_paths, n0 + steps + 1, tm.model.d))
-    states[:, : n0 + 1] = np.asarray(xi_t, dtype=float)
-    xinv = pulled_back_history(tm, states, n0, h)
+    xi_t = np.asarray(xi_t, dtype=float)
+    states[:, : n0 + 1] = xi_t
+    xinv = pulled_back_history(tm, states, xi_t, h)
     averages = delay_averages(nu, xinv, path_offset)
     for k in range(steps):
         t = k * h

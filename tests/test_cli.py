@@ -113,7 +113,13 @@ def test_main_config_error_exits_3(tmp_path):
     ("zvonkin", "reference", "[zvonkin]\nlams = 2,x\n", [], "zvonkin.lams"),
     ("zvonkin", "reference", "[zvonkin]\nlams = 0,2\n", [], "zvonkin.lams"),
     ("couple", "reference", "[coupling]\nT = 0.5\nlam_u = 0\n", [], "coupling.lam_u"),
-], ids=["bihari-ou", "seed", "eps_fd", "functional", "lams-text", "lams-zero", "lam_u"])
+    ("zvonkin", "reference", "[zvonkin]\nT = 0\n", [], "zvonkin.T"),
+    ("zvonkin", "reference", "[zvonkin]\nn_t = 1\n", [], "zvonkin.n_t"),
+    ("zvonkin", "reference", "[zvonkin]\nn_t = 8.5\n", [], "zvonkin.n_t"),
+    ("zvonkin", "reference", "[zvonkin]\nn_x = 0\n", [], "zvonkin.n_x"),
+    ("zvonkin", "reference", "[zvonkin]\nx_max = 0\n", [], "zvonkin.x_max"),
+], ids=["bihari-ou", "seed", "eps_fd", "functional", "lams-text", "lams-zero", "lam_u",
+        "zvonkin-T", "n_t-one", "n_t-fraction", "n_x-zero", "x_max-zero"])
 def test_invalid_scenario_value_exits_3(tmp_path, capsys, scenario, model, extra, argv, field):
     """A bad value of a scenario's own section is a config error naming the
     field, not a traceback under the exit code of a failed verdict."""

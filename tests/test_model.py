@@ -28,6 +28,18 @@ def test_operator_apply():
     assert A.d == 2
 
 
+def test_operator_keeps_rates_on_their_axes():
+    """Unequal, decreasing rates stay in the order given: rate i acts on axis i."""
+    rates = [2.0, 1.0]
+    A = OperatorA(rates)
+    np.testing.assert_array_equal(A.eigenvalues, rates)
+    np.testing.assert_array_equal(A.apply(np.array([1.0, 0.0])), [-2.0, -0.0])
+    np.testing.assert_array_equal(A.apply(np.array([[0.0, 3.0]])), [[-0.0, -3.0]])
+    E, J = semigroup_factors(A, 0.5)
+    np.testing.assert_allclose(E, [math.exp(-1.0), math.exp(-0.5)], rtol=1e-15)
+    np.testing.assert_allclose(J, [(1.0 - math.exp(-1.0)) / 2.0, 1.0 - math.exp(-0.5)], rtol=1e-15)
+
+
 def test_semigroup_factors_values():
     E, J = semigroup_factors(OperatorA([2.0]), 0.5)
     assert abs(E[0] - math.exp(-1.0)) < 1e-15

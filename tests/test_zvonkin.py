@@ -7,7 +7,8 @@ from scipy.interpolate import RegularGridInterpolator
 
 from delaysde import coupling, zvonkin
 from delaysde.coupling import CouplingConfig, run_coupling_batch
-from delaysde.measure import constant_segment, make_measure
+from delaysde.girsanov import solve_qqt
+from delaysde.measure import constant_segment, delay_averages, make_measure
 from delaysde.model import ModelSpec, OperatorA, _const_Q, _zero_B, make_model
 from delaysde.solver import SolverConfig, simulate
 from delaysde.zvonkin import (
@@ -18,12 +19,14 @@ from delaysde.zvonkin import (
     measure_K,
     ou_apply,
     picard_u,
+    pulled_back_history,
     simulate_transformed,
     solve_u,
     theta,
     theta_inverse,
     theta_inverse_segment,
     theta_segment,
+    transformed_coefficients,
     transformed_model,
     verify_decay,
 )
@@ -488,6 +491,141 @@ def test_coupling_skips_met_rows_in_y_inverse(nu6, ref6, sol_small, monkeypatch)
     ref = run_coupling_batch(tm, nu6, xi_t, xi_t + 0.5, cc, 5, 32)
     for name in ("x_states", "y_states", "log_R", "tau"):
         np.testing.assert_array_equal(getattr(res, name), getattr(ref, name))
+
+
+def _old_run_coupling_batch(tm, nu, xi_t, eta_t, cc, dW):
+    """run_coupling_batch before it pulled the shared initial segment back
+    once and skipped the Y side past T, kept as its oracle: every initial row
+    is inverted, and Y's coefficients, averages, noise and pull-back are
+    formed on every row at every step.  Returns (x, y, log_R, tau, failed)."""
+    sol = tm.sol
+    T, h, K = cc.T, cc.h, cc.K
+    n0 = nu.n_cells
+    n_paths, steps = dW.shape[:2]
+    delta = cc.delta_scale * (1.0 + float(np.linalg.norm(xi_t[-1] - eta_t[-1])))
+    x = np.empty((n_paths, n0 + steps + 1, tm.model.d))
+    y = np.empty_like(x)
+    x[:, : n0 + 1] = xi_t
+    y[:, : n0 + 1] = eta_t
+
+    def history(states):
+        if sol is None:
+            return states
+        out = np.empty_like(states)
+        out[:, : n0 + 1] = theta_inverse_segment(sol, 0.0, states[:, : n0 + 1], h)
+        return out
+
+    xinv, yinv = history(x), history(y)
+    avg_x, avg_y = delay_averages(nu, xinv), delay_averages(nu, yinv)
+    gamma_floor = coupling.gamma(T - 0.5 * h, T, K)
+    log_r = np.zeros(n_paths)
+    tau = np.full(n_paths, np.nan)
+    failed = np.zeros(n_paths, dtype=bool)
+    met = np.linalg.norm(x[:, n0] - y[:, n0], axis=1) <= delta
+    tau[met] = 0.0
+    y[met, n0] = x[met, n0]
+    for k in range(steps):
+        t = k * h
+        idx = n0 + k
+        xs, ys = x[:, idx], y[:, idx]
+        Bx, Qx = transformed_coefficients(tm, t, xs, xinv[:, idx], next(avg_x))
+        By, Qy = transformed_coefficients(tm, t, ys, yinv[:, idx], next(avg_y))
+        if t < T - 1e-12:
+            ghat = max(coupling.gamma(min(t + 0.5 * h, T), T, K), gamma_floor)
+            z = solve_qqt(Qx, xs - ys)
+            phi = solve_qqt(Qy, By - Bx) - z / ghat
+            log_r += np.einsum("nk,nk->n", phi, dW[:, k]) - 0.5 * h * np.sum(phi**2, axis=1)
+            bridge = np.einsum("ncj,nj->nc", Qy, z) / ghat
+        else:
+            bridge = 0.0
+        noise_x = np.einsum("ncj,nj->nc", Qx, dW[:, k])
+        noise_y = np.einsum("ncj,nj->nc", Qy, dW[:, k])
+        with np.errstate(over="ignore", invalid="ignore"):
+            xn = xs + h * Bx + noise_x
+            yn = ys + h * (Bx + bridge) + noise_y
+        bad = ~(np.all(np.isfinite(xn), axis=1) & np.all(np.isfinite(yn), axis=1))
+        failed |= bad
+        xn[failed] = xs[failed]
+        yn[failed] = ys[failed]
+        already = ~np.isnan(tau)
+        yn[already] = xn[already]
+        newly = ~already & ~failed & (np.linalg.norm(xn - yn, axis=1) <= delta)
+        yn[newly] = xn[newly]
+        tau[newly] = t + h
+        x[:, idx + 1] = xn
+        y[:, idx + 1] = yn
+        if sol is not None:
+            xinv[:, idx + 1] = theta_inverse(sol, t + h, xn)
+            yinv[:, idx + 1] = np.where((already | newly)[:, None], xinv[:, idx + 1],
+                                        theta_inverse(sol, t + h, yn))
+    return x, y, log_r, tau, failed
+
+
+@pytest.mark.parametrize("case", ["meet-apart", "some-never-meet", "rows-fail"])
+def test_coupling_y_side_matches_full_oracle(nu6, ref6, sol_small, monkeypatch, case):
+    """Pulling the shared initial segment back once and stepping Y past T only
+    on rows that have neither met nor failed keeps the bits of the old run,
+    which inverted every initial row and stepped Y in full."""
+    tm = transformed_model(ref6, nu6, sol_small)
+    xi_t = tm.seg_to_transformed(0.0, constant_segment(nu6, 0.5).values[None], nu6.h)[0]
+    K, gap = (8.0, 0.5) if case == "meet-apart" else (6.0, 0.1)
+    cc = CouplingConfig(T=0.25, h=nu6.h, K=K)
+    n, n_T = 32, 16
+    base = run_coupling_batch(tm, nu6, xi_t, xi_t + gap, cc, 5, n)
+    dW = base.dW.copy()
+    if case == "rows-fail":
+        # after T, the rows that never meet fail one by one, and two that met
+        # fail too; from the last failure on no row is live
+        unmet_rows = np.flatnonzero(~base.coupled)
+        dW[unmet_rows[:1], n_T + 2] = np.inf
+        dW[unmet_rows[1:], n_T + 6] = np.inf
+        dW[[3, 7], n_T + 5] = np.inf
+    y_sizes = []  # rows of each call that forms Y's diffusion alone, past T
+
+    def counted(tm_, t, state, point_inv, avg_inv):
+        if avg_inv is None:
+            y_sizes.append(len(state))
+        return transformed_coefficients(tm_, t, state, point_inv, avg_inv)
+
+    monkeypatch.setattr(coupling, "transformed_coefficients", counted)
+    res = run_coupling_batch(tm, nu6, xi_t, xi_t + gap, cc, 5, n, dW=dW)
+    unmet = int(n - res.coupled.sum())
+    if case == "meet-apart":
+        assert unmet == 0 and len(np.unique(res.tau)) > 1
+        assert y_sizes == []  # every pair met before T: past it only X is stepped
+    else:
+        assert 0 < unmet < n
+    if case == "some-never-meet":
+        assert not res.failed.any() and y_sizes == [unmet] * 64
+    if case == "rows-fail":
+        assert res.failed.sum() == unmet + 2 and res.failed[~res.coupled].all()
+        assert y_sizes == [unmet] * 3 + [unmet - 1] * 4
+
+    x, y, log_r, tau, failed = _old_run_coupling_batch(tm, nu6, xi_t, xi_t + gap, cc, dW)
+    for name, ref in (("x_states", x), ("y_states", y), ("log_R", log_r), ("tau", tau), ("failed", failed)):
+        np.testing.assert_array_equal(getattr(res, name), ref)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_pulled_back_history_inverts_the_shared_segment_once(nu6, sol_small, d):
+    """One pulled-back initial segment, broadcast to every row, has the bits of
+    the batch inverse of the identical rows, also where the d>1 fixed point
+    stops on the batch maximum."""
+    if d == 1:
+        sol, m = sol_small, make_model("reference", measure=nu6)
+    else:
+        m = make_model("reference", measure=nu6, d=2)
+        sol = solve_u(m, 16.0, 1.0, n_x=13, n_t=5, quad_order=6)
+    tm = transformed_model(m, nu6, sol)
+    n0 = nu6.n_cells
+    seg = 0.3 + 0.4 * np.sin(np.arange((n0 + 1) * d, dtype=float)).reshape(n0 + 1, d)
+    states = np.empty((5, n0 + 9, d))
+    states[:, : n0 + 1] = seg
+    out = pulled_back_history(tm, states, seg, nu6.h)
+    assert out.shape == states.shape and out is not states
+    ref = theta_inverse_segment(sol, 0.0, states[:, : n0 + 1], nu6.h)
+    np.testing.assert_array_equal(out[:, : n0 + 1], ref)
+    assert pulled_back_history(transformed_model(m, nu6, None), states, seg, nu6.h) is states
 
 
 def test_verify_decay_small_ladder(ref6):
