@@ -10,7 +10,6 @@ from .measure import (
     Segment,
     check_shift_domination,
     constant_segment,
-    extract_segment,
     make_measure,
     seg_inner,
     seg_norm,
@@ -30,7 +29,6 @@ from .model import (
 from .rng import coarsen_increments, normal_increments, path_generator
 from .solver import (
     PathBatch,
-    SamplePath,
     SolverConfig,
     apriori_check,
     bihari_bound,

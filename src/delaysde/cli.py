@@ -472,7 +472,14 @@ def _run_couple(cfg, nu, m, scfg, xi) -> int:
     })
     return _EXIT_CODES[verdict]
 
+def _require_two_paths(cfg) -> None:
+    """The harnack and gradient verdicts rest on sample standard errors."""
+    if cfg.n_paths < 2:
+        raise ConfigError("experiment.n_paths", f"need n_paths >= 2, got {cfg.n_paths}")
+
+
 def _run_harnack(cfg, nu, m, scfg, xi) -> int:
+    _require_two_paths(cfg)
     tm, cc, xi_t, eta_t = _coupling_setup(cfg, nu, m, scfg, xi)
     f, pos = make_functional("tanh0_pos", nu)
     rep = check_log_harnack(
@@ -490,6 +497,7 @@ def _run_harnack(cfg, nu, m, scfg, xi) -> int:
     return _EXIT_CODES[verdict]
 
 def _run_gradient(cfg, nu, m, scfg, xi) -> int:
+    _require_two_paths(cfg)
     raw = cfg.raw
     T = _getf(raw, "gradient", "T", 1.0)
     eps = _getf(raw, "gradient", "eps_fd", 0.01)

@@ -159,8 +159,8 @@ def run_coupling_batch(
     xi_t = np.asarray(xi_t, dtype=float)
     eta_t = np.asarray(eta_t, dtype=float)
     delta = cc.delta_scale * (1.0 + float(np.linalg.norm(xi_t[-1] - eta_t[-1])))
-    dW = path_increments(dW, base_seed, path_offset, n_paths, steps, tm.model.dbar, h)
-    x = np.empty((n_paths, n0 + steps + 1, tm.model.d))
+    dW = path_increments(dW, base_seed, path_offset, n_paths, steps, tm.base.dbar, h)
+    x = np.empty((n_paths, n0 + steps + 1, tm.base.d))
     y = np.empty_like(x)
     x[:, : n0 + 1] = xi_t
     y[:, : n0 + 1] = eta_t

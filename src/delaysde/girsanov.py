@@ -158,12 +158,14 @@ def direct_estimate(
     n_paths: int,
     chunk: int = 8192,
 ) -> tuple[float, float]:
-    """Plain Monte Carlo (mean, stderr) of f at the T-segment of the full dynamics."""
+    """Plain Monte Carlo (mean, stderr) of f at the T-segment of the full
+    dynamics; any path dying before T is an ExplosionBeforeHorizonError."""
     if abs(cfg.t_end - T) > 1e-12:
         raise ValueError("cfg.t_end must equal the functional horizon T")
 
     def sample(offset, count):
         batch = simulate(m, nu, xi, cfg, base_seed, count, path_offset=offset)
+        batch.check_horizon(cfg.t_end)
         fv = np.asarray(f(batch.terminal_segments()), dtype=float)
         return fv, fv**2
 

@@ -19,9 +19,8 @@ import numpy as np
 
 from .coupling import CouplingConfig, entropy_cost, run_coupling_batch
 from .measure import DelayMeasure, Segment, batch_seg_norm, grid_count
-from .model import ModelSpec
 from .rng import batch_increments, chunk_sums
-from .solver import SolverConfig, simulate
+from .solver import ExplosionBeforeHorizonError, SolverConfig, simulate
 from .zvonkin import TransformedModel, simulate_transformed
 
 __all__ = [
@@ -33,16 +32,6 @@ __all__ = [
 ]
 
 EPS_FD_RANGE = (1e-3, 1e-1)  # finite-difference step of check_gradient_estimate
-
-
-class ExplosionBeforeHorizonError(RuntimeError):
-    def __init__(self, fraction: float):
-        super().__init__(f"{fraction:.2%} of paths hit their lifetime before the horizon")
-        self.fraction = fraction
-
-    def __reduce__(self):
-        # rebuild from the fraction, not from the formatted message in args
-        return type(self), (self.fraction,)
 
 
 @dataclass
@@ -64,9 +53,7 @@ def _terminal_f(m, nu, f, xi_vals, cfg, base_seed, n, path_offset=0, dW=None):
         n0 = grid_count(nu.r0, cfg.h, "r0")
         return np.asarray(f(states[:, -n0 - 1 :]), dtype=float)
     batch = simulate(m, nu, Segment(xi_vals), cfg, base_seed, n, path_offset, dW)
-    frac = float(np.mean(batch.lifetimes <= cfg.t_end))
-    if frac > 0:
-        raise ExplosionBeforeHorizonError(frac)
+    batch.check_horizon(cfg.t_end)
     return np.asarray(f(batch.terminal_segments()), dtype=float)
 
 
@@ -144,6 +131,8 @@ def check_log_harnack(
     the weighted X sample estimates the left side, and the weights give the
     entropy cost.  f must be strictly positive.
     """
+    if n < 2:
+        raise ValueError("need n >= 2")
     cc = CouplingConfig(T=T, h=h, K=K)
     res = run_coupling_batch(tm, nu, xi_t, eta_t, cc, base_seed, n)
     n0 = grid_count(nu.r0, h, "r0")
@@ -217,6 +206,8 @@ def check_gradient_estimate(
 ) -> GradientReport:
     """Directional derivative of P_{T+r0} f by central differences with common
     random numbers, against the variance form of the gradient estimate."""
+    if n < 2:
+        raise ValueError("need n >= 2")
     if not EPS_FD_RANGE[0] <= eps_fd <= EPS_FD_RANGE[1]:
         raise ValueError(f"eps_fd must lie in {list(EPS_FD_RANGE)}")
     direction = np.asarray(direction, dtype=float)
@@ -225,7 +216,7 @@ def check_gradient_estimate(
         raise ValueError("direction must be normalized in the segment norm")
     horizon = T + nu.r0
     steps = grid_count(horizon, h, "horizon")
-    dbar = m.model.dbar if isinstance(m, TransformedModel) else m.dbar
+    dbar = m.base.dbar if isinstance(m, TransformedModel) else m.dbar
     cfg = SolverConfig(h=h, t_end=horizon)
 
     def sample(offset, count):

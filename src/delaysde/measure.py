@@ -1,4 +1,4 @@
-"""Delay measure, weighted segment space and segment extraction.
+"""Delay measure, weighted segment space and streamed delay averages.
 
 The delay measure nu lives on [-r0, 0) and is discretized into cell masses
 w_j = nu([theta_j, theta_{j+1})) on a uniform grid theta_j = -r0 + j*h.  A
@@ -35,11 +35,8 @@ __all__ = [
     "seg_norm",
     "seg_inner",
     "segments_equal",
-    "extract_segment",
     "check_shift_domination",
     "constant_segment",
-    "quotient_mask",
-    "quotient_window",
     "delay_averages",
 ]
 
@@ -207,23 +204,6 @@ def _measured_kappa(m: DelayMeasure) -> Callable[[float], float]:
     return kap
 
 
-def quotient_mask(m: DelayMeasure) -> np.ndarray:
-    """(n_cells+1,) 0/1 mask: positive-mass cells plus the theta=0 node."""
-    mask = np.empty(m.n_cells + 1)
-    mask[:-1] = (m.weights > 0).astype(float)
-    mask[-1] = 1.0
-    return mask
-
-
-def quotient_window(m: DelayMeasure, seg: np.ndarray) -> np.ndarray:
-    """Quotient representative of batched windows (n, n_cells+1, d): null cells zeroed.
-
-    The window itself is returned when all cells carry mass.
-    """
-    mask = quotient_mask(m)
-    return seg if np.all(mask > 0) else seg * mask[None, :, None]
-
-
 def _toeplitz_weights(w: np.ndarray, n_steps: int) -> np.ndarray:
     """(n0+1, n_steps) weights of the rows k0..k0+n0 in the averages of steps
     k0..k0+n_steps-1: column i holds w_j at row i + j, for the rows known
@@ -318,18 +298,6 @@ def batch_seg_norm(m: DelayMeasure, values: np.ndarray) -> np.ndarray:
     """Norms for a batch of segment value arrays, shape (n, n_cells+1, d) -> (n,)."""
     sq = np.sum(values**2, axis=2)
     return np.sqrt(sq[:, :-1] @ m.weights + sq[:, -1])
-
-
-def extract_segment(path, t: float) -> Segment:
-    """Segment of a sample path at grid time t (path must cover [t-r0, t])."""
-    i = grid_count(t - path.t_min, path.h, "t - t_min")
-    n0 = grid_count(path.r0, path.h, "r0")
-    if i < n0 or i >= path.states.shape[0]:
-        raise ValueError(
-            f"t={t} not covered: need [t-r0, t] within [{path.t_min}, "
-            f"{path.t_min + path.h * (path.states.shape[0] - 1)}]"
-        )
-    return Segment(path.states[i - n0 : i + 1])
 
 
 @dataclass

@@ -9,10 +9,8 @@ The delay drift of every catalog model is B(xi) = beta nu(xi), so B receives
 the average avg = nu(xi) of the segment, not the segment: the runners stream
 these averages with measure.delay_averages, and one-off segments go through
 DelayMeasure.average.  A null cell has weight 0, so the average sees only the
-quotient representative.  The spec of a transformed equation
-(zvonkin.transformed_model, A None) is the exception: its drift depends on
-the whole pulled-back window, so its B takes the transformed segment,
-B(t, seg) with seg (n, n0+1, d).
+quotient representative.  A transformed equation has no spec of its own:
+zvonkin.transformed_coefficients forms its drift and diffusion from these.
 
 Validation is sampling-based: a pass is evidence at the sampled witnesses, not
 a proof, and every report carries its sample count.
@@ -26,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from .measure import DelayMeasure, batch_seg_norm, quotient_window
+from .measure import DelayMeasure, batch_seg_norm
 
 __all__ = [
     "OperatorA",
@@ -162,7 +160,7 @@ class ModelSpec:
     name: str
     d: int
     dbar: int
-    A: OperatorA | None  # None: linear part absorbed into B (transformed systems)
+    A: OperatorA
     b: Callable
     B: Callable
     Q: Callable
@@ -401,8 +399,9 @@ def validate_assumptions(
 
     # (A4'): |B(t,xi)-B(t,eta)| <= sqrt(C_B) ||xi-eta|| (1+tol)
     worst_a4, wit_a4 = 0.0, None
-    segs = quotient_window(nu, seg_amp * rng.standard_normal((n_samples, n0 + 1, m.d)))
-    etas = quotient_window(nu, seg_amp * rng.standard_normal((n_samples, n0 + 1, m.d)))
+    # a null cell has weight 0 in both the average and the norm
+    segs = seg_amp * rng.standard_normal((n_samples, n0 + 1, m.d))
+    etas = seg_amp * rng.standard_normal((n_samples, n0 + 1, m.d))
     sqrt_cb = math.sqrt(m.B_lip_sq) if m.B_lip_sq > 0 else 0.0
     avg_segs, avg_etas = nu.average(segs), nu.average(etas)
     for t in ts:

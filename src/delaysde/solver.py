@@ -30,8 +30,8 @@ from .rng import path_increments
 
 __all__ = [
     "SolverConfig",
-    "SamplePath",
     "PathBatch",
+    "ExplosionBeforeHorizonError",
     "BoundExceedsCapError",
     "cutoff_psi",
     "truncate_coefficients",
@@ -65,24 +65,14 @@ class SolverConfig:
         grid_count(self.t_end, self.h, "t_end")
 
 
-@dataclass
-class SamplePath:
-    """One trajectory on [-r0, t_end]; states[i] is the state at t_min + i*h."""
+class ExplosionBeforeHorizonError(RuntimeError):
+    def __init__(self, fraction: float):
+        super().__init__(f"{fraction:.2%} of paths hit their lifetime before the horizon")
+        self.fraction = fraction
 
-    h: float
-    t_min: float
-    r0: float
-    states: np.ndarray  # (N+1, d)
-    dW: np.ndarray  # (steps, dbar)
-    seed: tuple[int, int]  # (base_seed, path_index)
-    lifetime: float | None = None
-
-    @property
-    def t_max(self) -> float:
-        return self.t_min + self.h * (self.states.shape[0] - 1)
-
-    def state_at(self, t: float) -> np.ndarray:
-        return self.states[grid_count(t - self.t_min, self.h, "t - t_min")]
+    def __reduce__(self):
+        # rebuild from the fraction, not from the formatted message in args
+        return type(self), (self.fraction,)
 
 
 @dataclass
@@ -103,13 +93,12 @@ class PathBatch:
     def n_paths(self) -> int:
         return self.states.shape[0]
 
-    def path(self, i: int) -> SamplePath:
-        lt = self.lifetimes[i]
-        return SamplePath(
-            self.h, -self.r0, self.r0, self.states[i], self.dW[i],
-            (self.base_seed, self.path_offset + i),
-            None if np.isnan(lt) else float(lt),
-        )
+    def check_horizon(self, t_end: float) -> None:
+        """Raise ExplosionBeforeHorizonError when a path's lifetime ends by
+        t_end: a dead path is frozen, so its terminal state means nothing."""
+        frac = float(np.mean(self.lifetimes <= t_end))
+        if frac > 0:
+            raise ExplosionBeforeHorizonError(frac)
 
     def segment_values(self, t: float) -> np.ndarray:
         """Batched segment windows at grid time t, shape (n, n0+1, d)."""
@@ -186,7 +175,7 @@ def simulate(
         # segment norms of the current windows: they cut B off and end paths
         seg_n = batch_seg_norm(nu, states[:, : n0 + 1])
         inv_level = 1.0 / cfg.trunc_level
-    use_exp = cfg.scheme == "exponential-euler" and m.A is not None
+    use_exp = cfg.scheme == "exponential-euler"
     if use_exp:
         E, J = semigroup_factors(m.A, cfg.h)
     h = cfg.h
@@ -208,8 +197,7 @@ def simulate(
             if use_exp:
                 xn = E * x + J * (bv + Bv) + E * noise
             else:
-                Ax = m.A.apply(x) if m.A is not None else 0.0
-                xn = x + h * (Ax + bv + Bv) + noise
+                xn = x + h * (m.A.apply(x) + bv + Bv) + noise
             finite = np.all(np.isfinite(xn), axis=1)
             xn = np.where(finite[:, None], xn, x)
             states[:, idx + 1] = np.where(alive[:, None], xn, x)
@@ -317,7 +305,7 @@ def apriori_check(
     n = batch.n_paths
     d = m.d
     xbar = np.zeros((n, n0 + steps + 1, d))
-    use_exp = cfg.scheme == "exponential-euler" and m.A is not None
+    use_exp = cfg.scheme == "exponential-euler"
     if use_exp:
         E, _ = semigroup_factors(m.A, h)
     for k in range(steps):
@@ -328,8 +316,7 @@ def apriori_check(
         if use_exp:
             xbar[:, idx + 1] = E * xbar[:, idx] + E * noise
         else:
-            Ax = m.A.apply(xbar[:, idx]) if m.A is not None else 0.0
-            xbar[:, idx + 1] = xbar[:, idx] + h * Ax + noise
+            xbar[:, idx + 1] = xbar[:, idx] + h * m.A.apply(xbar[:, idx]) + noise
     # alpha(T) = |X(0)|^2 + 2 int_0^T h_T(||Xbar_s||) ds, left-endpoint rule
     sq = np.sum(xbar**2, axis=2)
     w = nu.weights

@@ -31,8 +31,8 @@ from scipy.interpolate import RegularGridInterpolator
 from scipy.sparse.linalg import splu
 from scipy.special import roots_hermitenorm
 
-from .measure import DelayMeasure, delay_averages, grid_count, quotient_window
-from .model import ModelSpec, OperatorA
+from .measure import DelayMeasure, delay_averages, grid_count
+from .model import ModelSpec
 from .rng import path_increments
 
 __all__ = [
@@ -516,24 +516,16 @@ def theta_inverse_segment(sol: ZvonkinSolution, t: float, seg: np.ndarray, h: fl
 
 @dataclass
 class TransformedModel:
-    """Coefficients of the transformed equation; the linear part is folded into
-    the delay drift so the whole drift is a single Lipschitz functional."""
+    """A base equation and the transform Theta = id + u that regularizes its
+    drift (sol None: the identity).  The coefficients of the transformed
+    equation are formed by transformed_coefficients; the runners read d and
+    dbar from base."""
 
-    model: ModelSpec
     base: ModelSpec
     sol: ZvonkinSolution | None
 
-    def to_transformed(self, t: float, x: np.ndarray) -> np.ndarray:
-        return theta(self.sol, t, x) if self.sol is not None else np.atleast_2d(x)
-
-    def to_base(self, t: float, x: np.ndarray) -> np.ndarray:
-        return theta_inverse(self.sol, t, x) if self.sol is not None else np.atleast_2d(x)
-
     def seg_to_transformed(self, t: float, seg: np.ndarray, h: float) -> np.ndarray:
         return theta_segment(self.sol, t, seg, h) if self.sol is not None else seg
-
-    def seg_to_base(self, t: float, seg: np.ndarray, h: float) -> np.ndarray:
-        return theta_inverse_segment(self.sol, t, seg, h) if self.sol is not None else seg
 
 
 def transformed_coefficients(
@@ -568,31 +560,16 @@ def transformed_coefficients(
 
 
 def transformed_model(m: ModelSpec, nu: DelayMeasure, sol: ZvonkinSolution | None) -> TransformedModel:
-    """Push the dynamics through Theta = id + u (identity transform when sol is None).
+    """Push the dynamics of m through Theta = id + u (the identity when sol is
+    None, which only folds A into the delay drift).
 
-    The coefficients of the returned spec are transformed_coefficients at the
-    pulled-back segment and point; with sol=None this reduces to folding A
-    into the delay drift.  Its B takes the transformed segment, B(t, seg),
-    since the drift depends on the state as well as on the window average.
+    The transformed drift depends on the state as well as on the average of
+    the pulled-back window, so it has no B(t, avg) of its own: the runners and
+    measure_K form it with transformed_coefficients.  nu is not read.
     """
     if m.A is None:
         raise ValueError("base model must carry an explicit linear part")
-    tm = TransformedModel(None, m, sol)
-
-    def B_t(t, seg):
-        window_inv = tm.seg_to_base(t, seg, nu.h)
-        return transformed_coefficients(tm, t, seg[:, -1], window_inv[:, -1], nu.average(window_inv))[0]
-
-    def Q_t(t, x):
-        return transformed_coefficients(tm, t, x, tm.to_base(t, x), None)[1]
-
-    name = f"{m.name}[folded]" if sol is None else f"{m.name}[zvonkin lam={sol.lam:g}]"
-    tm.model = ModelSpec(
-        name=name, d=m.d, dbar=m.dbar, A=None,
-        b=lambda t, x: np.zeros_like(np.atleast_2d(x)),
-        B=B_t, Q=Q_t, Q_bounds=m.Q_bounds, params=m.params,
-    )
-    return tm
+    return TransformedModel(m, sol)
 
 
 def measure_K(
@@ -604,21 +581,33 @@ def measure_K(
     seed: int = 0,
 ) -> dict:
     """Sampled bounds feeding the coupling rate: sup |Q|, sup |(QQ*)^{-1}|,
-    and the segment-Lipschitz constant of the transformed drift."""
+    and the segment-Lipschitz constant of the transformed drift.
+
+    The samples are transformed states and windows; the coefficients are
+    transformed_coefficients at their pull-backs.  A null cell has weight 0
+    in the pulled-back average and in the segment norm, so the values sampled
+    there do not change the bounds.
+    """
     rng = np.random.default_rng(seed)
-    m = tm.model
+    sol, d = tm.sol, tm.base.d
     n0 = nu.n_cells
+
+    def drift(t, seg):
+        inv = seg if sol is None else theta_inverse_segment(sol, t, seg, nu.h)
+        return transformed_coefficients(tm, t, seg[:, -1], inv[:, -1], nu.average(inv))[0]
+
     q_sup = qinv_sup = lip = 0.0
     for t in np.linspace(0.0, T, 9):
-        x = rng.uniform(-box, box, (n_samples, m.d))
-        Q = m.Q(t, x)
+        x = rng.uniform(-box, box, (n_samples, d))
+        x_inv = x if sol is None else theta_inverse(sol, t, x)
+        Q = transformed_coefficients(tm, t, x, x_inv, None)[1]
         QQt = np.einsum("nik,njk->nij", Q, Q)
         ev = np.linalg.eigvalsh(QQt)
         q_sup = max(q_sup, float(np.sqrt(ev[:, -1].max())))
         qinv_sup = max(qinv_sup, float(1.0 / ev[:, 0].min()))
-        xi = quotient_window(nu, (box / 2) * rng.standard_normal((n_samples, n0 + 1, m.d)))
-        eta = xi + quotient_window(nu, 0.3 * rng.standard_normal(xi.shape))
-        num = np.linalg.norm(m.B(t, xi) - m.B(t, eta), axis=1)
+        xi = (box / 2) * rng.standard_normal((n_samples, n0 + 1, d))
+        eta = xi + 0.3 * rng.standard_normal(xi.shape)
+        num = np.linalg.norm(drift(t, xi) - drift(t, eta), axis=1)
         diff = xi - eta
         sq = np.sum(diff**2, axis=2)
         den = np.sqrt(sq[:, :-1] @ nu.weights + sq[:, -1])
@@ -670,8 +659,8 @@ def simulate_transformed(
     n0 = grid_count(nu.r0, cfg.h, "r0")
     steps = grid_count(cfg.t_end, cfg.h, "t_end")
     h = cfg.h
-    dW = path_increments(dW, base_seed, path_offset, n_paths, steps, tm.model.dbar, h)
-    states = np.empty((n_paths, n0 + steps + 1, tm.model.d))
+    dW = path_increments(dW, base_seed, path_offset, n_paths, steps, tm.base.dbar, h)
+    states = np.empty((n_paths, n0 + steps + 1, tm.base.d))
     xi_t = np.asarray(xi_t, dtype=float)
     states[:, : n0 + 1] = xi_t
     xinv = pulled_back_history(tm, states, xi_t, h)

@@ -118,8 +118,11 @@ def test_main_config_error_exits_3(tmp_path):
     ("zvonkin", "reference", "[zvonkin]\nn_t = 8.5\n", [], "zvonkin.n_t"),
     ("zvonkin", "reference", "[zvonkin]\nn_x = 0\n", [], "zvonkin.n_x"),
     ("zvonkin", "reference", "[zvonkin]\nx_max = 0\n", [], "zvonkin.x_max"),
+    ("harnack", "ou", "", ["--paths", "1"], "experiment.n_paths"),  # no stderr from one path
+    ("gradient", "ou", "", ["--paths", "1"], "experiment.n_paths"),
 ], ids=["bihari-ou", "seed", "eps_fd", "functional", "lams-text", "lams-zero", "lam_u",
-        "zvonkin-T", "n_t-one", "n_t-fraction", "n_x-zero", "x_max-zero"])
+        "zvonkin-T", "n_t-one", "n_t-fraction", "n_x-zero", "x_max-zero",
+        "harnack-one-path", "gradient-one-path"])
 def test_invalid_scenario_value_exits_3(tmp_path, capsys, scenario, model, extra, argv, field):
     """A bad value of a scenario's own section is a config error naming the
     field, not a traceback under the exit code of a failed verdict."""
@@ -219,6 +222,21 @@ def test_numerical_failure_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1
     assert "SingularDiffusionError" in err[0]
+
+
+def test_girsanov_explosion_exits_2(tmp_path, capsys):
+    """Paths of the direct estimate that die before the horizon are exit 2,
+    not an average over their frozen states."""
+    text = BASE.replace("scenario = simulate", "scenario = girsanov-check").replace(
+        "name = zero", "name = quadratic"
+    ).replace("x0 = 1.0", "x0 = 3.0")
+    path = _write(tmp_path, text)
+    out = tmp_path / "explode"
+    assert main(["girsanov-check", "--config", path, "--paths", "64", "--out", str(out)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert "ExplosionBeforeHorizonError" in err[0]
+    assert not out.exists()
 
 
 def test_couple_fails_when_pairs_do_not_meet(tmp_path):

@@ -13,7 +13,7 @@ from delaysde.girsanov import (
 )
 from delaysde.measure import constant_segment, make_measure
 from delaysde.model import make_functional, make_model
-from delaysde.solver import SolverConfig, simulate
+from delaysde.solver import ExplosionBeforeHorizonError, SolverConfig, simulate
 
 
 def test_solve_qqt_scalar():
@@ -131,3 +131,13 @@ def test_horizon_must_match_config():
         weak_estimate(m, nu, xi, f, 1.0, cfg, 0, 10)
     with pytest.raises(ValueError):
         direct_estimate(m, nu, xi, f, 1.0, cfg, 0, 10)
+
+
+def test_direct_estimate_explosion_reported():
+    """Exploded paths are frozen, so their terminal states are not averaged."""
+    nu = make_measure("uniform", 0.5, 2.0**-7)
+    f, _ = make_functional("coord0")
+    cfg = SolverConfig(h=2.0**-7, t_end=0.5)
+    with pytest.raises(ExplosionBeforeHorizonError) as exc:
+        direct_estimate(make_model("cubic"), nu, constant_segment(nu, 3.0), f, 0.5, cfg, 0, 16)
+    assert exc.value.fraction == 1.0

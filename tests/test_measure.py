@@ -13,11 +13,8 @@ from delaysde.measure import (
     check_shift_domination,
     constant_segment,
     delay_averages,
-    extract_segment,
     grid_count,
     make_measure,
-    quotient_mask,
-    quotient_window,
     seg_inner,
     seg_norm,
     segments_equal,
@@ -97,19 +94,6 @@ def test_batch_norm_matches_scalar():
     got = batch_seg_norm(m, vals)
     for i in range(7):
         assert abs(got[i] - seg_norm(m, Segment(vals[i]))) < 1e-12
-
-
-def test_quotient_mask_keeps_endpoint():
-    m = make_measure("atoms", 1.0, 0.25, weights=[0.0, 1.0, 0.0, 2.0])
-    np.testing.assert_array_equal(quotient_mask(m), [0.0, 1.0, 0.0, 1.0, 1.0])
-
-
-def test_quotient_window_zeroes_null_cells_only():
-    m = make_measure("atoms", 1.0, 0.25, weights=[0.0, 1.0, 0.0, 2.0])
-    seg = np.arange(10.0).reshape(2, 5, 1) + 1.0
-    np.testing.assert_array_equal(quotient_window(m, seg)[0, :, 0], [0.0, 2.0, 0.0, 4.0, 5.0])
-    full = make_measure("uniform", 1.0, 0.25)
-    assert quotient_window(full, seg) is seg
 
 
 def test_null_cells_invisible_to_norm_and_equality():
@@ -214,20 +198,20 @@ def test_measured_kappa_makes_atoms_pass():
     assert check_shift_domination(m, 1.0).passed
 
 
-def test_extract_segment_window():
+def test_segment_values_window():
     from delaysde.model import make_model
     from delaysde.solver import SolverConfig, simulate
 
     m = make_measure("uniform", 0.5, 0.25)
     model = make_model("zero", lam=1.0)
     xi = constant_segment(m, 1.0)
-    path = simulate(model, m, xi, SolverConfig(h=0.25, t_end=1.0), 0, 1).path(0)
-    seg = extract_segment(path, 0.5)
-    np.testing.assert_array_equal(seg.values[:, 0], path.states[2:5, 0])
+    batch = simulate(model, m, xi, SolverConfig(h=0.25, t_end=1.0), 0, 1)
+    seg = batch.segment_values(0.5)
+    np.testing.assert_array_equal(seg[0, :, 0], batch.states[0, 2:5, 0])
     with pytest.raises(ValueError):
-        extract_segment(path, 2.0)
+        batch.segment_values(2.0)
     with pytest.raises(GridMismatchError):
-        extract_segment(path, 0.3)
+        batch.segment_values(0.3)
 
 
 def test_constant_segment_dim_broadcast():

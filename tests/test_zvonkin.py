@@ -374,7 +374,6 @@ def test_identity_transform_matches_plain_euler(nu6):
     states, dW = simulate_transformed(tm, nu6, xi.values, cfg, 4, 8)
     np.testing.assert_array_equal(states, plain.states)
     np.testing.assert_array_equal(dW, plain.dW)
-    np.testing.assert_array_equal(tm.to_base(0.0, np.array([[2.0]])), [[2.0]])
 
 
 @pytest.mark.parametrize("runner", ["simulate_transformed", "run_coupling_batch"])
@@ -503,7 +502,7 @@ def _old_run_coupling_batch(tm, nu, xi_t, eta_t, cc, dW):
     n0 = nu.n_cells
     n_paths, steps = dW.shape[:2]
     delta = cc.delta_scale * (1.0 + float(np.linalg.norm(xi_t[-1] - eta_t[-1])))
-    x = np.empty((n_paths, n0 + steps + 1, tm.model.d))
+    x = np.empty((n_paths, n0 + steps + 1, tm.base.d))
     y = np.empty_like(x)
     x[:, : n0 + 1] = xi_t
     y[:, : n0 + 1] = eta_t
