@@ -89,15 +89,15 @@ class CouplingConfig:
 class CouplingResult:
     tau: np.ndarray  # (n,) meeting time, nan if the states never met by T
     log_R: np.ndarray  # (n,)
-    x_states: np.ndarray  # (n, N+1, d) on [-r0, T+r0]
-    y_states: np.ndarray
+    x_states: np.ndarray  # (n, N+1, d) on [-r0, T+r0], a view of a time-major (N+1, n, d) buffer
+    y_states: np.ndarray  # the same layout
     delta: float
     T: float
     h: float
     r0: float
     base_seed: int
     path_offset: int
-    dW: np.ndarray = field(repr=False, default=None)
+    dW: np.ndarray = field(repr=False, default=None)  # (n, steps, dbar), laid out like PathBatch.dW
     failed: np.ndarray = None  # (n,) overflow in the bridging drift; frozen, not crashed
 
     @property
@@ -111,7 +111,7 @@ class CouplingResult:
     def terminal_segments_equal(self) -> np.ndarray:
         n0 = grid_count(self.r0, self.h, "r0")
         diff = np.abs(self.x_states[:, -n0 - 1 :] - self.y_states[:, -n0 - 1 :])
-        return diff.reshape(diff.shape[0], -1).max(axis=1) == 0.0
+        return diff.max(axis=(1, 2)) == 0.0
 
 
 def _pull_back_y(sol, t: float, yn: np.ndarray, x_inv: np.ndarray, skip: np.ndarray) -> np.ndarray:
@@ -160,7 +160,7 @@ def run_coupling_batch(
     eta_t = np.asarray(eta_t, dtype=float)
     delta = cc.delta_scale * (1.0 + float(np.linalg.norm(xi_t[-1] - eta_t[-1])))
     dW = path_increments(dW, base_seed, path_offset, n_paths, steps, tm.base.dbar, h)
-    x = np.empty((n_paths, n0 + steps + 1, tm.base.d))
+    x = np.empty((n0 + steps + 1, n_paths, tm.base.d)).transpose(1, 0, 2)
     y = np.empty_like(x)
     x[:, : n0 + 1] = xi_t
     y[:, : n0 + 1] = eta_t

@@ -12,12 +12,15 @@ this quotient representative.
 
 The delay drift enters through the average nu(window_k) = sum_j w_j x(k + j)
 of each step's window.  delay_averages streams these averages for a path
-batch that grows by one row per step: at the start of a block of steps the
-rows already known go through one matrix product against the block's
-Toeplitz weights, and the rows written inside the block are added step by
-step.  Every product has a fixed shape on a zero-padded tile of paths
-aligned to the global path index, so a path's bits never depend on the batch
-it runs in.
+batch that grows by one row per step.  The runners store a batch time-major,
+as an (n_rows, n, d) buffer seen through its (n, n_rows, d) transposed view,
+so each step reads and writes one contiguous row.  At the start of a block
+of steps the rows already known go through one matrix product against the
+block's Toeplitz weights, and each row written inside the block is pushed
+into the block's remaining averages as soon as it is known.  Every product
+has a fixed shape on a zero-padded tile of paths aligned to the global path
+index, and the pushes are elementwise, so a path's bits never depend on the
+batch it runs in.
 """
 
 from __future__ import annotations
@@ -44,6 +47,9 @@ __all__ = [
 # tile.  Both fix the shape of every matrix product in delay_averages.
 AVERAGE_BLOCK = 32
 PATH_TILE = 256
+# Values in the temporary product of one push of a written row into the
+# block's averages; the push is split over averages to stay within it.
+_PUSH_SIZE = 2**15
 
 
 class GridMismatchError(ValueError):
@@ -205,11 +211,11 @@ def _measured_kappa(m: DelayMeasure) -> Callable[[float], float]:
 
 
 def _toeplitz_weights(w: np.ndarray, n_steps: int) -> np.ndarray:
-    """(n0+1, n_steps) weights of the rows k0..k0+n0 in the averages of steps
-    k0..k0+n_steps-1: column i holds w_j at row i + j, for the rows known
+    """(n_steps, n0+1) weights of the rows k0..k0+n0 in the averages of steps
+    k0..k0+n_steps-1: row i holds w_j at column i + j, for the rows known
     when step k0 starts."""
     n0 = len(w)
-    j = np.arange(n0 + 1)[:, None] - np.arange(n_steps)[None, :]
+    j = np.arange(n0 + 1)[None, :] - np.arange(n_steps)[:, None]
     return np.where((j >= 0) & (j < n0), w[np.clip(j, 0, n0 - 1)], 0.0)
 
 
@@ -219,24 +225,31 @@ def delay_averages(m: DelayMeasure, rows: np.ndarray, path_offset: int = 0):
 
     rows (n, n_rows, d) holds a path batch whose first path has global index
     path_offset; the caller may write it one row per step, but row k + n0
-    must be written before average k is taken.
+    must be written before average k is taken.  It is read through
+    rows.transpose(1, 0, 2), which is contiguous when rows is the transposed
+    view of a time-major buffer; a path-major array gives the same bits,
+    only more slowly.
 
     Steps run in blocks of min(AVERAGE_BLOCK, n0) steps; the last block may
-    be shorter.  At a block's first step the known rows k0..k0+n0 are multiplied by the block's
-    Toeplitz weights, one fixed-shape product per PATH_TILE-path tile,
-    zero-padded and aligned to the global index, so a path always takes the
-    same place in a product of the same shape.  The rows written inside the
-    block are added at each step.
+    be shorter.  At a block's first step the known rows k0..k0+n0 of each
+    PATH_TILE-path tile are copied into a contiguous, zero-padded tile
+    aligned to the global index and multiplied by the block's Toeplitz
+    weights, so a path always takes the same place in a product of the same
+    shape.  Each row written inside the block is added, with its weights, to
+    the block's remaining averages before the next one is taken, elementwise
+    and in row order, so the bits do not depend on the layout or the batch.
     """
     w = m.weights
     n0 = len(w)
     n, n_rows, d = rows.shape
+    by_time = rows.transpose(1, 0, 2)
     steps = n_rows - n0 - 1
     first, last = path_offset // PATH_TILE, (path_offset + n - 1) // PATH_TILE
     block = min(AVERAGE_BLOCK, n0)
-    tile = np.empty((PATH_TILE, d, n0 + 1))
+    tile = np.empty((n0 + 1, PATH_TILE, d))
     known = np.empty((block, n, d))  # one buffer for every block
     toeplitz = _toeplitz_weights(w, block)
+    push_rows = max(1, _PUSH_SIZE // (n * d))
     for k0 in range(0, steps, block):
         L = min(block, steps - k0)
         for t in range(first, last + 1):
@@ -245,17 +258,19 @@ def delay_averages(m: DelayMeasure, rows: np.ndarray, path_offset: int = 0):
             at = path_offset + lo - t * PATH_TILE
             if hi - lo < PATH_TILE:
                 tile.fill(0.0)
-            tile[at : at + hi - lo] = rows[lo:hi, k0 : k0 + n0 + 1].transpose(0, 2, 1)
-            out = tile.reshape(PATH_TILE * d, n0 + 1) @ toeplitz[:, :L]
-            known[:L, lo:hi] = out.reshape(PATH_TILE, d, L)[at : at + hi - lo].transpose(2, 0, 1)
+            tile[:, at : at + hi - lo] = by_time[k0 : k0 + n0 + 1, lo:hi]
+            out = toeplitz[:L] @ tile.reshape(n0 + 1, PATH_TILE * d)
+            known[:L, lo:hi] = out.reshape(L, PATH_TILE, d)[:, at : at + hi - lo]
         for i in range(L):
-            if i < 2:
-                yield known[i].copy()  # known is refilled by the next block
-            else:
-                # rows k0+n0+1 .. k0+n0+i-1 were written inside the block
-                yield known[i] + np.einsum(
-                    "j,njd->nd", w[n0 + 1 - i :], rows[:, k0 + n0 + 1 : k0 + n0 + i]
-                )
+            if i >= 2:
+                # row k0+n0+i-1 was written by the last step; it enters the
+                # averages i..L-1 with weights w[n0-1], w[n0-2], ...
+                wi = w[n0 - L + i : n0][::-1, None, None]
+                row = by_time[k0 + n0 + i - 1]
+                for j in range(i, L, push_rows):
+                    top = min(j + push_rows, L)
+                    known[j:top] += wi[j - i : top - i] * row
+            yield known[i].copy()  # known is refilled by the next block
 
 
 def _check_compat(m: DelayMeasure, xi: Segment) -> None:

@@ -10,6 +10,10 @@ A batch reuses one Philox generator: before each path its key, counter and
 output buffer are reset to those of a fresh generator keyed by that path, so
 no buffered word of one path leaks into the next and the draws equal those
 of a generator built per path.
+
+A batch of increments is stored time-major, as an (n_steps, n_paths, dbar)
+buffer, because the runners read one step of every path at a time; callers
+see it through the (n_paths, n_steps, dbar) transposed view.
 """
 
 from __future__ import annotations
@@ -24,6 +28,9 @@ _U64 = np.uint64
 # random() can return exactly 0.0; ndtri(0) = -inf.  Substitute the smallest
 # representable draw instead of re-drawing, to keep consumption fixed.
 _U_FLOOR = 2.0 ** -54
+# Paths drawn per contiguous tile before it is copied into the time-major
+# buffer; the tile size does not change any draw.
+_FILL_TILE = 256
 
 
 def path_generator(base_seed: int, path_index: int) -> Generator:
@@ -44,20 +51,28 @@ def normal_increments(
 def batch_increments(
     base_seed: int, path_offset: int, n_paths: int, n_steps: int, dbar: int, h: float
 ) -> np.ndarray:
-    """Increments for paths path_offset..path_offset+n_paths-1, shape (n_paths, n_steps, dbar)."""
+    """Increments for paths path_offset..path_offset+n_paths-1, shape
+    (n_paths, n_steps, dbar): the transposed view of a time-major
+    (n_steps, n_paths, dbar) buffer.  Each path is drawn whole into a tile
+    of _FILL_TILE paths, which is then copied into the buffer."""
     gen = path_generator(base_seed, path_offset)
     bitgen = gen.bit_generator
     fresh = bitgen.state  # zero counter, empty buffer
     key = fresh["state"]["key"]
-    out = np.empty((n_paths, n_steps, dbar))
-    for i in range(n_paths):
-        key[1] = path_offset + i
-        bitgen.state = fresh
-        gen.random(out=out[i])
-    np.maximum(out, _U_FLOOR, out=out)
-    ndtri(out, out=out)
-    out *= np.sqrt(h)
-    return out
+    out = np.empty((n_steps, n_paths, dbar))
+    tile = np.empty((min(_FILL_TILE, n_paths), n_steps, dbar))
+    scale = np.sqrt(h)
+    for lo in range(0, n_paths, _FILL_TILE):
+        part = tile[: min(_FILL_TILE, n_paths - lo)]
+        for i in range(len(part)):
+            key[1] = path_offset + lo + i
+            bitgen.state = fresh
+            gen.random(out=part[i])
+        np.maximum(part, _U_FLOOR, out=part)
+        ndtri(part, out=part)
+        part *= scale
+        out[:, lo : lo + len(part)] = part.transpose(1, 0, 2)
+    return out.transpose(1, 0, 2)
 
 
 def path_increments(dW, base_seed, path_offset, n_paths, n_steps, dbar, h) -> np.ndarray:
@@ -78,6 +93,9 @@ def coarsen_increments(dw: np.ndarray, factor: int) -> np.ndarray:
     """
     if factor < 1:
         raise ValueError("factor must be >= 1")
+    # the order of the sum follows the memory layout, so sum a C-ordered
+    # copy: a time-major view then gives the bits of a path-major array
+    dw = np.ascontiguousarray(dw)
     step_axis = dw.ndim - 2
     n_steps = dw.shape[step_axis]
     if n_steps % factor != 0:

@@ -6,6 +6,11 @@ the exact Ornstein-Uhlenbeck flow up to O(h^2) in the variance; the delay
 drift is evaluated at the left-endpoint segment, through the segment
 averages that measure.delay_averages streams.  Everything is vectorized over
 a batch of paths sharing one initial segment.
+
+A batch is stored time-major: states and increments live in (N+1, n, d) and
+(steps, n, dbar) buffers, so each step reads and writes contiguous rows, and
+PathBatch exposes them as the transposed (n, N+1, d) and (n, steps, dbar)
+views.
 """
 
 from __future__ import annotations
@@ -79,8 +84,8 @@ class ExplosionBeforeHorizonError(RuntimeError):
 class PathBatch:
     h: float
     r0: float
-    states: np.ndarray  # (n, N+1, d)
-    dW: np.ndarray  # (n, steps, dbar)
+    states: np.ndarray  # (n, N+1, d), a view of a time-major (N+1, n, d) buffer
+    dW: np.ndarray  # (n, steps, dbar), a view of a time-major buffer unless the caller passed dW
     base_seed: int
     path_offset: int
     lifetimes: np.ndarray  # (n,) nan = no truncation exit
@@ -166,7 +171,7 @@ def simulate(
     d, dbar = m.d, m.dbar
     m_eff = truncate_coefficients(m, cfg.trunc_level)
     dW = path_increments(dW, base_seed, path_offset, n_paths, steps, dbar, cfg.h)
-    states = np.empty((n_paths, n0 + steps + 1, d))
+    states = np.empty((n0 + steps + 1, n_paths, d)).transpose(1, 0, 2)
     states[:, : n0 + 1] = xi.values
     lifetimes = np.full(n_paths, np.nan)
     alive = np.ones(n_paths, dtype=bool)
@@ -304,7 +309,7 @@ def apriori_check(
     h = cfg.h
     n = batch.n_paths
     d = m.d
-    xbar = np.zeros((n, n0 + steps + 1, d))
+    xbar = np.zeros((n0 + steps + 1, n, d)).transpose(1, 0, 2)
     use_exp = cfg.scheme == "exponential-euler"
     if use_exp:
         E, _ = semigroup_factors(m.A, h)

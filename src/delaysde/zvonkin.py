@@ -49,6 +49,7 @@ __all__ = [
     "transformed_model",
     "transformed_coefficients",
     "measure_K",
+    "needs_transform",
     "simulate_transformed",
     "verify_decay",
 ]
@@ -559,16 +560,29 @@ def transformed_coefficients(
     return -a * state + (sol.lam + a) * u0 + np.einsum("nck,nk->nc", dth, Bv), Qv
 
 
+def needs_transform(m: ModelSpec) -> bool:
+    """Whether the drift b of m is non-zero at the probe points, so that
+    only a solved u (not the identity transform) carries its dynamics."""
+    probe = np.array([[0.25], [2.0]]) if m.d == 1 else np.zeros((2, m.d)) + 0.25
+    return bool(np.any(m.b(0.0, probe) != 0.0))
+
+
 def transformed_model(m: ModelSpec, nu: DelayMeasure, sol: ZvonkinSolution | None) -> TransformedModel:
     """Push the dynamics of m through Theta = id + u (the identity when sol is
     None, which only folds A into the delay drift).
 
     The transformed drift depends on the state as well as on the average of
     the pulled-back window, so it has no B(t, avg) of its own: the runners and
-    measure_K form it with transformed_coefficients.  nu is not read.
+    measure_K form it with transformed_coefficients.  nu is not read.  The
+    identity transform drops b, so sol None is refused for a model whose
+    drift needs_transform finds non-zero.
     """
     if m.A is None:
         raise ValueError("base model must carry an explicit linear part")
+    if sol is None and needs_transform(m):
+        raise ValueError(
+            f"model {m.name!r} has a non-zero drift b, which the identity transform drops"
+        )
     return TransformedModel(m, sol)
 
 
@@ -617,7 +631,8 @@ def measure_K(
 
 def pulled_back_history(tm: TransformedModel, states: np.ndarray, seg: np.ndarray, h: float) -> np.ndarray:
     """Storage for Theta^{-1} along a path batch whose rows all start from the
-    one initial segment seg (n0+1, d), filled on [-r0, 0].
+    one initial segment seg (n0+1, d), filled on [-r0, 0] and laid out in
+    memory like states.
 
     With the identity transform the path is its own pull-back and states is
     returned as is.  Otherwise seg is pulled back once and broadcast to every
@@ -654,13 +669,14 @@ def simulate_transformed(
     the pulled-back windows instead of inverting every node again.
 
     xi_t: transformed initial segment values (n0+1, d).  Returns (states, dW)
-    with states of shape (n_paths, n0+steps+1, d) on [-r0, t_end].
+    with states of shape (n_paths, n0+steps+1, d) on [-r0, t_end], the
+    transposed view of a time-major buffer.
     """
     n0 = grid_count(nu.r0, cfg.h, "r0")
     steps = grid_count(cfg.t_end, cfg.h, "t_end")
     h = cfg.h
     dW = path_increments(dW, base_seed, path_offset, n_paths, steps, tm.base.dbar, h)
-    states = np.empty((n_paths, n0 + steps + 1, tm.base.d))
+    states = np.empty((n0 + steps + 1, n_paths, tm.base.d)).transpose(1, 0, 2)
     xi_t = np.asarray(xi_t, dtype=float)
     states[:, : n0 + 1] = xi_t
     xinv = pulled_back_history(tm, states, xi_t, h)

@@ -1,8 +1,11 @@
 """The benchmark's tracer wraps public names of delaysde; a rename or a
 removal in the package must show here, not first in a benchmark run."""
 
+import importlib
 import importlib.util
 from pathlib import Path
+
+import pytest
 
 from delaysde.zvonkin import TransformedModel
 
@@ -28,3 +31,14 @@ def test_transformed_model_keeps_what_the_benchmark_reads():
     # the coupling count hook reads tm.sol; the couple set-up calls seg_to_transformed
     assert "sol" in TransformedModel.__dataclass_fields__
     assert callable(TransformedModel.seg_to_transformed)
+
+
+@pytest.mark.parametrize("name", ["reweight", "couple", "cli"])
+def test_benchmark_reference_values_still_match(name, tmp_path, monkeypatch):
+    """Each workload's pinned-seed summary matches bench/reference.json, so a
+    change of numbers shows here before a benchmark run reports it."""
+    monkeypatch.syspath_prepend(str(SPANS.parent))
+    worker = importlib.import_module("worker")
+    wl = worker.WORKLOADS[name]
+    st = wl.setup(str(tmp_path))
+    assert worker.check_reference(wl, st, name) == []

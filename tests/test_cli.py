@@ -171,6 +171,17 @@ def test_simulate_zero_model_outputs(tmp_path):
         assert row[1] == pytest.approx(math.exp(-1.0), rel=1e-12)
 
 
+def test_sim_chunk_returns_arrays_that_own_their_data():
+    """A chunk's results must not be views of its path array, which would
+    keep every chunk's full paths alive until the rows are written."""
+    cfg = parse_config(BASE.replace("name = zero", "name = ou"))
+    nu, m, scfg, xi = cli._build(cfg)
+    start, *arrays = cli._sim_chunk((cfg.base_seed, nu, m, scfg, xi), (4, 6))
+    assert start == 4
+    for a in arrays:
+        assert a.shape[0] == 6 and a.base is None
+
+
 def test_verdict_config_round_trips(tmp_path):
     """verdict.json carries the resolved configuration, command-line
     overrides included; written back as INI it reruns to the same bytes."""

@@ -74,6 +74,15 @@ def test_config_validation():
         CouplingConfig(T=1.0, h=0.125, K=4.0)  # bridge factor 1 - h/ghat reaches -1
 
 
+def test_coupling_stores_paths_time_major(nu, tm):
+    cc = CouplingConfig(T=0.125, h=H, K=2.0)
+    xi = constant_segment(nu, 1.0).values
+    res = run_coupling_batch(tm, nu, xi, xi + 0.1, cc, 4, 3)
+    for states in (res.x_states, res.y_states):
+        assert states.shape == (3, 2 * nu.n_cells + 33, 1)
+        assert states.transpose(1, 0, 2).flags.c_contiguous
+
+
 def test_coupled_step_contraction_factor(nu):
     """Constant diffusion and shared drift: the one bridged step (T = h)
     shrinks X - Y by exactly 1 - h/gamma_hat, since the noise difference

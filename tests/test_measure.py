@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from delaysde import measure
 from delaysde.measure import (
     DelayMeasure,
     GridMismatchError,
@@ -274,16 +275,55 @@ def test_delay_averages_read_only_written_rows():
     np.testing.assert_allclose(np.stack(got), _per_step_averages(m, full), rtol=0, atol=1e-12)
 
 
-@pytest.mark.parametrize("d", [1, 2])
-def test_delay_averages_are_batch_independent(d):
+def _time_major(rows):
+    """The same rows stored time-major, seen through the (n, n_rows, d) view."""
+    return np.ascontiguousarray(rows.transpose(1, 0, 2)).transpose(1, 0, 2)
+
+
+@pytest.mark.parametrize(
+    "d, layout",
+    [(1, "path-major"), (2, "path-major"), (1, "time-major"), (2, "time-major")],
+    ids=["1", "2", "1-time-major", "2-time-major"],
+)
+def test_delay_averages_are_batch_independent(d, layout):
     """A path's averages are the same bits in any batch that holds it: single
     paths and batches of 3 and 300 at offsets that straddle a tile."""
     m = make_measure("exponential", 1.0, 2.0**-6, lam=1.0)
     start = 250
     rows = np.random.default_rng(5).standard_normal((600, m.n_cells + 40, d))
+    if layout == "time-major":
+        rows = _time_major(rows)
     ref = np.stack(list(delay_averages(m, rows, path_offset=start)))
     for offset in (255, 256, 511):
         for count in (1, 3, 300):
             lo = offset - start
             sub = np.stack(list(delay_averages(m, rows[lo : lo + count], path_offset=offset)))
             np.testing.assert_array_equal(sub, ref[:, lo : lo + count])
+
+
+@pytest.mark.parametrize(
+    "m, d",
+    [
+        (make_measure("exponential", 1.0, 2.0**-6, lam=1.0), 1),
+        (make_measure("exponential", 0.5, 2.0**-6, lam=2.0), 2),
+        (make_measure("atoms", 1.0, 0.1, weights=_ATOMS), 1),
+    ],
+    ids=["exp-d1", "exp-d2", "atoms"],
+)
+def test_delay_averages_same_bits_in_either_layout(m, d):
+    rows = np.random.default_rng(6).standard_normal((300, m.n_cells + 75, d))
+    path_major = np.stack(list(delay_averages(m, rows, path_offset=7)))
+    time_major = np.stack(list(delay_averages(m, _time_major(rows), path_offset=7)))
+    np.testing.assert_array_equal(time_major, path_major)
+
+
+def test_delay_averages_split_push_keeps_bits(monkeypatch):
+    """A large batch pushes each written row into the block's averages a few
+    averages at a time; the split must not change a bit."""
+    m = make_measure("exponential", 1.0, 2.0**-6, lam=1.0)
+    rows = _time_major(np.random.default_rng(7).standard_normal((5, m.n_cells + 100, 2)))
+    whole = np.stack(list(delay_averages(m, rows)))
+    monkeypatch.setattr(measure, "_PUSH_SIZE", 1)
+    split = np.stack(list(delay_averages(m, rows)))
+    np.testing.assert_array_equal(split, whole)
+    np.testing.assert_allclose(split, _per_step_averages(m, rows), rtol=0, atol=1e-12)

@@ -52,6 +52,25 @@ def test_batch_matches_per_path():
         np.testing.assert_array_equal(got[i], normal_increments(3, 10 + i, 16, 2, 0.25))
 
 
+def test_batch_is_time_major_across_fill_tiles():
+    """The batch is the transposed view of a time-major buffer, filled one
+    tile of paths at a time; members on both sides of a tile edge keep the
+    draws of their own generators."""
+    got = batch_increments(3, 250, 300, 5, 2, 0.25)
+    assert got.shape == (300, 5, 2)
+    assert got.transpose(1, 0, 2).flags.c_contiguous
+    for i in (0, 255, 256, 299):
+        np.testing.assert_array_equal(got[i], normal_increments(3, 250 + i, 5, 2, 0.25))
+
+
+def test_coarsen_does_not_depend_on_layout():
+    dw = batch_increments(1, 0, 4, 64, 1, 0.5)
+    for factor in (2, 8, 16):
+        np.testing.assert_array_equal(
+            coarsen_increments(dw, factor), coarsen_increments(np.ascontiguousarray(dw), factor)
+        )
+
+
 def test_batch_matches_fresh_generators_with_partial_buffer():
     """7 steps x 1 draw leave one of Philox's four buffered words unused per
     path; the reused generator must not hand it to the next path.  Oracle: a

@@ -83,6 +83,22 @@ def test_explicit_noise_reproduces_default():
         simulate(m, nu, xi, cfg, 5, 3, dW=dw[:, :2])
 
 
+def test_simulate_stores_paths_time_major():
+    """states and dW are transposed views of time-major buffers, so each
+    step reads and writes one contiguous row; a caller's path-major dW gives
+    the same bits."""
+    nu = make_measure("exponential", 0.5, 2.0**-5, lam=1.0)
+    m = make_model("reference", measure=nu)
+    xi = constant_segment(nu, 1.0)
+    cfg = SolverConfig(h=2.0**-5, t_end=0.5)
+    batch = simulate(m, nu, xi, cfg, 5, 7)
+    assert batch.states.shape == (7, nu.n_cells + 17, 1)
+    assert batch.states.transpose(1, 0, 2).flags.c_contiguous
+    assert batch.dW.transpose(1, 0, 2).flags.c_contiguous
+    again = simulate(m, nu, xi, cfg, 5, 7, dW=np.ascontiguousarray(batch.dW))
+    np.testing.assert_array_equal(again.states, batch.states)
+
+
 def test_single_path_is_batch_member():
     """Paths are keyed by (base_seed, index): a one-path run at index 3
     reproduces that member of a batch starting at index 2."""

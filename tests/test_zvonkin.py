@@ -403,6 +403,23 @@ def test_runners_reject_misshapen_noise(nu6, runner, shape):
         run(bad)
 
 
+def test_identity_transform_refuses_a_nonzero_drift(nu6):
+    """The identity transform drops b, so it must not carry a model whose
+    drift is non-zero: the cubic model would otherwise run drift-free."""
+    with pytest.raises(ValueError, match="non-zero drift"):
+        transformed_model(make_model("cubic"), nu6, None)
+
+
+def test_simulate_transformed_stores_paths_time_major(nu6, sol_small, ref6):
+    tm = transformed_model(ref6, nu6, sol_small)
+    xi_t = tm.seg_to_transformed(0.0, constant_segment(nu6, 0.5).values[None], nu6.h)[0]
+    cfg = SolverConfig(h=nu6.h, t_end=0.25)
+    states, dW = simulate_transformed(tm, nu6, xi_t, cfg, 3, 5)
+    assert states.shape == (5, nu6.n_cells + 17, 1)
+    assert states.transpose(1, 0, 2).flags.c_contiguous
+    assert dW.transpose(1, 0, 2).flags.c_contiguous
+
+
 def test_transformed_model_requires_linear_part(nu6, sol_small, ref6):
     m_flat = ModelSpec("flat", 1, 1, None, lambda t, x: np.zeros_like(x), _zero_B,
                        _const_Q(1.0, 1, 1))
@@ -624,7 +641,8 @@ def test_pulled_back_history_inverts_the_shared_segment_once(nu6, sol_small, d):
     assert out.shape == states.shape and out is not states
     ref = theta_inverse_segment(sol, 0.0, states[:, : n0 + 1], nu6.h)
     np.testing.assert_array_equal(out[:, : n0 + 1], ref)
-    assert pulled_back_history(transformed_model(m, nu6, None), states, seg, nu6.h) is states
+    identity = transformed_model(make_model("linear_delay", measure=nu6, d=d), nu6, None)
+    assert pulled_back_history(identity, states, seg, nu6.h) is states
 
 
 def test_verify_decay_small_ladder(ref6):
