@@ -117,10 +117,9 @@ class CouplingResult:
 def _pull_back_y(sol, t: float, yn: np.ndarray, x_inv: np.ndarray, skip: np.ndarray) -> np.ndarray:
     """Theta^{-1}(t, yn), inverted only on the rows not in skip: a met row
     equals its X row, whose pull-back x_inv already holds, and past T no
-    step reads the pull-back of a failed row.  Skipped rows get x_inv.  In
-    d=1 the inverse works point by point, so the bits are those of a
-    full-batch inverse; in d>1 the fixed point stops on the batch maximum,
-    so the roots agree to its tolerance."""
+    step reads the pull-back of a failed row.  Skipped rows get x_inv.  The
+    inverse works row by row, so the bits are those of a full-batch
+    inverse."""
     out = x_inv.copy()
     live = ~skip
     if np.any(live):
@@ -164,8 +163,8 @@ def run_coupling_batch(
     y = np.empty_like(x)
     x[:, : n0 + 1] = xi_t
     y[:, : n0 + 1] = eta_t
-    xinv = pulled_back_history(tm, x, xi_t, h)
-    yinv = pulled_back_history(tm, y, eta_t, h)
+    xinv = pulled_back_history(tm, x, xi_t)
+    yinv = pulled_back_history(tm, y, eta_t)
     avg_x = delay_averages(nu, xinv, path_offset)
     avg_y = delay_averages(nu, yinv, path_offset)
     gamma_floor = gamma(T - 0.5 * h, T, K)

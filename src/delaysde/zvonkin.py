@@ -12,12 +12,13 @@ with linear interpolation of the integrand, applied axis by axis.  Queries
 beyond the padded grid use constant extension during the solve (the drifts of
 interest saturate); public evaluation outside the grid raises CoverageError.
 
-Between the nodes u and grad u are linear in x and in t.  In d=1 one gather
-per time level on a stacked (u, du/dx) table serves both, and Theta(t, .)
-is piecewise linear with nodes g + u(t, g), so theta_inverse returns its
-exact root by interpolating back, with no iteration.  In d>1 the tables are
-read by multilinear interpolation and Theta^{-1} is the fixed point
-x = y - u(t, x).
+Between the nodes u and grad u are multilinear in x and linear in t.  In
+every d one gather of the 2^d cell corners per time level, on a stacked
+(u, grad u) table, serves both.  In d=1 Theta(t, .) is piecewise linear with
+nodes g + u(t, g), so theta_inverse returns its exact root by interpolating
+back, with no iteration.  In d>1 Theta^{-1} is the fixed point
+x = y - u(t, x), iterated on each row until that row's own update is below
+tolerance, so a row's root does not depend on the batch it is in.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse
-from scipy.interpolate import RegularGridInterpolator
 from scipy.sparse.linalg import splu
 from scipy.special import roots_hermitenorm
 
@@ -65,8 +65,8 @@ class DivergenceError(RuntimeError):
 
 class InverseConvergenceError(RuntimeError):
     """Theta^{-1} is not defined by the table: in d=1 Theta(t, .) is not
-    strictly increasing on the grid; in d>1 the fixed point did not reach its
-    tolerance."""
+    strictly increasing on the grid; in d>1 the fixed point of some row did
+    not reach _INVERSE_TOL in _INVERSE_MAX_ITER iterations."""
 
 
 def _hermite(order: int) -> tuple[np.ndarray, np.ndarray]:
@@ -132,9 +132,6 @@ def ou_apply(
     return _apply_gathers(vals, gathers, w)
 
 
-_CELL_ENDS = np.array([[0], [1]])  # a cell's two nodes, k + (0, 1)
-
-
 @dataclass
 class ZvonkinSolution:
     """Tabulated u on [0, T] x grid, with its gradient and, from picard_u,
@@ -149,19 +146,27 @@ class ZvonkinSolution:
     u_tab: np.ndarray  # (n_t, *shape, d)
     du_tab: np.ndarray  # (n_t, *shape, d, d) du[..., c, k] = d u_c / d x_k
     ratios: list = field(default_factory=list)
-    # d=1: (n_t, 2, n_x + 1) table of u and du/dx, the last node repeated,
-    # and the grid with +inf appended, so the right edge is a zero-slope cell;
-    # u_tab and du_tab become views into it, so it costs no extra memory
+    # (n_t, d + d*d, n_1 + 1, ..., n_d + 1) table of u and grad u, each axis
+    # padded by repeating its last node, and per axis the grid with +inf
+    # appended, so the right edge is a zero-slope cell; u_tab and du_tab
+    # become views into it, so it costs no extra memory
     _ud: np.ndarray = field(default=None, init=False, repr=False, compare=False)
-    _gx: np.ndarray = field(default=None, init=False, repr=False, compare=False)
+    _gx: list = field(default=None, init=False, repr=False, compare=False)
+    # flat offsets of a cell's 2^d corners within one padded time level
+    _corners: np.ndarray = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.d == 1:
-            ud = np.stack([self.u_tab[..., 0], self.du_tab[..., 0, 0]], axis=1)
-            self._ud = np.concatenate([ud, ud[..., -1:]], axis=-1)
-            self._gx = np.append(self.grids[0], np.inf)
-            self.u_tab = self._ud[:, 0, :-1, None]
-            self.du_tab = self._ud[:, 1, :-1, None, None]
+        d, n_t = self.d, len(self.u_tab)
+        du = self.du_tab.reshape(*self.u_tab.shape[:-1], d * d)
+        ud = np.moveaxis(np.concatenate([self.u_tab, du], axis=-1), -1, 1)
+        self._ud = np.pad(ud, [(0, 0), (0, 0)] + [(0, 1)] * d, mode="edge")
+        self._gx = [np.append(g, np.inf) for g in self.grids]
+        nodes = (..., *(slice(-1),) * d)  # drop the padding on every axis
+        self.u_tab = np.moveaxis(self._ud[:, :d][nodes], 1, -1)
+        du = self._ud[:, d:].reshape(n_t, d, d, *self._ud.shape[2:])
+        self.du_tab = np.moveaxis(du[nodes], (1, 2), (-2, -1))
+        corners = np.indices((2,) * d).reshape(d, -1)
+        self._corners = np.ravel_multi_index(corners, self._ud.shape[2:])
 
     @property
     def d(self) -> int:
@@ -208,67 +213,54 @@ class ZvonkinSolution:
         return (1 - frac) * u + frac * self.u_tab[j, :, 0] if frac else u
 
     def _lookup(self, t: float, x: np.ndarray) -> np.ndarray:
-        """d=1: u and du/dx at (t, x), stacked into shape (2, n).
+        """u and grad u at (t, x), stacked into shape (d + d*d, n): u_c, then
+        d u_c / d x_k at row d + c*d + k.
 
-        The cell k of x is floor((x - x0)/dx), nudged to np.interp's
-        g[k] <= x < g[k + 1] where rounding puts x on the other side of a
-        node; each time level is then one gather of both ends of the cells,
-        and the arithmetic is np.interp's, so the values match it bit for bit.
+        Along each axis the cell k of x is floor((x - x0)/dx), nudged to
+        np.interp's g[k] <= x < g[k + 1] where rounding puts x on the other
+        side of a node.  Each time level is then one gather of the 2^d cell
+        corners, blended axis by axis with np.interp's arithmetic, so in d=1
+        the values match np.interp bit for bit.
         """
         x = np.atleast_2d(np.asarray(x, dtype=float))
         self._check_cover(x)
-        x = x[:, 0]
-        gx = self._gx
-        k = np.minimum(((x - gx[0]) / (gx[1] - gx[0])).astype(np.intp), len(gx) - 2)
-        k -= x < gx[k]
-        k += x >= gx[k + 1]
-        cell = k + _CELL_ENDS
-        ends = gx.take(cell)
-        span = ends[1] - ends[0]
-        off = x - ends[0]
-        i, j, frac = self._time_blend(t)
-        lo, hi = self._ud[i].take(cell, axis=1).transpose(1, 0, 2)
-        out = (hi - lo) / span * off + lo
-        if frac:
-            lo, hi = self._ud[j].take(cell, axis=1).transpose(1, 0, 2)
-            out = (1 - frac) * out + frac * ((hi - lo) / span * off + lo)
-        return out
+        flat, spans, offs = 0, [], []
+        for xa, gx in zip(x.T, self._gx):
+            k = np.minimum(((xa - gx[0]) / (gx[1] - gx[0])).astype(np.intp), len(gx) - 2)
+            k -= xa < gx[k]
+            k += xa >= gx[k + 1]
+            lo = gx.take(k)
+            spans.append(gx.take(k + 1) - lo)
+            offs.append(xa - lo)
+            flat = flat * len(gx) + k
+        cells = flat + self._corners[:, None]
+        n_c = self._ud.shape[1]
 
-    def _eval_tab(self, tab: np.ndarray, t: float, x: np.ndarray) -> np.ndarray:
-        """d>1: multilinear interpolation, blended between the two time levels."""
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        self._check_cover(x)
+        def level(i):
+            v = self._ud[i].reshape(n_c, -1).take(cells, axis=1)
+            v = v.reshape(n_c, *(2,) * self.d, -1)
+            for span, off in zip(spans, offs):
+                v = (v[:, 1] - v[:, 0]) / span * off + v[:, 0]
+            return v
+
         i, j, frac = self._time_blend(t)
-        comp_shape = tab.shape[1 + self.d :]
-        flat = tab.reshape(tab.shape[0], *tab.shape[1 : 1 + self.d], -1)
-        nc = flat.shape[-1]
-        out = np.empty((x.shape[0], nc))
-        for c in range(nc):
-            lo = RegularGridInterpolator(self.grids, flat[i, ..., c])(x)
-            if frac:
-                hi = RegularGridInterpolator(self.grids, flat[j, ..., c])(x)
-                lo = (1 - frac) * lo + frac * hi
-            out[:, c] = lo
-        return out.reshape(x.shape[0], *comp_shape)
+        out = level(i)
+        if frac:
+            out = (1 - frac) * out + frac * level(j)
+        return out
 
     def eval_u(self, t: float, x: np.ndarray) -> np.ndarray:
         """u(t, x) for batched x (n, d); t is clamped into [0, T]."""
-        if self.d == 1:
-            return self._lookup(t, x)[0][:, None]
-        return self._eval_tab(self.u_tab, t, x)
+        return self._lookup(t, x)[: self.d].T
 
     def eval_du(self, t: float, x: np.ndarray) -> np.ndarray:
         """Jacobian of u, shape (n, d, d)."""
-        if self.d == 1:
-            return self._lookup(t, x)[1][:, None, None]
-        return self._eval_tab(self.du_tab, t, x)
+        return self._lookup(t, x)[self.d :].T.reshape(-1, self.d, self.d)
 
     def eval_u_du(self, t: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(eval_u, eval_du) from one lookup in d=1."""
-        if self.d == 1:
-            u, du = self._lookup(t, x)
-            return u[:, None], du[:, None, None]
-        return self._eval_tab(self.u_tab, t, x), self._eval_tab(self.du_tab, t, x)
+        """(eval_u, eval_du) from one lookup."""
+        ud = self._lookup(t, x)
+        return ud[: self.d].T, ud[self.d :].T.reshape(-1, self.d, self.d)
 
 
 def _du_of(u_tab: np.ndarray, grids: list) -> np.ndarray:
@@ -454,23 +446,27 @@ def picard_u(
     raise DivergenceError(f"no convergence in {max_iter} sweeps (last diff {prev_diff:g})")
 
 
+_INVERSE_TOL = 1e-12  # per-row update at which the d>1 fixed point stops
+_INVERSE_MAX_ITER = 200
+
+
 def theta(sol: ZvonkinSolution, t: float, x: np.ndarray) -> np.ndarray:
     """Theta(t, x) = x + u(t, x)."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
     return x + sol.eval_u(t, x)
 
 
-def theta_inverse(
-    sol: ZvonkinSolution, t: float, y: np.ndarray, tol: float = 1e-12, max_iter: int = 200
-) -> np.ndarray:
-    """Theta^{-1}(t, y) for batched y (n, d).
+def theta_inverse(sol: ZvonkinSolution, t: float, y: np.ndarray) -> np.ndarray:
+    """Theta^{-1}(t, y) for batched y (n, d), row by row.
 
     In d=1 Theta(t, .) is piecewise linear with nodes g + u(t, g), so the
-    root is np.interp(y, g + u(t, g), g): exact, with no iteration, and point
-    by point.  It raises CoverageError when y or its root lies outside the
-    grid, and InverseConvergenceError when the nodes are not strictly
-    increasing (a cell slope of u at or below -1).  In d>1 it iterates the
-    fixed point x = y - u(t, x), which contracts since |grad u| < 1, to tol.
+    root is np.interp(y, g + u(t, g), g): exact, with no iteration.  It
+    raises CoverageError when y or its root lies outside the grid, and
+    InverseConvergenceError when the nodes are not strictly increasing (a
+    cell slope of u at or below -1).  In d>1 it iterates the fixed point
+    x = y - u(t, x), which contracts since |grad u| < 1, on the rows that
+    have not converged; each row stops once its own update is below
+    _INVERSE_TOL, so its root does not depend on the batch it is in.
     """
     y = np.atleast_2d(np.asarray(y, dtype=float))
     if sol.d == 1:
@@ -488,12 +484,17 @@ def theta_inverse(
             )
         return np.interp(y[:, 0], nodes, g)[:, None]
     x = y.copy()
-    for _ in range(max_iter):
-        xn = y - sol.eval_u(t, x)
-        if np.abs(xn - x).max() < tol:
-            return xn
-        x = xn
-    raise InverseConvergenceError("inverse fixed point did not reach tolerance")
+    rows = np.arange(len(y))
+    for _ in range(_INVERSE_MAX_ITER):
+        xr = x[rows]
+        xn = y[rows] - sol.eval_u(t, xr)
+        x[rows] = xn
+        rows = rows[np.abs(xn - xr).max(axis=1) >= _INVERSE_TOL]
+        if not len(rows):
+            return x
+    raise InverseConvergenceError(
+        f"the inverse fixed point of {len(rows)} rows did not reach tolerance"
+    )
 
 
 def _seg_times(t: float, n_nodes: int, h: float) -> np.ndarray:
@@ -563,7 +564,7 @@ def transformed_coefficients(
 def needs_transform(m: ModelSpec) -> bool:
     """Whether the drift b of m is non-zero at the probe points, so that
     only a solved u (not the identity transform) carries its dynamics."""
-    probe = np.array([[0.25], [2.0]]) if m.d == 1 else np.zeros((2, m.d)) + 0.25
+    probe = np.repeat([[0.25], [2.0]], m.d, axis=1)
     return bool(np.any(m.b(0.0, probe) != 0.0))
 
 
@@ -629,28 +630,22 @@ def measure_K(
     return {"Q_sup": q_sup, "QQt_inv_sup": qinv_sup, "B_lip": lip}
 
 
-def pulled_back_history(tm: TransformedModel, states: np.ndarray, seg: np.ndarray, h: float) -> np.ndarray:
+def pulled_back_history(tm: TransformedModel, states: np.ndarray, seg: np.ndarray) -> np.ndarray:
     """Storage for Theta^{-1} along a path batch whose rows all start from the
     one initial segment seg (n0+1, d), filled on [-r0, 0] and laid out in
     memory like states.
 
     With the identity transform the path is its own pull-back and states is
     returned as is.  Otherwise seg is pulled back once and broadcast to every
-    row, with the bits of a batch inverse of the identical rows.  Every node
-    of [-r0, 0] reads u(0), and the d=1 inverse works point by point, so in
-    d=1 the whole segment is one call.  In d>1 the fixed point stops on the
-    batch maximum, so each node keeps its own call; for identical rows that
-    maximum is the row's own value.  The caller fills each later node as the
-    path grows.
+    row: every node of [-r0, 0] reads u(0), and theta_inverse works row by
+    row, so one call gives each row the bits of a batch inverse of identical
+    rows.  The caller fills each later node as the path grows.
     """
     sol = tm.sol
     if sol is None:
         return states
     out = np.empty_like(states)
-    if sol.d == 1:
-        out[:, : len(seg)] = theta_inverse(sol, 0.0, seg)
-    else:
-        out[:, : len(seg)] = theta_inverse_segment(sol, 0.0, seg[None], h)
+    out[:, : len(seg)] = theta_inverse(sol, 0.0, seg)
     return out
 
 
@@ -679,7 +674,7 @@ def simulate_transformed(
     states = np.empty((n0 + steps + 1, n_paths, tm.base.d)).transpose(1, 0, 2)
     xi_t = np.asarray(xi_t, dtype=float)
     states[:, : n0 + 1] = xi_t
-    xinv = pulled_back_history(tm, states, xi_t, h)
+    xinv = pulled_back_history(tm, states, xi_t)
     averages = delay_averages(nu, xinv, path_offset)
     for k in range(steps):
         t = k * h

@@ -17,6 +17,7 @@ from delaysde.zvonkin import (
     InverseConvergenceError,
     ZvonkinSolution,
     measure_K,
+    needs_transform,
     ou_apply,
     picard_u,
     pulled_back_history,
@@ -99,6 +100,12 @@ def ref6(nu6):
 @pytest.fixture(scope="module")
 def sol_small(ref6):
     return solve_u(ref6, 16.0, 1.0, n_x=201, n_t=33)
+
+
+@pytest.fixture(scope="module")
+def sol_d2(nu6):
+    m = make_model("reference", measure=nu6, d=2)
+    return solve_u(m, 16.0, 1.0, n_x=13, n_t=5, quad_order=6)
 
 
 def test_ou_apply_constant_and_linear():
@@ -270,7 +277,8 @@ def test_theta_roundtrip(sol_small):
 
 def _fixed_point_inverse(sol, t, y, tol=1e-12, max_iter=200):
     """The Theta^{-1} fixed-point loop that d=1 used before the exact
-    inverse, kept as its oracle."""
+    inverse, and d>1 before it stopped row by row, kept as their oracle: it
+    stops on the batch maximum of the update."""
     y = np.atleast_2d(np.asarray(y, dtype=float))
     x = y.copy()
     for _ in range(max_iter):
@@ -300,15 +308,62 @@ def test_theta_inverse_matches_fixed_point_oracle(sol_small, t):
     np.testing.assert_allclose(exact, x, rtol=0, atol=1e-12)
 
 
-def test_eval_u_du_matches_separate_lookups(sol_small):
+def test_eval_u_du_matches_separate_lookups(sol_small, sol_d2):
     rng = np.random.default_rng(4)
-    g = sol_small.grids[0]
-    x = np.concatenate([rng.uniform(g[0], g[-1], 500), g, [g[-1]]])[:, None]
-    for t in (0.0, 5.0 / 32.0, 0.37, -0.5, 1.5):
-        u, du = sol_small.eval_u_du(t, x)
-        assert u.shape == (len(x), 1) and du.shape == (len(x), 1, 1)
-        np.testing.assert_allclose(u, sol_small.eval_u(t, x), rtol=0, atol=1e-14)
-        np.testing.assert_allclose(du, sol_small.eval_du(t, x), rtol=0, atol=1e-14)
+    for sol in (sol_small, sol_d2):
+        d, g = sol.d, sol.grids[0]
+        nodes = np.stack([g, g[::-1]], axis=1)[:, :d]
+        x = np.concatenate([rng.uniform(g[0], g[-1], (500, d)), nodes, np.full((1, d), g[-1])])
+        for t in (0.0, 5.0 / 32.0, 0.37, -0.5, 1.5):
+            u, du = sol.eval_u_du(t, x)
+            assert u.shape == (len(x), d) and du.shape == (len(x), d, d)
+            np.testing.assert_allclose(u, sol.eval_u(t, x), rtol=0, atol=1e-14)
+            np.testing.assert_allclose(du, sol.eval_du(t, x), rtol=0, atol=1e-14)
+        assert np.shares_memory(sol.u_tab, sol._ud) and np.shares_memory(sol.du_tab, sol._ud)
+
+
+def _old_eval_tab(sol, tab, t, x):
+    """The d>1 lookup before one corner gather served every d, kept as its
+    oracle: one RegularGridInterpolator per component and time level."""
+    i, j, frac = sol._time_blend(t)
+    comp_shape = tab.shape[1 + sol.d :]
+    flat = tab.reshape(tab.shape[0], *tab.shape[1 : 1 + sol.d], -1)
+    out = np.empty((x.shape[0], flat.shape[-1]))
+    for c in range(flat.shape[-1]):
+        lo = RegularGridInterpolator(sol.grids, flat[i, ..., c])(x)
+        if frac:
+            hi = RegularGridInterpolator(sol.grids, flat[j, ..., c])(x)
+            lo = (1 - frac) * lo + frac * hi
+        out[:, c] = lo
+    return out.reshape(x.shape[0], *comp_shape)
+
+
+def test_d2_lookup_matches_old_grid_interpolator(sol_d2):
+    """In d=2 the corner gather is multilinear interpolation, also on the
+    nodes and the far edges of the grid."""
+    rng = np.random.default_rng(7)
+    g = sol_d2.grids[0]
+    edges = np.array([[g[-1], g[0]], [g[0], g[-1]], [g[-1], g[-1]], [g[3], g[-1]]])
+    x = np.concatenate([rng.uniform(g[0], g[-1], (400, 2)), np.stack([g, g[::-1]], axis=1), edges])
+    for t in (0.0, 0.25, 0.37, -0.5, 1.5):  # level node, level node, between, clamped
+        u, du = sol_d2.eval_u_du(t, x)
+        for new, tab in ((u, sol_d2.u_tab), (du, sol_d2.du_tab)):
+            np.testing.assert_allclose(new, _old_eval_tab(sol_d2, tab, t, x), rtol=0, atol=1e-14)
+
+
+def test_d2_theta_inverse_rows_are_batch_members(sol_d2):
+    """Each row of the d=2 fixed point stops on its own update, so it has the
+    bits of its single-row inverse; the batch agrees with the old loop that
+    stopped on the batch maximum to that loop's tolerance."""
+    rng = np.random.default_rng(8)
+    x = rng.uniform(-3.0, 3.0, (256, 2))
+    t = 0.37
+    y = theta(sol_d2, t, x)
+    batch = theta_inverse(sol_d2, t, y)
+    single = np.concatenate([theta_inverse(sol_d2, t, y[i : i + 1]) for i in range(len(y))])
+    np.testing.assert_array_equal(batch, single)
+    np.testing.assert_allclose(batch, _fixed_point_inverse(sol_d2, t, y), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(batch, x, rtol=0, atol=1e-12)
 
 
 def test_lookup_is_np_interp_bit_for_bit(sol_small):
@@ -410,6 +465,19 @@ def test_identity_transform_refuses_a_nonzero_drift(nu6):
         transformed_model(make_model("cubic"), nu6, None)
 
 
+def test_needs_transform_probes_two_points_in_d2(nu6):
+    """The drift probe reads (0.25, 0.25) and (2, 2) in d=2 as in d=1: a drift
+    that vanishes on |x| <= 1 is still found non-zero."""
+    def kink(t, x):
+        return np.maximum(np.abs(x) - 1.0, 0.0)
+
+    m = ModelSpec("kink", 2, 2, OperatorA([1.0, 1.0]), kink, _zero_B, _const_Q(1.0, 2, 2),
+                  Q_bounds={"Q": 1.0})
+    assert needs_transform(m)
+    with pytest.raises(ValueError, match="non-zero drift"):
+        transformed_model(m, nu6, None)
+
+
 def test_simulate_transformed_stores_paths_time_major(nu6, sol_small, ref6):
     tm = transformed_model(ref6, nu6, sol_small)
     xi_t = tm.seg_to_transformed(0.0, constant_segment(nu6, 0.5).values[None], nu6.h)[0]
@@ -481,6 +549,34 @@ def test_coupled_pairs_are_batch_members(nu6, ref6, sol_small, offset):
         np.testing.assert_array_equal(sub.x_states, wide.x_states[rows])
         np.testing.assert_array_equal(sub.y_states, wide.y_states[rows])
         np.testing.assert_array_equal(sub.log_R, wide.log_R[rows])
+
+
+@pytest.mark.parametrize("runner", ["simulate_transformed", "run_coupling_batch"])
+def test_d2_runners_are_batch_members(sol_d2, runner):
+    """In d=2 each path of a batch has the bits of the same path run alone on
+    its own slice of the batch's noise."""
+    nu = make_measure("exponential", 0.125, 2.0**-6, lam=1.0)
+    tm = transformed_model(make_model("reference", measure=nu, d=2), nu, sol_d2)
+    xi = constant_segment(nu, [0.5, -0.3]).values
+    xi_t = tm.seg_to_transformed(0.0, xi[None], nu.h)[0]
+    if runner == "simulate_transformed":
+        cfg = SolverConfig(h=nu.h, t_end=0.25)
+
+        def run(count, offset, dW=None):
+            states, dW = simulate_transformed(tm, nu, xi_t, cfg, 9, count, offset, dW)
+            return dW, {"states": states}
+    else:
+        cc = CouplingConfig(T=0.125, h=nu.h, K=4.0)
+
+        def run(count, offset, dW=None):
+            res = run_coupling_batch(tm, nu, xi_t, xi_t + 0.05, cc, 9, count, offset, dW)
+            names = ("x_states", "y_states", "log_R", "tau")
+            return res.dW, {name: getattr(res, name) for name in names}
+
+    dW, wide = run(16, 0)
+    for i in range(16):
+        for name, value in run(1, i, dW[i : i + 1])[1].items():
+            np.testing.assert_array_equal(value, wide[name][i : i + 1], err_msg=f"{name}, path {i}")
 
 
 def test_coupling_skips_met_rows_in_y_inverse(nu6, ref6, sol_small, monkeypatch):
@@ -623,26 +719,21 @@ def test_coupling_y_side_matches_full_oracle(nu6, ref6, sol_small, monkeypatch, 
 
 
 @pytest.mark.parametrize("d", [1, 2])
-def test_pulled_back_history_inverts_the_shared_segment_once(nu6, sol_small, d):
+def test_pulled_back_history_inverts_the_shared_segment_once(nu6, sol_small, sol_d2, d):
     """One pulled-back initial segment, broadcast to every row, has the bits of
-    the batch inverse of the identical rows, also where the d>1 fixed point
-    stops on the batch maximum."""
-    if d == 1:
-        sol, m = sol_small, make_model("reference", measure=nu6)
-    else:
-        m = make_model("reference", measure=nu6, d=2)
-        sol = solve_u(m, 16.0, 1.0, n_x=13, n_t=5, quad_order=6)
-    tm = transformed_model(m, nu6, sol)
+    the batch inverse of the identical rows, node by node."""
+    sol = sol_small if d == 1 else sol_d2
+    tm = transformed_model(make_model("reference", measure=nu6, d=d), nu6, sol)
     n0 = nu6.n_cells
     seg = 0.3 + 0.4 * np.sin(np.arange((n0 + 1) * d, dtype=float)).reshape(n0 + 1, d)
     states = np.empty((5, n0 + 9, d))
     states[:, : n0 + 1] = seg
-    out = pulled_back_history(tm, states, seg, nu6.h)
+    out = pulled_back_history(tm, states, seg)
     assert out.shape == states.shape and out is not states
     ref = theta_inverse_segment(sol, 0.0, states[:, : n0 + 1], nu6.h)
     np.testing.assert_array_equal(out[:, : n0 + 1], ref)
     identity = transformed_model(make_model("linear_delay", measure=nu6, d=d), nu6, None)
-    assert pulled_back_history(identity, states, seg, nu6.h) is states
+    assert pulled_back_history(identity, states, seg) is states
 
 
 def test_verify_decay_small_ladder(ref6):
