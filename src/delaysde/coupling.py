@@ -10,10 +10,15 @@ states meet, and that tail is what produces the segment-norm term in the
 entropy cost.
 
 Every pair of a batch starts from the same two segments, so their pull-backs
-through Theta are computed once per run.  Before T the density reads Y's
-drift and diffusion on every row; from T on nothing reads Y's drift, and Y's
-diffusion, noise and pull-back are evaluated only on the rows that have
-neither met nor failed.
+through Theta are computed once per run.  Each step then pulls X's new rows
+and the Y rows still needed back through one theta_inverse_ud call, which
+also returns u and grad u at each root; the next step's coefficients read
+those instead of the table, and the delay averages slide in O(1) per step
+for exponential and uniform measures, so a step's cost does not grow with
+the delay window.  Before T the density reads Y's drift and diffusion on
+every row; from T on nothing reads Y's drift, and Y's diffusion, noise and
+pull-back are evaluated only on the rows that have neither met nor failed.
+The meeting and finiteness tests of Y run on those open rows only.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from .rng import path_increments
 from .zvonkin import (
     TransformedModel,
     pulled_back_history,
-    theta_inverse,
+    theta_inverse_ud,
     transformed_coefficients,
 )
 
@@ -114,17 +119,16 @@ class CouplingResult:
         return diff.max(axis=(1, 2)) == 0.0
 
 
-def _pull_back_y(sol, t: float, yn: np.ndarray, x_inv: np.ndarray, skip: np.ndarray) -> np.ndarray:
-    """Theta^{-1}(t, yn), inverted only on the rows not in skip: a met row
-    equals its X row, whose pull-back x_inv already holds, and past T no
-    step reads the pull-back of a failed row.  Skipped rows get x_inv.  The
-    inverse works row by row, so the bits are those of a full-batch
-    inverse."""
-    out = x_inv.copy()
-    live = ~skip
-    if np.any(live):
-        out[live] = theta_inverse(sol, t, yn[live])
-    return out
+def _pull_back(sol, t: float, xn: np.ndarray, yn: np.ndarray, pull):
+    """Theta^{-1}(t, .) and its (u, grad u) for every row of xn and for the
+    rows pull (a mask, or slice(None) for all) of yn, from one
+    theta_inverse_ud call on the stacked rows.  The inverse works row by
+    row, so the bits are those of separate calls.  Returns
+    (x_inv, ud_x, y_inv, ud_y), the last two on the pulled rows only."""
+    n = len(xn)
+    rows = yn[pull]
+    inv, ud = theta_inverse_ud(sol, t, np.concatenate([xn, rows]) if len(rows) else xn)
+    return inv[:n], ud[:, :n], inv[n:], ud[:, n:]
 
 
 def run_coupling_batch(
@@ -163,8 +167,10 @@ def run_coupling_batch(
     y = np.empty_like(x)
     x[:, : n0 + 1] = xi_t
     y[:, : n0 + 1] = eta_t
-    xinv = pulled_back_history(tm, x, xi_t)
-    yinv = pulled_back_history(tm, y, eta_t)
+    # ud_x holds (u, grad u) at X's current pull-back; ud_y at Y's on every
+    # row before T and on the open rows, in order, from T on
+    xinv, ud_x = pulled_back_history(tm, x, xi_t)
+    yinv, ud_y = pulled_back_history(tm, y, eta_t)
     avg_x = delay_averages(nu, xinv, path_offset)
     avg_y = delay_averages(nu, yinv, path_offset)
     gamma_floor = gamma(T - 0.5 * h, T, K)
@@ -174,56 +180,81 @@ def run_coupling_batch(
     met = np.linalg.norm(x[:, n0] - y[:, n0], axis=1) <= delta
     tau[met] = 0.0
     y[met, n0] = x[met, n0]
+    open_ = ~met  # rows that have neither met nor failed, updated in place
+    frozen = np.flatnonzero(failed)
     for k in range(steps):
         t = k * h
         idx = n0 + k
         xs, ys = x[:, idx], y[:, idx]
-        Bx, Qx = transformed_coefficients(tm, t, xs, xinv[:, idx], next(avg_x))
+        live = np.flatnonzero(open_)
+        sel = slice(None) if len(live) == n_paths else live  # a view when all are open
+        Bx, Qx = transformed_coefficients(tm, t, xs, xinv[:, idx], ud_x, next(avg_x))
         noise_x = np.einsum("ncj,nj->nc", Qx, dW[:, k])
         with np.errstate(over="ignore", invalid="ignore"):
             xn = xs + h * Bx + noise_x
-        if k < n_T:
-            live = slice(None)  # phi reads Y's drift and diffusion on every row
-            By, Qy = transformed_coefficients(tm, t, ys, yinv[:, idx], next(avg_y))
+        if k < n_T:  # phi reads Y's drift and diffusion on every row
+            By, Qy = transformed_coefficients(tm, t, ys, yinv[:, idx], ud_y, next(avg_y))
             ghat = max(gamma(min(t + 0.5 * h, T), T, K), gamma_floor)
             z = solve_qqt(Qx, xs - ys)  # (n, dbar): Q*(QQ*)^{-1}(X - Y)
             phi = solve_qqt(Qy, By - Bx) - z / ghat
             log_r += np.einsum("nk,nk->n", phi, dW[:, k]) - 0.5 * h * np.sum(phi**2, axis=1)
-            bridge = np.einsum("ncj,nj->nc", Qy, z) / ghat
-        else:
-            live = np.isnan(tau) & ~failed
-            if not np.any(live):
-                # every row has met or failed for good: Y copies X on met rows,
-                # stays frozen on failed ones, and no step reads its pull-back
-                failed |= ~np.all(np.isfinite(xn), axis=1)
-                xn[failed] = xs[failed]
-                x[:, idx + 1] = xn
-                y[:, idx + 1] = np.where(np.isnan(tau)[:, None], ys, xn)
-                if sol is not None:
-                    xinv[:, idx + 1] = theta_inverse(sol, t + h, xn)
-                continue
+            Qy = Qy[sel]
+            bridge = np.einsum("ncj,nj->nc", Qy, z[sel]) / ghat
+        elif len(live):
+            Qy = transformed_coefficients(tm, t, ys[sel], yinv[sel, idx], ud_y, None)[1]
             bridge = 0.0
-            Qy = transformed_coefficients(tm, t, ys[live], yinv[live, idx], None)[1]
-        noise_y = np.einsum("ncj,nj->nc", Qy, dW[live, k])
-        yn = ys.copy()  # finite off the live rows; a met row takes xn below
-        with np.errstate(over="ignore", invalid="ignore"):
-            yn[live] = ys[live] + h * (Bx[live] + bridge) + noise_y
-        failed |= ~(np.all(np.isfinite(xn), axis=1) & np.all(np.isfinite(yn), axis=1))
-        xn[failed] = xs[failed]
-        yn[failed] = ys[failed]
-        already = ~np.isnan(tau)
-        yn[already] = xn[already]
-        newly = ~already & ~failed & (np.linalg.norm(xn - yn, axis=1) <= delta)
-        yn[newly] = xn[newly]
-        tau[newly] = t + h
+        y_live = ys[sel]
+        if len(live):
+            noise_y = np.einsum("ncj,nj->nc", Qy, dW[sel, k])
+            with np.errstate(over="ignore", invalid="ignore"):
+                y_live = y_live + h * (Bx[sel] + bridge) + noise_y
+        if frozen.size:
+            xn[frozen] = xs[frozen]
+        if not (np.isfinite(xn).all() and np.isfinite(y_live).all()):
+            bad = ~np.all(np.isfinite(xn), axis=1)
+            bad[live] |= ~np.all(np.isfinite(y_live), axis=1)
+            failed |= bad
+            open_ &= ~failed
+            frozen = np.flatnonzero(failed)
+            xn[frozen] = xs[frozen]
+            keep = open_[live]
+            live = sel = live[keep]
+            y_live = y_live[keep]
         x[:, idx + 1] = xn
-        y[:, idx + 1] = yn
-        if sol is not None:
-            xinv[:, idx + 1] = theta_inverse(sol, t + h, xn)
-            skip = already | newly
-            if k + 1 >= n_T:  # past T no step reads a failed row's pull-back
-                skip |= failed
-            yinv[:, idx + 1] = _pull_back_y(sol, t + h, yn, xinv[:, idx + 1], skip)
+        yn = y[:, idx + 1]
+        if len(live) < n_paths:
+            yn[...] = xn  # a met row copies X
+            if frozen.size:
+                yn[frozen] = ys[frozen]  # a failed row keeps its state
+        if len(live):
+            yn[sel] = y_live
+            near = np.linalg.norm(xn[sel] - y_live, axis=1) <= delta
+            if near.any():
+                newly = live[near]
+                yn[newly] = xn[newly]
+                tau[newly] = t + h
+                open_[newly] = False
+        if sol is None:
+            continue
+        # before T the next step reads Y's pull-back on every row, where a met
+        # row's is its X row's; from T on it reads only the open rows'
+        before_T = k + 1 < n_T
+        pull = np.isnan(tau) if before_T else open_
+        n_pull = np.count_nonzero(pull)
+        if n_pull == n_paths:
+            pull = slice(None)
+        x_inv, ud_x, y_inv, ud_pulled = _pull_back(sol, t + h, xn, yn, pull)
+        xinv[:, idx + 1] = x_inv
+        if before_T and n_pull < n_paths:
+            yinv[:, idx + 1] = x_inv
+            ud_y = ud_x
+            if n_pull:
+                ud_y = ud_x.copy()
+                ud_y[:, pull] = ud_pulled
+        else:
+            ud_y = ud_pulled
+        if n_pull:
+            yinv[pull, idx + 1] = y_inv
     return CouplingResult(
         tau, log_r, x, y, delta, T, h, nu.r0, base_seed, path_offset, dW, failed
     )

@@ -14,13 +14,22 @@ The delay drift enters through the average nu(window_k) = sum_j w_j x(k + j)
 of each step's window.  delay_averages streams these averages for a path
 batch that grows by one row per step.  The runners store a batch time-major,
 as an (n_rows, n, d) buffer seen through its (n, n_rows, d) transposed view,
-so each step reads and writes one contiguous row.  At the start of a block
-of steps the rows already known go through one matrix product against the
-block's Toeplitz weights, and each row written inside the block is pushed
-into the block's remaining averages as soon as it is known.  Every product
-has a fixed shape on a zero-padded tile of paths aligned to the global path
-index, and the pushes are elementwise, so a path's bits never depend on the
-batch it runs in.
+so each step reads and writes one contiguous row.
+
+When the cell masses are geometric, w_{j+1} = w_j / c with 0 < c <= 1 (the
+exponential measure with lam >= 0, lam = 0 and the uniform measure), the
+averages follow the recursive moving sum, the discrete linear chain trick:
+A_{k+1} = c (A_k - w_0 x(k)) + w_{n0-1} x(k + n0), two rows per step
+whatever n0 is.  An exact sum re-anchors it every n0 steps, so rounding
+never builds up over more than one window.  Any other measure (atoms, or a
+decreasing density, whose factor c > 1 would amplify rounding) streams its
+averages in blocked products: at the start of a block of steps the rows
+already known go through one matrix product against the block's Toeplitz
+weights, and each row written inside the block is pushed into the block's
+remaining averages as soon as it is known.  Each product has a fixed shape on
+a zero-padded tile of paths aligned to the global path index, and the
+recursion, the anchors and the pushes are elementwise, so in either mode a
+path's bits never depend on the batch it runs in.
 """
 
 from __future__ import annotations
@@ -44,12 +53,15 @@ __all__ = [
 ]
 
 # Steps per block of delay averages (capped at n0) and paths per product
-# tile.  Both fix the shape of every matrix product in delay_averages.
+# tile.  Both fix the shape of every matrix product of the blocked mode.
 AVERAGE_BLOCK = 32
 PATH_TILE = 256
 # Values in the temporary product of one push of a written row into the
 # block's averages; the push is split over averages to stay within it.
 _PUSH_SIZE = 2**15
+# Largest relative deviation of the cell masses from a geometric sequence at
+# which delay_averages takes the sliding recursion.
+_GEOMETRIC_RTOL = 1e-12
 
 
 class GridMismatchError(ValueError):
@@ -219,6 +231,21 @@ def _toeplitz_weights(w: np.ndarray, n_steps: int) -> np.ndarray:
     return np.where((j >= 0) & (j < n0), w[np.clip(j, 0, n0 - 1)], 0.0)
 
 
+def _slide_factor(w: np.ndarray) -> float | None:
+    """The factor c of the sliding recursion when w_j = w_{n0-1} c^{n0-1-j}
+    to _GEOMETRIC_RTOL with 0 < c <= 1; None otherwise."""
+    n0 = len(w)
+    if n0 == 1:
+        return 1.0  # every step is an anchor
+    if not np.all(w > 0):
+        return None
+    c = float((w[0] / w[-1]) ** (1.0 / (n0 - 1)))
+    fit = w[-1] * c ** np.arange(n0 - 1, -1, -1.0)
+    if c > 1.0 or np.abs(w - fit).max() > _GEOMETRIC_RTOL * fit.min():
+        return None
+    return c
+
+
 def delay_averages(m: DelayMeasure, rows: np.ndarray, path_offset: int = 0):
     """Yield nu(window_k) per component, shape (n, d), for k = 0, 1, ...,
     n_rows - n0 - 2, where window_k = rows[:, k : k + n0 + 1].
@@ -230,7 +257,40 @@ def delay_averages(m: DelayMeasure, rows: np.ndarray, path_offset: int = 0):
     view of a time-major buffer; a path-major array gives the same bits,
     only more slowly.
 
-    Steps run in blocks of min(AVERAGE_BLOCK, n0) steps; the last block may
+    Geometric cell masses (see _slide_factor) take the sliding recursion in
+    O(1) per step, re-anchored by an exact sum every n0 steps; other masses
+    take the blocked products.  Both agree with the per-step sum to rounding.
+    """
+    c = _slide_factor(m.weights)
+    if c is None:
+        return _blocked_averages(m.weights, rows, path_offset)
+    return _sliding_averages(m.weights, c, rows)
+
+
+def _sliding_averages(w: np.ndarray, c: float, rows: np.ndarray):
+    """The recursive moving sum A_k = c (A_{k-1} - w_0 x(k-1)) + w_{n0-1}
+    x(k+n0-1).  At every k that is a multiple of n0 it restarts from the sum
+    w_0 x(k) + w_1 x(k+1) + ... + w_{n0-1} x(k+n0-1), taken elementwise in
+    that order, so no step drifts more than n0 - 1 updates from an exact
+    sum and no bit depends on the batch."""
+    n0 = len(w)
+    by_time = rows.transpose(1, 0, 2)
+    first, last = w[0], w[-1]
+    for k in range(rows.shape[1] - n0 - 1):
+        if k % n0 == 0:
+            avg = first * by_time[k]
+            for j in range(1, n0):
+                avg += w[j] * by_time[k + j]
+        else:
+            avg = avg - first * by_time[k - 1]
+            if c != 1.0:
+                avg *= c
+            avg += last * by_time[k + n0 - 1]
+        yield avg
+
+
+def _blocked_averages(w: np.ndarray, rows: np.ndarray, path_offset: int):
+    """Averages in blocks of min(AVERAGE_BLOCK, n0) steps; the last block may
     be shorter.  At a block's first step the known rows k0..k0+n0 of each
     PATH_TILE-path tile are copied into a contiguous, zero-padded tile
     aligned to the global index and multiplied by the block's Toeplitz
@@ -239,7 +299,6 @@ def delay_averages(m: DelayMeasure, rows: np.ndarray, path_offset: int = 0):
     the block's remaining averages before the next one is taken, elementwise
     and in row order, so the bits do not depend on the layout or the batch.
     """
-    w = m.weights
     n0 = len(w)
     n, n_rows, d = rows.shape
     by_time = rows.transpose(1, 0, 2)

@@ -15,10 +15,13 @@ interest saturate); public evaluation outside the grid raises CoverageError.
 Between the nodes u and grad u are multilinear in x and linear in t.  In
 every d one gather of the 2^d cell corners per time level, on a stacked
 (u, grad u) table, serves both.  In d=1 Theta(t, .) is piecewise linear with
-nodes g + u(t, g), so theta_inverse returns its exact root by interpolating
-back, with no iteration.  In d>1 Theta^{-1} is the fixed point
-x = y - u(t, x), iterated on each row until that row's own update is below
-tolerance, so a row's root does not depend on the batch it is in.
+nodes g + u(t, g), so its exact root is found by interpolating back, with no
+iteration.  In d>1 Theta^{-1} is the fixed point x = y - u(t, x), iterated
+on each row until that row's own update is below tolerance, so a row's root
+does not depend on the batch it is in.  theta_inverse_ud returns the root
+together with the stacked (u, grad u) at it, from one lookup at the root;
+the runners keep that next to each pulled-back row, so a step's
+transformed_coefficients reads no table.
 """
 
 from __future__ import annotations
@@ -46,6 +49,7 @@ __all__ = [
     "solve_u",
     "theta",
     "theta_inverse",
+    "theta_inverse_ud",
     "transformed_model",
     "transformed_coefficients",
     "measure_K",
@@ -212,18 +216,21 @@ class ZvonkinSolution:
         u = self.u_tab[i, :, 0]
         return (1 - frac) * u + frac * self.u_tab[j, :, 0] if frac else u
 
-    def _lookup(self, t: float, x: np.ndarray) -> np.ndarray:
+    def _lookup(self, t: float, x: np.ndarray, check: bool = True) -> np.ndarray:
         """u and grad u at (t, x), stacked into shape (d + d*d, n): u_c, then
-        d u_c / d x_k at row d + c*d + k.
+        d u_c / d x_k at row d + c*d + k.  check=False skips the coverage
+        check, for points already known to lie on the grid.
 
         Along each axis the cell k of x is floor((x - x0)/dx), nudged to
         np.interp's g[k] <= x < g[k + 1] where rounding puts x on the other
         side of a node.  Each time level is then one gather of the 2^d cell
         corners, blended axis by axis with np.interp's arithmetic, so in d=1
-        the values match np.interp bit for bit.
+        the values match np.interp bit for bit; the two levels that t falls
+        between share one gather and one pass of that arithmetic.
         """
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        self._check_cover(x)
+        if check:
+            self._check_cover(x)
         flat, spans, offs = 0, [], []
         for xa, gx in zip(x.T, self._gx):
             k = np.minimum(((xa - gx[0]) / (gx[1] - gx[0])).astype(np.intp), len(gx) - 2)
@@ -234,19 +241,21 @@ class ZvonkinSolution:
             offs.append(xa - lo)
             flat = flat * len(gx) + k
         cells = flat + self._corners[:, None]
-        n_c = self._ud.shape[1]
-
-        def level(i):
-            v = self._ud[i].reshape(n_c, -1).take(cells, axis=1)
-            v = v.reshape(n_c, *(2,) * self.d, -1)
-            for span, off in zip(spans, offs):
-                v = (v[:, 1] - v[:, 0]) / span * off + v[:, 0]
-            return v
-
         i, j, frac = self._time_blend(t)
-        out = level(i)
-        if frac:
-            out = (1 - frac) * out + frac * level(j)
+        levels = self._ud[i : j + 1] if frac else self._ud[i : i + 1]
+        n_l, n_c = levels.shape[:2]
+        v = levels.reshape(n_l, n_c, -1).take(cells, axis=2)
+        v = v.reshape(n_l, n_c, *(2,) * self.d, -1)
+        for span, off in zip(spans, offs):  # (hi - lo) / span * off + lo, in place
+            lo = v[:, :, 0]
+            v = v[:, :, 1] - lo
+            v /= span
+            v *= off
+            v += lo
+        if not frac:
+            return v[0]
+        out = (1 - frac) * v[0]
+        out += frac * v[1]
         return out
 
     def eval_u(self, t: float, x: np.ndarray) -> np.ndarray:
@@ -457,16 +466,26 @@ def theta(sol: ZvonkinSolution, t: float, x: np.ndarray) -> np.ndarray:
 
 
 def theta_inverse(sol: ZvonkinSolution, t: float, y: np.ndarray) -> np.ndarray:
-    """Theta^{-1}(t, y) for batched y (n, d), row by row.
+    """Theta^{-1}(t, y) for batched y (n, d), row by row: the root of
+    theta_inverse_ud."""
+    return theta_inverse_ud(sol, t, y)[0]
+
+
+def theta_inverse_ud(sol: ZvonkinSolution, t: float, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(x, ud): the root x (n, d) of Theta(t, x) = y for batched y, row by
+    row, and u and grad u at (t, x) stacked as ZvonkinSolution._lookup
+    returns them, shape (d + d*d, n), with the bits of sol.eval_u_du(t, x).
 
     In d=1 Theta(t, .) is piecewise linear with nodes g + u(t, g), so the
-    root is np.interp(y, g + u(t, g), g): exact, with no iteration.  It
+    root is np.interp(y, g + u(t, g), g): exact, with no iteration, and on
+    the grid by construction, so its lookup skips the coverage check.  It
     raises CoverageError when y or its root lies outside the grid, and
     InverseConvergenceError when the nodes are not strictly increasing (a
     cell slope of u at or below -1).  In d>1 it iterates the fixed point
     x = y - u(t, x), which contracts since |grad u| < 1, on the rows that
     have not converged; each row stops once its own update is below
-    _INVERSE_TOL, so its root does not depend on the batch it is in.
+    _INVERSE_TOL, so its root does not depend on the batch it is in.  One
+    lookup at the root then gives ud.
     """
     y = np.atleast_2d(np.asarray(y, dtype=float))
     if sol.d == 1:
@@ -482,7 +501,8 @@ def theta_inverse(sol: ZvonkinSolution, t: float, y: np.ndarray) -> np.ndarray:
                 f"root of Theta(t={t:g}, x) = y outside tabulated grid: y in "
                 f"[{y.min():.3g}, {y.max():.3g}] vs [{nodes[0]:.3g}, {nodes[-1]:.3g}]"
             )
-        return np.interp(y[:, 0], nodes, g)[:, None]
+        x = np.interp(y[:, 0], nodes, g)[:, None]
+        return x, sol._lookup(t, x, check=False)
     x = y.copy()
     rows = np.arange(len(y))
     for _ in range(_INVERSE_MAX_ITER):
@@ -491,7 +511,7 @@ def theta_inverse(sol: ZvonkinSolution, t: float, y: np.ndarray) -> np.ndarray:
         x[rows] = xn
         rows = rows[np.abs(xn - xr).max(axis=1) >= _INVERSE_TOL]
         if not len(rows):
-            return x
+            return x, sol._lookup(t, x)
     raise InverseConvergenceError(
         f"the inverse fixed point of {len(rows)} rows did not reach tolerance"
     )
@@ -510,10 +530,16 @@ def theta_segment(sol: ZvonkinSolution, t: float, seg: np.ndarray, h: float) -> 
 
 
 def theta_inverse_segment(sol: ZvonkinSolution, t: float, seg: np.ndarray, h: float) -> np.ndarray:
+    return _pull_back_segment(sol, t, seg, h)[0]
+
+
+def _pull_back_segment(sol: ZvonkinSolution, t: float, seg: np.ndarray, h: float):
+    """theta_inverse_segment, and the ud of theta_inverse_ud at its last node
+    (time t)."""
     out = np.empty_like(seg)
     for i, ti in enumerate(_seg_times(t, seg.shape[1], h)):
-        out[:, i] = theta_inverse(sol, ti, seg[:, i])
-    return out
+        out[:, i], ud = theta_inverse_ud(sol, ti, seg[:, i])
+    return out, ud
 
 
 @dataclass
@@ -535,22 +561,26 @@ def transformed_coefficients(
     t: float,
     state: np.ndarray,
     point_inv: np.ndarray,
+    ud: np.ndarray | None,
     avg_inv: np.ndarray | None,
 ) -> tuple[np.ndarray | None, np.ndarray]:
     """Drift and diffusion of the transformed equation at time t.
 
-    state (n, d) is the transformed state, point_inv = Theta^{-1}(t, state) and
-    avg_inv (n, d) the average nu(.) of the pulled-back segment window.  The
-    drift is -a x + (lam + a) u + (I + grad u) B and the diffusion
-    (I + grad u) Q, with u, B and Q at the pulled-back arguments; sol None is
-    the identity transform, which only folds A into the delay drift.  Without
-    an average only the diffusion is formed and the drift is None.
+    state (n, d) is the transformed state, point_inv = Theta^{-1}(t, state),
+    ud the (u, grad u) at (t, point_inv) that theta_inverse_ud returned with
+    it (None for the identity transform), and avg_inv (n, d) the average
+    nu(.) of the pulled-back segment window.  The drift is
+    -a x + (lam + a) u + (I + grad u) B and the diffusion (I + grad u) Q,
+    with u, B and Q at the pulled-back arguments; sol None is the identity
+    transform, which only folds A into the delay drift.  Without an average
+    only the diffusion is formed and the drift is None.
     """
     base, sol = tm.base, tm.sol
     Qv = base.Q(t, point_inv)
     if sol is not None:
-        u0, du = sol.eval_u_du(t, point_inv)
-        dth = np.eye(sol.d)[None] + du
+        d = sol.d
+        u0, du = ud[:d].T, ud[d:].T.reshape(-1, d, d)
+        dth = np.eye(d)[None] + du
         Qv = np.einsum("nck,nkj->ncj", dth, Qv)
     if avg_inv is None:
         return None, Qv
@@ -608,14 +638,14 @@ def measure_K(
     n0 = nu.n_cells
 
     def drift(t, seg):
-        inv = seg if sol is None else theta_inverse_segment(sol, t, seg, nu.h)
-        return transformed_coefficients(tm, t, seg[:, -1], inv[:, -1], nu.average(inv))[0]
+        inv, ud = (seg, None) if sol is None else _pull_back_segment(sol, t, seg, nu.h)
+        return transformed_coefficients(tm, t, seg[:, -1], inv[:, -1], ud, nu.average(inv))[0]
 
     q_sup = qinv_sup = lip = 0.0
     for t in np.linspace(0.0, T, 9):
         x = rng.uniform(-box, box, (n_samples, d))
-        x_inv = x if sol is None else theta_inverse(sol, t, x)
-        Q = transformed_coefficients(tm, t, x, x_inv, None)[1]
+        x_inv, ud = (x, None) if sol is None else theta_inverse_ud(sol, t, x)
+        Q = transformed_coefficients(tm, t, x, x_inv, ud, None)[1]
         QQt = np.einsum("nik,njk->nij", Q, Q)
         ev = np.linalg.eigvalsh(QQt)
         q_sup = max(q_sup, float(np.sqrt(ev[:, -1].max())))
@@ -630,23 +660,27 @@ def measure_K(
     return {"Q_sup": q_sup, "QQt_inv_sup": qinv_sup, "B_lip": lip}
 
 
-def pulled_back_history(tm: TransformedModel, states: np.ndarray, seg: np.ndarray) -> np.ndarray:
-    """Storage for Theta^{-1} along a path batch whose rows all start from the
-    one initial segment seg (n0+1, d), filled on [-r0, 0] and laid out in
-    memory like states.
+def pulled_back_history(
+    tm: TransformedModel, states: np.ndarray, seg: np.ndarray
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """(history, ud): storage for Theta^{-1} along a path batch whose rows all
+    start from the one initial segment seg (n0+1, d), filled on [-r0, 0] and
+    laid out in memory like states, and the (u, grad u) of theta_inverse_ud
+    at the pull-back of seg's last node, one column per row.
 
-    With the identity transform the path is its own pull-back and states is
-    returned as is.  Otherwise seg is pulled back once and broadcast to every
-    row: every node of [-r0, 0] reads u(0), and theta_inverse works row by
-    row, so one call gives each row the bits of a batch inverse of identical
-    rows.  The caller fills each later node as the path grows.
+    With the identity transform the path is its own pull-back: states is
+    returned as is, with ud None.  Otherwise seg is pulled back once and
+    broadcast to every row: every node of [-r0, 0] reads u(0), and the
+    inverse and its lookup work row by row, so one call gives each row the
+    bits of a batch inverse of identical rows.  The caller fills each later
+    node, and keeps the current node's ud, as the path grows.
     """
     sol = tm.sol
     if sol is None:
-        return states
+        return states, None
     out = np.empty_like(states)
-    out[:, : len(seg)] = theta_inverse(sol, 0.0, seg)
-    return out
+    out[:, : len(seg)], ud = theta_inverse_ud(sol, 0.0, seg)
+    return out, np.repeat(ud[:, -1:], states.shape[0], axis=1)
 
 
 def simulate_transformed(
@@ -661,7 +695,8 @@ def simulate_transformed(
 ):
     """Euler integration of the transformed equation with the pulled-back states
     cached along the path, so the delay drift reads the streamed averages of
-    the pulled-back windows instead of inverting every node again.
+    the pulled-back windows instead of inverting every node again, and the
+    current node's (u, grad u) kept from the inverse that found it.
 
     xi_t: transformed initial segment values (n0+1, d).  Returns (states, dW)
     with states of shape (n_paths, n0+steps+1, d) on [-r0, t_end], the
@@ -674,16 +709,16 @@ def simulate_transformed(
     states = np.empty((n0 + steps + 1, n_paths, tm.base.d)).transpose(1, 0, 2)
     xi_t = np.asarray(xi_t, dtype=float)
     states[:, : n0 + 1] = xi_t
-    xinv = pulled_back_history(tm, states, xi_t)
+    xinv, ud = pulled_back_history(tm, states, xi_t)
     averages = delay_averages(nu, xinv, path_offset)
     for k in range(steps):
         t = k * h
         idx = n0 + k
         x = states[:, idx]
-        drift, Qv = transformed_coefficients(tm, t, x, xinv[:, idx], next(averages))
+        drift, Qv = transformed_coefficients(tm, t, x, xinv[:, idx], ud, next(averages))
         states[:, idx + 1] = x + h * drift + np.einsum("ncj,nj->nc", Qv, dW[:, k])
         if tm.sol is not None:
-            xinv[:, idx + 1] = theta_inverse(tm.sol, t + h, states[:, idx + 1])
+            xinv[:, idx + 1], ud = theta_inverse_ud(tm.sol, t + h, states[:, idx + 1])
     return states, dW
 
 

@@ -251,8 +251,11 @@ _ATOMS = [0.0, 0.1, 0.0, 0.0, 0.3, 0.2, 0.0, 0.25, 0.15, 0.0]
         (make_measure("atoms", 1.0, 0.1, weights=_ATOMS), 1, 23),  # null cells, n0 < block
         (make_measure("uniform", 0.3, 0.1), 3, 7),  # n0 = 3
         (make_measure("uniform", 0.1, 0.1), 1, 9),  # n0 = 1
+        (make_measure("exponential", 1.0, 2.0**-6, lam=-2.0), 1, 100),  # decreasing masses
+        (make_measure("exponential", 1.0, 2.0**-10, lam=1.0), 1, 2000),  # n0 = 1024, two anchors
+        (make_measure("uniform", 1.0, 2.0**-10), 1, 2000),
     ],
-    ids=["exp-d1", "exp-d2", "atoms", "n0-3", "n0-1"],
+    ids=["exp-d1", "exp-d2", "atoms", "n0-3", "n0-1", "lam-neg", "long-exp", "long-uniform"],
 )
 def test_delay_averages_match_per_step_oracle(m, d, steps):
     rows = np.random.default_rng(3).standard_normal((5, m.n_cells + steps + 1, d))
@@ -280,15 +283,25 @@ def _time_major(rows):
     return np.ascontiguousarray(rows.transpose(1, 0, 2)).transpose(1, 0, 2)
 
 
+_EXP = make_measure("exponential", 1.0, 2.0**-6, lam=1.0)
+# 64 cells, some null: streamed in blocked products
+_ATOMS_64 = make_measure("atoms", 1.0, 2.0**-6, weights=np.tile([0.03, 0.0, 0.01, 0.02], 16))
+
+
 @pytest.mark.parametrize(
-    "d, layout",
-    [(1, "path-major"), (2, "path-major"), (1, "time-major"), (2, "time-major")],
-    ids=["1", "2", "1-time-major", "2-time-major"],
+    "d, layout, m",
+    [
+        (1, "path-major", _EXP),
+        (2, "path-major", _EXP),
+        (1, "time-major", _EXP),
+        (2, "time-major", _EXP),
+        (2, "time-major", _ATOMS_64),
+    ],
+    ids=["1", "2", "1-time-major", "2-time-major", "atoms"],
 )
-def test_delay_averages_are_batch_independent(d, layout):
+def test_delay_averages_are_batch_independent(d, layout, m):
     """A path's averages are the same bits in any batch that holds it: single
     paths and batches of 3 and 300 at offsets that straddle a tile."""
-    m = make_measure("exponential", 1.0, 2.0**-6, lam=1.0)
     start = 250
     rows = np.random.default_rng(5).standard_normal((600, m.n_cells + 40, d))
     if layout == "time-major":
@@ -320,7 +333,7 @@ def test_delay_averages_same_bits_in_either_layout(m, d):
 def test_delay_averages_split_push_keeps_bits(monkeypatch):
     """A large batch pushes each written row into the block's averages a few
     averages at a time; the split must not change a bit."""
-    m = make_measure("exponential", 1.0, 2.0**-6, lam=1.0)
+    m = _ATOMS_64
     rows = _time_major(np.random.default_rng(7).standard_normal((5, m.n_cells + 100, 2)))
     whole = np.stack(list(delay_averages(m, rows)))
     monkeypatch.setattr(measure, "_PUSH_SIZE", 1)

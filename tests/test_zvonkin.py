@@ -26,6 +26,7 @@ from delaysde.zvonkin import (
     theta,
     theta_inverse,
     theta_inverse_segment,
+    theta_inverse_ud,
     theta_segment,
     transformed_coefficients,
     transformed_model,
@@ -309,6 +310,10 @@ def test_theta_inverse_matches_fixed_point_oracle(sol_small, t):
 
 
 def test_eval_u_du_matches_separate_lookups(sol_small, sol_d2):
+    """eval_u_du is eval_u and eval_du from one lookup, and theta_inverse_ud
+    is theta_inverse followed by eval_u_du at the root, bit for bit: on a
+    time level, between two, clamped, in d=1 also with y on every node of
+    Theta(t, .), where the nudge decides the cell, up to the right edge."""
     rng = np.random.default_rng(4)
     for sol in (sol_small, sol_d2):
         d, g = sol.d, sol.grids[0]
@@ -319,6 +324,14 @@ def test_eval_u_du_matches_separate_lookups(sol_small, sol_d2):
             assert u.shape == (len(x), d) and du.shape == (len(x), d, d)
             np.testing.assert_allclose(u, sol.eval_u(t, x), rtol=0, atol=1e-14)
             np.testing.assert_allclose(du, sol.eval_du(t, x), rtol=0, atol=1e-14)
+            y = theta(sol, t, x[np.abs(x).max(axis=1) < 3.0])
+            if d == 1:  # the nodes that y may take, and the largest y
+                on = g + sol._u_level(t)
+                edge = min(on[-1], g[-1])
+                y = np.concatenate([y, on[(on >= g[0]) & (on <= g[-1])][:, None], [[edge]]])
+            root, ud = theta_inverse_ud(sol, t, y)
+            np.testing.assert_array_equal(root, theta_inverse(sol, t, y))
+            np.testing.assert_array_equal(ud, _stacked_ud(*sol.eval_u_du(t, root)))
         assert np.shares_memory(sol.u_tab, sol._ud) and np.shares_memory(sol.du_tab, sol._ud)
 
 
@@ -580,36 +593,54 @@ def test_d2_runners_are_batch_members(sol_d2, runner):
 
 
 def test_coupling_skips_met_rows_in_y_inverse(nu6, ref6, sol_small, monkeypatch):
-    """Inverting Y only on the rows that have not met gives the bits of the
-    full-batch inverse."""
+    """Inverting Y only on the rows that have not met, stacked under X's rows
+    in one call, gives the bits of separate full-batch inverses."""
     tm = transformed_model(ref6, nu6, sol_small)
     xi_t = tm.seg_to_transformed(0.0, constant_segment(nu6, 0.5).values[None], nu6.h)[0]
     cc = CouplingConfig(T=0.25, h=nu6.h, K=8.0)
-    sizes = []
+    sizes = []  # the Y rows of each step's call, under X's 32 rows
 
     def counted(sol, t, y):
-        sizes.append(len(y))
-        return theta_inverse(sol, t, y)
+        sizes.append(len(y) - 32)
+        return theta_inverse_ud(sol, t, y)
 
-    monkeypatch.setattr(coupling, "theta_inverse", counted)
+    monkeypatch.setattr(coupling, "theta_inverse_ud", counted)
     res = run_coupling_batch(tm, nu6, xi_t, xi_t + 0.5, cc, 5, 32)
     assert res.coupled.all() and len(np.unique(res.tau)) > 1  # rows meet at different steps
     assert any(0 < n < 32 for n in sizes)
 
-    def full_batch(sol, t, yn, x_inv, met):
-        return np.where(met[:, None], x_inv, theta_inverse(sol, t, yn))
+    def full_batch(sol, t, xn, yn, pull):
+        x_inv, y_inv = theta_inverse(sol, t, xn), theta_inverse(sol, t, yn)
+        ud_y = _stacked_ud(*sol.eval_u_du(t, y_inv))
+        return x_inv, _stacked_ud(*sol.eval_u_du(t, x_inv)), y_inv[pull], ud_y[:, pull]
 
-    monkeypatch.setattr(coupling, "_pull_back_y", full_batch)
+    monkeypatch.setattr(coupling, "_pull_back", full_batch)
     ref = run_coupling_batch(tm, nu6, xi_t, xi_t + 0.5, cc, 5, 32)
     for name in ("x_states", "y_states", "log_R", "tau"):
         np.testing.assert_array_equal(getattr(res, name), getattr(ref, name))
 
 
+def _stacked_ud(u, du):
+    """eval_u_du's (u, grad u) in the stacked (d + d*d, n) layout of
+    theta_inverse_ud."""
+    return np.concatenate([u.T, du.reshape(len(du), -1).T])
+
+
+def _coefficients_after_lookup(tm, t, state, point_inv, avg_inv):
+    """transformed_coefficients with u and grad u from a separate eval_u_du
+    at the pulled-back point, as each step read them before the inverse
+    returned them."""
+    ud = None if tm.sol is None else _stacked_ud(*tm.sol.eval_u_du(t, point_inv))
+    return transformed_coefficients(tm, t, state, point_inv, ud, avg_inv)
+
+
 def _old_run_coupling_batch(tm, nu, xi_t, eta_t, cc, dW):
     """run_coupling_batch before it pulled the shared initial segment back
-    once and skipped the Y side past T, kept as its oracle: every initial row
-    is inverted, and Y's coefficients, averages, noise and pull-back are
-    formed on every row at every step.  Returns (x, y, log_R, tau, failed)."""
+    once, skipped the Y side past T and kept u and grad u from the inverse,
+    kept as its oracle: every initial row is inverted, Y's coefficients,
+    averages, noise and pull-back are formed on every row at every step, and
+    each step calls theta_inverse and then eval_u_du.  Returns
+    (x, y, log_R, tau, failed)."""
     sol = tm.sol
     T, h, K = cc.T, cc.h, cc.K
     n0 = nu.n_cells
@@ -640,8 +671,8 @@ def _old_run_coupling_batch(tm, nu, xi_t, eta_t, cc, dW):
         t = k * h
         idx = n0 + k
         xs, ys = x[:, idx], y[:, idx]
-        Bx, Qx = transformed_coefficients(tm, t, xs, xinv[:, idx], next(avg_x))
-        By, Qy = transformed_coefficients(tm, t, ys, yinv[:, idx], next(avg_y))
+        Bx, Qx = _coefficients_after_lookup(tm, t, xs, xinv[:, idx], next(avg_x))
+        By, Qy = _coefficients_after_lookup(tm, t, ys, yinv[:, idx], next(avg_y))
         if t < T - 1e-12:
             ghat = max(coupling.gamma(min(t + 0.5 * h, T), T, K), gamma_floor)
             z = solve_qqt(Qx, xs - ys)
@@ -694,10 +725,10 @@ def test_coupling_y_side_matches_full_oracle(nu6, ref6, sol_small, monkeypatch, 
         dW[[3, 7], n_T + 5] = np.inf
     y_sizes = []  # rows of each call that forms Y's diffusion alone, past T
 
-    def counted(tm_, t, state, point_inv, avg_inv):
+    def counted(tm_, t, state, point_inv, ud, avg_inv):
         if avg_inv is None:
             y_sizes.append(len(state))
-        return transformed_coefficients(tm_, t, state, point_inv, avg_inv)
+        return transformed_coefficients(tm_, t, state, point_inv, ud, avg_inv)
 
     monkeypatch.setattr(coupling, "transformed_coefficients", counted)
     res = run_coupling_batch(tm, nu6, xi_t, xi_t + gap, cc, 5, n, dW=dW)
@@ -728,12 +759,14 @@ def test_pulled_back_history_inverts_the_shared_segment_once(nu6, sol_small, sol
     seg = 0.3 + 0.4 * np.sin(np.arange((n0 + 1) * d, dtype=float)).reshape(n0 + 1, d)
     states = np.empty((5, n0 + 9, d))
     states[:, : n0 + 1] = seg
-    out = pulled_back_history(tm, states, seg)
+    out, ud = pulled_back_history(tm, states, seg)
     assert out.shape == states.shape and out is not states
     ref = theta_inverse_segment(sol, 0.0, states[:, : n0 + 1], nu6.h)
     np.testing.assert_array_equal(out[:, : n0 + 1], ref)
+    np.testing.assert_array_equal(ud, _stacked_ud(*sol.eval_u_du(0.0, ref[:, -1])))
     identity = transformed_model(make_model("linear_delay", measure=nu6, d=d), nu6, None)
-    assert pulled_back_history(identity, states, seg) is states
+    history, ud = pulled_back_history(identity, states, seg)
+    assert history is states and ud is None
 
 
 def test_verify_decay_small_ladder(ref6):
