@@ -56,6 +56,6 @@ from .coupling import (
     gamma,
     run_coupling_batch,
 )
-from .harnack import check_gradient_estimate, check_log_harnack, estimate_P
+from .harnack import check_gradient_estimate, check_log_harnack
 
 __version__ = "0.1.0"

@@ -173,6 +173,14 @@ def _getf(raw, sec, key, default=None):
         raise ConfigError(f"{sec}.{key}", f"not a number: {v!r}") from e
 
 
+def _horizon(raw, sec, default):
+    """[sec] T, which must be finite and positive."""
+    T = _getf(raw, sec, "T", default)
+    if not 0 < T < math.inf:
+        raise ConfigError(f"{sec}.T", f"need a finite T > 0, got {T:g}")
+    return T
+
+
 def _functional(raw, sec, default, nu):
     name = raw.get(sec, {}).get("functional", default)
     try:
@@ -210,7 +218,10 @@ def _build(cfg: ExperimentConfig):
         raise ConfigError("measure", str(e)) from e
     msec = dict(raw.get("model", {}))
     name = msec.pop("name", "ou")
-    x0 = float(msec.pop("x0", "1.0"))
+    msec.pop("x0", None)
+    x0 = _getf(raw, "model", "x0", 1.0)
+    if not math.isfinite(x0):
+        raise ConfigError("model.x0", f"need a finite x0, got {x0!r}")
     params = {}
     for k, v in msec.items():
         try:
@@ -366,6 +377,8 @@ def _coupling_setup(cfg, nu, m, scfg, xi):
     except ValueError as e:  # solver.h > 0 holds already
         raise ConfigError("coupling.T" if T <= 0 else "coupling.K", str(e)) from e
     if needs_transform(m):
+        if not m.Q_bounds.get("Q", 0.0) > 0:  # the u solve needs a diffusion
+            raise ConfigError("model.sigma", f"the transform of model {m.name!r} needs sigma > 0")
         lam_u = _getf(raw, "coupling", "lam_u", 16.0)
         if not lam_u > 0:
             raise ConfigError("coupling.lam_u", f"need lam_u > 0, got {lam_u:g}")
@@ -421,8 +434,9 @@ def _run_validate(cfg, nu, m, scfg, xi) -> int:
     return 0 if ok else 1
 
 def _run_girsanov(cfg, nu, m, scfg, xi) -> int:
+    _require_two_paths(cfg)
     raw = cfg.raw
-    T = _getf(raw, "girsanov", "T", scfg.t_end)
+    T = _horizon(raw, "girsanov", scfg.t_end)
     _, f = _functional(raw, "girsanov", "tanh0", nu)
     gcfg = SolverConfig(h=scfg.h, t_end=T, scheme=scfg.scheme)
     direct, d_se = direct_estimate(m, nu, xi, f, T, gcfg, cfg.base_seed, cfg.n_paths)
@@ -471,7 +485,7 @@ def _run_couple(cfg, nu, m, scfg, xi) -> int:
     return _EXIT_CODES[verdict]
 
 def _require_two_paths(cfg) -> None:
-    """The harnack and gradient verdicts rest on sample standard errors."""
+    """The girsanov-check, harnack and gradient verdicts need standard errors."""
     if cfg.n_paths < 2:
         raise ConfigError("experiment.n_paths", f"need n_paths >= 2, got {cfg.n_paths}")
 
@@ -497,7 +511,7 @@ def _run_harnack(cfg, nu, m, scfg, xi) -> int:
 def _run_gradient(cfg, nu, m, scfg, xi) -> int:
     _require_two_paths(cfg)
     raw = cfg.raw
-    T = _getf(raw, "gradient", "T", 1.0)
+    T = _horizon(raw, "gradient", 1.0)
     eps = _getf(raw, "gradient", "eps_fd", 0.01)
     if not EPS_FD_RANGE[0] <= eps <= EPS_FD_RANGE[1]:
         raise ConfigError("gradient.eps_fd", f"got {eps:g}; need a value in {list(EPS_FD_RANGE)}")
@@ -521,9 +535,9 @@ def _run_gradient(cfg, nu, m, scfg, xi) -> int:
 
 def _run_zvonkin(cfg, nu, m, scfg, xi) -> int:
     raw = cfg.raw
-    T = _getf(raw, "zvonkin", "T", 1.0)
-    if not 0 < T < math.inf:
-        raise ConfigError("zvonkin.T", f"need a finite T > 0, got {T:g}")
+    if not m.Q_bounds.get("Q", 0.0) > 0:
+        raise ConfigError("model.sigma", f"the transform of model {m.name!r} needs sigma > 0")
+    T = _horizon(raw, "zvonkin", 1.0)
     try:
         lams = [float(x) for x in raw.get("zvonkin", {}).get("lams", "2,4,8,16,32").split(",")]
     except ValueError as e:
@@ -552,7 +566,9 @@ def _run_zvonkin(cfg, nu, m, scfg, xi) -> int:
 def _run_bihari(cfg, nu, m, scfg, xi) -> int:
     if m.bihari is None:
         raise ConfigError("model.name", f"model {m.name!r} declares no (Phi, h) growth data")
-    T = _getf(cfg.raw, "bihari", "T", scfg.t_end)
+    T = _horizon(cfg.raw, "bihari", scfg.t_end)
+    if T > scfg.t_end:
+        raise ConfigError("bihari.T", f"need T <= solver.t_end = {scfg.t_end:g}, got {T:g}")
     rep = apriori_check(m, nu, xi, scfg, T, cfg.n_paths, cfg.base_seed)
     ok = rep.pass_fraction >= 0.999
     _write_verdict(cfg, "pass" if ok else "fail", {

@@ -48,6 +48,9 @@ __all__ = [
     "fit_entropy_cost",
 ]
 
+# States within DELTA_SCALE * (1 + |xi(0) - eta(0)|) of each other have met.
+DELTA_SCALE = 1e-8
+
 
 def gamma(t, T: float, K: float):
     """Bridging clock (1 - e^{(t-T)K^2})/K^2 on [0, T]; K = 0 gives T - t."""
@@ -75,7 +78,6 @@ class CouplingConfig:
     T: float
     h: float
     K: float
-    delta_scale: float = 1e-8
 
     def __post_init__(self):
         if self.T <= 0 or self.h <= 0 or self.K < 0:
@@ -147,7 +149,7 @@ def run_coupling_batch(
 
     The bridging drift uses the midpoint value of gamma on each step, floored
     at its last-step value so the pull stays finite; states within
-    delta = delta_scale * (1 + |xi(0) - eta(0)|) are declared met and clamped.
+    delta = DELTA_SCALE * (1 + |xi(0) - eta(0)|) are declared met and clamped.
 
     Before T the density reads Y's drift and diffusion on every row.  From T
     on, Y moves with X's drift and its own noise, and only rows that have
@@ -161,7 +163,7 @@ def run_coupling_batch(
     steps = n_T + n0
     xi_t = np.asarray(xi_t, dtype=float)
     eta_t = np.asarray(eta_t, dtype=float)
-    delta = cc.delta_scale * (1.0 + float(np.linalg.norm(xi_t[-1] - eta_t[-1])))
+    delta = DELTA_SCALE * (1.0 + float(np.linalg.norm(xi_t[-1] - eta_t[-1])))
     dW = path_increments(dW, base_seed, path_offset, n_paths, steps, tm.base.dbar, h)
     x = np.empty((n0 + steps + 1, n_paths, tm.base.d)).transpose(1, 0, 2)
     y = np.empty_like(x)

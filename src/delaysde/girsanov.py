@@ -1,23 +1,24 @@
-"""Drift removal by change of measure and importance-weighted weak estimates.
+"""Monte Carlo estimates of the semigroup P_T f: direct_estimate, the one plain
+estimator, for plain and transformed models, and importance-weighted ones.
 
-The reference process Z keeps only the linear part and the noise; the removed
-drift is compensated by the exponential density R built from the shift
-psi = Q*(QQ*)^{-1}(b + B).  Left-endpoint accumulation makes each discrete
-factor conditionally unit-mean lognormal, so E[R] = 1 exactly at any step
-size, which keeps the martingale checks sharp.
+The reference process Z of weak_estimate keeps only the linear part and the
+noise; the removed drift is compensated by the exponential density R built
+from the shift psi = Q*(QQ*)^{-1}(b + B).  Left-endpoint accumulation makes
+each discrete factor conditionally unit-mean lognormal, so E[R] = 1 exactly at
+any step size, which keeps the martingale checks sharp.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .measure import DelayMeasure, Segment, delay_averages, grid_count
 from .model import ModelSpec, _zero_b, _zero_B
-from .rng import chunk_sums
+from .rng import chunk_sums, mean_stderr
 from .solver import SolverConfig, simulate
+from .zvonkin import TransformedModel, simulate_transformed
 
 __all__ = [
     "SingularDiffusionError",
@@ -25,6 +26,7 @@ __all__ = [
     "girsanov_shift",
     "log_density",
     "weak_estimate",
+    "terminal_f",
     "direct_estimate",
 ]
 
@@ -124,31 +126,41 @@ def weak_estimate(
         return r, r**2, rf, rf**2
 
     s_r, s_r2, s_rf, s_rf2 = chunk_sums(n_paths, chunk, sample)
-    n = float(n_paths)
-    mean_rf = s_rf / n
-    var_rf = max(s_rf2 / n - mean_rf**2, 0.0)
-    mean_r = s_r / n
-    var_r = max(s_r2 / n - mean_r**2, 0.0)
+    mean_rf, se_rf = mean_stderr(s_rf, s_rf2, n_paths)
+    mean_r, se_r = mean_stderr(s_r, s_r2, n_paths)
     ess = s_r**2 / max(s_r2, 1e-300)
     warnings = []
-    if ess < 0.01 * n:
+    if ess < 0.01 * n_paths:
         warnings.append(
             f"degenerate importance weights: ess={ess:.1f} of {n_paths} paths"
         )
     return WeakEstimate(
         unnormalized=float(mean_rf),
         self_normalized=float(s_rf / max(s_r, 1e-300)),
-        stderr=float(math.sqrt(var_rf / n)),
+        stderr=float(se_rf),
         mean_R=float(mean_r),
-        stderr_R=float(math.sqrt(var_r / n)),
+        stderr_R=float(se_r),
         ess=float(ess),
         n_paths=n_paths,
         warnings=warnings,
     )
 
 
+def terminal_f(m, nu, f, xi_vals, cfg, base_seed, n_paths, path_offset=0, dW=None) -> np.ndarray:
+    """f at the t_end segments of paths from xi_vals (n0+1, d), in transformed
+    coordinates for a TransformedModel; a plain path dying by then is an
+    ExplosionBeforeHorizonError."""
+    if isinstance(m, TransformedModel):
+        states, _ = simulate_transformed(m, nu, xi_vals, cfg, base_seed, n_paths, path_offset, dW)
+        n0 = grid_count(nu.r0, cfg.h, "r0")
+        return np.asarray(f(states[:, -n0 - 1 :]), dtype=float)
+    batch = simulate(m, nu, Segment(xi_vals), cfg, base_seed, n_paths, path_offset, dW)
+    batch.check_horizon(cfg.t_end)
+    return np.asarray(f(batch.terminal_segments()), dtype=float)
+
+
 def direct_estimate(
-    m: ModelSpec,
+    m: ModelSpec | TransformedModel,
     nu: DelayMeasure,
     xi: Segment,
     f,
@@ -158,18 +170,17 @@ def direct_estimate(
     n_paths: int,
     chunk: int = 8192,
 ) -> tuple[float, float]:
-    """Plain Monte Carlo (mean, stderr) of f at the T-segment of the full
-    dynamics; any path dying before T is an ExplosionBeforeHorizonError."""
+    """Plain Monte Carlo (mean, stderr) of P_T f(xi) over n_paths >= 2 paths,
+    sampled by terminal_f: xi is in transformed coordinates for a
+    TransformedModel."""
     if abs(cfg.t_end - T) > 1e-12:
         raise ValueError("cfg.t_end must equal the functional horizon T")
+    if n_paths < 2:
+        raise ValueError("need n_paths >= 2 for a standard error")
 
     def sample(offset, count):
-        batch = simulate(m, nu, xi, cfg, base_seed, count, path_offset=offset)
-        batch.check_horizon(cfg.t_end)
-        fv = np.asarray(f(batch.terminal_segments()), dtype=float)
+        fv = terminal_f(m, nu, f, xi.values, cfg, base_seed, count, path_offset=offset)
         return fv, fv**2
 
-    s, s2 = chunk_sums(n_paths, chunk, sample)
-    mean = s / n_paths
-    var = max(s2 / n_paths - mean**2, 0.0)
-    return float(mean), float(math.sqrt(var / n_paths))
+    mean, se = mean_stderr(*chunk_sums(n_paths, chunk, sample), n_paths)
+    return float(mean), float(se)

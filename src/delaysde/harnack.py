@@ -1,5 +1,7 @@
-"""Monte Carlo semigroup estimates, the log-Harnack inequality check and the
-L2 gradient estimate check.
+"""The log-Harnack inequality check and the L2 gradient estimate check.
+
+The semigroup P_T f itself is estimated by girsanov.direct_estimate; the
+gradient check samples it through the same girsanov.terminal_f.
 
 The inequality test is an exact-chain test: with self-normalized coupling
 weights the bound
@@ -18,75 +20,19 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .coupling import CouplingConfig, entropy_cost, run_coupling_batch
-from .measure import DelayMeasure, Segment, batch_seg_norm, grid_count
-from .rng import batch_increments, chunk_sums
-from .solver import ExplosionBeforeHorizonError, SolverConfig, simulate
-from .zvonkin import TransformedModel, simulate_transformed
+from .girsanov import terminal_f
+from .measure import DelayMeasure, batch_seg_norm, grid_count
+from .rng import batch_increments, chunk_sums, mean_stderr
+from .solver import ExplosionBeforeHorizonError, SolverConfig
+from .zvonkin import TransformedModel
 
 __all__ = [
-    "EstimateReport",
     "ExplosionBeforeHorizonError",
-    "estimate_P",
     "check_log_harnack",
     "check_gradient_estimate",
 ]
 
 EPS_FD_RANGE = (1e-3, 1e-1)  # finite-difference step of check_gradient_estimate
-
-
-@dataclass
-class EstimateReport:
-    value: float
-    stderr: float
-    n: int
-    tag: str
-    setting: dict = field(default_factory=dict)
-
-
-def _terminal_f(m, nu, f, xi_vals, cfg, base_seed, n, path_offset=0, dW=None):
-    """f at the t_end segment of n paths of a plain or a transformed model.
-
-    A plain path whose lifetime ends before the horizon is an error.
-    """
-    if isinstance(m, TransformedModel):
-        states, _ = simulate_transformed(m, nu, xi_vals, cfg, base_seed, n, path_offset, dW)
-        n0 = grid_count(nu.r0, cfg.h, "r0")
-        return np.asarray(f(states[:, -n0 - 1 :]), dtype=float)
-    batch = simulate(m, nu, Segment(xi_vals), cfg, base_seed, n, path_offset, dW)
-    batch.check_horizon(cfg.t_end)
-    return np.asarray(f(batch.terminal_segments()), dtype=float)
-
-
-def estimate_P(
-    m,
-    nu: DelayMeasure,
-    f,
-    xi_vals: np.ndarray,
-    horizon: float,
-    h: float,
-    n: int,
-    base_seed: int,
-    chunk: int = 8192,
-    tag: str = "direct",
-) -> EstimateReport:
-    """Sample mean of f at the horizon segment started from xi.
-
-    Accepts a plain model (xi in original coordinates) or a transformed model
-    (xi in transformed coordinates); any path dying before the horizon is an
-    error that reports the affected fraction.
-    """
-    if n < 2:
-        raise ValueError("need n >= 2")
-    cfg = SolverConfig(h=h, t_end=horizon)
-
-    def sample(offset, count):
-        fv = _terminal_f(m, nu, f, xi_vals, cfg, base_seed, count, path_offset=offset)
-        return fv, fv**2
-
-    s, s2 = chunk_sums(n, chunk, sample)
-    mean = s / n
-    se = math.sqrt(max(s2 / n - mean**2, 0.0) / n)
-    return EstimateReport(float(mean), float(se), n, tag, {"horizon": horizon, "h": h})
 
 
 @dataclass
@@ -223,7 +169,7 @@ def check_gradient_estimate(
         dW = batch_increments(base_seed, offset, count, steps, dbar, h)
 
         def run(start):
-            return _terminal_f(m, nu, f, start, cfg, base_seed, count, dW=dW)
+            return terminal_f(m, nu, f, start, cfg, base_seed, count, dW=dW)
 
         fp = run(xi_vals + eps_fd * direction)
         fm = run(xi_vals - eps_fd * direction)
@@ -232,11 +178,8 @@ def check_gradient_estimate(
         return diff, diff**2, f0, f0**2
 
     s_d, s_d2, s_f, s_f2 = chunk_sums(n, chunk, sample)
-    D = s_d / n
-    D_se = math.sqrt(max(s_d2 / n - D**2, 0.0) / n)
-    pf = s_f / n
-    pf2 = s_f2 / n
-    V = max(pf2 - pf**2, 0.0)
+    D, D_se = mean_stderr(s_d, s_d2, n)
+    V = max(s_f2 / n - (s_f / n) ** 2, 0.0)
     # stderr of the variance via the fourth-moment-free normal approximation
     V_se = V * math.sqrt(2.0 / max(n - 1, 1))
     if V < 1e-12 and abs(D) > 1e-6:

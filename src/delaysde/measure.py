@@ -202,17 +202,22 @@ def make_measure(
     raise ValueError(f"unknown measure kind {kind!r}; expected exponential, uniform or atoms")
 
 
+def _shift_ratios(w: np.ndarray, k: int, kap: float = 1.0) -> np.ndarray:
+    """Per cell j, the mass w_{j-k} shifted onto it over kap * w_j; a zero
+    cell scores inf when mass lands on it and 0 otherwise."""
+    n = len(w)
+    shifted = np.zeros(n)
+    shifted[k:] = w[: n - k]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        return np.where(w > 0, shifted / (kap * np.where(w > 0, w, 1.0)), np.where(shifted > 0, np.inf, 0.0))
+
+
 def _measured_kappa(m: DelayMeasure) -> Callable[[float], float]:
     """Smallest non-decreasing kappa dominating the observed grid-shift ratios."""
-    w = m.weights
     n = m.n_cells
     worst = np.ones(n + 1)
     for k in range(1, n + 1):
-        shifted = np.zeros(n)
-        shifted[k:] = w[: n - k]
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            ratio = np.where(w > 0, shifted / np.where(w > 0, w, 1.0), np.where(shifted > 0, np.inf, 0.0))
-        worst[k] = max(1.0, float(ratio.max()) if len(ratio) else 1.0)
+        worst[k] = max(1.0, float(_shift_ratios(m.weights, k).max()))
     env = np.maximum.accumulate(worst)
 
     def kap(t: float) -> float:
@@ -389,23 +394,16 @@ def check_shift_domination(m: DelayMeasure, t_max: float) -> ShiftDominationRepo
     Shifted mass landing on a zero-mass cell is an immediate failure witness.
     """
     k_max = min(grid_count(t_max, m.h, "t_max"), m.n_cells)
-    w = m.weights
-    n = m.n_cells
     worst = 0.0
     worst_shift = None
     witness = None
     details = []
     for k in range(1, k_max + 1):
         kap = m.kappa(k * m.h)
-        shifted = np.zeros(n)
-        shifted[k:] = w[: n - k]
-        for j in range(n):
-            if w[j] > 0:
-                r = shifted[j] / (kap * w[j])
-            else:
-                r = np.inf if shifted[j] > 0 else 0.0
-            if r > worst:
-                worst, worst_shift, witness = r, k * m.h, j
+        ratio = _shift_ratios(m.weights, k, kap)
+        j = int(np.argmax(ratio))  # the first cell of the largest ratio
+        if ratio[j] > worst:
+            worst, worst_shift, witness = float(ratio[j]), k * m.h, j
         details.append((k * m.h, kap))
     return ShiftDominationReport(
         passed=worst <= 1.0 + 1e-12,

@@ -193,6 +193,11 @@ def _const_Q(sigma: float, d: int, dbar: int):
     return Q
 
 
+def _const_Q_bounds(sigma: float) -> dict:
+    """Bounds of the diffusion sigma I; QQ* has no bounded inverse at sigma = 0."""
+    return {"Q": sigma, "dQ": 0.0, "d2Q": 0.0, "QQt_inv": 1.0 / sigma**2 if sigma else np.inf}
+
+
 def _nu_B(beta: float):
     def B(t, avg):
         # avg is the componentwise segment average nu(xi)
@@ -210,15 +215,14 @@ def make_model(name: str, measure: DelayMeasure | None = None, **params) -> Mode
     if name == "zero":
         lam = float(params.pop("lam", 1.0))
         return ModelSpec("zero", d, d, OperatorA(np.full(d, lam)), _zero_b, _zero_B,
-                         _const_Q(0.0, d, d), Q_bounds={"Q": 0.0, "dQ": 0.0, "d2Q": 0.0},
+                         _const_Q(0.0, d, d), Q_bounds=_const_Q_bounds(0.0),
                          params={"lam": lam, **params})
     if name == "ou":
         lam = float(params.pop("lam", 1.0))
         sigma = float(params.pop("sigma", 1.0))
         return ModelSpec("ou", d, d, OperatorA(np.full(d, lam)), _zero_b, _zero_B,
                          _const_Q(sigma, d, d), phi=DiniModulus.power(0.5), b_sup=0.0,
-                         Q_bounds={"Q": sigma, "dQ": 0.0, "d2Q": 0.0,
-                                   "QQt_inv": 1.0 / sigma**2 if sigma else np.inf},
+                         Q_bounds=_const_Q_bounds(sigma),
                          params={"lam": lam, "sigma": sigma, **params})
     if name == "reference":
         if measure is None:
@@ -241,7 +245,7 @@ def make_model(name: str, measure: DelayMeasure | None = None, **params) -> Mode
         return ModelSpec("reference", d, d, OperatorA(np.full(d, lam)), b, _nu_B(beta),
                          _const_Q(sigma, d, d), phi=DiniModulus.power(0.5), b_sup=1.0,
                          B_lip_sq=beta**2 * nu1,
-                         Q_bounds={"Q": sigma, "dQ": 0.0, "d2Q": 0.0, "QQt_inv": 1.0 / sigma**2},
+                         Q_bounds=_const_Q_bounds(sigma),
                          bihari=bihari, params={"lam": lam, "beta": beta, "sigma": sigma, **params})
     if name == "linear_delay":
         if measure is None:
@@ -260,7 +264,7 @@ def make_model(name: str, measure: DelayMeasure | None = None, **params) -> Mode
         return ModelSpec("linear_delay", d, d, OperatorA(np.full(d, lam)), _zero_b, _nu_B(beta),
                          _const_Q(sigma, d, d), phi=DiniModulus.power(0.5), b_sup=0.0,
                          B_lip_sq=beta**2 * nu1,
-                         Q_bounds={"Q": sigma, "dQ": 0.0, "d2Q": 0.0, "QQt_inv": 1.0 / sigma**2},
+                         Q_bounds=_const_Q_bounds(sigma),
                          bihari=bihari, params={"lam": lam, "beta": beta, "sigma": sigma, **params})
     if name == "cubic":
         # explosive stress entry for lifetime detection
@@ -270,7 +274,7 @@ def make_model(name: str, measure: DelayMeasure | None = None, **params) -> Mode
             return x**3
 
         return ModelSpec("cubic", d, d, OperatorA(np.full(d, lam)), b, _zero_B,
-                         _const_Q(0.0, d, d), Q_bounds={"Q": 0.0, "dQ": 0.0, "d2Q": 0.0},
+                         _const_Q(0.0, d, d), Q_bounds=_const_Q_bounds(0.0),
                          params={"lam": lam, **params})
     if name == "quadratic":
         # deliberately violates (A3') against a sqrt modulus; validator test entry
@@ -281,7 +285,7 @@ def make_model(name: str, measure: DelayMeasure | None = None, **params) -> Mode
 
         return ModelSpec("quadratic", d, d, OperatorA(np.full(d, lam)), b, _zero_B,
                          _const_Q(1.0, d, d), phi=DiniModulus.power(0.5), b_sup=np.inf,
-                         Q_bounds={"Q": 1.0, "dQ": 0.0, "d2Q": 0.0, "QQt_inv": 1.0},
+                         Q_bounds=_const_Q_bounds(1.0),
                          params={"lam": lam, **params})
     if name == "tabulated":
         if measure is None:
@@ -289,6 +293,8 @@ def make_model(name: str, measure: DelayMeasure | None = None, **params) -> Mode
         lam = float(params.pop("lam", 1.0))
         beta = float(params.pop("beta", 0.0))
         sigma = float(params.pop("sigma", 1.0))
+        if "xs" not in params or "ys" not in params:
+            raise ValueError("tabulated drift needs xs and ys tables")
         xs = np.asarray(params.pop("xs"), dtype=float)
         ys = np.asarray(params.pop("ys"), dtype=float)
         if xs.ndim != 1 or xs.shape != ys.shape:
@@ -304,7 +310,7 @@ def make_model(name: str, measure: DelayMeasure | None = None, **params) -> Mode
         return ModelSpec("tabulated", 1, 1, OperatorA([lam]), b, _nu_B(beta),
                          _const_Q(sigma, 1, 1), phi=DiniModulus.linear(slope),
                          b_sup=float(np.max(np.abs(ys))), B_lip_sq=beta**2 * nu1,
-                         Q_bounds={"Q": sigma, "dQ": 0.0, "d2Q": 0.0, "QQt_inv": 1.0 / sigma**2},
+                         Q_bounds=_const_Q_bounds(sigma),
                          params={"lam": lam, "beta": beta, "sigma": sigma})
     raise ValueError(f"unknown model {name!r}")
 

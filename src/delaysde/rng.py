@@ -18,11 +18,13 @@ see it through the (n_paths, n_steps, dbar) transposed view.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from numpy.random import Generator, Philox
 from scipy.special import ndtri
 
-__all__ = ["path_generator", "normal_increments", "coarsen_increments", "chunk_sums"]
+__all__ = ["path_generator", "normal_increments", "coarsen_increments", "chunk_sums", "mean_stderr"]
 
 _U64 = np.uint64
 # random() can return exactly 0.0; ndtri(0) = -inf.  Substitute the smallest
@@ -121,3 +123,10 @@ def chunk_sums(n_paths: int, chunk: int, sample) -> list:
             sums = [0.0] * len(parts)
         sums = [s + np.sum(v) for s, v in zip(sums, parts)]
     return sums
+
+
+def mean_stderr(s, s2, n: int) -> tuple:
+    """Sample mean and its standard error from the sums s of n values and s2
+    of their squares; a negative rounded variance counts as 0."""
+    mean = s / n
+    return mean, math.sqrt(max(s2 / n - mean**2, 0.0) / n)

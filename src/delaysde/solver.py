@@ -4,8 +4,9 @@ Paths live on a uniform grid over [-r0, T_end].  The exponential-Euler step
 uses the diagonal semigroup factors (E, J) so the drift-free case reproduces
 the exact Ornstein-Uhlenbeck flow up to O(h^2) in the variance; the delay
 drift is evaluated at the left-endpoint segment, through the segment
-averages that measure.delay_averages streams.  Everything is vectorized over
-a batch of paths sharing one initial segment.
+averages that measure.delay_averages streams, as are the segment norms of a
+truncated run and of apriori_check's Xbar, from |x|^2.  Everything is
+vectorized over a batch of paths sharing one initial segment.
 
 A batch is stored time-major: states and increments live in (N+1, n, d) and
 (steps, n, dbar) buffers, so each step reads and writes contiguous rows, and
@@ -23,13 +24,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
-from .measure import (
-    DelayMeasure,
-    Segment,
-    batch_seg_norm,
-    delay_averages,
-    grid_count,
-)
+from .measure import DelayMeasure, Segment, delay_averages, grid_count
 from .model import ModelSpec, _zero_B, semigroup_factors
 from .rng import path_increments
 
@@ -46,6 +41,8 @@ __all__ = [
 ]
 
 SCHEMES = ("exponential-euler", "euler-maruyama")
+# A path whose state reaches this norm ends: its lifetime is recorded.
+R_EXPLODE = 1e6
 
 
 class BoundExceedsCapError(ValueError):
@@ -58,7 +55,6 @@ class SolverConfig:
     t_end: float
     scheme: str = "exponential-euler"
     trunc_level: float = math.inf
-    r_explode: float = 1e6
 
     def __post_init__(self):
         if self.scheme not in SCHEMES:
@@ -153,6 +149,11 @@ def truncate_coefficients(m: ModelSpec, level: float) -> ModelSpec:
     )
 
 
+def _streamed_norm(avg_sq: np.ndarray, last_sq: np.ndarray) -> np.ndarray:
+    """sqrt(nu(|x|^2) + |x(0)|^2), clamping a streamed nu(|x|^2) rounded below 0."""
+    return np.sqrt(np.maximum(avg_sq[:, 0], 0.0) + last_sq)
+
+
 def simulate(
     m: ModelSpec,
     nu: DelayMeasure,
@@ -177,8 +178,12 @@ def simulate(
     alive = np.ones(n_paths, dtype=bool)
     check_seg = math.isfinite(cfg.trunc_level)
     if check_seg:
-        # segment norms of the current windows: they cut B off and end paths
-        seg_n = batch_seg_norm(nu, states[:, : n0 + 1])
+        # the window norms cut B off and end paths; their |x|^2 rows have a
+        # spare last row, so that the check after the last step has a window
+        sq = np.zeros((n0 + steps + 2, n_paths, 1)).transpose(1, 0, 2)
+        sq[:, : n0 + 1, 0] = np.sum(xi.values**2, axis=1)
+        sq_averages = delay_averages(nu, sq, path_offset)
+        seg_n = _streamed_norm(next(sq_averages), sq[:, n0, 0])
         inv_level = 1.0 / cfg.trunc_level
     use_exp = cfg.scheme == "exponential-euler"
     if use_exp:
@@ -206,9 +211,10 @@ def simulate(
             finite = np.all(np.isfinite(xn), axis=1)
             xn = np.where(finite[:, None], xn, x)
             states[:, idx + 1] = np.where(alive[:, None], xn, x)
-            exceeded = np.linalg.norm(states[:, idx + 1], axis=1) >= cfg.r_explode
+            exceeded = np.linalg.norm(states[:, idx + 1], axis=1) >= R_EXPLODE
             if check_seg:
-                seg_n = batch_seg_norm(nu, states[:, k + 1 : idx + 2])
+                sq[:, idx + 1, 0] = np.sum(states[:, idx + 1] ** 2, axis=1)
+                seg_n = _streamed_norm(next(sq_averages), sq[:, idx + 1, 0])
                 exceeded |= seg_n >= cfg.trunc_level
             newly = alive & (~finite | exceeded)
             if np.any(newly):
@@ -306,6 +312,8 @@ def apriori_check(
         batch = simulate(m, nu, xi, cfg, base_seed, n_paths)
     n0 = grid_count(nu.r0, cfg.h, "r0")
     steps = grid_count(T, cfg.h, "T")
+    if n0 + steps >= batch.states.shape[1]:
+        raise ValueError(f"T={T} exceeds the horizon of the path batch")
     h = cfg.h
     n = batch.n_paths
     d = m.d
@@ -322,13 +330,15 @@ def apriori_check(
             xbar[:, idx + 1] = E * xbar[:, idx] + E * noise
         else:
             xbar[:, idx + 1] = xbar[:, idx] + h * m.A.apply(xbar[:, idx]) + noise
-    # alpha(T) = |X(0)|^2 + 2 int_0^T h_T(||Xbar_s||) ds, left-endpoint rule
-    sq = np.sum(xbar**2, axis=2)
+    # alpha(T) = |X(0)|^2 + 2 int_0^T h_T(||Xbar_s||) ds, left-endpoint rule,
+    # with the segment norms of Xbar streamed from its |x|^2 rows
+    sq = np.sum(xbar**2, axis=2, keepdims=True)  # time-major, like xbar
+    averages = delay_averages(nu, sq, batch.path_offset)
     w = nu.weights
     hT = m.bihari.h
     alpha = np.sum(batch.states[:, n0] ** 2, axis=1).astype(float)
     for k in range(steps):
-        norms = np.sqrt(sq[:, k : k + n0] @ w[:n0] + sq[:, k + n0])
+        norms = _streamed_norm(next(averages), sq[:, k + n0, 0])
         alpha += 2.0 * h * np.asarray(hT(T, norms), dtype=float)
     y = batch.states[:, n0 : n0 + steps + 1] - xbar[:, n0:]
     sup_sq = np.max(np.sum(y**2, axis=2), axis=1)

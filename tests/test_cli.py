@@ -120,19 +120,42 @@ def test_main_config_error_exits_3(tmp_path):
     ("zvonkin", "reference", "[zvonkin]\nx_max = 0\n", [], "zvonkin.x_max"),
     ("harnack", "ou", "", ["--paths", "1"], "experiment.n_paths"),  # no stderr from one path
     ("gradient", "ou", "", ["--paths", "1"], "experiment.n_paths"),
+    ("girsanov-check", "ou", "", ["--paths", "1"], "experiment.n_paths"),
+    ("simulate", "ou\nx0 = abc", "", [], "model.x0"),
+    ("simulate", "ou\nx0 = nan", "", [], "model.x0"),
+    ("girsanov-check", "ou", "[girsanov]\nT = -1\n", [], "girsanov.T"),
+    ("gradient", "ou", "[gradient]\nT = -1\n", [], "gradient.T"),
+    ("gradient", "ou", "[gradient]\nT = -0.5\n", [], "gradient.T"),
+    ("bihari", "linear_delay", "[bihari]\nT = 2\n", [], "bihari.T"),  # solver.t_end = 1
+    ("simulate", "tabulated", "", [], "model.name"),  # the CLI cannot pass xs, ys
+    ("couple", "reference\nsigma = 0", "[coupling]\nT = 0.5\n", [], "model.sigma"),
+    ("zvonkin", "zero", "", [], "model.sigma"),  # u needs a diffusion even for b = 0
 ], ids=["bihari-ou", "seed", "eps_fd", "functional", "lams-text", "lams-zero", "lam_u",
         "zvonkin-T", "n_t-one", "n_t-fraction", "n_x-zero", "x_max-zero",
-        "harnack-one-path", "gradient-one-path"])
+        "harnack-one-path", "gradient-one-path", "girsanov-one-path", "x0-text", "x0-nan",
+        "girsanov-T", "gradient-T", "gradient-T-half", "bihari-T", "tabulated", "sigma-zero",
+        "zvonkin-sigma-zero"])
 def test_invalid_scenario_value_exits_3(tmp_path, capsys, scenario, model, extra, argv, field):
     """A bad value of a scenario's own section is a config error naming the
     field, not a traceback under the exit code of a failed verdict."""
-    path = _write(tmp_path, BASE.replace("name = zero", f"name = {model}") + extra)
+    text = BASE.replace("name = zero", f"name = {model}")
+    if "x0 = " in model:  # the case's own x0 replaces BASE's
+        text = text.replace("x0 = 1.0\n", "")
+    path = _write(tmp_path, text + extra)
     out = tmp_path / "out"
     assert main([scenario, "--config", path, "--out", str(out), *argv]) == 3
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1
     assert err[0].startswith(f"config error: [{field}] ")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("model", ["reference", "linear_delay"])
+def test_simulate_zero_diffusion(tmp_path, model):
+    text = BASE.replace("name = zero", f"name = {model}\nsigma = 0")
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", _write(tmp_path, text), "--out", str(out)]) == 0
+    assert json.loads((out / "verdict.json").read_text())["verdict"] == "pass"
 
 
 def test_couple_unstable_step_exits_3(tmp_path, capsys):

@@ -14,6 +14,14 @@ from delaysde.girsanov import (
 from delaysde.measure import constant_segment, make_measure
 from delaysde.model import make_functional, make_model
 from delaysde.solver import ExplosionBeforeHorizonError, SolverConfig, simulate
+from delaysde.zvonkin import transformed_model
+
+H7 = 2.0**-7
+
+
+@pytest.fixture(scope="module")
+def nu7():
+    return make_measure("exponential", 1.0, H7, lam=1.0)
 
 
 def test_solve_qqt_scalar():
@@ -141,3 +149,47 @@ def test_direct_estimate_explosion_reported():
     with pytest.raises(ExplosionBeforeHorizonError) as exc:
         direct_estimate(make_model("cubic"), nu, constant_segment(nu, 3.0), f, 0.5, cfg, 0, 16)
     assert exc.value.fraction == 1.0
+
+
+def test_direct_estimate_constant_functional(nu7):
+    m = make_model("ou")
+    f, _ = make_functional("const", c=2.5)
+    cfg = SolverConfig(h=H7, t_end=0.5)
+    value, stderr = direct_estimate(m, nu7, constant_segment(nu7, 1.0), f, 0.5, cfg, 0, 16)
+    assert value == 2.5
+    assert stderr == 0.0
+
+
+def test_direct_estimate_ou_mean(nu7):
+    m = make_model("ou", lam=1.0, sigma=1.0)
+    f, _ = make_functional("coord0")
+    cfg = SolverConfig(h=H7, t_end=1.0)
+    value, stderr = direct_estimate(m, nu7, constant_segment(nu7, 1.0), f, 1.0, cfg, 11, 2000)
+    assert abs(value - math.exp(-1.0)) <= 4.0 * stderr
+
+
+def test_direct_estimate_transformed_agrees_with_plain(nu7):
+    tm = transformed_model(make_model("linear_delay", measure=nu7), nu7, None)
+    f, _ = make_functional("coord0_sq")
+    xi = constant_segment(nu7, 1.0)
+    cfg = SolverConfig(h=H7, t_end=0.5)
+    plain, _ = direct_estimate(tm.base, nu7, xi, f, 0.5, cfg, 7, 500)
+    trans, _ = direct_estimate(tm, nu7, xi, f, 0.5, cfg, 7, 500)
+    # identity transform, same seeds, only the scheme differs by the J factor
+    assert abs(plain - trans) <= 0.05
+
+
+def test_direct_estimate_explosion_fraction_reported(nu7):
+    m = make_model("cubic")
+    f, _ = make_functional("coord0")
+    cfg = SolverConfig(h=H7, t_end=0.5)
+    with pytest.raises(ExplosionBeforeHorizonError) as exc:
+        direct_estimate(m, nu7, constant_segment(nu7, 3.0), f, 0.5, cfg, 0, 16)
+    assert exc.value.fraction > 0.0
+
+
+def test_direct_estimate_needs_samples(nu7):
+    f, _ = make_functional("coord0")
+    cfg = SolverConfig(h=H7, t_end=0.5)
+    with pytest.raises(ValueError):
+        direct_estimate(make_model("ou"), nu7, constant_segment(nu7, 1.0), f, 0.5, cfg, 0, 1)

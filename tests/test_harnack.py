@@ -8,7 +8,6 @@ from delaysde.harnack import (
     ExplosionBeforeHorizonError,
     check_gradient_estimate,
     check_log_harnack,
-    estimate_P,
 )
 from delaysde.measure import constant_segment, make_measure
 from delaysde.model import make_functional, make_model
@@ -34,38 +33,6 @@ def direction(nu):
     return d
 
 
-def test_estimate_p_constant_functional(nu):
-    m = make_model("ou")
-    f, _ = make_functional("const", c=2.5)
-    rep = estimate_P(m, nu, f, constant_segment(nu, 1.0).values, 0.5, H, 16, 0)
-    assert rep.value == 2.5
-    assert rep.stderr == 0.0
-
-
-def test_estimate_p_ou_mean(nu):
-    m = make_model("ou", lam=1.0, sigma=1.0)
-    f, _ = make_functional("coord0")
-    rep = estimate_P(m, nu, f, constant_segment(nu, 1.0).values, 1.0, H, 2000, 11)
-    assert abs(rep.value - math.exp(-1.0)) <= 4.0 * rep.stderr
-
-
-def test_estimate_p_transformed_agrees_with_plain(nu, tm):
-    f, _ = make_functional("coord0_sq")
-    xi = constant_segment(nu, 1.0).values
-    plain = estimate_P(tm.base, nu, f, xi, 0.5, H, 500, 7)
-    trans = estimate_P(tm, nu, f, xi, 0.5, H, 500, 7)
-    # identity transform, same seeds, only the scheme differs by the J factor
-    assert abs(plain.value - trans.value) <= 0.05
-
-
-def test_estimate_p_explosion_reported(nu):
-    m = make_model("cubic")
-    f, _ = make_functional("coord0")
-    with pytest.raises(ExplosionBeforeHorizonError) as exc:
-        estimate_P(m, nu, f, constant_segment(nu, 3.0).values, 0.5, H, 16, 0)
-    assert exc.value.fraction > 0.0
-
-
 def test_explosion_error_pickle_roundtrip():
     """A worker process can hand the error back to its parent intact."""
     err = ExplosionBeforeHorizonError(0.5)
@@ -73,12 +40,6 @@ def test_explosion_error_pickle_roundtrip():
     assert type(back) is ExplosionBeforeHorizonError
     assert back.fraction == 0.5
     assert str(back) == str(err) == "50.00% of paths hit their lifetime before the horizon"
-
-
-def test_estimate_p_needs_samples(nu):
-    f, _ = make_functional("coord0")
-    with pytest.raises(ValueError):
-        estimate_P(make_model("ou"), nu, f, constant_segment(nu, 1.0).values, 0.5, H, 1, 0)
 
 
 def test_log_harnack_chain_passes(nu, tm):

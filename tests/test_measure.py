@@ -194,6 +194,37 @@ def test_shift_domination_failure_witness():
     assert rep.witness_cell is not None
 
 
+def _shift_domination_loop(m, t_max):
+    """check_shift_domination's cell-by-cell loop before it took the
+    vectorized ratios: (worst_ratio, worst_shift, witness_cell)."""
+    n = m.n_cells
+    worst, worst_shift, witness = 0.0, None, None
+    for k in range(1, min(measure.grid_count(t_max, m.h), n) + 1):
+        kap = m.kappa(k * m.h)
+        shifted = np.zeros(n)
+        shifted[k:] = m.weights[: n - k]
+        for j in range(n):
+            if m.weights[j] > 0:
+                r = shifted[j] / (kap * m.weights[j])
+            else:
+                r = np.inf if shifted[j] > 0 else 0.0
+            if r > worst:
+                worst, worst_shift, witness = r, k * m.h, j
+    return worst, worst_shift, witness
+
+
+@pytest.mark.parametrize("m", [
+    make_measure("exponential", 1.0, 0.125, lam=-2.0, kappa=lambda t: 1.0),
+    make_measure("exponential", 1.0, 0.125, lam=1.0),
+    make_measure("atoms", 1.0, 0.125, weights=[0.3, 0.0, 0.3, 0.1, 0.3, 0.0, 0.2, 0.2]),
+    make_measure("atoms", 1.0, 0.125, weights=[0.1, 0.5, 0.0, 0.5, 0.1, 0.5, 0.0, 0.0],
+                 kappa=lambda t: 1.5),
+], ids=["decreasing", "increasing", "atoms-measured", "atoms-null-cells"])
+def test_shift_domination_matches_cell_loop(m):
+    rep = check_shift_domination(m, 0.75)
+    assert (rep.worst_ratio, rep.worst_shift, rep.witness_cell) == _shift_domination_loop(m, 0.75)
+
+
 def test_measured_kappa_makes_atoms_pass():
     m = make_measure("atoms", 1.0, 0.25, weights=[0.5, 1.0, 2.0, 4.0])
     assert check_shift_domination(m, 1.0).passed

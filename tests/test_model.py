@@ -131,6 +131,25 @@ def test_catalog_tabulated_drift():
     assert m.phi.params["slope"] == 0.5
 
 
+def test_catalog_tabulated_needs_tables():
+    nu = make_measure("uniform", 1.0, 0.25)
+    with pytest.raises(ValueError, match="xs and ys"):
+        make_model("tabulated", measure=nu)
+    with pytest.raises(ValueError, match="xs and ys"):
+        make_model("tabulated", measure=nu, xs=[0.0, 1.0])
+
+
+@pytest.mark.parametrize("name", ["reference", "linear_delay", "tabulated"])
+def test_catalog_zero_diffusion(name):
+    """sigma = 0 is a degenerate but valid constant diffusion, as in ou: QQ*
+    has no bounded inverse, so its declared bound is inf."""
+    nu = make_measure("uniform", 1.0, 0.25)
+    tables = {"xs": [0.0, 1.0], "ys": [0.0, 1.0]} if name == "tabulated" else {}
+    m = make_model(name, measure=nu, sigma=0.0, **tables)
+    assert m.Q_bounds == {"Q": 0.0, "dQ": 0.0, "d2Q": 0.0, "QQt_inv": math.inf}
+    np.testing.assert_array_equal(m.Q(0.0, np.ones((3, 1))), 0.0)
+
+
 def test_validate_assumptions_reference_passes():
     nu = make_measure("exponential", 1.0, 0.25, lam=1.0)
     m = make_model("reference", measure=nu)

@@ -3,7 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from delaysde.measure import GridMismatchError, Segment, constant_segment, make_measure
+from delaysde.measure import (
+    GridMismatchError,
+    Segment,
+    batch_seg_norm,
+    constant_segment,
+    make_measure,
+)
 from delaysde.model import make_model
 from delaysde.rng import batch_increments, coarsen_increments
 from delaysde.solver import (
@@ -208,6 +214,44 @@ def test_truncated_run_cuts_B_off_at_step_0():
     np.testing.assert_allclose(free.states[:, 9, 0] - batch.states[:, 9, 0], 1.5631253266e-3, rtol=1e-9)
 
 
+def test_truncated_norms_clamped_at_zero():
+    """A spike of 1e4 leaving the window makes the sliding average of |x|^2
+    subtract 1e8 from itself; its rounding may not end a path (sigma = 0,
+    norms near 1e-6, far inside the level), so the run equals the untruncated
+    one."""
+    h = 2.0**-6
+    nu = make_measure("exponential", 0.5, h, lam=1.0)
+    m = make_model("ou", sigma=0.0)
+    vals = np.full(nu.n_cells + 1, 1e-6)
+    vals[:5] = 1e4
+    cut = simulate(m, nu, Segment(vals), SolverConfig(h=h, t_end=0.5, trunc_level=1e9), 0, 2)
+    free = simulate(m, nu, Segment(vals), SolverConfig(h=h, t_end=0.5), 0, 2)
+    assert np.all(np.isnan(cut.lifetimes))
+    np.testing.assert_array_equal(cut.states, free.states)
+
+
+@pytest.mark.parametrize("kind", ["exponential", "atoms"])
+def test_truncation_exits_at_first_window_over_level(kind):
+    """The streamed norms end each path after the first step whose window,
+    re-normed whole from the stored states, reaches the level."""
+    h = 2.0**-5
+    if kind == "atoms":
+        nu = make_measure("atoms", 0.5, h, weights=np.full(16, 0.1))
+    else:
+        nu = make_measure("exponential", 0.5, h, lam=1.0)
+    m = make_model("linear_delay", measure=nu)
+    level = 2.0 if kind == "atoms" else 1.5
+    batch = simulate(m, nu, constant_segment(nu, 0.7), SolverConfig(h=h, t_end=1.0, trunc_level=level), 3, 300)
+    n0, steps = nu.n_cells, 32
+    norms = np.stack(
+        [batch_seg_norm(nu, batch.states[:, k : k + n0 + 1]) for k in range(1, steps + 1)], axis=1
+    )
+    hit = norms >= level
+    want = np.where(hit.any(axis=1), (hit.argmax(axis=1) + 1) * h, np.nan)
+    assert 0 < np.isnan(want).sum() < len(want)
+    np.testing.assert_array_equal(batch.lifetimes, want)
+
+
 def test_bihari_bound_closed_form():
     """Phi(s) = c (1 + s) admits the analytic inverse; c = 1/2, alpha = 0, T = 1."""
     bound = bihari_bound(lambda s: 0.5 * (1.0 + s), 0.0, 1.0, 0.0, 1.0)
@@ -254,6 +298,14 @@ def test_apriori_needs_growth_data():
     xi = constant_segment(nu, 1.0)
     with pytest.raises(ValueError):
         apriori_check(m, nu, xi, SolverConfig(h=0.125, t_end=0.5), 0.5, 10, 0)
+
+
+def test_apriori_horizon_within_batch():
+    nu = make_measure("uniform", 0.5, 0.125)
+    m = make_model("linear_delay", measure=nu)
+    xi = constant_segment(nu, 1.0)
+    with pytest.raises(ValueError, match="exceeds"):
+        apriori_check(m, nu, xi, SolverConfig(h=0.125, t_end=0.5), 1.0, 10, 0)
 
 
 def test_segment_views_consistent():

@@ -645,7 +645,7 @@ def _old_run_coupling_batch(tm, nu, xi_t, eta_t, cc, dW):
     T, h, K = cc.T, cc.h, cc.K
     n0 = nu.n_cells
     n_paths, steps = dW.shape[:2]
-    delta = cc.delta_scale * (1.0 + float(np.linalg.norm(xi_t[-1] - eta_t[-1])))
+    delta = coupling.DELTA_SCALE * (1.0 + float(np.linalg.norm(xi_t[-1] - eta_t[-1])))
     x = np.empty((n_paths, n0 + steps + 1, tm.base.d))
     y = np.empty_like(x)
     x[:, : n0 + 1] = xi_t
