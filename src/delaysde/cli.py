@@ -8,7 +8,8 @@ and seed are byte-identical.  The per-run set-up, including the u solve of
 Exit codes: 0 all asserted properties pass, 1 any failure, 2 inconclusive
 (degenerate weights) or a numerical failure (grid coverage, sup |grad u| >= 1
 or a non-contracting Picard diagnostic, Theta^{-1} non-convergence, singular
-diffusion, explosion before the horizon), 3 config error, command-line usage
+diffusion, explosion before the horizon, a gradient check whose variance is
+at its numerical floor), 3 config error, command-line usage
 errors included.
 """
 
@@ -30,7 +31,7 @@ import scipy
 from . import __version__
 from .coupling import CouplingConfig, entropy_cost, run_coupling_batch
 from .girsanov import SingularDiffusionError, direct_estimate, weak_estimate
-from .harnack import EPS_FD_RANGE, ExplosionBeforeHorizonError
+from .harnack import EPS_FD_RANGE, DegenerateVarianceError, ExplosionBeforeHorizonError
 from .harnack import check_gradient_estimate, check_log_harnack
 from .measure import (
     GridMismatchError,
@@ -82,6 +83,7 @@ _NUMERICAL_ERRORS = (
     InverseConvergenceError,
     SingularDiffusionError,
     ExplosionBeforeHorizonError,
+    DegenerateVarianceError,
 )
 
 
@@ -173,11 +175,17 @@ def _getf(raw, sec, key, default=None):
         raise ConfigError(f"{sec}.{key}", f"not a number: {v!r}") from e
 
 
-def _horizon(raw, sec, default):
-    """[sec] T, which must be finite and positive."""
+def _horizon(raw, sec, default, h=None):
+    """[sec] T, which must be finite and positive and, for a horizon the
+    paths are stepped to, a multiple of the step h."""
     T = _getf(raw, sec, "T", default)
     if not 0 < T < math.inf:
         raise ConfigError(f"{sec}.T", f"need a finite T > 0, got {T:g}")
+    if h is not None:
+        try:
+            grid_count(T, h, "T")
+        except GridMismatchError as e:
+            raise ConfigError(f"{sec}.T", str(e)) from e
     return T
 
 
@@ -242,10 +250,6 @@ def _build(cfg: ExperimentConfig):
     return nu, m, scfg, xi
 
 
-def _fmt(x) -> str:
-    return repr(float(x))
-
-
 def _jsonable(obj):
     """Plain JSON values; non-finite floats become null."""
     if isinstance(obj, (np.floating, np.integer, np.bool_)):
@@ -299,23 +303,42 @@ def _write_verdict(cfg: ExperimentConfig, verdict: str, metrics: dict):
     print(f"{cfg.scenario}: {verdict} ({path})")
 
 
-def _write_rows(cfg: ExperimentConfig, header: list, rows):
+def _column_text(col: np.ndarray, null: str | None) -> list:
+    """A result column as text: an integer column by str, a float column by
+    repr, which is how json writes a float, with each non-finite value
+    replaced by null when null is given."""
+    if col.dtype.kind != "f":
+        return list(map(str, col.tolist()))
+    text = list(map(repr, col.tolist()))
+    if null is not None:
+        for i in np.flatnonzero(~np.isfinite(col)).tolist():
+            text[i] = null
+    return text
+
+
+def _write_rows(cfg: ExperimentConfig, header: list, columns: list):
+    """result.csv or result.json with one row per entry of the column arrays
+    (integer or float, one per header name).
+
+    The JSON text is formatted here: it has the bytes json.dump(payload,
+    sort_keys=True, indent=1, allow_nan=False) writes for the rows as lists
+    with non-finite floats as null, at a fraction of the time of its
+    indenting encoder.  The CSV writes non-finite floats as nan or inf."""
     os.makedirs(cfg.output, exist_ok=True)
     if cfg.format == "csv":
+        cells = [_column_text(col, None) for col in columns]
         path = os.path.join(cfg.output, "result.csv")
         with open(path, "w") as fh:
             fh.write(",".join(header) + "\n")
-            for row in rows:
-                fh.write(",".join(str(v) if isinstance(v, int) else _fmt(v) for v in row) + "\n")
-    else:
-        path = os.path.join(cfg.output, "result.json")
-        with open(path, "w") as fh:
-            json.dump(
-                {"schema_version": SCHEMA_VERSION, "columns": header,
-                 "rows": [[_jsonable(v) for v in row] for row in rows]},
-                fh, sort_keys=True, indent=1, allow_nan=False,
-            )
-            fh.write("\n")
+            fh.writelines(",".join(row) + "\n" for row in zip(*cells))
+        return
+    cells = [_column_text(col, "null") for col in columns]
+    rows = "\n  ],\n  [\n   ".join(",\n   ".join(row) for row in zip(*cells))
+    path = os.path.join(cfg.output, "result.json")
+    with open(path, "w") as fh:
+        fh.write('{\n "columns": [\n  ' + ",\n  ".join(map(json.dumps, header)) + "\n ],\n")
+        fh.write(' "rows": [\n  [\n   ' + rows + "\n  ]\n ]")
+        fh.write(f',\n "schema_version": {SCHEMA_VERSION}\n}}\n')
 
 
 def _chunks(n: int):
@@ -399,18 +422,11 @@ def _coupling_setup(cfg, nu, m, scfg, xi):
 
 def _run_simulate(cfg, nu, m, scfg, xi) -> int:
     parts = _pool_map(cfg, _sim_chunk, (cfg.base_seed, nu, m, scfg, xi), _chunks(cfg.n_paths))
-    rows = []
-    term_all = []
-    for start, term, lifetimes, sup in parts:
-        term_all.append(term)
-        for i in range(term.shape[0]):
-            rows.append(
-                [start + i, *[float(v) for v in term[i]], float(lifetimes[i]), float(sup[i])]
-            )
-    header = ["path", *[f"x{j}" for j in range(m.d)], "lifetime", "sup_norm"]
-    _write_rows(cfg, header, rows)
-    term_all = np.concatenate(term_all)
+    term_all = np.concatenate([p[1] for p in parts])
     lifetimes = np.concatenate([p[2] for p in parts])
+    sup = np.concatenate([p[3] for p in parts])
+    header = ["path", *[f"x{j}" for j in range(m.d)], "lifetime", "sup_norm"]
+    _write_rows(cfg, header, [np.arange(cfg.n_paths), *term_all.T, lifetimes, sup])
     _write_verdict(cfg, "pass", {
         "terminal_mean": term_all.mean(axis=0),
         "terminal_var": term_all.var(axis=0),
@@ -436,7 +452,7 @@ def _run_validate(cfg, nu, m, scfg, xi) -> int:
 def _run_girsanov(cfg, nu, m, scfg, xi) -> int:
     _require_two_paths(cfg)
     raw = cfg.raw
-    T = _horizon(raw, "girsanov", scfg.t_end)
+    T = _horizon(raw, "girsanov", scfg.t_end, scfg.h)
     _, f = _functional(raw, "girsanov", "tanh0", nu)
     gcfg = SolverConfig(h=scfg.h, t_end=T, scheme=scfg.scheme)
     direct, d_se = direct_estimate(m, nu, xi, f, T, gcfg, cfg.base_seed, cfg.n_paths)
@@ -461,11 +477,8 @@ def _run_couple(cfg, nu, m, scfg, xi) -> int:
     tau = np.concatenate([p[1] for p in parts])
     log_r = np.concatenate([p[2] for p in parts])
     equal = np.concatenate([p[3] for p in parts])
-    rows = [
-        [i, float(tau[i]), float(log_r[i]), int(equal[i])]
-        for i in range(len(tau))
-    ]
-    _write_rows(cfg, ["path", "tau", "log_R", "terminal_equal"], rows)
+    _write_rows(cfg, ["path", "tau", "log_R", "terminal_equal"],
+                [np.arange(len(tau)), tau, log_r, equal.astype(int)])
     ent = entropy_cost(log_r)
     frac = float((~np.isnan(tau)).mean())
     equal_frac = float(equal.mean())
@@ -511,7 +524,7 @@ def _run_harnack(cfg, nu, m, scfg, xi) -> int:
 def _run_gradient(cfg, nu, m, scfg, xi) -> int:
     _require_two_paths(cfg)
     raw = cfg.raw
-    T = _horizon(raw, "gradient", 1.0)
+    T = _horizon(raw, "gradient", 1.0, scfg.h)
     eps = _getf(raw, "gradient", "eps_fd", 0.01)
     if not EPS_FD_RANGE[0] <= eps <= EPS_FD_RANGE[1]:
         raise ConfigError("gradient.eps_fd", f"got {eps:g}; need a value in {list(EPS_FD_RANGE)}")
@@ -566,7 +579,7 @@ def _run_zvonkin(cfg, nu, m, scfg, xi) -> int:
 def _run_bihari(cfg, nu, m, scfg, xi) -> int:
     if m.bihari is None:
         raise ConfigError("model.name", f"model {m.name!r} declares no (Phi, h) growth data")
-    T = _horizon(cfg.raw, "bihari", scfg.t_end)
+    T = _horizon(cfg.raw, "bihari", scfg.t_end, scfg.h)
     if T > scfg.t_end:
         raise ConfigError("bihari.T", f"need T <= solver.t_end = {scfg.t_end:g}, got {T:g}")
     rep = apriori_check(m, nu, xi, scfg, T, cfg.n_paths, cfg.base_seed)

@@ -27,12 +27,19 @@ from .solver import ExplosionBeforeHorizonError, SolverConfig
 from .zvonkin import TransformedModel
 
 __all__ = [
+    "DegenerateVarianceError",
     "ExplosionBeforeHorizonError",
     "check_log_harnack",
     "check_gradient_estimate",
 ]
 
 EPS_FD_RANGE = (1e-3, 1e-1)  # finite-difference step of check_gradient_estimate
+
+
+class DegenerateVarianceError(RuntimeError):
+    """The variance P f^2 - (P f)^2 of the gradient check is at its numerical
+    floor while the derivative is not, so D^2 / V has no finite value (for
+    example, a zero diffusion)."""
 
 
 @dataclass
@@ -183,7 +190,9 @@ def check_gradient_estimate(
     # stderr of the variance via the fourth-moment-free normal approximation
     V_se = V * math.sqrt(2.0 / max(n - 1, 1))
     if V < 1e-12 and abs(D) > 1e-6:
-        raise RuntimeError("variance at numerical floor while the derivative is not")
+        raise DegenerateVarianceError(
+            f"variance {V:.3g} at numerical floor while the derivative {D:.3g} is not"
+        )
     tcap = min(T, 1.0)
     ratio = D**2 * tcap / V if V > 0 else math.inf
     passed = None

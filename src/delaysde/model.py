@@ -348,7 +348,10 @@ def validate_assumptions(
     tol: float = 1e-3,
     seed: int = 0,
 ) -> AssumptionReport:
-    """Monte Carlo spot checks of (A2')-(A4') against the declared constants."""
+    """Monte Carlo spot checks of (A2')-(A4') against the declared constants.
+
+    (A2') needs QQ* invertible, so a declared QQt_inv bound of inf (a zero
+    diffusion) fails it outright, with worst inf."""
     if n_samples < 1000:
         raise ValueError("need n_samples >= 1000")
     rng = np.random.default_rng(seed)
@@ -385,6 +388,8 @@ def validate_assumptions(
             r = (1.0 / bound_inv) / max(smin, 1e-300) / (1.0 + tol)
             if r > worst_a2:
                 worst_a2, wit_a2 = float(r), ("QQt_inv", float(t))
+    if m.Q_bounds.get("QQt_inv") == math.inf:  # declared singular: QQ* has no bounded inverse
+        worst_a2, wit_a2 = math.inf, ("QQt_inv", None)
     a2 = AssumptionCheck(worst_a2 <= 1.0, worst_a2, wit_a2)
 
     # (A3'): |b(t,x)-b(t,y)| <= phi(|x-y|) (1+tol)

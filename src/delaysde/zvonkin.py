@@ -14,9 +14,13 @@ interest saturate); public evaluation outside the grid raises CoverageError.
 
 Between the nodes u and grad u are multilinear in x and linear in t.  In
 every d one gather of the 2^d cell corners per time level, on a stacked
-(u, grad u) table, serves both.  In d=1 Theta(t, .) is piecewise linear with
+(u, grad u) table, serves both; the corners are blended in time first and
+then once along each axis.  In d=1 Theta(t, .) is piecewise linear with
 nodes g + u(t, g), so its exact root is found by interpolating back, with no
-iteration.  In d>1 Theta^{-1} is the fixed point x = y - u(t, x), iterated
+iteration: the table is blended to time t once per call, and each row's
+cell among the nodes comes from a table of uniform bins in O(1), or from a
+binary search in a batch with fewer rows than nodes.  The root has the bits
+of np.interp.  In d>1 Theta^{-1} is the fixed point x = y - u(t, x), iterated
 on each row until that row's own update is below tolerance, so a row's root
 does not depend on the batch it is in.  theta_inverse_ud returns the root
 together with the stacked (u, grad u) at it, from one lookup at the root;
@@ -210,27 +214,47 @@ class ZvonkinSolution:
         frac = pos - i if j > i else 0.0
         return i, j, frac
 
+    def _level(self, t: float) -> np.ndarray:
+        """The padded stacked (u, grad u) table at time t, (d + d*d, *padded
+        shape): (1 - frac) * a + frac * b of the two time levels around t,
+        or the level itself when t is on one."""
+        i, j, frac = self._time_blend(t)
+        if not frac:
+            return self._ud[i]
+        out = (1 - frac) * self._ud[i]
+        out += frac * self._ud[j]
+        return out
+
     def _u_level(self, t: float) -> np.ndarray:
         """d=1: u(t, .) on the grid nodes, blended between the two time levels."""
-        i, j, frac = self._time_blend(t)
-        u = self.u_tab[i, :, 0]
-        return (1 - frac) * u + frac * self.u_tab[j, :, 0] if frac else u
+        return self._level(t)[0, :-1]
 
-    def _lookup(self, t: float, x: np.ndarray, check: bool = True) -> np.ndarray:
+    def _blend_axes(self, v: np.ndarray, spans: list, offs: list) -> np.ndarray:
+        """Blend gathered corner values v (d + d*d, 2^d, n) axis by axis with
+        np.interp's arithmetic (hi - lo) / span * off + lo, in place."""
+        v = v.reshape(len(v), *(2,) * self.d, -1)
+        for span, off in zip(spans, offs):
+            lo = v[:, 0]
+            v = v[:, 1] - lo
+            v /= span
+            v *= off
+            v += lo
+        return v
+
+    def _lookup(self, t: float, x: np.ndarray) -> np.ndarray:
         """u and grad u at (t, x), stacked into shape (d + d*d, n): u_c, then
-        d u_c / d x_k at row d + c*d + k.  check=False skips the coverage
-        check, for points already known to lie on the grid.
+        d u_c / d x_k at row d + c*d + k.
 
         Along each axis the cell k of x is floor((x - x0)/dx), nudged to
         np.interp's g[k] <= x < g[k + 1] where rounding puts x on the other
-        side of a node.  Each time level is then one gather of the 2^d cell
-        corners, blended axis by axis with np.interp's arithmetic, so in d=1
-        the values match np.interp bit for bit; the two levels that t falls
-        between share one gather and one pass of that arithmetic.
+        side of a node.  The 2^d cell corners are gathered from the two time
+        levels around t and blended in time first, with _level's
+        (1 - frac) * a + frac * b, so they are the corners of _level(t);
+        one pass of np.interp's arithmetic along each axis then blends them.
+        On a time level the d=1 values are np.interp's bit for bit.
         """
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        if check:
-            self._check_cover(x)
+        self._check_cover(x)
         flat, spans, offs = 0, [], []
         for xa, gx in zip(x.T, self._gx):
             k = np.minimum(((xa - gx[0]) / (gx[1] - gx[0])).astype(np.intp), len(gx) - 2)
@@ -242,21 +266,12 @@ class ZvonkinSolution:
             flat = flat * len(gx) + k
         cells = flat + self._corners[:, None]
         i, j, frac = self._time_blend(t)
-        levels = self._ud[i : j + 1] if frac else self._ud[i : i + 1]
-        n_l, n_c = levels.shape[:2]
-        v = levels.reshape(n_l, n_c, -1).take(cells, axis=2)
-        v = v.reshape(n_l, n_c, *(2,) * self.d, -1)
-        for span, off in zip(spans, offs):  # (hi - lo) / span * off + lo, in place
-            lo = v[:, :, 0]
-            v = v[:, :, 1] - lo
-            v /= span
-            v *= off
-            v += lo
-        if not frac:
-            return v[0]
-        out = (1 - frac) * v[0]
-        out += frac * v[1]
-        return out
+        levels = self._ud.reshape(*self._ud.shape[:2], -1)
+        v = levels[i].take(cells, axis=1)
+        if frac:
+            v *= 1 - frac
+            v += frac * levels[j].take(cells, axis=1)
+        return self._blend_axes(v, spans, offs)
 
     def eval_u(self, t: float, x: np.ndarray) -> np.ndarray:
         """u(t, x) for batched x (n, d); t is clamped into [0, T]."""
@@ -457,6 +472,40 @@ def picard_u(
 
 _INVERSE_TOL = 1e-12  # per-row update at which the d>1 fixed point stops
 _INVERSE_MAX_ITER = 200
+_BINS_PER_NODE = 4  # cap on the size of _theta_cells' bin table
+
+
+def _theta_cells(nodes: np.ndarray, width: float, y: np.ndarray) -> np.ndarray:
+    """np.interp's cell of each y among strictly increasing nodes with +inf
+    appended, the last k with nodes[k] <= y, for y in [nodes[0],
+    nodes[-2]]; width is the narrowest cell.
+
+    Batches with fewer rows than nodes take a binary search, which is
+    cheaper there.  Larger ones find each cell in O(1): uniform bins no
+    wider than the narrowest cell, and at most _BINS_PER_NODE per node,
+    start each row at the last node of an earlier bin, and the row then
+    steps right past the nodes of its own bin.  The bin index
+    floor((v - nodes[0]) * scale) is monotone in v, so a start never lies
+    past its row's cell, and no row takes more steps than the fullest bin
+    holds nodes: one when the narrowest cell sets the bin width, more where
+    a steep u makes a cell narrow and the cap sets it.
+    """
+    n = len(nodes) - 1
+    if len(y) < n:
+        return np.searchsorted(nodes, y, "right") - 1
+    scale = min(1.0 / width, _BINS_PER_NODE * n / (nodes[-2] - nodes[0]))
+    counts = np.bincount(((nodes[:-1] - nodes[0]) * scale).astype(np.intp))
+    start = np.cumsum(counts)
+    start -= counts + 1  # the last node of an earlier bin
+    start[0] = 0
+    k = start.take(((y - nodes[0]) * scale).astype(np.intp))
+    ahead = nodes[1:]
+    for _ in range(counts.max()):
+        step = y >= ahead.take(k)
+        if not step.any():
+            break
+        k += step
+    return k
 
 
 def theta(sol: ZvonkinSolution, t: float, x: np.ndarray) -> np.ndarray:
@@ -477,9 +526,11 @@ def theta_inverse_ud(sol: ZvonkinSolution, t: float, y: np.ndarray) -> tuple[np.
     returns them, shape (d + d*d, n), with the bits of sol.eval_u_du(t, x).
 
     In d=1 Theta(t, .) is piecewise linear with nodes g + u(t, g), so the
-    root is np.interp(y, g + u(t, g), g): exact, with no iteration, and on
-    the grid by construction, so its lookup skips the coverage check.  It
-    raises CoverageError when y or its root lies outside the grid, and
+    root is np.interp(y, g + u(t, g), g), bit for bit: exact, with no
+    iteration, and found in O(1) per row (see _theta_cells).  The stacked
+    table is blended to time t once (ZvonkinSolution._level); its u row
+    gives the nodes, and the root's lookup cell in it gives ud.  It raises
+    CoverageError when y or its root lies outside the grid, and
     InverseConvergenceError when the nodes are not strictly increasing (a
     cell slope of u at or below -1).  In d>1 it iterates the fixed point
     x = y - u(t, x), which contracts since |grad u| < 1, on the rows that
@@ -491,18 +542,37 @@ def theta_inverse_ud(sol: ZvonkinSolution, t: float, y: np.ndarray) -> tuple[np.
     if sol.d == 1:
         sol._check_cover(y)
         g = sol.grids[0]
-        nodes = g + sol._u_level(t)
-        if not np.all(np.diff(nodes) > 0):
+        table = sol._level(t)
+        padded = sol._gx[0] + table[0]  # the nodes, then +inf
+        nodes = padded[:-1]
+        widths = nodes[1:] - nodes[:-1]
+        narrowest = widths.min()
+        if not narrowest > 0:
             raise InverseConvergenceError(
                 f"Theta(t={t:g}, .) is not strictly increasing on the grid"
             )
-        if y.min() < nodes[0] or y.max() > nodes[-1]:
+        yv = y[:, 0]
+        y_min, y_max = yv.min(), yv.max()
+        if y_min < nodes[0] or y_max > nodes[-1]:
             raise CoverageError(
                 f"root of Theta(t={t:g}, x) = y outside tabulated grid: y in "
-                f"[{y.min():.3g}, {y.max():.3g}] vs [{nodes[0]:.3g}, {nodes[-1]:.3g}]"
+                f"[{y_min:.3g}, {y_max:.3g}] vs [{nodes[0]:.3g}, {nodes[-1]:.3g}]"
             )
-        x = np.interp(y[:, 0], nodes, g)[:, None]
-        return x, sol._lookup(t, x, check=False)
+        k = _theta_cells(padded, narrowest, yv)
+        # np.interp's arithmetic: y on a node (the last one included) is its g
+        base, lo = nodes.take(k), g.take(k)
+        x = ((g[1:] - g[:-1]) / widths).take(k, mode="clip") * (yv - base) + lo
+        on = yv == base
+        if on.any():
+            x[on] = lo[on]
+        # the cell _lookup picks for x: g[k] <= x, and x may round onto g[k + 1]
+        gx = sol._gx[0]
+        step = x >= gx.take(k + 1)
+        if step.any():
+            k += step
+            lo = gx.take(k)
+        corners = table.take(k + sol._corners[:, None], axis=1)
+        return x[:, None], sol._blend_axes(corners, [gx.take(k + 1) - lo], [x - lo])
     x = y.copy()
     rows = np.arange(len(y))
     for _ in range(_INVERSE_MAX_ITER):
@@ -551,6 +621,17 @@ class TransformedModel:
 
     base: ModelSpec
     sol: ZvonkinSolution | None
+    # step-invariant factors of transformed_coefficients, built once: -a,
+    # the identity as (1, d, d), and lam + a (None for the identity transform)
+    _neg_a: np.ndarray = field(init=False, repr=False, compare=False)
+    _eye: np.ndarray = field(init=False, repr=False, compare=False)
+    _lam_a: np.ndarray | None = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        a = self.base.A.eigenvalues
+        self._neg_a = -a
+        self._eye = np.eye(self.base.d)[None]
+        self._lam_a = None if self.sol is None else self.sol.lam + a
 
     def seg_to_transformed(self, t: float, seg: np.ndarray, h: float) -> np.ndarray:
         return theta_segment(self.sol, t, seg, h) if self.sol is not None else seg
@@ -580,15 +661,14 @@ def transformed_coefficients(
     if sol is not None:
         d = sol.d
         u0, du = ud[:d].T, ud[d:].T.reshape(-1, d, d)
-        dth = np.eye(d)[None] + du
+        dth = tm._eye + du
         Qv = np.einsum("nck,nkj->ncj", dth, Qv)
     if avg_inv is None:
         return None, Qv
-    a = base.A.eigenvalues
     Bv = base.B(t, avg_inv)
     if sol is None:
-        return -a * state + Bv, Qv
-    return -a * state + (sol.lam + a) * u0 + np.einsum("nck,nk->nc", dth, Bv), Qv
+        return tm._neg_a * state + Bv, Qv
+    return tm._neg_a * state + tm._lam_a * u0 + np.einsum("nck,nk->nc", dth, Bv), Qv
 
 
 def needs_transform(m: ModelSpec) -> bool:

@@ -127,13 +127,17 @@ def test_main_config_error_exits_3(tmp_path):
     ("gradient", "ou", "[gradient]\nT = -1\n", [], "gradient.T"),
     ("gradient", "ou", "[gradient]\nT = -0.5\n", [], "gradient.T"),
     ("bihari", "linear_delay", "[bihari]\nT = 2\n", [], "bihari.T"),  # solver.t_end = 1
+    ("girsanov-check", "ou", "[girsanov]\nT = 0.3\n", [], "girsanov.T"),  # solver.h = 0.0625
+    ("gradient", "ou", "[gradient]\nT = 0.3\n", [], "gradient.T"),
+    ("bihari", "linear_delay", "[bihari]\nT = 0.3\n", [], "bihari.T"),
     ("simulate", "tabulated", "", [], "model.name"),  # the CLI cannot pass xs, ys
     ("couple", "reference\nsigma = 0", "[coupling]\nT = 0.5\n", [], "model.sigma"),
     ("zvonkin", "zero", "", [], "model.sigma"),  # u needs a diffusion even for b = 0
 ], ids=["bihari-ou", "seed", "eps_fd", "functional", "lams-text", "lams-zero", "lam_u",
         "zvonkin-T", "n_t-one", "n_t-fraction", "n_x-zero", "x_max-zero",
         "harnack-one-path", "gradient-one-path", "girsanov-one-path", "x0-text", "x0-nan",
-        "girsanov-T", "gradient-T", "gradient-T-half", "bihari-T", "tabulated", "sigma-zero",
+        "girsanov-T", "gradient-T", "gradient-T-half", "bihari-T", "girsanov-T-off-grid",
+        "gradient-T-off-grid", "bihari-T-off-grid", "tabulated", "sigma-zero",
         "zvonkin-sigma-zero"])
 def test_invalid_scenario_value_exits_3(tmp_path, capsys, scenario, model, extra, argv, field):
     """A bad value of a scenario's own section is a config error naming the
@@ -256,6 +260,62 @@ def test_numerical_failure_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1
     assert "SingularDiffusionError" in err[0]
+
+
+def test_gradient_degenerate_variance_exits_2(tmp_path, capsys):
+    """With no noise the variance of the gradient check vanishes while the
+    derivative does not: exit 2 with a named error, not a traceback."""
+    text = BASE.replace("scenario = simulate", "scenario = gradient").replace(
+        "name = zero", "name = ou\nsigma = 0"
+    ) + "[gradient]\nT = 0.5\n"
+    path = _write(tmp_path, text)
+    out = tmp_path / "flat"
+    assert main(["gradient", "--config", path, "--out", str(out)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert "DegenerateVarianceError" in err[0]
+    assert not out.exists()
+
+
+def test_validate_fails_a_singular_diffusion(tmp_path):
+    """(A2') needs QQ* invertible, which sigma = 0 breaks."""
+    text = BASE.replace("scenario = simulate", "scenario = validate").replace(
+        "name = zero", "name = reference\nsigma = 0"
+    )
+    out = tmp_path / "singular"
+    assert main(["validate", "--config", _write(tmp_path, text), "--out", str(out)]) == 1
+    verdict = json.loads((out / "verdict.json").read_text())
+    assert verdict["verdict"] == "fail"
+    assert verdict["metrics"]["assumptions"] == {"a2": False, "a3": True, "a4": True}
+
+
+def _old_result_text(fmt, header, columns):
+    """result.json as json.dump wrote it from rows of Python values, and
+    result.csv as it was written row by row, kept as the oracle of the
+    direct formatter."""
+    rows = [list(row) for row in zip(*(col.tolist() for col in columns))]
+    if fmt == "csv":
+        lines = [",".join(header)]
+        lines += [",".join(str(v) if isinstance(v, int) else repr(float(v)) for v in row) for row in rows]
+        return "\n".join(lines) + "\n"
+    payload = {"schema_version": cli.SCHEMA_VERSION, "columns": header,
+               "rows": [[cli._jsonable(v) for v in row] for row in rows]}
+    return json.dumps(payload, sort_keys=True, indent=1, allow_nan=False) + "\n"
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("n", [1, 12])
+def test_result_rows_match_json_dump(tmp_path, fmt, n):
+    """The direct formatter writes the bytes of the json.dump oracle: NaN and
+    infinities as null (nan, inf in CSV), ints, -0.0, 1e-05 and 1e+16."""
+    floats = np.array([0.5, np.nan, np.inf, -np.inf, -0.0, 1e-05, 1e16, 1.0 / 3.0,
+                       5e-324, -1.5e300, 123456789.0, 0.1 + 0.2])[:n]
+    columns = [np.arange(n), floats, floats[::-1].copy(), np.arange(n)[::-1] * 2**40 - 7]
+    header = ["path", "tau", "log_R", "terminal_equal"]
+    cfg = cli.ExperimentConfig("couple", n, 0, str(tmp_path), fmt, 1)
+    cli._write_rows(cfg, header, columns)
+    got = (tmp_path / f"result.{fmt}").read_text()
+    assert got == _old_result_text(fmt, header, columns)
 
 
 def test_girsanov_explosion_exits_2(tmp_path, capsys):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from delaysde.harnack import (
+    DegenerateVarianceError,
     ExplosionBeforeHorizonError,
     check_gradient_estimate,
     check_log_harnack,
@@ -128,7 +129,7 @@ def test_gradient_variance_floor_error(nu, direction):
     # no noise: V = 0 while the deterministic derivative is positive
     m = make_model("zero", lam=1.0)
     f, _ = make_functional("coord0")
-    with pytest.raises(RuntimeError):
+    with pytest.raises(DegenerateVarianceError):
         check_gradient_estimate(
             m, nu, f, constant_segment(nu, 1.0).values, direction, 0.5, H, 0.01, 16, 0
         )

@@ -290,10 +290,11 @@ def _fixed_point_inverse(sol, t, y, tol=1e-12, max_iter=200):
     raise AssertionError("oracle fixed point did not converge")
 
 
-def _table_solution(u_nodes):
-    """A d=1 solution on the grid -2..2 with u(t, .) = u_nodes at both levels."""
+def _table_solution(u_nodes, u_last=None):
+    """A d=1 solution on the grid -2..2 with u(0, .) = u_nodes and u(1, .) =
+    u_last, by default u_nodes as well."""
     g = np.linspace(-2.0, 2.0, len(u_nodes))
-    u = np.tile(np.asarray(u_nodes, dtype=float)[None, :, None], (2, 1, 1))
+    u = np.stack([u_nodes, u_nodes if u_last is None else u_last]).astype(float)[..., None]
     du = np.gradient(u, g, axis=1)[..., None]
     return ZvonkinSolution(1.0, 1.0, RATES, 1.0, np.array([0.0, 1.0]), [g], u, du)
 
@@ -393,6 +394,83 @@ def test_lookup_is_np_interp_bit_for_bit(sol_small):
         u, du = sol.eval_u_du(sol.s_grid[i], x[:, None])
         np.testing.assert_array_equal(u[:, 0], np.interp(x, g, sol.u_tab[i, :, 0]))
         np.testing.assert_array_equal(du[:, 0, 0], np.interp(x, g, sol.du_tab[i, :, 0, 0]))
+
+
+def _old_theta_inverse_ud(sol, t, y):
+    """The d=1 theta_inverse_ud before the bin table and the time-first
+    lookup, kept as their oracle: np.interp's binary search over the nodes
+    of Theta(t, .), then np.interp of u and of du on each time level at the
+    root, blended in time last."""
+    g = sol.grids[0]
+    i, j, frac = sol._time_blend(t)
+    u = sol.u_tab[i, :, 0]
+    x = np.interp(y[:, 0], g + ((1 - frac) * u + frac * sol.u_tab[j, :, 0] if frac else u), g)
+
+    def level(lv):
+        return np.stack([np.interp(x, g, sol.u_tab[lv, :, 0]), np.interp(x, g, sol.du_tab[lv, :, 0, 0])])
+
+    ud = level(i)
+    if frac:
+        ud = (1 - frac) * ud + frac * level(j)
+    return x[:, None], ud
+
+
+def _steep(n, start, slope):
+    """u on n nodes of -2..2: 0 up to node start, then slope over ten cells,
+    then constant."""
+    dx = 4.0 / (n - 1)
+    return slope * dx * np.clip(np.arange(n) - start, 0, 10)
+
+
+@pytest.mark.parametrize("case", ["solved", "steep", "random"])
+def test_theta_inverse_ud_matches_interp_oracle(sol_small, monkeypatch, case):
+    """The bin-table root is np.interp's bit for bit, and its ud is the old
+    x-first lookup's to 1e-15 and eval_u_du's at the root bit for bit.  y
+    lies on every node of Theta(t, .), on its last node, just below each
+    node (where the root may round onto the next grid node), across its
+    narrowest cell and at random; batches have one row (binary search) and
+    2048 (bins); t is on a time level, between two, and clamped.  A u of
+    slope -0.999 over ten cells makes those cells 1000 times narrower than
+    the rest: the bin table stays capped and the rows step through the
+    crowded bins."""
+    rng = np.random.default_rng(9)
+    if case == "solved":
+        sol, ts = sol_small, (5.0 / 32.0, 0.37, -0.5, 1.5)
+    elif case == "steep":
+        sol, ts = _table_solution(_steep(41, 10, -0.999), _steep(41, 25, -0.9995)), (0.0, 0.37, -0.5, 1.5)
+    else:
+        sol, ts = _table_solution(rng.uniform(-0.15, 0.15, 11), rng.uniform(-0.15, 0.15, 11)), (0.0, 0.6, 1.5)
+    g = sol.grids[0]
+    sizes = []
+    real_bincount = np.bincount
+
+    def bincount(a, *args, **kwargs):
+        out = real_bincount(a, *args, **kwargs)
+        sizes.append(len(out))
+        return out
+
+    monkeypatch.setattr(np, "bincount", bincount)
+    for t in ts:
+        nodes = g + sol._u_level(t)
+        k = int(np.argmin(np.diff(nodes)))
+        narrow = nodes[k] + np.array([0.0, 0.25, 0.5, 0.75]) * (nodes[k + 1] - nodes[k])
+        below = np.nextafter(nodes[1:], -np.inf)  # roots that may round onto the next node
+        y = np.concatenate([nodes, [nodes[-1]], below, narrow])
+        lo, hi = max(nodes[0], g[0]), min(nodes[-1], g[-1])
+        y = y[(y >= lo) & (y <= hi)]
+        y = np.concatenate([y, rng.uniform(lo, hi, 2048 - len(y))])[:, None]
+        if case == "steep":
+            assert y.max() == nodes[-1]
+        want_x, want_ud = _old_theta_inverse_ud(sol, t, y)
+        root, ud = theta_inverse_ud(sol, t, y)
+        np.testing.assert_array_equal(root, want_x)
+        np.testing.assert_allclose(ud, want_ud, rtol=0, atol=1e-15)
+        np.testing.assert_array_equal(ud, _stacked_ud(*sol.eval_u_du(t, root)))
+        for i in range(0, len(y), 7):
+            one, ud_one = theta_inverse_ud(sol, t, y[i : i + 1])
+            np.testing.assert_array_equal(one, root[i : i + 1])
+            np.testing.assert_array_equal(ud_one, ud[:, i : i + 1])
+    assert sizes and max(sizes) <= zvonkin._BINS_PER_NODE * len(g) + 1
 
 
 def test_theta_inverse_root_outside_grid_raises():
