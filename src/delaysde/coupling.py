@@ -176,8 +176,6 @@ def run_coupling_batch(
     avg_x = delay_averages(nu, xinv, path_offset)
     avg_y = delay_averages(nu, yinv, path_offset)
     gamma_floor = gamma(T - 0.5 * h, T, K)
-    # the bridging clock at each step's midpoint, floored so the pull stays finite
-    ghats = [max(gamma(min(k * h + 0.5 * h, T), T, K), gamma_floor) for k in range(n_T)]
     log_r = np.zeros(n_paths)
     tau = np.full(n_paths, np.nan)
     failed = np.zeros(n_paths, dtype=bool)
@@ -198,7 +196,7 @@ def run_coupling_batch(
             xn = xs + h * Bx + noise_x
         if k < n_T:  # phi reads Y's drift and diffusion on every row
             By, Qy = transformed_coefficients(tm, t, ys, yinv[:, idx], ud_y, next(avg_y))
-            ghat = ghats[k]
+            ghat = max(gamma(min(t + 0.5 * h, T), T, K), gamma_floor)
             z = solve_qqt(Qx, xs - ys)  # (n, dbar): Q*(QQ*)^{-1}(X - Y)
             phi = solve_qqt(Qy, By - Bx) - z / ghat
             log_r += np.einsum("nk,nk->n", phi, dW[:, k]) - 0.5 * h * np.sum(phi**2, axis=1)

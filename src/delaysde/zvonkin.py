@@ -18,9 +18,10 @@ every d one gather of the 2^d cell corners per time level, on a stacked
 then once along each axis.  In d=1 Theta(t, .) is piecewise linear with
 nodes g + u(t, g), so its exact root is found by interpolating back, with no
 iteration: the table is blended to time t once per call, and each row's
-cell among the nodes comes from a table of uniform bins in O(1), or from a
-binary search in a batch with fewer rows than nodes.  The root has the bits
-of np.interp.  In d>1 Theta^{-1} is the fixed point x = y - u(t, x), iterated
+cell among the nodes comes from a table of uniform bins, in as many passes
+as the fullest bin holds nodes, or from a binary search when the batch has
+fewer rows than nodes or a bin holds more nodes than a search takes steps.
+The root has the bits of np.interp.  In d>1 Theta^{-1} is the fixed point x = y - u(t, x), iterated
 on each row until that row's own update is below tolerance, so a row's root
 does not depend on the batch it is in.  theta_inverse_ud returns the root
 together with the stacked (u, grad u) at it, from one lookup at the root;
@@ -224,10 +225,6 @@ class ZvonkinSolution:
         out = (1 - frac) * self._ud[i]
         out += frac * self._ud[j]
         return out
-
-    def _u_level(self, t: float) -> np.ndarray:
-        """d=1: u(t, .) on the grid nodes, blended between the two time levels."""
-        return self._level(t)[0, :-1]
 
     def _blend_axes(self, v: np.ndarray, spans: list, offs: list) -> np.ndarray:
         """Blend gathered corner values v (d + d*d, 2^d, n) axis by axis with
@@ -480,21 +477,24 @@ def _theta_cells(nodes: np.ndarray, width: float, y: np.ndarray) -> np.ndarray:
     appended, the last k with nodes[k] <= y, for y in [nodes[0],
     nodes[-2]]; width is the narrowest cell.
 
-    Batches with fewer rows than nodes take a binary search, which is
-    cheaper there.  Larger ones find each cell in O(1): uniform bins no
-    wider than the narrowest cell, and at most _BINS_PER_NODE per node,
-    start each row at the last node of an earlier bin, and the row then
-    steps right past the nodes of its own bin.  The bin index
-    floor((v - nodes[0]) * scale) is monotone in v, so a start never lies
-    past its row's cell, and no row takes more steps than the fullest bin
-    holds nodes: one when the narrowest cell sets the bin width, more where
-    a steep u makes a cell narrow and the cap sets it.
+    A batch with at least one row per node takes a table of uniform bins no
+    wider than the narrowest cell, and at most _BINS_PER_NODE per node.
+    Each row starts at the last node of an earlier bin and steps right past
+    the nodes of its own bin.  The bin index floor((v - nodes[0]) * scale)
+    is monotone in v, so a start never lies past its row's cell, and the
+    steps take as many vectorized passes as the fullest bin holds nodes:
+    one when the narrowest cell sets the bin width, more where a steep u
+    makes a cell narrow and the cap sets it.  A smaller batch, which does
+    not repay the table's fixed cost, and a table whose fullest bin holds
+    more nodes than a binary search takes steps, take a binary search.
     """
     n = len(nodes) - 1
     if len(y) < n:
         return np.searchsorted(nodes, y, "right") - 1
     scale = min(1.0 / width, _BINS_PER_NODE * n / (nodes[-2] - nodes[0]))
     counts = np.bincount(((nodes[:-1] - nodes[0]) * scale).astype(np.intp))
+    if counts.max() > n.bit_length():
+        return np.searchsorted(nodes, y, "right") - 1
     start = np.cumsum(counts)
     start -= counts + 1  # the last node of an earlier bin
     start[0] = 0
@@ -527,7 +527,7 @@ def theta_inverse_ud(sol: ZvonkinSolution, t: float, y: np.ndarray) -> tuple[np.
 
     In d=1 Theta(t, .) is piecewise linear with nodes g + u(t, g), so the
     root is np.interp(y, g + u(t, g), g), bit for bit: exact, with no
-    iteration, and found in O(1) per row (see _theta_cells).  The stacked
+    iteration, and its cell found from a bin table (see _theta_cells).  The stacked
     table is blended to time t once (ZvonkinSolution._level); its u row
     gives the nodes, and the root's lookup cell in it gives ud.  It raises
     CoverageError when y or its root lies outside the grid, and
@@ -621,17 +621,6 @@ class TransformedModel:
 
     base: ModelSpec
     sol: ZvonkinSolution | None
-    # step-invariant factors of transformed_coefficients, built once: -a,
-    # the identity as (1, d, d), and lam + a (None for the identity transform)
-    _neg_a: np.ndarray = field(init=False, repr=False, compare=False)
-    _eye: np.ndarray = field(init=False, repr=False, compare=False)
-    _lam_a: np.ndarray | None = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        a = self.base.A.eigenvalues
-        self._neg_a = -a
-        self._eye = np.eye(self.base.d)[None]
-        self._lam_a = None if self.sol is None else self.sol.lam + a
 
     def seg_to_transformed(self, t: float, seg: np.ndarray, h: float) -> np.ndarray:
         return theta_segment(self.sol, t, seg, h) if self.sol is not None else seg
@@ -661,14 +650,15 @@ def transformed_coefficients(
     if sol is not None:
         d = sol.d
         u0, du = ud[:d].T, ud[d:].T.reshape(-1, d, d)
-        dth = tm._eye + du
+        dth = np.eye(d)[None] + du
         Qv = np.einsum("nck,nkj->ncj", dth, Qv)
     if avg_inv is None:
         return None, Qv
+    a = base.A.eigenvalues
     Bv = base.B(t, avg_inv)
     if sol is None:
-        return tm._neg_a * state + Bv, Qv
-    return tm._neg_a * state + tm._lam_a * u0 + np.einsum("nck,nk->nc", dth, Bv), Qv
+        return -a * state + Bv, Qv
+    return -a * state + (sol.lam + a) * u0 + np.einsum("nck,nk->nc", dth, Bv), Qv
 
 
 def needs_transform(m: ModelSpec) -> bool:

@@ -327,7 +327,7 @@ def test_eval_u_du_matches_separate_lookups(sol_small, sol_d2):
             np.testing.assert_allclose(du, sol.eval_du(t, x), rtol=0, atol=1e-14)
             y = theta(sol, t, x[np.abs(x).max(axis=1) < 3.0])
             if d == 1:  # the nodes that y may take, and the largest y
-                on = g + sol._u_level(t)
+                on = g + sol._level(t)[0, :-1]
                 edge = min(on[-1], g[-1])
                 y = np.concatenate([y, on[(on >= g[0]) & (on <= g[-1])][:, None], [[edge]]])
             root, ud = theta_inverse_ud(sol, t, y)
@@ -422,7 +422,7 @@ def _steep(n, start, slope):
     return slope * dx * np.clip(np.arange(n) - start, 0, 10)
 
 
-@pytest.mark.parametrize("case", ["solved", "steep", "random"])
+@pytest.mark.parametrize("case", ["solved", "crowded", "steep", "random"])
 def test_theta_inverse_ud_matches_interp_oracle(sol_small, monkeypatch, case):
     """The bin-table root is np.interp's bit for bit, and its ud is the old
     x-first lookup's to 1e-15 and eval_u_du's at the root bit for bit.  y
@@ -430,28 +430,32 @@ def test_theta_inverse_ud_matches_interp_oracle(sol_small, monkeypatch, case):
     node (where the root may round onto the next grid node), across its
     narrowest cell and at random; batches have one row (binary search) and
     2048 (bins); t is on a time level, between two, and clamped.  A u of
-    slope -0.999 over ten cells makes those cells 1000 times narrower than
-    the rest: the bin table stays capped and the rows step through the
-    crowded bins."""
+    slope -0.95 over ten cells makes those cells 20 times narrower than the
+    rest: the bin table stays capped and the rows step through the crowded
+    bins.  At slope -0.999 a bin holds more nodes than a binary search takes
+    steps, and the search takes over."""
     rng = np.random.default_rng(9)
     if case == "solved":
         sol, ts = sol_small, (5.0 / 32.0, 0.37, -0.5, 1.5)
+    elif case == "crowded":
+        sol, ts = _table_solution(_steep(41, 10, -0.95), _steep(41, 25, -0.96)), (0.0, 0.37, -0.5, 1.5)
     elif case == "steep":
         sol, ts = _table_solution(_steep(41, 10, -0.999), _steep(41, 25, -0.9995)), (0.0, 0.37, -0.5, 1.5)
     else:
         sol, ts = _table_solution(rng.uniform(-0.15, 0.15, 11), rng.uniform(-0.15, 0.15, 11)), (0.0, 0.6, 1.5)
     g = sol.grids[0]
-    sizes = []
+    sizes, fullest = [], []
     real_bincount = np.bincount
 
     def bincount(a, *args, **kwargs):
         out = real_bincount(a, *args, **kwargs)
         sizes.append(len(out))
+        fullest.append(out.max())
         return out
 
     monkeypatch.setattr(np, "bincount", bincount)
     for t in ts:
-        nodes = g + sol._u_level(t)
+        nodes = g + sol._level(t)[0, :-1]
         k = int(np.argmin(np.diff(nodes)))
         narrow = nodes[k] + np.array([0.0, 0.25, 0.5, 0.75]) * (nodes[k + 1] - nodes[k])
         below = np.nextafter(nodes[1:], -np.inf)  # roots that may round onto the next node
@@ -459,7 +463,7 @@ def test_theta_inverse_ud_matches_interp_oracle(sol_small, monkeypatch, case):
         lo, hi = max(nodes[0], g[0]), min(nodes[-1], g[-1])
         y = y[(y >= lo) & (y <= hi)]
         y = np.concatenate([y, rng.uniform(lo, hi, 2048 - len(y))])[:, None]
-        if case == "steep":
+        if case in ("crowded", "steep"):
             assert y.max() == nodes[-1]
         want_x, want_ud = _old_theta_inverse_ud(sol, t, y)
         root, ud = theta_inverse_ud(sol, t, y)
@@ -471,6 +475,11 @@ def test_theta_inverse_ud_matches_interp_oracle(sol_small, monkeypatch, case):
             np.testing.assert_array_equal(one, root[i : i + 1])
             np.testing.assert_array_equal(ud_one, ud[:, i : i + 1])
     assert sizes and max(sizes) <= zvonkin._BINS_PER_NODE * len(g) + 1
+    depth = len(g).bit_length()
+    if case == "crowded":
+        assert 1 < max(fullest) <= depth
+    elif case == "steep":
+        assert max(fullest) > depth
 
 
 def test_theta_inverse_root_outside_grid_raises():
