@@ -41,7 +41,8 @@ from .measure import (
     grid_count,
     make_measure,
 )
-from .model import dini_check, make_functional, make_model, validate_assumptions
+from .model import check_param, dini_check, make_functional, make_model, validate_assumptions
+from .rng import KEY_LIMIT
 from .solver import SolverConfig, apriori_check, simulate
 from .zvonkin import (
     CoverageError,
@@ -151,8 +152,11 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ConfigError("experiment", f"non-integer count: {e}") from e
     if n_paths < 1:
         raise ConfigError("experiment.n_paths", "need n_paths >= 1")
-    if base_seed < 0:
-        raise ConfigError("experiment.base_seed", "need base_seed >= 0")
+    # girsanov-check keys its reweighted paths with base_seed + 1
+    if not 0 <= base_seed <= KEY_LIMIT - 2:
+        raise ConfigError(
+            "experiment.base_seed", f"need 0 <= base_seed <= {KEY_LIMIT - 2}, got {base_seed}"
+        )
     if workers < 1:
         raise ConfigError("experiment.workers", "need workers >= 1")
     cfg = ExperimentConfig(
@@ -203,6 +207,9 @@ def _build(cfg: ExperimentConfig):
     r0 = _getf(raw, "measure", "r0", 1.0)
     h = _getf(raw, "solver", "h", 2.0**-8)
     t_end = _getf(raw, "solver", "t_end", 1.0)
+    for name, value in (("solver.h", h), ("measure.r0", r0), ("solver.t_end", t_end)):
+        if not 0 < value < math.inf:
+            raise ConfigError(name, f"need a finite value > 0, got {value:g}")
     kind = raw.get("measure", {}).get("kind", "exponential")
     try:
         grid_count(r0, h, "measure.r0 / solver.h")
@@ -236,6 +243,10 @@ def _build(cfg: ExperimentConfig):
             params[k] = int(v) if k == "d" else float(v)
         except ValueError as e:
             raise ConfigError(f"model.{k}", f"not a number: {v!r}") from e
+        try:
+            check_param(k, params[k])
+        except ValueError as e:
+            raise ConfigError(f"model.{k}", str(e)) from e
     try:
         m = make_model(name, measure=nu, **params)
     except ValueError as e:

@@ -34,6 +34,7 @@ path's bits never depend on the batch it runs in.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -70,6 +71,8 @@ class GridMismatchError(ValueError):
 
 def grid_count(span: float, h: float, what: str = "span") -> int:
     """span / h as an exact integer, or GridMismatchError."""
+    if not (math.isfinite(span) and math.isfinite(h)):
+        raise ValueError(f"{what}={span} and h={h} must be finite")
     if h <= 0:
         raise ValueError(f"grid step must be positive, got {h}")
     n = span / h

@@ -35,6 +35,7 @@ __all__ = [
     "dini_check",
     "validate_assumptions",
     "make_model",
+    "check_param",
     "make_functional",
 ]
 
@@ -206,12 +207,23 @@ def _nu_B(beta: float):
     return B
 
 
+def check_param(key: str, value) -> None:
+    """ValueError unless a catalog parameter can be used: d >= 1, and lam,
+    beta and sigma finite.  Other keys are left to the catalog entry."""
+    if key == "d" and not value >= 1:
+        raise ValueError(f"need d >= 1, got {value}")
+    if key in ("lam", "beta", "sigma") and not math.isfinite(float(value)):
+        raise ValueError(f"need a finite {key}, got {value!r}")
+
+
 def make_model(name: str, measure: DelayMeasure | None = None, **params) -> ModelSpec:
     """Closed coefficient catalog; validators and oracles rely on the analytic forms.
 
     Catalog: zero, ou, reference, linear_delay, cubic, quadratic, tabulated.
     """
     d = int(params.pop("d", 1))
+    for key, value in [("d", d), *params.items()]:
+        check_param(key, value)
     if name == "zero":
         lam = float(params.pop("lam", 1.0))
         return ModelSpec("zero", d, d, OperatorA(np.full(d, lam)), _zero_b, _zero_B,

@@ -27,6 +27,8 @@ from scipy.special import ndtri
 __all__ = ["path_generator", "normal_increments", "coarsen_increments", "chunk_sums", "mean_stderr"]
 
 _U64 = np.uint64
+# each word of a Philox key is a uint64
+KEY_LIMIT = 2**64
 # random() can return exactly 0.0; ndtri(0) = -inf.  Substitute the smallest
 # representable draw instead of re-drawing, to keep consumption fixed.
 _U_FLOOR = 2.0 ** -54
@@ -37,8 +39,10 @@ _FILL_TILE = 256
 
 def path_generator(base_seed: int, path_index: int) -> Generator:
     """Philox generator for one path, independent across path indices."""
-    if base_seed < 0 or path_index < 0:
-        raise ValueError("base_seed and path_index must be non-negative")
+    if not (0 <= base_seed < KEY_LIMIT and 0 <= path_index < KEY_LIMIT):
+        raise ValueError(
+            f"base_seed and path_index must lie in [0, 2^64), got {base_seed} and {path_index}"
+        )
     key = np.array([base_seed, path_index], dtype=_U64)
     return Generator(Philox(key=key))
 

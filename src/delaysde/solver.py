@@ -21,8 +21,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import brentq
 
 from .measure import DelayMeasure, Segment, delay_averages, grid_count
 from .model import ModelSpec, _zero_B, semigroup_factors
@@ -228,6 +226,8 @@ def simulate(
 
 def _check_divergence(Phi_T: Callable, K1: float, K2: float) -> None:
     """Heuristic check that the inverse-Phi integral diverges on [1, 1e8]."""
+    from scipy.integrate import quad
+
     blocks = []
     for k in range(8):
         lo, hi = 10.0**k, 10.0 ** (k + 1)
@@ -253,6 +253,9 @@ def bihari_bound(
 
     Upper-bounds the running square supremum of the drift part of the path.
     """
+    from scipy.integrate import quad
+    from scipy.optimize import brentq
+
     if K1 < 0 or K2 < 0:
         raise ValueError("K1 and K2 must be non-negative")
     if not np.isfinite(alpha):

@@ -35,8 +35,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.linalg import splu
 from scipy.special import roots_hermitenorm
 
 from .measure import DelayMeasure, delay_averages, grid_count
@@ -304,6 +302,8 @@ def _gradient_matrix(grids: list, k: int) -> sparse.csr_matrix:
     of the nodes j = m (mod 3), it returns at each row the one band entry
     whose column is m (mod 3).
     """
+    from scipy import sparse
+
     j = np.arange(len(grids[k]))
     probe = np.stack([np.gradient((j % 3 == m).astype(float), grids[k]) for m in range(3)])
     lower = probe[(j[1:] - 1) % 3, j[1:]]
@@ -402,6 +402,9 @@ def solve_u(
     empty; picard_u measures the contraction.  Raises DivergenceError when
     sup |grad u| >= 1, where Theta^{-1} no longer contracts.
     """
+    from scipy import sparse
+    from scipy.sparse.linalg import splu
+
     disc = _discretize(m, lam, T, x_max, n_x, n_t, quad_order)
     grids, b_tab = disc.grids, disc.b_tab
     d = len(grids)

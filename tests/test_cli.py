@@ -1,6 +1,12 @@
+import configparser
+import io
 import json
 import math
+import os
 import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -133,19 +139,37 @@ def test_main_config_error_exits_3(tmp_path):
     ("simulate", "tabulated", "", [], "model.name"),  # the CLI cannot pass xs, ys
     ("couple", "reference\nsigma = 0", "[coupling]\nT = 0.5\n", [], "model.sigma"),
     ("zvonkin", "zero", "", [], "model.sigma"),  # u needs a diffusion even for b = 0
+    ("simulate", "ou", "[solver]\nh = inf\n", [], "solver.h"),
+    ("simulate", "ou", "[solver]\nh = nan\n", [], "solver.h"),
+    ("simulate", "ou", "[measure]\nr0 = inf\n", [], "measure.r0"),
+    ("simulate", "ou", "[measure]\nr0 = nan\n", [], "measure.r0"),
+    ("simulate", "ou", "[solver]\nt_end = inf\n", [], "solver.t_end"),
+    ("simulate", "ou", "[solver]\nt_end = nan\n", [], "solver.t_end"),
+    ("simulate", "linear_delay\nsigma = nan", "", [], "model.sigma"),
+    ("simulate", "ou\nlam = nan", "", [], "model.lam"),
+    ("simulate", "reference\nsigma = inf", "", [], "model.sigma"),
+    ("simulate", "linear_delay\nbeta = -inf", "", [], "model.beta"),
+    ("simulate", "ou\nd = 0", "", [], "model.d"),
+    ("simulate", "ou", "", ["--seed", str(2**64)], "experiment.base_seed"),
+    ("girsanov-check", "ou", "", ["--seed", str(2**64 - 1)], "experiment.base_seed"),
 ], ids=["bihari-ou", "seed", "eps_fd", "functional", "lams-text", "lams-zero", "lam_u",
         "zvonkin-T", "n_t-one", "n_t-fraction", "n_x-zero", "x_max-zero",
         "harnack-one-path", "gradient-one-path", "girsanov-one-path", "x0-text", "x0-nan",
         "girsanov-T", "gradient-T", "gradient-T-half", "bihari-T", "girsanov-T-off-grid",
         "gradient-T-off-grid", "bihari-T-off-grid", "tabulated", "sigma-zero",
-        "zvonkin-sigma-zero"])
+        "zvonkin-sigma-zero", "h-inf", "h-nan", "r0-inf", "r0-nan", "t_end-inf", "t_end-nan",
+        "sigma-nan", "lam-nan", "sigma-inf", "beta-inf", "d-zero", "seed-2^64",
+        "girsanov-seed-2^64-1"])
 def test_invalid_scenario_value_exits_3(tmp_path, capsys, scenario, model, extra, argv, field):
     """A bad value of a scenario's own section is a config error naming the
     field, not a traceback under the exit code of a failed verdict."""
-    text = BASE.replace("name = zero", f"name = {model}")
-    if "x0 = " in model:  # the case's own x0 replaces BASE's
-        text = text.replace("x0 = 1.0\n", "")
-    path = _write(tmp_path, text + extra)
+    cp = configparser.ConfigParser()
+    cp.optionxform = str
+    cp.read_string(BASE)
+    cp.read_string(f"[model]\nname = {model}\n{extra}")  # the case's keys replace BASE's
+    text = io.StringIO()
+    cp.write(text)
+    path = _write(tmp_path, text.getvalue())
     out = tmp_path / "out"
     assert main([scenario, "--config", path, "--out", str(out), *argv]) == 3
     err = capsys.readouterr().err.strip().splitlines()
@@ -561,3 +585,60 @@ eps_fd = 0.01
     assert main(["gradient", "--config", path, "--out", str(out)]) == 0
     verdict = json.loads((out / "verdict.json").read_text())
     assert abs(verdict["metrics"]["D"] - verdict["metrics"]["oracle"]) < 1e-10
+
+
+LARGEST_SEED = 2**64 - 2  # girsanov-check keys base_seed + 1 < 2^64
+
+
+@pytest.mark.parametrize("scenario", cli.SCENARIOS)
+def test_largest_seed_runs_every_scenario(tmp_path, scenario):
+    """The largest seed parse_config accepts keys every generator a scenario
+    draws from: each run writes its verdict."""
+    text = """\
+[experiment]
+n_paths = 8
+[model]
+name = reference
+[measure]
+kind = uniform
+r0 = 0.5
+[solver]
+h = 0.03125
+t_end = 0.5
+[coupling]
+T = 0.5
+K = 6.0
+[girsanov]
+T = 0.5
+[gradient]
+T = 0.5
+[zvonkin]
+lams = 4,8
+T = 0.5
+n_x = 41
+n_t = 9
+"""
+    out = tmp_path / "out"
+    argv = [scenario, "--config", _write(tmp_path, text), "--out", str(out),
+            "--seed", str(LARGEST_SEED)]
+    assert main(argv) in (0, 1, 2)
+    verdict = json.loads((out / "verdict.json").read_text())
+    assert verdict["base_seed"] == LARGEST_SEED
+
+
+def test_simulate_leaves_integrate_optimize_and_sparse_unloaded(tmp_path):
+    """scipy.integrate and scipy.optimize serve only the Bihari bound, and
+    scipy.sparse only the u solve: a fresh interpreter that imports the
+    package and runs a simulate loads none of them."""
+    src = Path(cli.__file__).resolve().parents[1]
+    path = _write(tmp_path, BASE.replace("name = zero", "name = ou"))
+    code = (
+        "import sys, delaysde, delaysde.cli\n"
+        f"assert delaysde.cli.main(['simulate', '--config', {path!r}, '--out', {str(tmp_path / 'out')!r}]) == 0\n"
+        "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize', 'scipy.sparse') if m in sys.modules))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip().splitlines()[-1] == "[]"

@@ -36,6 +36,15 @@ def test_grid_count_rejects_incommensurate():
         grid_count(1.0, 0.0)
 
 
+@pytest.mark.parametrize("span, h", [
+    (math.inf, 0.25), (math.nan, 0.25), (1.0, math.inf), (1.0, math.nan),
+])
+def test_grid_count_rejects_non_finite(span, h):
+    """An infinite step would count 0 cells and an infinite span overflow."""
+    with pytest.raises(ValueError):
+        grid_count(span, h)
+
+
 def test_exponential_cell_masses_exact():
     m = make_measure("exponential", 1.0, 0.5, lam=1.0)
     want = [math.exp(-0.5) - math.exp(-1.0), 1.0 - math.exp(-0.5)]

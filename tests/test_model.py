@@ -115,6 +115,19 @@ def test_catalog_needs_measure_for_delay_models():
         make_model("linear_delay")
 
 
+@pytest.mark.parametrize("name, params", [
+    ("ou", {"d": 0}),
+    ("ou", {"lam": math.nan}),
+    ("linear_delay", {"sigma": math.nan}),
+    ("reference", {"sigma": math.inf}),
+    ("reference", {"beta": -math.inf}),
+], ids=["d-zero", "lam-nan", "sigma-nan", "sigma-inf", "beta-inf"])
+def test_catalog_rejects_unusable_parameters(name, params):
+    nu = make_measure("uniform", 0.5, 0.0625)
+    with pytest.raises(ValueError):
+        make_model(name, measure=nu, **params)
+
+
 def test_catalog_zero_and_unknown():
     m = make_model("zero", lam=2.0, d=2)
     np.testing.assert_array_equal(m.Q(0.0, np.ones((4, 2))), 0.0)

@@ -36,6 +36,14 @@ def test_negative_key_rejected():
         path_generator(0, -2)
 
 
+def test_key_beyond_64_bits_rejected():
+    path_generator(2**64 - 1, 2**64 - 1)
+    with pytest.raises(ValueError):
+        path_generator(2**64, 0)
+    with pytest.raises(ValueError):
+        path_generator(0, 2**64)
+
+
 def test_increment_shape_and_scale():
     h = 1.0 / 64
     dw = normal_increments(11, 0, 50_000, 1, h)
