@@ -19,6 +19,10 @@ the delay window.  Before T the density reads Y's drift and diffusion on
 every row; from T on nothing reads Y's drift, and Y's diffusion, noise and
 pull-back are evaluated only on the rows that have neither met nor failed.
 The meeting and finiteness tests of Y run on those open rows only.
+
+The diffusions come from transformed_coefficients with one entry per row;
+for a constant Q in d = dbar = 1 that is the scalar (1 + u') q, so the
+noise products and the shift solves of the density stay scalar.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ import numpy as np
 
 from .girsanov import solve_qqt
 from .measure import DelayMeasure, delay_averages, grid_count
+from .model import noise_product
 from .rng import path_increments
 from .zvonkin import (
     TransformedModel,
@@ -191,7 +196,7 @@ def run_coupling_batch(
         live = np.flatnonzero(open_)
         sel = slice(None) if len(live) == n_paths else live  # a view when all are open
         Bx, Qx = transformed_coefficients(tm, t, xs, xinv[:, idx], ud_x, next(avg_x))
-        noise_x = np.einsum("ncj,nj->nc", Qx, dW[:, k])
+        noise_x = noise_product(Qx, dW[:, k])
         with np.errstate(over="ignore", invalid="ignore"):
             xn = xs + h * Bx + noise_x
         if k < n_T:  # phi reads Y's drift and diffusion on every row
@@ -201,13 +206,13 @@ def run_coupling_batch(
             phi = solve_qqt(Qy, By - Bx) - z / ghat
             log_r += np.einsum("nk,nk->n", phi, dW[:, k]) - 0.5 * h * np.sum(phi**2, axis=1)
             Qy = Qy[sel]
-            bridge = np.einsum("ncj,nj->nc", Qy, z[sel]) / ghat
+            bridge = noise_product(Qy, z[sel]) / ghat
         elif len(live):
             Qy = transformed_coefficients(tm, t, ys[sel], yinv[sel, idx], ud_y, None)[1]
             bridge = 0.0
         y_live = ys[sel]
         if len(live):
-            noise_y = np.einsum("ncj,nj->nc", Qy, dW[sel, k])
+            noise_y = noise_product(Qy, dW[sel, k])
             with np.errstate(over="ignore", invalid="ignore"):
                 y_live = y_live + h * (Bx[sel] + bridge) + noise_y
         if frozen.size:

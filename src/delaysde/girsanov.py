@@ -6,6 +6,9 @@ noise; the removed drift is compensated by the exponential density R built
 from the shift psi = Q*(QQ*)^{-1}(b + B).  Left-endpoint accumulation makes
 each discrete factor conditionally unit-mean lognormal, so E[R] = 1 exactly at
 any step size, which keeps the martingale checks sharp.
+
+A diffusion declared constant (dQ = 0) is read once per step, and its QQ* is
+solved once per step, or in d = dbar = 1 as the scalar q (v / (q q)).
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .measure import DelayMeasure, Segment, delay_averages, grid_count
-from .model import ModelSpec, _zero_b, _zero_B
+from .model import ModelSpec, _zero_b, _zero_B, diffusion_at
 from .rng import chunk_sums, mean_stderr
 from .solver import SolverConfig, simulate
 from .zvonkin import TransformedModel, simulate_transformed
@@ -37,26 +40,46 @@ class SingularDiffusionError(np.linalg.LinAlgError):
     """QQ* is numerically singular at a visited state."""
 
 
-def solve_qqt(Q: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Q*(QQ*)^{-1} rhs for batched Q (n, d, dbar) and rhs (n, d)."""
-    QQt = np.einsum("nik,njk->nij", Q, Q)
-    d = QQt.shape[-1]
-    if d == 1:
-        diag = QQt[:, 0, 0]
-        if np.any(np.abs(diag) < _COND_FLOOR):
-            raise SingularDiffusionError("QQ* below the conditioning floor")
-        y = rhs / diag[:, None]
+def _check_floor(QQt: np.ndarray) -> None:
+    """SingularDiffusionError when a stacked QQ* (n, d, d) is below the
+    conditioning floor."""
+    if QQt.shape[-1] == 1:
+        singular = np.any(np.abs(QQt[:, 0, 0]) < _COND_FLOOR)
     else:
         ev = np.linalg.eigvalsh(QQt)
-        if ev[:, 0].min() < _COND_FLOOR * max(1.0, ev[:, -1].max()):
+        singular = ev[:, 0].min() < _COND_FLOOR * max(1.0, ev[:, -1].max())
+    if singular:
+        raise SingularDiffusionError("QQ* below the conditioning floor")
+
+
+def solve_qqt(Q: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Q*(QQ*)^{-1} rhs for rhs (n, d) and a diffusion in a form of
+    model.diffusion_at: per row (n, d, dbar), one (d, dbar) matrix for every
+    row, or in d = dbar = 1 a 1-D q, shared or per row.  The 1-D form gives
+    q (rhs / (q q)) and tests the floor on q q: the bits of the (n, 1, 1)
+    form except the sign of an exact zero."""
+    if Q.ndim == 1:
+        qq = Q * Q
+        if np.any(qq < _COND_FLOOR):
             raise SingularDiffusionError("QQ* below the conditioning floor")
+        return Q[:, None] * (rhs / qq[:, None])
+    if Q.ndim == 2:
+        QQt = Q @ Q.T
+        _check_floor(QQt[None])
+        return rhs @ np.linalg.solve(QQt, Q)
+    QQt = np.einsum("nik,njk->nij", Q, Q)
+    _check_floor(QQt)
+    if QQt.shape[-1] == 1:
+        y = rhs / QQt[:, 0]
+    else:
         y = np.linalg.solve(QQt, rhs[..., None])[..., 0]
     return np.einsum("ndk,nd->nk", Q, y)
 
 
 def _shift(m: ModelSpec, t: float, x: np.ndarray, avg: np.ndarray) -> np.ndarray:
-    """Q*(QQ*)^{-1}{b(t, x) + B(t, avg)} at states x and segment averages avg."""
-    return solve_qqt(m.Q(t, x), m.b(t, x) + m.B(t, avg))
+    """Q*(QQ*)^{-1}{b(t, x) + B(t, avg)} at states x and segment averages avg,
+    with Q read by diffusion_at."""
+    return solve_qqt(diffusion_at(m, t, x), m.b(t, x) + m.B(t, avg))
 
 
 def girsanov_shift(

@@ -60,7 +60,11 @@ def batch_increments(
     """Increments for paths path_offset..path_offset+n_paths-1, shape
     (n_paths, n_steps, dbar): the transposed view of a time-major
     (n_steps, n_paths, dbar) buffer.  Each path is drawn whole into a tile
-    of _FILL_TILE paths, which is then copied into the buffer."""
+    of _FILL_TILE paths, which is then copied into the buffer.  The last
+    path index must lie below 2^64, as every path_generator key does."""
+    last = path_offset + n_paths - 1
+    if n_paths > 0 and not last < KEY_LIMIT:
+        raise ValueError(f"path indices must lie in [0, 2^64), got up to {last}")
     gen = path_generator(base_seed, path_offset)
     bitgen = gen.bit_generator
     fresh = bitgen.state  # zero counter, empty buffer

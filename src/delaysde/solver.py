@@ -12,6 +12,12 @@ A batch is stored time-major: states and increments live in (N+1, n, d) and
 (steps, n, dbar) buffers, so each step reads and writes contiguous rows, and
 PathBatch exposes them as the transposed (n, N+1, d) and (n, steps, dbar)
 views.
+
+A diffusion declared constant is read once per step, through
+model.diffusion_at and model.noise_product.  While every path of a run
+without truncation is alive, one reduction over the new row decides whether
+the step can end a path at all; only a step that can takes the full
+finiteness and radius check (see simulate).
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ from typing import Callable
 import numpy as np
 
 from .measure import DelayMeasure, Segment, delay_averages, grid_count
-from .model import ModelSpec, _zero_B, semigroup_factors
+from .model import ModelSpec, _zero_B, diffusion_at, noise_product, semigroup_factors
 from .rng import path_increments
 
 __all__ = [
@@ -41,6 +47,10 @@ __all__ = [
 SCHEMES = ("exponential-euler", "euler-maruyama")
 # A path whose state reaches this norm ends: its lifetime is recorded.
 R_EXPLODE = 1e6
+# A new row whose summed squares lie below this leaves every path alive: each
+# path's norm is then below R_EXPLODE / 2, which no rounding of a norm lifts
+# to R_EXPLODE.
+_HEALTHY_SQ = (0.5 * R_EXPLODE) ** 2
 
 
 class BoundExceedsCapError(ValueError):
@@ -162,7 +172,20 @@ def simulate(
     path_offset: int = 0,
     dW: np.ndarray | None = None,
 ) -> PathBatch:
-    """Integrate a batch of paths; overflow and threshold exits become recorded lifetimes."""
+    """Integrate a batch of paths; overflow and threshold exits become recorded lifetimes.
+
+    The diffusion is read by model.diffusion_at, once per step for a
+    constant Q.  Each step's health is checked by one reduction while every
+    path is alive and no trunc_level is set: when the summed squares of the
+    new row lie below _HEALTHY_SQ, the row is finite (a NaN or inf makes the
+    sum NaN or inf, which fails the comparison) and every path's norm,
+    computed by np.linalg.norm or not, is below R_EXPLODE.  The full check
+    would then keep every new state, write it for every path and end none,
+    so the row is written as it is.  Any other step, and every step once a
+    path has died, takes the full check: states that are not finite stay
+    frozen, and a path whose norm (or, with a trunc_level, segment norm)
+    reaches its bound ends with its lifetime recorded.
+    """
     n0 = grid_count(nu.r0, cfg.h, "r0")
     steps = grid_count(cfg.t_end, cfg.h, "t_end")
     if xi.values.shape[0] != n0 + 1:
@@ -174,6 +197,7 @@ def simulate(
     states[:, : n0 + 1] = xi.values
     lifetimes = np.full(n_paths, np.nan)
     alive = np.ones(n_paths, dtype=bool)
+    all_alive = True
     check_seg = math.isfinite(cfg.trunc_level)
     if check_seg:
         # the window norms cut B off and end paths; their |x|^2 rows have a
@@ -200,12 +224,16 @@ def simulate(
             Bv = B_zero if averages is None else m_eff.B(t, next(averages))
             if check_seg:
                 Bv = Bv * cutoff_psi(inv_level * seg_n)[:, None]
-            Qv = m_eff.Q(t, x)
-            noise = np.einsum("ndk,nk->nd", Qv, dW[:, k])
+            noise = noise_product(diffusion_at(m_eff, t, x), dW[:, k])
             if use_exp:
                 xn = E * x + J * (bv + Bv) + E * noise
             else:
                 xn = x + h * (m.A.apply(x) + bv + Bv) + noise
+            if all_alive and not check_seg:
+                flat = xn.ravel()
+                if np.dot(flat, flat) < _HEALTHY_SQ:
+                    states[:, idx + 1] = xn
+                    continue
             finite = np.all(np.isfinite(xn), axis=1)
             xn = np.where(finite[:, None], xn, x)
             states[:, idx + 1] = np.where(alive[:, None], xn, x)
@@ -218,6 +246,7 @@ def simulate(
             if np.any(newly):
                 lifetimes[newly] = t + h
                 alive &= ~newly
+                all_alive = False
     return PathBatch(cfg.h, nu.r0, states, dW, base_seed, path_offset, lifetimes)
 
 
@@ -327,8 +356,7 @@ def apriori_check(
     for k in range(steps):
         idx = n0 + k
         x = batch.states[:, idx]
-        Qv = m.Q(k * h, x)
-        noise = np.einsum("ndk,nk->nd", Qv, batch.dW[:, k])
+        noise = noise_product(diffusion_at(m, k * h, x), batch.dW[:, k])
         if use_exp:
             xbar[:, idx + 1] = E * xbar[:, idx] + E * noise
         else:

@@ -26,7 +26,9 @@ on each row until that row's own update is below tolerance, so a row's root
 does not depend on the batch it is in.  theta_inverse_ud returns the root
 together with the stacked (u, grad u) at it, from one lookup at the root;
 the runners keep that next to each pulled-back row, so a step's
-transformed_coefficients reads no table.
+transformed_coefficients reads no table.  For a base diffusion declared
+constant, transformed_coefficients reads Q once per step; in d = dbar = 1
+the transformed diffusion is the scalar (1 + u') q of each row.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ import numpy as np
 from scipy.special import roots_hermitenorm
 
 from .measure import DelayMeasure, delay_averages, grid_count
-from .model import ModelSpec
+from .model import ModelSpec, diffusion_at, noise_product
 from .rng import path_increments
 
 __all__ = [
@@ -647,14 +649,24 @@ def transformed_coefficients(
     with u, B and Q at the pulled-back arguments; sol None is the identity
     transform, which only folds A into the delay drift.  Without an average
     only the diffusion is formed and the drift is None.
+
+    The diffusion has one entry per row, in a form that model.noise_product
+    and girsanov.solve_qqt take: (n, d, dbar), or, when base declares a
+    constant Q (dQ = 0) and d = dbar = 1, the 1-D (1 + u') q, with Q read
+    once by diffusion_at.
     """
     base, sol = tm.base, tm.sol
-    Qv = base.Q(t, point_inv)
+    Qv = diffusion_at(base, t, point_inv)
     if sol is not None:
         d = sol.d
         u0, du = ud[:d].T, ud[d:].T.reshape(-1, d, d)
         dth = np.eye(d)[None] + du
-        Qv = np.einsum("nck,nkj->ncj", dth, Qv)
+        if Qv.ndim == 1:
+            Qv = dth[:, 0, 0] * Qv
+        else:
+            Qv = np.einsum("nck,nkj->ncj" if Qv.ndim == 3 else "nck,kj->ncj", dth, Qv)
+    elif Qv.ndim < 3:  # one Q for every row; the runners select rows of it
+        Qv = np.broadcast_to(Qv, (len(state), *Qv.shape) if Qv.ndim == 2 else len(state))
     if avg_inv is None:
         return None, Qv
     a = base.A.eigenvalues
@@ -718,7 +730,7 @@ def measure_K(
     for t in np.linspace(0.0, T, 9):
         x = rng.uniform(-box, box, (n_samples, d))
         x_inv, ud = (x, None) if sol is None else theta_inverse_ud(sol, t, x)
-        Q = transformed_coefficients(tm, t, x, x_inv, ud, None)[1]
+        Q = transformed_coefficients(tm, t, x, x_inv, ud, None)[1].reshape(n_samples, d, -1)
         QQt = np.einsum("nik,njk->nij", Q, Q)
         ev = np.linalg.eigvalsh(QQt)
         q_sup = max(q_sup, float(np.sqrt(ev[:, -1].max())))
@@ -789,7 +801,7 @@ def simulate_transformed(
         idx = n0 + k
         x = states[:, idx]
         drift, Qv = transformed_coefficients(tm, t, x, xinv[:, idx], ud, next(averages))
-        states[:, idx + 1] = x + h * drift + np.einsum("ncj,nj->nc", Qv, dW[:, k])
+        states[:, idx + 1] = x + h * drift + noise_product(Qv, dW[:, k])
         if tm.sol is not None:
             xinv[:, idx + 1], ud = theta_inverse_ud(tm.sol, t + h, states[:, idx + 1])
     return states, dW

@@ -130,3 +130,26 @@ def test_chunk_sums_visits_paths_in_order():
     assert seen == [(0, 4), (4, 4), (8, 2)]
     with pytest.raises(ValueError):
         chunk_sums(0, 4, sample)
+
+
+def _fresh_draws(base_seed, path_index, n_steps, dbar, h):
+    """One path's increments from a generator built for it alone."""
+    u = np.maximum(path_generator(base_seed, path_index).random((n_steps, dbar)), 2.0**-54)
+    return ndtri(u) * np.sqrt(h)
+
+
+@pytest.mark.parametrize("n_paths", [1, 255, 257, 1000])
+def test_tiled_batch_matches_fresh_generators(n_paths):
+    """Batches of one fill tile and of several keep every path's draws."""
+    got = batch_increments(5, 17, n_paths, 3, 2, 0.25)
+    assert got.shape == (n_paths, 3, 2)
+    for i in range(n_paths):
+        np.testing.assert_array_equal(got[i], _fresh_draws(5, 17 + i, 3, 2, 0.25))
+
+
+def test_batch_checks_its_last_key():
+    with pytest.raises(ValueError, match="2\\^64"):
+        batch_increments(0, 2**64 - 1, 2, 1, 1, 0.1)
+    got = batch_increments(0, 2**64 - 2, 2, 3, 1, 0.1)
+    for i in range(2):
+        np.testing.assert_array_equal(got[i], _fresh_draws(0, 2**64 - 2 + i, 3, 1, 0.1))

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -13,6 +14,7 @@ from delaysde.measure import (
 from delaysde.model import make_model
 from delaysde.rng import batch_increments, coarsen_increments
 from delaysde.solver import (
+    R_EXPLODE,
     BoundExceedsCapError,
     SolverConfig,
     apriori_check,
@@ -168,6 +170,58 @@ def test_cubic_explosion_recorded_not_raised():
     assert np.all(batch.lifetimes <= 2.0)
     # frozen after death: states stay finite
     assert np.all(np.isfinite(batch.states))
+
+
+def _members_run_alone(m, nu, xi, cfg, dW):
+    """The batch of dW's paths, after checking that each path run alone has
+    its states and lifetime."""
+    batch = simulate(m, nu, xi, cfg, 0, len(dW), dW=dW)
+    for i in range(len(dW)):
+        alone = simulate(m, nu, xi, cfg, 0, 1, path_offset=i, dW=dW[i : i + 1])
+        np.testing.assert_array_equal(alone.states[0], batch.states[i])
+        np.testing.assert_array_equal(alone.lifetimes[0], batch.lifetimes[i])
+    return batch
+
+
+def test_paths_that_die_mid_run_keep_their_lone_states():
+    """Kicks end some paths mid-run: by a finite jump past R_EXPLODE, by
+    the cubic drift of a large state, by an inf and by a NaN increment.
+    Each path, the survivors included, has the states and lifetime of its
+    lone run, in which a healthy path never takes the full check."""
+    nu = make_measure("uniform", 0.25, 2.0**-6)
+    ou = make_model("ou")
+    m = dataclasses.replace(make_model("cubic"), Q=ou.Q, Q_bounds=ou.Q_bounds)
+    cfg = SolverConfig(h=2.0**-6, t_end=0.5)
+    dW = 0.1 * batch_increments(3, 0, 6, 32, 1, cfg.h)
+    dW[1, 4] = 2e6
+    dW[2, 5] = 1e4
+    dW[3, 10] = np.inf
+    dW[4, 12] = np.nan
+    batch = _members_run_alone(m, nu, constant_segment(nu, 0.2), cfg, dW)
+    h, n0 = cfg.h, nu.n_cells
+    np.testing.assert_array_equal(batch.lifetimes, [np.nan, 5 * h, 7 * h, 11 * h, 13 * h, np.nan])
+    assert np.all(np.isfinite(batch.states))
+    assert batch.states[1, n0 + 5, 0] >= 1e6  # the exit step is written, then frozen
+    for i, k in ((1, 5), (2, 7), (3, 10), (4, 12)):
+        assert np.all(batch.states[i, n0 + k :] == batch.states[i, n0 + k])
+    assert np.all(np.abs(batch.states[[0, 5]]) < 10.0)
+
+
+def test_rows_at_the_explosion_radius():
+    """From x = 0 an Euler-Maruyama step of the OU model lands on dW: a row at
+    R_EXPLODE ends its path, a row just below it does not, and rows on
+    either side of R_EXPLODE / 2 (where the one-reduction check hands over
+    to the full one) run on."""
+    nu = make_measure("uniform", 0.25, 2.0**-6)
+    cfg = SolverConfig(h=2.0**-6, t_end=0.25, scheme="euler-maruyama")
+    first = [R_EXPLODE, np.nextafter(R_EXPLODE, 0.0), R_EXPLODE / 2, np.nextafter(R_EXPLODE / 2, 0.0), 0.3]
+    dW = np.zeros((len(first), 16, 1))
+    dW[:, 0, 0] = first
+    batch = _members_run_alone(make_model("ou"), nu, constant_segment(nu, 0.0), cfg, dW)
+    np.testing.assert_array_equal(batch.lifetimes, [cfg.h] + [np.nan] * 4)
+    np.testing.assert_array_equal(batch.states[:, nu.n_cells + 1, 0], first)
+    assert np.all(batch.states[0, nu.n_cells + 1 :, 0] == R_EXPLODE)
+    assert np.all(batch.states[1:, -1, 0] < first[1:])
 
 
 def test_truncation_exit_by_segment_norm():

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -726,8 +727,11 @@ def _old_run_coupling_batch(tm, nu, xi_t, eta_t, cc, dW):
     once, skipped the Y side past T and kept u and grad u from the inverse,
     kept as its oracle: every initial row is inverted, Y's coefficients,
     averages, noise and pull-back are formed on every row at every step, and
-    each step calls theta_inverse and then eval_u_du.  Returns
+    each step calls theta_inverse and then eval_u_du.  Its diffusion is the
+    per-row (n, d, dbar) array of a Q not declared constant.  Returns
     (x, y, log_R, tau, failed)."""
+    base = dataclasses.replace(tm.base, Q_bounds={k: v for k, v in tm.base.Q_bounds.items() if k != "dQ"})
+    tm = zvonkin.TransformedModel(base, tm.sol)
     sol = tm.sol
     T, h, K = cc.T, cc.h, cc.K
     n0 = nu.n_cells
