@@ -7,8 +7,8 @@ from the shift psi = Q*(QQ*)^{-1}(b + B).  Left-endpoint accumulation makes
 each discrete factor conditionally unit-mean lognormal, so E[R] = 1 exactly at
 any step size, which keeps the martingale checks sharp.
 
-A diffusion declared constant (dQ = 0) is read once per step, and its QQ* is
-solved once per step, or in d = dbar = 1 as the scalar q (v / (q q)).
+A diffusion declared constant (dQ = 0) in d = dbar = 1 is read once per
+step, and the shift is solved in scalar form as q (v / (q q)).
 """
 
 from __future__ import annotations
@@ -40,38 +40,27 @@ class SingularDiffusionError(np.linalg.LinAlgError):
     """QQ* is numerically singular at a visited state."""
 
 
-def _check_floor(QQt: np.ndarray) -> None:
-    """SingularDiffusionError when a stacked QQ* (n, d, d) is below the
-    conditioning floor."""
-    if QQt.shape[-1] == 1:
-        singular = np.any(np.abs(QQt[:, 0, 0]) < _COND_FLOOR)
-    else:
-        ev = np.linalg.eigvalsh(QQt)
-        singular = ev[:, 0].min() < _COND_FLOOR * max(1.0, ev[:, -1].max())
-    if singular:
-        raise SingularDiffusionError("QQ* below the conditioning floor")
-
-
 def solve_qqt(Q: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Q*(QQ*)^{-1} rhs for rhs (n, d) and a diffusion in a form of
-    model.diffusion_at: per row (n, d, dbar), one (d, dbar) matrix for every
-    row, or in d = dbar = 1 a 1-D q, shared or per row.  The 1-D form gives
-    q (rhs / (q q)) and tests the floor on q q: the bits of the (n, 1, 1)
-    form except the sign of an exact zero."""
+    """Q*(QQ*)^{-1} rhs for rhs (n, d) and Q in a form of model.diffusion_at:
+    per row (n, d, dbar), or in d = dbar = 1 a 1-D q, shared or per row.
+    The 1-D form gives q (rhs / (q q)) and tests the floor on q q: the bits
+    of the (n, 1, 1) form except the sign of an exact zero."""
     if Q.ndim == 1:
         qq = Q * Q
         if np.any(qq < _COND_FLOOR):
             raise SingularDiffusionError("QQ* below the conditioning floor")
         return Q[:, None] * (rhs / qq[:, None])
-    if Q.ndim == 2:
-        QQt = Q @ Q.T
-        _check_floor(QQt[None])
-        return rhs @ np.linalg.solve(QQt, Q)
     QQt = np.einsum("nik,njk->nij", Q, Q)
-    _check_floor(QQt)
-    if QQt.shape[-1] == 1:
-        y = rhs / QQt[:, 0]
+    d = QQt.shape[-1]
+    if d == 1:
+        diag = QQt[:, 0, 0]
+        if np.any(np.abs(diag) < _COND_FLOOR):
+            raise SingularDiffusionError("QQ* below the conditioning floor")
+        y = rhs / diag[:, None]
     else:
+        ev = np.linalg.eigvalsh(QQt)
+        if ev[:, 0].min() < _COND_FLOOR * max(1.0, ev[:, -1].max()):
+            raise SingularDiffusionError("QQ* below the conditioning floor")
         y = np.linalg.solve(QQt, rhs[..., None])[..., 0]
     return np.einsum("ndk,nd->nk", Q, y)
 

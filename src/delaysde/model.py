@@ -12,12 +12,13 @@ DelayMeasure.average.  A null cell has weight 0, so the average sees only the
 quotient representative.  A transformed equation has no spec of its own:
 zvonkin.transformed_coefficients forms its drift and diffusion from these.
 
-A diffusion that Q_bounds declares constant in the state (dQ = 0) is read
-once per step, at the origin, by diffusion_at: as one (d, dbar) matrix that
-every row shares, or, when d = dbar = 1, as its entry q in a 1-D array, so
-that the products stay scalar (the transformed runners carry one such q per
-row).  noise_product and girsanov.solve_qqt take each form, as well as the
-per-row (n, d, dbar) array of a state-dependent Q.
+When d = dbar = 1 and Q_bounds declares the diffusion constant in the
+state (dQ = 0), diffusion_at reads it once per step, at the origin, as its
+entry q in a 1-D array, so that the products stay scalar (the transformed
+runners carry one such q per row).  Every other diffusion is read row by row
+as an (n, d, dbar) array.  noise_product and girsanov.solve_qqt take both
+forms.  The declaration therefore changes results: dQ = 0 must be exact, not
+an upper bound, or the runners use Q at the origin for every state.
 
 Validation is sampling-based: a pass is evidence at the sampled witnesses, not
 a proof, and every report carries its sample count.
@@ -177,30 +178,30 @@ class ModelSpec:
     phi: DiniModulus | None = None
     b_sup: float = 0.0
     B_lip_sq: float = 0.0  # C_B with |B(xi)-B(eta)|^2 <= C_B ||xi-eta||^2
-    Q_bounds: dict = field(default_factory=dict)  # Q, dQ, d2Q, QQt_inv
+    # Q, dQ, d2Q, QQt_inv.  dQ = 0 declares Q constant in the state, and in
+    # d = dbar = 1 the runners then read Q once per step, at the origin
+    # (diffusion_at): it must be exact, not an upper bound.
+    Q_bounds: dict = field(default_factory=dict)
     bihari: BihariData | None = None
     params: dict = field(default_factory=dict)
 
 
 def diffusion_at(m: ModelSpec, t: float, x: np.ndarray) -> np.ndarray:
     """m.Q at time t and rows x (n, d): the (n, d, dbar) array, or, when
-    Q_bounds declares dQ = 0, Q read once, at the origin, as a (d, dbar)
-    matrix or, when d = dbar = 1, a 1-D array holding q."""
-    if m.Q_bounds.get("dQ") != 0:
+    d = dbar = 1 and Q_bounds declares dQ = 0, Q read once, at the origin,
+    as a 1-D array holding q."""
+    if m.Q_bounds.get("dQ") != 0 or (m.d, m.dbar) != (1, 1):
         return m.Q(t, x)
-    Q = m.Q(t, np.zeros((1, m.d)))[0]
-    return Q[0] if Q.shape == (1, 1) else Q
+    return m.Q(t, np.zeros((1, 1)))[0, 0]
 
 
 def noise_product(Q: np.ndarray, dW: np.ndarray) -> np.ndarray:
-    """Q dW row by row, (n, d), for increments dW (n, dbar) and a diffusion
-    in a form of diffusion_at.  In d = dbar = 1 a 1-D q gives q dW, the
-    bits of the per-row product except the sign of an exact zero, which the
-    per-row einsum turns into +0."""
+    """Q dW row by row, (n, d), for increments dW (n, dbar) and Q in a form
+    of diffusion_at.  In d = dbar = 1 a 1-D q gives q dW, the bits of the
+    per-row product except the sign of an exact zero, which the per-row
+    einsum turns into +0."""
     if Q.ndim == 3:
         return np.einsum("ndk,nk->nd", Q, dW)
-    if Q.ndim == 2:
-        return dW @ Q.T
     return Q[:, None] * dW
 
 

@@ -13,7 +13,7 @@ A batch is stored time-major: states and increments live in (N+1, n, d) and
 PathBatch exposes them as the transposed (n, N+1, d) and (n, steps, dbar)
 views.
 
-A diffusion declared constant is read once per step, through
+A diffusion declared constant in d = dbar = 1 is read once per step, through
 model.diffusion_at and model.noise_product.  While every path of a run
 without truncation is alive, one reduction over the new row decides whether
 the step can end a path at all; only a step that can takes the full
@@ -175,7 +175,7 @@ def simulate(
     """Integrate a batch of paths; overflow and threshold exits become recorded lifetimes.
 
     The diffusion is read by model.diffusion_at, once per step for a
-    constant Q.  Each step's health is checked by one reduction while every
+    constant Q in d = dbar = 1.  Each step's health is checked by one reduction while every
     path is alive and no trunc_level is set: when the summed squares of the
     new row lie below _HEALTHY_SQ, the row is finite (a NaN or inf makes the
     sum NaN or inf, which fails the comparison) and every path's norm,

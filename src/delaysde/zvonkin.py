@@ -27,7 +27,7 @@ does not depend on the batch it is in.  theta_inverse_ud returns the root
 together with the stacked (u, grad u) at it, from one lookup at the root;
 the runners keep that next to each pulled-back row, so a step's
 transformed_coefficients reads no table.  For a base diffusion declared
-constant, transformed_coefficients reads Q once per step; in d = dbar = 1
+constant in d = dbar = 1, transformed_coefficients reads Q once per step and
 the transformed diffusion is the scalar (1 + u') q of each row.
 """
 
@@ -664,9 +664,9 @@ def transformed_coefficients(
         if Qv.ndim == 1:
             Qv = dth[:, 0, 0] * Qv
         else:
-            Qv = np.einsum("nck,nkj->ncj" if Qv.ndim == 3 else "nck,kj->ncj", dth, Qv)
-    elif Qv.ndim < 3:  # one Q for every row; the runners select rows of it
-        Qv = np.broadcast_to(Qv, (len(state), *Qv.shape) if Qv.ndim == 2 else len(state))
+            Qv = np.einsum("nck,nkj->ncj", dth, Qv)
+    elif Qv.ndim == 1:  # one q for every row; the runners select rows of it
+        Qv = np.broadcast_to(Qv, len(state))
     if avg_inv is None:
         return None, Qv
     a = base.A.eigenvalues

@@ -84,13 +84,15 @@ def test_constant_path_keeps_the_bits_of_the_identity_transform(nu6):
 
 
 @pytest.mark.parametrize("name", ["reference", "linear_delay"])
-def test_constant_path_agrees_in_d2(nu6, sol_d2, name):
+def test_d2_keeps_the_per_row_path(nu6, sol_d2, name):
+    """In d = 2 a declared constant Q is still read row by row, so the
+    declaration moves no bit."""
     m = make_model(name, measure=nu6, d=2, sigma=0.8)
     sol = sol_d2 if name == "reference" else None
     got = _runner_outputs(m, nu6, sol, n=40)
     want = _runner_outputs(_general(m), nu6, sol, n=40)
     for key in got:
-        np.testing.assert_allclose(got[key], want[key], rtol=0, atol=1e-13, err_msg=key)
+        np.testing.assert_array_equal(got[key], want[key], err_msg=key)
 
 
 def test_weak_estimate_keeps_the_bits(nu6):
@@ -139,30 +141,32 @@ def test_transformed_floor_is_the_per_row_floor(nu6, sol_d1, general):
 
 
 def test_helper_forms_agree():
-    """noise_product and solve_qqt give the per-row results from a shared
-    matrix and from the scalar form."""
+    """noise_product and solve_qqt give the per-row (n, 1, 1) results from
+    the scalar form."""
     rng = np.random.default_rng(4)
-    dW = rng.normal(size=(6, 2))
-    v = rng.normal(size=(6, 2))
-    Q = np.array([[1.0, 0.3], [0.0, 0.7]])
-    per_row = np.broadcast_to(Q, (6, 2, 2))
-    np.testing.assert_allclose(noise_product(Q, dW), noise_product(per_row, dW), rtol=0, atol=1e-15)
-    np.testing.assert_allclose(solve_qqt(Q, v), solve_qqt(per_row, v), rtol=1e-13)
+    dW = rng.normal(size=(6, 1))
+    v = rng.normal(size=(6, 1))
     q = np.array([0.7])
-    np.testing.assert_array_equal(noise_product(q, dW[:, :1]), noise_product(np.full((6, 1, 1), 0.7), dW[:, :1]))
-    np.testing.assert_array_equal(solve_qqt(q, v[:, :1]), solve_qqt(np.full((6, 1, 1), 0.7), v[:, :1]))
+    per_row = np.full((6, 1, 1), 0.7)
+    np.testing.assert_array_equal(noise_product(q, dW), noise_product(per_row, dW))
+    np.testing.assert_array_equal(solve_qqt(q, v), solve_qqt(per_row, v))
 
 
 def test_diffusion_at_reads_one_row_when_declared_constant(nu6):
-    m = make_model("reference", measure=nu6, d=2)
+    """In d = 1 a declared constant Q is read at one row; without the
+    declaration, or in d = 2, at every row."""
     seen = []
 
-    def Q(t, x):
-        seen.append(x.shape)
-        return m.Q(t, x)
+    def counting(m):
+        def Q(t, x):
+            seen.append(x.shape)
+            return m.Q(t, x)
 
-    x = np.ones((50, 2))
-    assert diffusion_at(dataclasses.replace(m, Q=Q), 0.0, x).shape == (2, 2)
-    assert diffusion_at(_general(dataclasses.replace(m, Q=Q)), 0.0, x).shape == (50, 2, 2)
-    assert seen == [(1, 2), (50, 2)]
-    assert diffusion_at(make_model("reference", measure=nu6), 0.0, np.ones((50, 1))).shape == (1,)
+        return dataclasses.replace(m, Q=Q)
+
+    m1 = make_model("reference", measure=nu6)
+    m2 = make_model("reference", measure=nu6, d=2)
+    assert diffusion_at(counting(m1), 0.0, np.ones((50, 1))).shape == (1,)
+    assert diffusion_at(_general(counting(m1)), 0.0, np.ones((50, 1))).shape == (50, 1, 1)
+    assert diffusion_at(counting(m2), 0.0, np.ones((50, 2))).shape == (50, 2, 2)
+    assert seen == [(1, 1), (50, 1), (50, 2)]

@@ -218,7 +218,8 @@ _CATALOG = ["zero", "ou", "reference", "linear_delay", "cubic", "quadratic"]
 @pytest.mark.parametrize("name, d", [(n, d) for n in _CATALOG for d in (1, 2)] + [("tabulated", 1)])
 def test_declared_constant_diffusion_is_constant(name, d):
     """A catalog model that declares dQ = 0 returns one Q at every state and
-    time, so diffusion_at may read it once, at the origin."""
+    time, so diffusion_at may read it once, at the origin, in d = 1; in
+    d = 2 it reads the per-row array."""
     nu = make_measure("exponential", 1.0, 0.125, lam=1.0)
     tables = {"xs": [0.0, 1.0], "ys": [0.0, 1.0]} if name == "tabulated" else {}
     m = make_model(name, measure=nu, d=d, sigma=0.7, **tables)
@@ -229,5 +230,5 @@ def test_declared_constant_diffusion_is_constant(name, d):
     at_origin = m.Q(0.0, np.zeros((1, d)))[0]
     for t in rng.uniform(0.0, 10.0, 5):
         np.testing.assert_array_equal(m.Q(t, x), np.broadcast_to(at_origin, (200, d, d)))
-    want = at_origin[0] if d == 1 else at_origin
+    want = at_origin[0] if d == 1 else m.Q(0.3, x)
     np.testing.assert_array_equal(diffusion_at(m, 0.3, x), want)
