@@ -1,5 +1,10 @@
 """Batch experiment runner: INI configs, deterministic seeding, CSV/JSON output.
 
+The INI file is parsed once.  Its values are interpolated once, as
+configparser reads them (a literal % is written %%); the command-line flags
+replace the values of their keys and are taken literally.  Each scenario
+handler returns its verdict and metrics, which run writes to verdict.json.
+
 Path work is decomposed into fixed-size chunks keyed by path index, so the
 emitted bytes do not depend on the worker count; reruns with the same config
 and seed are byte-identical.  The per-run set-up, including the u solve of
@@ -77,6 +82,8 @@ _ALLOWED = {
     "bihari": {"T"},
 }
 _EXIT_CODES = {"pass": 0, "fail": 1, "inconclusive": 2}
+# verdicts that need standard errors, so at least two paths; every other needs one
+_MIN_PATHS = {"girsanov-check": 2, "harnack": 2, "gradient": 2}
 # library failures of a valid config: exit 2, one stderr line naming the error
 _NUMERICAL_ERRORS = (
     CoverageError,
@@ -117,24 +124,27 @@ class ExperimentConfig:
     raw: dict = field(default_factory=dict)  # picklable section -> key -> str
 
 
-def parse_config(text: str) -> ExperimentConfig:
-    """Parse and validate a flat key=value INI config."""
+def parse_config(text: str, flags: dict | None = None) -> ExperimentConfig:
+    """Parse and validate a flat key=value INI config.  flags (section ->
+    key -> str) replace the file's values and are taken literally; the
+    file's values are interpolated once, as configparser does."""
     cp = configparser.ConfigParser()
     cp.optionxform = str  # keys are case-sensitive (T vs t)
     try:
         cp.read_string(text)
-    except configparser.Error as e:
-        raise ConfigError("syntax", str(e)) from e
-    raw: dict = {}
-    for sec in cp.sections():
+        raw = {sec: dict(cp[sec]) for sec in cp.sections()}
+    except configparser.Error as e:  # its message spans lines; one line on stderr
+        raise ConfigError("syntax", str(e).replace("\n", " ")) from e
+    for sec, keys in (flags or {}).items():
+        raw.setdefault(sec, {}).update(keys)
+    for sec, keys in raw.items():
         if sec not in _ALLOWED:
             raise ConfigError(sec, f"unknown section; expected one of {sorted(_ALLOWED)}")
-        for key in cp[sec]:
+        for key in keys:
             if key not in _ALLOWED[sec]:
                 raise ConfigError(
                     f"{sec}.{key}", f"unknown key; allowed: {sorted(_ALLOWED[sec])}"
                 )
-        raw[sec] = dict(cp[sec])
     exp = raw.get("experiment", {})
     scenario = exp.get("scenario", "")
     if scenario not in SCENARIOS:
@@ -150,8 +160,9 @@ def parse_config(text: str) -> ExperimentConfig:
         workers = int(exp.get("workers", "1"))
     except ValueError as e:
         raise ConfigError("experiment", f"non-integer count: {e}") from e
-    if n_paths < 1:
-        raise ConfigError("experiment.n_paths", "need n_paths >= 1")
+    need = _MIN_PATHS.get(scenario, 1)
+    if n_paths < need:
+        raise ConfigError("experiment.n_paths", f"need n_paths >= {need}, got {n_paths}")
     # girsanov-check keys its reweighted paths with base_seed + 1
     if not 0 <= base_seed <= KEY_LIMIT - 2:
         raise ConfigError(
@@ -352,10 +363,6 @@ def _write_rows(cfg: ExperimentConfig, header: list, columns: list):
         fh.write(f',\n "schema_version": {SCHEMA_VERSION}\n}}\n')
 
 
-def _chunks(n: int):
-    return [(s, min(CHUNK, n - s)) for s in range(0, n, CHUNK)]
-
-
 def _sim_chunk(setup, chunk):
     base_seed, nu, m, scfg, xi = setup
     start, count = chunk
@@ -363,14 +370,14 @@ def _sim_chunk(setup, chunk):
     # copies, so that the chunk's full path array is freed here
     term = batch.states[:, -1].copy()
     sup = np.abs(batch.states).max(axis=(1, 2))
-    return start, term, batch.lifetimes, sup
+    return term, batch.lifetimes, sup
 
 
 def _couple_chunk(setup, chunk):
     base_seed, nu, tm, cc, xi_t, eta_t = setup
     start, count = chunk
     res = run_coupling_batch(tm, nu, xi_t, eta_t, cc, base_seed, count, path_offset=start)
-    return start, res.tau, res.log_R, res.terminal_segments_equal()
+    return res.tau, res.log_R, res.terminal_segments_equal()
 
 
 # (chunk function, per-run set-up) inside a forked pool worker.  The pool
@@ -389,14 +396,18 @@ def _worker_chunk(chunk):
     return fn(setup, chunk)
 
 
-def _pool_map(cfg: ExperimentConfig, fn, setup, chunks):
-    """[fn(setup, chunk) for chunk in chunks] over cfg.workers processes;
-    the set-up is built once, in the parent."""
+def _pool_map(cfg: ExperimentConfig, fn, setup) -> list:
+    """fn(setup, (start, count)) over the CHUNK-path chunks of cfg.n_paths,
+    on cfg.workers processes, with each per-path column fn returns joined in
+    path order; the set-up is built once, in the parent."""
+    chunks = [(s, min(CHUNK, cfg.n_paths - s)) for s in range(0, cfg.n_paths, CHUNK)]
     if cfg.workers == 1:
-        return [fn(setup, c) for c in chunks]
-    ctx = multiprocessing.get_context("fork")
-    with ctx.Pool(cfg.workers, initializer=_init_worker, initargs=(fn, setup)) as pool:
-        return pool.map(_worker_chunk, chunks)
+        parts = [fn(setup, c) for c in chunks]
+    else:
+        ctx = multiprocessing.get_context("fork")
+        with ctx.Pool(cfg.workers, initializer=_init_worker, initargs=(fn, setup)) as pool:
+            parts = pool.map(_worker_chunk, chunks)
+    return [np.concatenate(col) for col in zip(*parts)]
 
 
 def _coupling_setup(cfg, nu, m, scfg, xi):
@@ -429,39 +440,33 @@ def _coupling_setup(cfg, nu, m, scfg, xi):
 
 
 # ---------------------------------------------------------------------------
-# scenario handlers
+# scenario handlers: each returns (verdict, metrics)
 
-def _run_simulate(cfg, nu, m, scfg, xi) -> int:
-    parts = _pool_map(cfg, _sim_chunk, (cfg.base_seed, nu, m, scfg, xi), _chunks(cfg.n_paths))
-    term_all = np.concatenate([p[1] for p in parts])
-    lifetimes = np.concatenate([p[2] for p in parts])
-    sup = np.concatenate([p[3] for p in parts])
+def _run_simulate(cfg, nu, m, scfg, xi):
+    term_all, lifetimes, sup = _pool_map(cfg, _sim_chunk, (cfg.base_seed, nu, m, scfg, xi))
     header = ["path", *[f"x{j}" for j in range(m.d)], "lifetime", "sup_norm"]
     _write_rows(cfg, header, [np.arange(cfg.n_paths), *term_all.T, lifetimes, sup])
-    _write_verdict(cfg, "pass", {
+    return "pass", {
         "terminal_mean": term_all.mean(axis=0),
         "terminal_var": term_all.var(axis=0),
         "explosion_fraction": float(np.mean(~np.isnan(lifetimes))),
-    })
-    return 0
+    }
 
-def _run_validate(cfg, nu, m, scfg, xi) -> int:
+def _run_validate(cfg, nu, m, scfg, xi):
     shift = check_shift_domination(nu, scfg.t_end)
     rep = validate_assumptions(m, nu, scfg.t_end, n_samples=max(1000, cfg.n_paths), seed=cfg.base_seed)
     dini = dini_check(m.phi) if m.phi is not None else None
     ok = shift.passed and rep.passed and (dini is None or dini.passed)
-    _write_verdict(cfg, "pass" if ok else "fail", {
+    return "pass" if ok else "fail", {
         "shift_domination": {"passed": shift.passed, "worst_ratio": shift.worst_ratio},
         "assumptions": {"a2": rep.a2.passed, "a3": rep.a3.passed, "a4": rep.a4.passed},
         "dini": None if dini is None else {
             "passed": dini.passed, "monotone": dini.monotone,
             "square_concave": dini.square_concave, "convergent": dini.dini_convergent,
         },
-    })
-    return 0 if ok else 1
+    }
 
-def _run_girsanov(cfg, nu, m, scfg, xi) -> int:
-    _require_two_paths(cfg)
+def _run_girsanov(cfg, nu, m, scfg, xi):
     raw = cfg.raw
     T = _horizon(raw, "girsanov", scfg.t_end, scfg.h)
     _, f = _functional(raw, "girsanov", "tanh0", nu)
@@ -471,23 +476,18 @@ def _run_girsanov(cfg, nu, m, scfg, xi) -> int:
     comb = math.sqrt(d_se**2 + west.stderr**2)
     agree = abs(direct - west.unnormalized) <= 3.0 * comb
     mart = abs(west.mean_R - 1.0) <= 3.0 * west.stderr_R
-    inconclusive = bool(west.warnings)
-    verdict = "inconclusive" if inconclusive else ("pass" if agree and mart else "fail")
-    _write_verdict(cfg, verdict, {
+    verdict = "inconclusive" if west.warnings else ("pass" if agree and mart else "fail")
+    return verdict, {
         "direct": direct, "direct_stderr": d_se,
         "reweighted": west.unnormalized, "reweighted_stderr": west.stderr,
         "self_normalized": west.self_normalized,
         "mean_R": west.mean_R, "stderr_R": west.stderr_R, "ess": west.ess,
-    })
-    return 2 if inconclusive else (0 if agree and mart else 1)
+    }
 
-def _run_couple(cfg, nu, m, scfg, xi) -> int:
+def _run_couple(cfg, nu, m, scfg, xi):
     tm, cc, xi_t, eta_t = _coupling_setup(cfg, nu, m, scfg, xi)
     setup = (cfg.base_seed, nu, tm, cc, xi_t, eta_t)
-    parts = _pool_map(cfg, _couple_chunk, setup, _chunks(cfg.n_paths))
-    tau = np.concatenate([p[1] for p in parts])
-    log_r = np.concatenate([p[2] for p in parts])
-    equal = np.concatenate([p[3] for p in parts])
+    tau, log_r, equal = _pool_map(cfg, _couple_chunk, setup)
     _write_rows(cfg, ["path", "tau", "log_R", "terminal_equal"],
                 [np.arange(len(tau)), tau, log_r, equal.astype(int)])
     ent = entropy_cost(log_r)
@@ -501,21 +501,13 @@ def _run_couple(cfg, nu, m, scfg, xi) -> int:
         verdict = "inconclusive"
     else:
         verdict = "pass" if mart else "fail"
-    _write_verdict(cfg, verdict, {
+    return verdict, {
         "coupled_fraction": frac, "terminal_equal_fraction": equal_frac,
         "mean_R": ent.mean_R, "stderr_R": ent.stderr_R, "ess": ent.ess,
         "entropy_selfnorm": ent.value,
-    })
-    return _EXIT_CODES[verdict]
+    }
 
-def _require_two_paths(cfg) -> None:
-    """The girsanov-check, harnack and gradient verdicts need standard errors."""
-    if cfg.n_paths < 2:
-        raise ConfigError("experiment.n_paths", f"need n_paths >= 2, got {cfg.n_paths}")
-
-
-def _run_harnack(cfg, nu, m, scfg, xi) -> int:
-    _require_two_paths(cfg)
+def _run_harnack(cfg, nu, m, scfg, xi):
     tm, cc, xi_t, eta_t = _coupling_setup(cfg, nu, m, scfg, xi)
     f, pos = make_functional("tanh0_pos", nu)
     rep = check_log_harnack(
@@ -525,15 +517,13 @@ def _run_harnack(cfg, nu, m, scfg, xi) -> int:
         verdict = "pass" if rep.jensen_ok else "fail"
     else:
         verdict = rep.verdict
-    _write_verdict(cfg, verdict, {
+    return verdict, {
         "lhs": rep.lhs, "rhs": rep.rhs, "margin_sigma": rep.margin_sigma,
         "entropy": rep.entropy, "coupled_fraction": rep.coupled_fraction,
         "jensen_ok": rep.jensen_ok, "mean_R": rep.mean_R,
-    })
-    return _EXIT_CODES[verdict]
+    }
 
-def _run_gradient(cfg, nu, m, scfg, xi) -> int:
-    _require_two_paths(cfg)
+def _run_gradient(cfg, nu, m, scfg, xi):
     raw = cfg.raw
     T = _horizon(raw, "gradient", 1.0, scfg.h)
     eps = _getf(raw, "gradient", "eps_fd", 0.01)
@@ -546,18 +536,15 @@ def _run_gradient(cfg, nu, m, scfg, xi) -> int:
         m, nu, f, xi.values, direction, T, scfg.h, eps, cfg.n_paths, cfg.base_seed
     )
     metrics = {"D": rep.D, "D_stderr": rep.D_stderr, "V": rep.V, "ratio": rep.ratio}
+    verdict = "pass"
     if m.name == "ou" and fname == "coord0":
-        lam = m.params["lam"]
-        oracle = math.exp(-lam * (T + nu.r0))
-        ok = abs(rep.D - oracle) <= 2.0 * eps**2 + 3.0 * rep.D_stderr
+        oracle = math.exp(-m.params["lam"] * (T + nu.r0))
         metrics["oracle"] = oracle
-        verdict = "pass" if ok else "fail"
-    else:
-        verdict = "pass"
-    _write_verdict(cfg, verdict, metrics)
-    return 0 if verdict == "pass" else 1
+        if not abs(rep.D - oracle) <= 2.0 * eps**2 + 3.0 * rep.D_stderr:
+            verdict = "fail"
+    return verdict, metrics
 
-def _run_zvonkin(cfg, nu, m, scfg, xi) -> int:
+def _run_zvonkin(cfg, nu, m, scfg, xi):
     raw = cfg.raw
     if not m.Q_bounds.get("Q", 0.0) > 0:
         raise ConfigError("model.sigma", f"the transform of model {m.name!r} needs sigma > 0")
@@ -581,13 +568,12 @@ def _run_zvonkin(cfg, nu, m, scfg, xi) -> int:
             kw[key] = v if key == "x_max" else int(v)
     rep = verify_decay(m, lams, T, **kw)
     ok = rep.monotone and rep.lam_star is not None
-    _write_verdict(cfg, "pass" if ok else "fail", {
+    return "pass" if ok else "fail", {
         "lams": rep.lams, "u_sup": rep.u_sups, "du_sup": rep.du_sups,
         "d2u_sup": rep.d2u_sups, "lam_star": rep.lam_star, "monotone": rep.monotone,
-    })
-    return 0 if ok else 1
+    }
 
-def _run_bihari(cfg, nu, m, scfg, xi) -> int:
+def _run_bihari(cfg, nu, m, scfg, xi):
     if m.bihari is None:
         raise ConfigError("model.name", f"model {m.name!r} declares no (Phi, h) growth data")
     T = _horizon(cfg.raw, "bihari", scfg.t_end, scfg.h)
@@ -595,11 +581,10 @@ def _run_bihari(cfg, nu, m, scfg, xi) -> int:
         raise ConfigError("bihari.T", f"need T <= solver.t_end = {scfg.t_end:g}, got {T:g}")
     rep = apriori_check(m, nu, xi, scfg, T, cfg.n_paths, cfg.base_seed)
     ok = rep.pass_fraction >= 0.999
-    _write_verdict(cfg, "pass" if ok else "fail", {
+    return "pass" if ok else "fail", {
         "pass_fraction": rep.pass_fraction, "K1": rep.K1, "K2": rep.K2,
         "alpha_mean": rep.alpha_mean, "worst_margin": rep.worst_margin,
-    })
-    return 0 if ok else 1
+    }
 
 
 _HANDLERS = {
@@ -616,7 +601,9 @@ _HANDLERS = {
 
 def run(cfg: ExperimentConfig) -> int:
     nu, m, scfg, xi = _build(cfg)
-    return _HANDLERS[cfg.scenario](cfg, nu, m, scfg, xi)
+    verdict, metrics = _HANDLERS[cfg.scenario](cfg, nu, m, scfg, xi)
+    _write_verdict(cfg, verdict, metrics)
+    return _EXIT_CODES[verdict]
 
 
 def main(argv=None) -> int:
@@ -636,27 +623,14 @@ def main(argv=None) -> int:
     except (ConfigError, OSError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return 3
+    exp = {"scenario": args.scenario, "base_seed": args.seed, "n_paths": args.paths,
+           "output": args.out, "format": args.format, "workers": args.workers}
+    flags = {"experiment": {k: str(v) for k, v in exp.items() if v is not None}}
+    if args.step is not None:
+        flags["solver"] = {"h": repr(args.step)}
     try:
-        cp = configparser.ConfigParser()
-        cp.optionxform = str
-        cp.read_string(text)
-        if not cp.has_section("experiment"):
-            cp.add_section("experiment")
-        flags = {"scenario": args.scenario, "base_seed": args.seed, "n_paths": args.paths,
-                 "output": args.out, "format": args.format, "workers": args.workers}
-        for key, value in flags.items():
-            if value is not None:
-                cp.set("experiment", key, str(value))
-        if args.step is not None:
-            if not cp.has_section("solver"):
-                cp.add_section("solver")
-            cp.set("solver", "h", repr(args.step))
-        buf = []
-        for sec in cp.sections():
-            buf.append(f"[{sec}]")
-            buf.extend(f"{k} = {v}" for k, v in cp[sec].items())
-        return run(parse_config("\n".join(buf)))
-    except (ConfigError, GridMismatchError, configparser.Error) as e:
+        return run(parse_config(text, flags))
+    except (ConfigError, GridMismatchError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return 3
     except _NUMERICAL_ERRORS as e:

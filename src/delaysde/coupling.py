@@ -163,7 +163,7 @@ def run_coupling_batch(
     """
     sol = tm.sol
     T, h, K = cc.T, cc.h, cc.K
-    n0 = grid_count(nu.r0, h, "r0")
+    n0 = nu.n0(h)
     n_T = grid_count(T, h, "T")
     steps = n_T + n0
     xi_t = np.asarray(xi_t, dtype=float)

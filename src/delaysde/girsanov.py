@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .measure import DelayMeasure, Segment, delay_averages, grid_count
+from .measure import DelayMeasure, Segment, delay_averages
 from .model import ModelSpec, _zero_b, _zero_B, diffusion_at
 from .rng import chunk_sums, mean_stderr
 from .solver import SolverConfig, simulate
@@ -90,7 +90,7 @@ def _reference_model(m: ModelSpec) -> ModelSpec:
 
 def log_density(m: ModelSpec, nu: DelayMeasure, batch, cfg: SolverConfig) -> np.ndarray:
     """log R along simulated paths: sum <psi_k, dW_k> - (h/2) sum |psi_k|^2."""
-    n0 = grid_count(nu.r0, cfg.h, "r0")
+    n0 = nu.n0(cfg.h)
     log_r = np.zeros(batch.n_paths)
     averages = delay_averages(nu, batch.states, batch.path_offset)
     for k in range(batch.dW.shape[1]):
@@ -164,7 +164,7 @@ def terminal_f(m, nu, f, xi_vals, cfg, base_seed, n_paths, path_offset=0, dW=Non
     ExplosionBeforeHorizonError."""
     if isinstance(m, TransformedModel):
         states, _ = simulate_transformed(m, nu, xi_vals, cfg, base_seed, n_paths, path_offset, dW)
-        n0 = grid_count(nu.r0, cfg.h, "r0")
+        n0 = nu.n0(cfg.h)
         return np.asarray(f(states[:, -n0 - 1 :]), dtype=float)
     batch = simulate(m, nu, Segment(xi_vals), cfg, base_seed, n_paths, path_offset, dW)
     batch.check_horizon(cfg.t_end)

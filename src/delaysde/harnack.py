@@ -88,7 +88,7 @@ def check_log_harnack(
         raise ValueError("need n >= 2")
     cc = CouplingConfig(T=T, h=h, K=K)
     res = run_coupling_batch(tm, nu, xi_t, eta_t, cc, base_seed, n)
-    n0 = grid_count(nu.r0, h, "r0")
+    n0 = nu.n0(h)
     term = res.x_states[:, -n0 - 1 :]
     fv = np.asarray(f(term), dtype=float)
     if np.any(fv <= 0):

@@ -106,6 +106,13 @@ class DelayMeasure:
     def n_cells(self) -> int:
         return len(self.weights)
 
+    def n0(self, h: float) -> int:
+        """The window length r0 / h of a runner stepping with h, which must be
+        this grid's step: the cell masses belong to one grid."""
+        if h != self.h:
+            raise GridMismatchError(f"runner step h={h} differs from the measure's step h={self.h}")
+        return self.n_cells
+
     @property
     def thetas(self) -> np.ndarray:
         """Node offsets -r0, -r0+h, ..., 0 (n_cells+1 values)."""

@@ -186,7 +186,7 @@ def simulate(
     frozen, and a path whose norm (or, with a trunc_level, segment norm)
     reaches its bound ends with its lifetime recorded.
     """
-    n0 = grid_count(nu.r0, cfg.h, "r0")
+    n0 = nu.n0(cfg.h)
     steps = grid_count(cfg.t_end, cfg.h, "t_end")
     if xi.values.shape[0] != n0 + 1:
         raise ValueError("initial segment grid does not match solver grid")
@@ -342,7 +342,7 @@ def apriori_check(
         raise ValueError(f"model {m.name!r} declares no (Phi, h) growth data")
     if batch is None:
         batch = simulate(m, nu, xi, cfg, base_seed, n_paths)
-    n0 = grid_count(nu.r0, cfg.h, "r0")
+    n0 = nu.n0(cfg.h)
     steps = grid_count(T, cfg.h, "T")
     if n0 + steps >= batch.states.shape[1]:
         raise ValueError(f"T={T} exceeds the horizon of the path batch")

@@ -787,7 +787,7 @@ def simulate_transformed(
     with states of shape (n_paths, n0+steps+1, d) on [-r0, t_end], the
     transposed view of a time-major buffer.
     """
-    n0 = grid_count(nu.r0, cfg.h, "r0")
+    n0 = nu.n0(cfg.h)
     steps = grid_count(cfg.t_end, cfg.h, "t_end")
     h = cfg.h
     dW = path_increments(dW, base_seed, path_offset, n_paths, steps, tm.base.dbar, h)

@@ -227,8 +227,7 @@ def test_sim_chunk_returns_arrays_that_own_their_data():
     keep every chunk's full paths alive until the rows are written."""
     cfg = parse_config(BASE.replace("name = zero", "name = ou"))
     nu, m, scfg, xi = cli._build(cfg)
-    start, *arrays = cli._sim_chunk((cfg.base_seed, nu, m, scfg, xi), (4, 6))
-    assert start == 4
+    arrays = cli._sim_chunk((cfg.base_seed, nu, m, scfg, xi), (4, 6))
     for a in arrays:
         assert a.shape[0] == 6 and a.base is None
 
@@ -390,6 +389,66 @@ def test_cli_overrides_take_effect(tmp_path):
     assert len(payload["rows"]) == 5
     verdict = json.loads((out / "verdict.json").read_text())
     assert verdict["base_seed"] == 9
+
+
+def test_out_flag_with_percent_is_taken_literally(tmp_path):
+    """A flag value is not interpolated: a '%' in --out names the directory."""
+    out = tmp_path / "out_50%"
+    assert main(["simulate", "--config", _write(tmp_path, BASE), "--out", str(out)]) == 0
+    assert json.loads((out / "verdict.json").read_text())["verdict"] == "pass"
+
+
+def test_file_value_reads_escaped_percent_once(tmp_path):
+    """A file value is interpolated once, as configparser reads it: %% is %."""
+    text = BASE.replace("[experiment]\n", f"[experiment]\noutput = {tmp_path}/o_50%%\n")
+    assert main(["simulate", "--config", _write(tmp_path, text)]) == 0
+    assert (tmp_path / "o_50%" / "verdict.json").exists()
+
+
+def test_syntax_error_names_the_syntax_field(tmp_path, capsys):
+    assert main(["simulate", "--config", _write(tmp_path, "n_paths = 3\n")]) == 3
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("config error: [syntax] File contains no section headers")
+
+
+def _ini(sections: dict) -> str:
+    return "".join(f"[{sec}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+                   for sec, keys in sections.items())
+
+
+@pytest.mark.parametrize("flag, sec, key, value", [
+    ("--seed", "experiment", "base_seed", "7"),
+    ("--paths", "experiment", "n_paths", "30"),
+    ("--step", "solver", "h", "0.125"),
+    ("--format", "experiment", "format", "csv"),
+    ("--workers", "experiment", "workers", "2"),
+    ("--out", "experiment", "output", "{tmp}/out"),
+], ids=["seed", "paths", "step", "format", "workers", "out"])
+def test_flag_writes_what_the_file_value_writes(tmp_path, flag, sec, key, value):
+    """A flag replaces the file's value of its key and gives the bytes, the
+    resolved config in verdict.json included, of that value in the file."""
+    value = value.format(tmp=tmp_path)
+    out = tmp_path / "out"
+    base = {
+        "experiment": {"scenario": "simulate", "n_paths": "20", "base_seed": "1",
+                       "format": "json", "workers": "1", "output": str(tmp_path / "other")},
+        "model": {"name": "ou"},
+        "measure": {"kind": "uniform", "r0": "0.5"},
+        "solver": {"h": "0.0625", "t_end": "1.0"},
+    }
+    if key != "output":
+        base["experiment"]["output"] = str(out)
+    in_file = {s: dict(keys) for s, keys in base.items()}
+    in_file[sec][key] = value
+    fmt = in_file["experiment"]["format"]
+    written = []
+    for text, argv in ((_ini(in_file), []), (_ini(base), [flag, value])):
+        assert main(["simulate", "--config", _write(tmp_path, text), *argv]) == 0
+        written.append([(out / name).read_bytes() for name in ("verdict.json", f"result.{fmt}")])
+    assert written[0] == written[1]
+    config = json.loads(written[1][0])["config"]
+    assert config.get(sec, {}).get(key, value) == value  # output and workers are left out
 
 
 def test_worker_count_does_not_change_bytes(tmp_path):

@@ -180,3 +180,99 @@ def test_fit_entropy_cost_recovers_exact_plane():
     assert fit.c1 == pytest.approx(2.5, rel=1e-10)
     assert fit.c2 == pytest.approx(0.8, rel=1e-10)
     assert fit.rel_residual < 1e-10
+
+
+# Linear-Gaussian anchors in the CLI `couple` geometry: linear_delay (b = 0,
+# B = beta nu(.), Q = sigma) with the identity transform, so each scheme is a
+# linear Gaussian recursion whose moments are known exactly.
+ANCHOR_H = 2.0**-7
+ANCHOR_T = 0.5
+ANCHOR_K = 6.0
+ANCHOR_PAIRS = 40960
+ANCHOR_CHUNK = 4096
+ANCHOR_SEED = 2015
+ANCHOR_GEOMETRIES = [(0.3, 0.0), (0.0, 0.3)]  # (distance0, distance_seg)
+ANCHOR_IDS = ["distance0", "distance_seg"]
+
+
+def _euler_moments(nu, m, seg0, steps):
+    """Mean and noise loadings of every node of the Euler recursion
+    x_{i+1} = x_i + h (-a x_i + beta sum_j w_j x_{i-n0+j}) + sigma dW_i
+    from the segment seg0: node i is mean[i] + G[i] @ dW with Var dW_k = h."""
+    n0, h = nu.n_cells, nu.h
+    a, beta, sigma = m.params["lam"], m.params["beta"], m.params["sigma"]
+    mean = np.zeros(n0 + steps + 1)
+    G = np.zeros((n0 + steps + 1, steps))
+    mean[: n0 + 1] = seg0
+    for k in range(steps):
+        i = n0 + k
+        mean[i + 1] = mean[i] + h * (-a * mean[i] + beta * (nu.weights @ mean[k:i]))
+        G[i + 1] = G[i] + h * (-a * G[i] + beta * (nu.weights @ G[k:i]))
+        G[i + 1, k] += sigma
+    return mean, G
+
+
+@pytest.fixture(scope="module")
+def anchor_runs():
+    """Per geometry: the exact node means from xi and from eta, the terminal
+    segment covariance, and the log_R and X at T, T + r0/2 and T + r0 of
+    ANCHOR_PAIRS coupled pairs."""
+    nu = make_measure("exponential", 1.0, ANCHOR_H, lam=1.0)
+    m = make_model("linear_delay", measure=nu)
+    tm = transformed_model(m, nu, None)
+    cc = CouplingConfig(T=ANCHOR_T, h=ANCHOR_H, K=ANCHOR_K)
+    n0 = nu.n_cells
+    steps = round(ANCHOR_T / ANCHOR_H) + n0
+    last = n0 + steps
+    nodes = [last - n0, last - n0 // 2, last]  # T, T + r0/2, T + r0
+    xi = constant_segment(nu, 1.0).values
+    runs = {}
+    for d0, dseg in ANCHOR_GEOMETRIES:
+        eta = xi + dseg
+        eta[-1] += d0
+        mean_xi, G = _euler_moments(nu, m, xi[:, 0], steps)
+        mean_eta, _ = _euler_moments(nu, m, eta[:, 0], steps)
+        log_r, x_nodes = [], []
+        for start in range(0, ANCHOR_PAIRS, ANCHOR_CHUNK):
+            res = run_coupling_batch(tm, nu, xi, eta, cc, ANCHOR_SEED, ANCHOR_CHUNK, start)
+            assert res.coupled.all() and res.terminal_segments_equal().all()
+            log_r.append(res.log_R)
+            x_nodes.append(res.x_states[:, nodes, 0])
+        term = G[-n0 - 1 :]
+        runs[(d0, dseg)] = {
+            "nodes": nodes, "mean_xi": mean_xi[nodes], "mean_eta": mean_eta[nodes],
+            "dm": (mean_eta - mean_xi)[-n0 - 1 :], "cov": ANCHOR_H * term @ term.T,
+            "log_R": np.concatenate(log_r), "x": np.concatenate(x_nodes),
+        }
+    return runs
+
+
+@pytest.mark.parametrize("geometry", ANCHOR_GEOMETRIES, ids=ANCHOR_IDS)
+def test_coupling_density_moves_the_law_to_eta(anchor_runs, geometry):
+    """E_P[R X] at T, T + r0/2 and T + r0 is the exact Euler mean from eta
+    (3 sigma), and the mean from xi lies more than 5 standard errors away, so
+    a density that does nothing fails."""
+    run = anchor_runs[geometry]
+    rx = np.exp(run["log_R"])[:, None] * run["x"]
+    est = rx.mean(axis=0)
+    se = rx.std(axis=0, ddof=1) / math.sqrt(len(rx))
+    z_eta = (est - run["mean_eta"]) / se
+    z_xi = (est - run["mean_xi"]) / se
+    print(f"{geometry}: z to eta {np.round(z_eta, 2)}, z to xi {np.round(z_xi, 1)}")
+    assert np.all(np.abs(z_eta) <= 3.0)
+    assert np.all(np.abs(z_xi) > 5.0)
+
+
+@pytest.mark.parametrize("geometry", ANCHOR_GEOMETRIES, ids=ANCHOR_IDS)
+def test_entropy_cost_bounds_the_terminal_kl(anchor_runs, geometry):
+    """E_Q log R >= KL(law from eta || law from xi) of the terminal segment,
+    KL = dm^T Sigma^-1 dm / 2: the two laws differ in mean only, and no
+    density can cost less than their relative entropy."""
+    run = anchor_runs[geometry]
+    dm = run["dm"]
+    kl = 0.5 * dm @ np.linalg.solve(run["cov"], dm)
+    ent = entropy_cost(run["log_R"])
+    print(f"{geometry}: E_Q log R {ent.value:.4f} +- {ent.stderr:.4f}, KL {kl:.5f}, "
+          f"ratio {ent.value / kl:.1f}")
+    assert kl > 0
+    assert ent.value >= kl - 3.0 * ent.stderr

@@ -372,3 +372,50 @@ def test_segment_views_consistent():
         batch.segment_values(0.75)
     seg0 = batch.segment_values(0.0)
     np.testing.assert_array_equal(seg0[0], xi.values)
+
+
+def _step_mismatch_runs():
+    """Each runner on an exponential measure built for h = 2^-6 but stepped
+    with h = 2^-7 from a segment of 2^7 + 1 nodes (r0 = 1)."""
+    from delaysde.coupling import CouplingConfig, run_coupling_batch
+    from delaysde.girsanov import log_density, terminal_f
+    from delaysde.harnack import check_log_harnack
+    from delaysde.zvonkin import simulate_transformed, transformed_model
+
+    coarse = make_measure("exponential", 1.0, 2.0**-6, lam=1.0)
+    fine = make_measure("exponential", 1.0, 2.0**-7, lam=1.0)
+    m = make_model("linear_delay", measure=coarse)
+    cfg = SolverConfig(h=2.0**-7, t_end=0.25)
+    xi = constant_segment(fine, 1.0)
+    batch = simulate(m, fine, xi, cfg, 5, 4)  # the matching grid
+    tm = transformed_model(m, coarse, None)
+    eta = xi.values + 0.05
+    f = lambda seg: 1.0 + seg[:, -1, 0] ** 2  # noqa: E731
+    return {
+        "simulate": lambda: simulate(m, coarse, xi, cfg, 5, 4),
+        "apriori_check": lambda: apriori_check(m, coarse, xi, cfg, 0.25, 4, 5, batch=batch),
+        "log_density": lambda: log_density(m, coarse, batch, cfg),
+        "terminal_f": lambda: terminal_f(m, coarse, f, xi.values, cfg, 5, 4),
+        "simulate_transformed": lambda: simulate_transformed(tm, coarse, xi.values, cfg, 5, 4),
+        "run_coupling_batch": lambda: run_coupling_batch(
+            tm, coarse, xi.values, eta, CouplingConfig(T=0.25, h=2.0**-7, K=6.0), 5, 4
+        ),
+        "check_log_harnack": lambda: check_log_harnack(
+            tm, coarse, f, xi.values, eta, 0.25, 2.0**-7, 6.0, 4, 5
+        ),
+    }
+
+
+@pytest.mark.parametrize("runner", sorted(_step_mismatch_runs()))
+def test_runner_step_must_match_the_measure(runner):
+    """A measure's cell masses belong to its own grid: a runner stepping with
+    another h is a GridMismatchError, not a run with the wrong masses."""
+    with pytest.raises(GridMismatchError, match="differs from the measure's step"):
+        _step_mismatch_runs()[runner]()
+
+
+def test_measure_n0_is_its_cell_count():
+    nu = make_measure("uniform", 0.5, 2.0**-5)
+    assert nu.n0(2.0**-5) == nu.n_cells == 16
+    with pytest.raises(GridMismatchError):
+        nu.n0(2.0**-6)
