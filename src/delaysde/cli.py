@@ -5,10 +5,15 @@ configparser reads them (a literal % is written %%); the command-line flags
 replace the values of their keys and are taken literally.  Each scenario
 handler returns its verdict and metrics, which run writes to verdict.json.
 
-Path work is decomposed into fixed-size chunks keyed by path index, so the
-emitted bytes do not depend on the worker count; reruns with the same config
-and seed are byte-identical.  The per-run set-up, including the u solve of
-`couple` and `harnack`, is built once before worker processes fork.
+`simulate`, `couple` and `harnack` decompose their paths into CHUNK-path
+chunks keyed by path index and map them with rng.map_chunks over --workers
+processes, so the emitted bytes do not depend on the worker count; reruns
+with the same config and seed are byte-identical.  The per-run set-up,
+including the u solve of `couple` and `harnack`, is built once before worker
+processes fork.  `girsanov-check` and `gradient` chunk serially inside the
+library; `bihari` runs as one batch, because apriori_check sizes its Psi grid
+from the batch's largest alpha.  The output directory is checked before any
+scenario work.
 
 Exit codes: 0 all asserted properties pass, 1 any failure, 2 inconclusive
 (degenerate weights) or a numerical failure (grid coverage, sup |grad u| >= 1
@@ -24,11 +29,11 @@ import argparse
 import configparser
 import json
 import math
-import multiprocessing
 import os
 import platform
 import sys
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 import scipy
@@ -37,7 +42,7 @@ from . import __version__
 from .coupling import CouplingConfig, entropy_cost, run_coupling_batch
 from .girsanov import SingularDiffusionError, direct_estimate, weak_estimate
 from .harnack import EPS_FD_RANGE, DegenerateVarianceError, ExplosionBeforeHorizonError
-from .harnack import check_gradient_estimate, check_log_harnack
+from .harnack import check_gradient_estimate, log_harnack_columns, log_harnack_report
 from .measure import (
     GridMismatchError,
     Segment,
@@ -47,7 +52,7 @@ from .measure import (
     make_measure,
 )
 from .model import check_param, dini_check, make_functional, make_model, validate_assumptions
-from .rng import KEY_LIMIT
+from .rng import KEY_LIMIT, map_chunks
 from .solver import SolverConfig, apriori_check, simulate
 from .zvonkin import (
     CoverageError,
@@ -301,6 +306,20 @@ def resolved_config(cfg: ExperimentConfig) -> dict:
     return out
 
 
+def _check_output(path: str):
+    """Before any scenario work: the output directory must exist or be
+    creatable, so its nearest existing ancestor must be a writable
+    directory.  Nothing is created here, so a run stopped by an error
+    leaves no directory behind."""
+    head = os.path.abspath(path)
+    while not os.path.exists(head):
+        head = os.path.dirname(head)
+    if not (os.path.isdir(head) and os.access(head, os.W_OK | os.X_OK)):
+        raise ConfigError(
+            "experiment.output", f"cannot write to {path!r}: {head!r} is not a writable directory"
+        )
+
+
 def _write_verdict(cfg: ExperimentConfig, verdict: str, metrics: dict):
     os.makedirs(cfg.output, exist_ok=True)
     payload = {
@@ -363,9 +382,8 @@ def _write_rows(cfg: ExperimentConfig, header: list, columns: list):
         fh.write(f',\n "schema_version": {SCHEMA_VERSION}\n}}\n')
 
 
-def _sim_chunk(setup, chunk):
+def _sim_chunk(setup, start, count):
     base_seed, nu, m, scfg, xi = setup
-    start, count = chunk
     batch = simulate(m, nu, xi, scfg, base_seed, count, path_offset=start)
     # copies, so that the chunk's full path array is freed here
     term = batch.states[:, -1].copy()
@@ -373,40 +391,17 @@ def _sim_chunk(setup, chunk):
     return term, batch.lifetimes, sup
 
 
-def _couple_chunk(setup, chunk):
+def _couple_chunk(setup, start, count):
     base_seed, nu, tm, cc, xi_t, eta_t = setup
-    start, count = chunk
     res = run_coupling_batch(tm, nu, xi_t, eta_t, cc, base_seed, count, path_offset=start)
     return res.tau, res.log_R, res.terminal_segments_equal()
 
 
-# (chunk function, per-run set-up) inside a forked pool worker.  The pool
-# initializer sets it; under fork its arguments reach the worker unpickled,
-# which the set-up needs because transformed models hold closures.
-_WORKER = None
-
-
-def _init_worker(fn, setup):
-    global _WORKER
-    _WORKER = (fn, setup)
-
-
-def _worker_chunk(chunk):
-    fn, setup = _WORKER
-    return fn(setup, chunk)
-
-
-def _pool_map(cfg: ExperimentConfig, fn, setup) -> list:
-    """fn(setup, (start, count)) over the CHUNK-path chunks of cfg.n_paths,
-    on cfg.workers processes, with each per-path column fn returns joined in
-    path order; the set-up is built once, in the parent."""
-    chunks = [(s, min(CHUNK, cfg.n_paths - s)) for s in range(0, cfg.n_paths, CHUNK)]
-    if cfg.workers == 1:
-        parts = [fn(setup, c) for c in chunks]
-    else:
-        ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(cfg.workers, initializer=_init_worker, initargs=(fn, setup)) as pool:
-            parts = pool.map(_worker_chunk, chunks)
+def _pool_map(cfg: ExperimentConfig, fn) -> list:
+    """The per-path columns fn(start, count) returns for the CHUNK-path
+    chunks of cfg.n_paths, run on cfg.workers processes and joined in path
+    order; fn's set-up is built once, in the parent."""
+    parts = map_chunks(cfg.n_paths, CHUNK, fn, cfg.workers)
     return [np.concatenate(col) for col in zip(*parts)]
 
 
@@ -443,7 +438,8 @@ def _coupling_setup(cfg, nu, m, scfg, xi):
 # scenario handlers: each returns (verdict, metrics)
 
 def _run_simulate(cfg, nu, m, scfg, xi):
-    term_all, lifetimes, sup = _pool_map(cfg, _sim_chunk, (cfg.base_seed, nu, m, scfg, xi))
+    setup = (cfg.base_seed, nu, m, scfg, xi)
+    term_all, lifetimes, sup = _pool_map(cfg, partial(_sim_chunk, setup))
     header = ["path", *[f"x{j}" for j in range(m.d)], "lifetime", "sup_norm"]
     _write_rows(cfg, header, [np.arange(cfg.n_paths), *term_all.T, lifetimes, sup])
     return "pass", {
@@ -487,7 +483,7 @@ def _run_girsanov(cfg, nu, m, scfg, xi):
 def _run_couple(cfg, nu, m, scfg, xi):
     tm, cc, xi_t, eta_t = _coupling_setup(cfg, nu, m, scfg, xi)
     setup = (cfg.base_seed, nu, tm, cc, xi_t, eta_t)
-    tau, log_r, equal = _pool_map(cfg, _couple_chunk, setup)
+    tau, log_r, equal = _pool_map(cfg, partial(_couple_chunk, setup))
     _write_rows(cfg, ["path", "tau", "log_R", "terminal_equal"],
                 [np.arange(len(tau)), tau, log_r, equal.astype(int)])
     ent = entropy_cost(log_r)
@@ -509,10 +505,9 @@ def _run_couple(cfg, nu, m, scfg, xi):
 
 def _run_harnack(cfg, nu, m, scfg, xi):
     tm, cc, xi_t, eta_t = _coupling_setup(cfg, nu, m, scfg, xi)
-    f, pos = make_functional("tanh0_pos", nu)
-    rep = check_log_harnack(
-        tm, nu, f, xi_t, eta_t, cc.T, cc.h, cc.K, cfg.n_paths, cfg.base_seed
-    )
+    f, _ = make_functional("tanh0_pos", nu)
+    columns = partial(log_harnack_columns, tm, nu, f, xi_t, eta_t, cc, cfg.base_seed)
+    rep = log_harnack_report(*_pool_map(cfg, columns), nu, xi_t, eta_t, cc)
     if np.array_equal(xi_t, eta_t):
         verdict = "pass" if rep.jensen_ok else "fail"
     else:
@@ -600,6 +595,7 @@ _HANDLERS = {
 
 
 def run(cfg: ExperimentConfig) -> int:
+    _check_output(cfg.output)
     nu, m, scfg, xi = _build(cfg)
     verdict, metrics = _HANDLERS[cfg.scenario](cfg, nu, m, scfg, xi)
     _write_verdict(cfg, verdict, metrics)

@@ -120,7 +120,6 @@ def weak_estimate(
     cfg: SolverConfig,
     base_seed: int,
     n_paths: int,
-    chunk: int = 8192,
 ) -> WeakEstimate:
     """E[f(X_T-segment)] estimated as E[R f(Z_T-segment)] under the reference law.
 
@@ -137,7 +136,7 @@ def weak_estimate(
         rf = r * np.asarray(f(batch.terminal_segments()), dtype=float)
         return r, r**2, rf, rf**2
 
-    s_r, s_r2, s_rf, s_rf2 = chunk_sums(n_paths, chunk, sample)
+    s_r, s_r2, s_rf, s_rf2 = chunk_sums(n_paths, sample)
     mean_rf, se_rf = mean_stderr(s_rf, s_rf2, n_paths)
     mean_r, se_r = mean_stderr(s_r, s_r2, n_paths)
     ess = s_r**2 / max(s_r2, 1e-300)
@@ -180,7 +179,6 @@ def direct_estimate(
     cfg: SolverConfig,
     base_seed: int,
     n_paths: int,
-    chunk: int = 8192,
 ) -> tuple[float, float]:
     """Plain Monte Carlo (mean, stderr) of P_T f(xi) over n_paths >= 2 paths,
     sampled by terminal_f: xi is in transformed coordinates for a
@@ -194,5 +192,5 @@ def direct_estimate(
         fv = terminal_f(m, nu, f, xi.values, cfg, base_seed, count, path_offset=offset)
         return fv, fv**2
 
-    mean, se = mean_stderr(*chunk_sums(n_paths, chunk, sample), n_paths)
+    mean, se = mean_stderr(*chunk_sums(n_paths, sample), n_paths)
     return float(mean), float(se)

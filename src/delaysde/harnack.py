@@ -10,19 +10,27 @@ weights the bound
 
 is an instance of the Gibbs inequality on the empirical sample, so the only
 slack needed is the Monte Carlo error of the independently estimated terms.
+
+check_log_harnack is log_harnack_report over the columns that
+log_harnack_columns returns for chunks of coupled pairs, joined in pair
+order; the CLI maps the same column function over its worker pool.  A pair's
+columns do not depend on its chunk, and the report reads only the joined
+columns, so the report does not depend on the chunk size.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
+from . import rng
 from .coupling import CouplingConfig, entropy_cost, run_coupling_batch
 from .girsanov import terminal_f
 from .measure import DelayMeasure, batch_seg_norm, grid_count
-from .rng import batch_increments, chunk_sums, mean_stderr
+from .rng import batch_increments, chunk_sums, map_chunks, mean_stderr
 from .solver import ExplosionBeforeHorizonError, SolverConfig
 from .zvonkin import TransformedModel
 
@@ -30,6 +38,8 @@ __all__ = [
     "DegenerateVarianceError",
     "ExplosionBeforeHorizonError",
     "check_log_harnack",
+    "log_harnack_columns",
+    "log_harnack_report",
     "check_gradient_estimate",
 ]
 
@@ -65,37 +75,33 @@ class HarnackReport:
         return self.verdict == "pass"
 
 
-def check_log_harnack(
-    tm: TransformedModel,
+def log_harnack_columns(tm, nu, f, xi_t, eta_t, cc, base_seed, start, count) -> tuple:
+    """Per-pair columns of pairs start..start+count-1 of the coupling run
+    from xi_t and eta_t: f at X's terminal segment, log R and the coupled
+    flag.  A pair's values do not depend on its chunk."""
+    res = run_coupling_batch(tm, nu, xi_t, eta_t, cc, base_seed, count, path_offset=start)
+    fv = np.asarray(f(res.x_states[:, -nu.n0(cc.h) - 1 :]), dtype=float)
+    return fv, res.log_R, res.coupled
+
+
+def log_harnack_report(
+    fv: np.ndarray,
+    log_R: np.ndarray,
+    coupled: np.ndarray,
     nu: DelayMeasure,
-    f,
     xi_t: np.ndarray,
     eta_t: np.ndarray,
-    T: float,
-    h: float,
-    K: float,
-    n: int,
-    base_seed: int,
+    cc: CouplingConfig,
     C_fitted: float | None = None,
 ) -> HarnackReport:
-    """Exact-chain check of P log f(eta) <= log P f(xi) + E_Q log R at 3 sigma.
-
-    One coupling batch provides everything: the X sample estimates P f(xi),
-    the weighted X sample estimates the left side, and the weights give the
-    entropy cost.  f must be strictly positive.
-    """
-    if n < 2:
-        raise ValueError("need n >= 2")
-    cc = CouplingConfig(T=T, h=h, K=K)
-    res = run_coupling_batch(tm, nu, xi_t, eta_t, cc, base_seed, n)
-    n0 = nu.n0(h)
-    term = res.x_states[:, -n0 - 1 :]
-    fv = np.asarray(f(term), dtype=float)
+    """The 3-sigma verdict of check_log_harnack from the joined columns of
+    log_harnack_columns over all pairs.  f must be strictly positive."""
+    n = len(fv)
     if np.any(fv <= 0):
         raise ValueError("log-Harnack check needs a strictly positive f")
     logf = np.log(fv)
-    r = res.R
-    ent = entropy_cost(res.log_R)
+    r = np.exp(log_R)
+    ent = entropy_cost(log_R)
     # self-normalized E_Q[log f(X_{T+r0})]; valid because X = Y there under Q
     lhs = float((r * logf).sum() / r.sum())
     resid = r * (logf - lhs)
@@ -117,17 +123,46 @@ def check_log_harnack(
     if C_fitted is not None:
         d0 = float(np.linalg.norm(np.asarray(xi_t)[-1] - np.asarray(eta_t)[-1]))
         dseg = float(batch_seg_norm(nu, (np.asarray(xi_t) - np.asarray(eta_t))[None])[0])
-        fitted = log_pf + C_fitted * (d0**2 / T + dseg**2)
+        fitted = log_pf + C_fitted * (d0**2 / cc.T + dseg**2)
     return HarnackReport(
         lhs=lhs, lhs_stderr=lhs_se, log_pf=log_pf, log_pf_stderr=log_pf_se,
         entropy=ent.value, entropy_stderr=ent.stderr, rhs=rhs,
         margin_sigma=float((rhs - lhs) / sigma) if sigma > 0 else math.inf,
         verdict=verdict,
-        coupled_fraction=float(res.coupled.mean()),
+        coupled_fraction=float(coupled.mean()),
         jensen_ok=jensen_ok, mean_R=ent.mean_R, stderr_R=ent.stderr_R,
         fitted_rhs=fitted,
-        setting={"T": T, "h": h, "K": K, "n": n},
+        setting={"T": cc.T, "h": cc.h, "K": cc.K, "n": n},
     )
+
+
+def check_log_harnack(
+    tm: TransformedModel,
+    nu: DelayMeasure,
+    f,
+    xi_t: np.ndarray,
+    eta_t: np.ndarray,
+    T: float,
+    h: float,
+    K: float,
+    n: int,
+    base_seed: int,
+    C_fitted: float | None = None,
+) -> HarnackReport:
+    """Exact-chain check of P log f(eta) <= log P f(xi) + E_Q log R at 3 sigma.
+
+    One coupling run provides everything: the X sample estimates P f(xi),
+    the weighted X sample estimates the left side, and the weights give the
+    entropy cost.  The pairs run in ESTIMATOR_CHUNK chunks.  f must be
+    strictly positive.
+    """
+    if n < 2:
+        raise ValueError("need n >= 2")
+    cc = CouplingConfig(T=T, h=h, K=K)
+    columns = partial(log_harnack_columns, tm, nu, f, xi_t, eta_t, cc, base_seed)
+    parts = map_chunks(n, rng.ESTIMATOR_CHUNK, columns)
+    joined = [np.concatenate(col) for col in zip(*parts)]
+    return log_harnack_report(*joined, nu, xi_t, eta_t, cc, C_fitted)
 
 
 @dataclass
@@ -155,7 +190,6 @@ def check_gradient_estimate(
     n: int,
     base_seed: int,
     C_hat: float | None = None,
-    chunk: int = 8192,
 ) -> GradientReport:
     """Directional derivative of P_{T+r0} f by central differences with common
     random numbers, against the variance form of the gradient estimate."""
@@ -184,7 +218,7 @@ def check_gradient_estimate(
         f0 = run(xi_vals)
         return diff, diff**2, f0, f0**2
 
-    s_d, s_d2, s_f, s_f2 = chunk_sums(n, chunk, sample)
+    s_d, s_d2, s_f, s_f2 = chunk_sums(n, sample)
     D, D_se = mean_stderr(s_d, s_d2, n)
     V = max(s_f2 / n - (s_f / n) ** 2, 0.0)
     # stderr of the variance via the fourth-moment-free normal approximation

@@ -14,6 +14,9 @@ of a generator built per path.
 A batch of increments is stored time-major, as an (n_steps, n_paths, dbar)
 buffer, because the runners read one step of every path at a time; callers
 see it through the (n_paths, n_steps, dbar) transposed view.
+
+map_chunks is the one chunked Monte Carlo driver: the estimators' chunk_sums
+and the CLI's worker pool both run through it.
 """
 
 from __future__ import annotations
@@ -24,7 +27,10 @@ import numpy as np
 from numpy.random import Generator, Philox
 from scipy.special import ndtri
 
-__all__ = ["path_generator", "normal_increments", "coarsen_increments", "chunk_sums", "mean_stderr"]
+__all__ = [
+    "path_generator", "normal_increments", "coarsen_increments", "map_chunks", "chunk_sums",
+    "mean_stderr",
+]
 
 _U64 = np.uint64
 # each word of a Philox key is a uint64
@@ -114,22 +120,54 @@ def coarsen_increments(dw: np.ndarray, factor: int) -> np.ndarray:
     return dw.reshape(shape).sum(axis=step_axis + 1)
 
 
-def chunk_sums(n_paths: int, chunk: int, sample) -> list:
-    """Monte Carlo sums over paths 0..n_paths-1 taken in consecutive chunks.
+# Paths per chunk of the library's Monte Carlo estimators.  A path's value
+# does not depend on its chunk; only the rounding of the sums does.
+ESTIMATOR_CHUNK = 8192
+
+# fn of map_chunks inside a forked pool worker.  The pool initializer sets
+# it; under fork it reaches the worker unpickled, which fn needs when it
+# holds closures, as transformed models do.
+_WORKER = None
+
+
+def _init_worker(fn):
+    global _WORKER
+    _WORKER = fn
+
+
+def _worker_chunk(chunk):
+    return _WORKER(*chunk)
+
+
+def map_chunks(n_paths: int, chunk: int, fn, workers: int = 1) -> list:
+    """[fn(start, count)] over paths 0..n_paths-1 taken in consecutive chunks
+    of `chunk` paths, in path order.  With workers > 1 the chunks run on a
+    fork pool of that many processes; the chunk list does not depend on the
+    worker count."""
+    if n_paths < 1 or chunk < 1:
+        raise ValueError("need n_paths >= 1 and chunk >= 1")
+    chunks = [(s, min(chunk, n_paths - s)) for s in range(0, n_paths, chunk)]
+    if workers == 1:
+        return [fn(*c) for c in chunks]
+    import multiprocessing
+
+    ctx = multiprocessing.get_context("fork")
+    with ctx.Pool(workers, initializer=_init_worker, initargs=(fn,)) as pool:
+        return pool.map(_worker_chunk, chunks)
+
+
+def chunk_sums(n_paths: int, sample) -> list:
+    """Monte Carlo sums over paths 0..n_paths-1 taken in ESTIMATOR_CHUNK chunks.
 
     sample(path_offset, count) returns a sequence of per-path value arrays,
     each of shape (count,).  Each array is summed within its chunk and the
     chunk sums are added in path order, so only the chunk size enters the
     rounding.
     """
-    if n_paths < 1 or chunk < 1:
-        raise ValueError("need n_paths >= 1 and chunk >= 1")
-    sums = None
-    for start in range(0, n_paths, chunk):
-        parts = sample(start, min(chunk, n_paths - start))
-        if sums is None:
-            sums = [0.0] * len(parts)
-        sums = [s + np.sum(v) for s, v in zip(sums, parts)]
+    parts = map_chunks(n_paths, ESTIMATOR_CHUNK, lambda s, c: [np.sum(v) for v in sample(s, c)])
+    sums = [0.0] * len(parts[0])
+    for part in parts:
+        sums = [s + v for s, v in zip(sums, part)]
     return sums
 
 

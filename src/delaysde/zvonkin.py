@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import roots_hermitenorm
 
-from .measure import DelayMeasure, delay_averages, grid_count
+from .measure import DelayMeasure, batch_seg_norm, delay_averages, grid_count
 from .model import ModelSpec, diffusion_at, noise_product
 from .rng import path_increments
 
@@ -738,9 +738,7 @@ def measure_K(
         xi = (box / 2) * rng.standard_normal((n_samples, n0 + 1, d))
         eta = xi + 0.3 * rng.standard_normal(xi.shape)
         num = np.linalg.norm(drift(t, xi) - drift(t, eta), axis=1)
-        diff = xi - eta
-        sq = np.sum(diff**2, axis=2)
-        den = np.sqrt(sq[:, :-1] @ nu.weights + sq[:, -1])
+        den = batch_seg_norm(nu, xi - eta)
         lip = max(lip, float((num / np.maximum(den, 1e-300)).max()))
     return {"Q_sup": q_sup, "QQt_inv_sup": qinv_sup, "B_lip": lip}
 

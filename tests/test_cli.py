@@ -11,8 +11,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from delaysde import cli
+from delaysde import cli, rng
 from delaysde.cli import ConfigError, main, parse_config
+from delaysde.harnack import check_log_harnack
+from delaysde.model import make_functional
 
 BASE = """\
 [experiment]
@@ -227,7 +229,7 @@ def test_sim_chunk_returns_arrays_that_own_their_data():
     keep every chunk's full paths alive until the rows are written."""
     cfg = parse_config(BASE.replace("name = zero", "name = ou"))
     nu, m, scfg, xi = cli._build(cfg)
-    arrays = cli._sim_chunk((cfg.base_seed, nu, m, scfg, xi), (4, 6))
+    arrays = cli._sim_chunk((cfg.base_seed, nu, m, scfg, xi), 4, 6)
     for a in arrays:
         assert a.shape[0] == 6 and a.base is None
 
@@ -500,6 +502,64 @@ distance_seg = 0.05
     for name in ("result.json", "verdict.json"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
     assert json.loads((out1 / "verdict.json").read_text())["metrics"]["coupled_fraction"] == 1.0
+
+
+def test_harnack_chunks_match_one_batch_at_any_worker_count(tmp_path):
+    """harnack maps its pairs over the CHUNK-pair chunks (two here) on the
+    worker pool; its verdict has the bytes of either worker count and the
+    metrics of one check_log_harnack batch."""
+    text = """\
+[experiment]
+scenario = harnack
+n_paths = 1100
+base_seed = 3
+[model]
+name = reference
+[measure]
+kind = uniform
+r0 = 0.5
+[solver]
+h = 0.03125
+t_end = 1.0
+[coupling]
+T = 0.5
+K = 4.0
+distance0 = 0.05
+distance_seg = 0.05
+"""
+    path = _write(tmp_path, text)
+    out1, out2 = tmp_path / "w1", tmp_path / "w2"
+    assert main(["harnack", "--config", path, "--out", str(out1), "--workers", "1"]) == 0
+    assert main(["harnack", "--config", path, "--out", str(out2), "--workers", "2"]) == 0
+    verdict = (out1 / "verdict.json").read_bytes()
+    assert verdict == (out2 / "verdict.json").read_bytes()
+    cfg = parse_config(text)
+    nu, m, scfg, xi = cli._build(cfg)
+    tm, cc, xi_t, eta_t = cli._coupling_setup(cfg, nu, m, scfg, xi)
+    f, _ = make_functional("tanh0_pos", nu)
+    assert cfg.n_paths <= rng.ESTIMATOR_CHUNK  # one batch
+    rep = check_log_harnack(tm, nu, f, xi_t, eta_t, cc.T, cc.h, cc.K, cfg.n_paths, cfg.base_seed)
+    metrics = json.loads(verdict)["metrics"]
+    assert metrics == cli._jsonable({
+        "lhs": rep.lhs, "rhs": rep.rhs, "margin_sigma": rep.margin_sigma,
+        "entropy": rep.entropy, "coupled_fraction": rep.coupled_fraction,
+        "jensen_ok": rep.jensen_ok, "mean_R": rep.mean_R,
+    })
+
+
+def test_uncreatable_output_is_a_config_error_before_any_work(tmp_path, capsys, monkeypatch):
+    """An --out below a regular file exits 3 with one line naming
+    [experiment.output], and the scenario never runs."""
+    calls = []
+    monkeypatch.setitem(cli._HANDLERS, "simulate", lambda *args: calls.append(args))
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    path = _write(tmp_path, BASE)
+    assert main(["simulate", "--config", path, "--out", str(blocker / "sub")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("config error: [experiment.output] ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert calls == []
 
 
 def test_validate_scenario(tmp_path):

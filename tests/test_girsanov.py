@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from delaysde import rng
 from delaysde.girsanov import (
     SingularDiffusionError,
     direct_estimate,
@@ -117,14 +118,16 @@ def test_weak_estimate_cross_validates_reference_model():
     assert not west.warnings
 
 
-def test_weak_estimate_chunking_invariance():
+def test_weak_estimate_chunking_invariance(monkeypatch):
     nu = make_measure("uniform", 0.5, 0.125)
     m = make_model("linear_delay", measure=nu)
     xi = constant_segment(nu, 1.0)
     cfg = SolverConfig(h=0.125, t_end=0.5)
     f, _ = make_functional("coord0_sq")
-    a = weak_estimate(m, nu, xi, f, 0.5, cfg, 1, 50, chunk=7)
-    b = weak_estimate(m, nu, xi, f, 0.5, cfg, 1, 50, chunk=50)
+    monkeypatch.setattr(rng, "ESTIMATOR_CHUNK", 7)
+    a = weak_estimate(m, nu, xi, f, 0.5, cfg, 1, 50)
+    monkeypatch.setattr(rng, "ESTIMATOR_CHUNK", 50)
+    b = weak_estimate(m, nu, xi, f, 0.5, cfg, 1, 50)
     assert a.unnormalized == pytest.approx(b.unnormalized, rel=1e-12)
     assert a.mean_R == pytest.approx(b.mean_R, rel=1e-12)
 

@@ -1,9 +1,11 @@
+import dataclasses
 import math
 import pickle
 
 import numpy as np
 import pytest
 
+from delaysde import rng
 from delaysde.harnack import (
     DegenerateVarianceError,
     ExplosionBeforeHorizonError,
@@ -12,7 +14,7 @@ from delaysde.harnack import (
 )
 from delaysde.measure import constant_segment, make_measure
 from delaysde.model import make_functional, make_model
-from delaysde.zvonkin import transformed_model
+from delaysde.zvonkin import solve_u, transformed_model
 
 H = 2.0**-7
 
@@ -89,6 +91,20 @@ def test_log_harnack_fitted_rhs(nu, tm):
     d0 = 0.05
     dseg_sq = 0.05**2 * (nu.total_mass() + 1.0)
     assert rep.fitted_rhs == pytest.approx(rep.log_pf + d0**2 / 0.25 + dseg_sq)
+
+
+def test_log_harnack_chunks_give_the_one_chunk_report(nu, monkeypatch):
+    """Pairs run in chunks give the report of one batch, field by field."""
+    m = make_model("reference", measure=nu)
+    tm = transformed_model(m, nu, solve_u(m, 16.0, 1.5, n_x=201, n_t=13))
+    f, _ = make_functional("tanh0_pos", nu)
+    xi = tm.seg_to_transformed(0.0, constant_segment(nu, 0.5).values[None], nu.h)[0]
+    args = (tm, nu, f, xi, xi + 0.1, 0.5, H, 5.0, 100, 11)
+    whole = check_log_harnack(*args, C_fitted=1.0)
+    monkeypatch.setattr(rng, "ESTIMATOR_CHUNK", 32)
+    chunked = check_log_harnack(*args, C_fitted=1.0)
+    assert dataclasses.asdict(chunked) == dataclasses.asdict(whole)
+    assert whole.setting["n"] == 100
 
 
 def test_gradient_ou_oracle_exact(nu, direction):

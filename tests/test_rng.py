@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 from scipy.special import ndtri
 
+from delaysde import rng
 from delaysde.rng import (
     batch_increments,
     chunk_sums,
     coarsen_increments,
+    map_chunks,
     normal_increments,
     path_generator,
 )
@@ -118,7 +120,7 @@ def test_coarsen_rejects_bad_factor():
         coarsen_increments(dw, 0)
 
 
-def test_chunk_sums_visits_paths_in_order():
+def test_chunk_sums_visits_paths_in_order(monkeypatch):
     seen = []
 
     def sample(offset, count):
@@ -126,10 +128,28 @@ def test_chunk_sums_visits_paths_in_order():
         v = np.arange(offset, offset + count, dtype=float)
         return v, v**2
 
-    assert chunk_sums(10, 4, sample) == [45.0, 285.0]
+    monkeypatch.setattr(rng, "ESTIMATOR_CHUNK", 4)
+    assert chunk_sums(10, sample) == [45.0, 285.0]
     assert seen == [(0, 4), (4, 4), (8, 2)]
+    assert map_chunks(10, 4, lambda s, c: (s, c)) == seen
     with pytest.raises(ValueError):
-        chunk_sums(0, 4, sample)
+        chunk_sums(0, sample)
+    with pytest.raises(ValueError):
+        map_chunks(10, 0, sample)
+
+
+def _chunk_draws(start, count):
+    return start, batch_increments(3, start, count, 5, 2, 0.25)
+
+
+def test_map_chunks_on_a_pool_matches_serial():
+    """A fork pool returns fn's chunk results in path order, as a serial run."""
+    serial = map_chunks(1100, 256, _chunk_draws)
+    pooled = map_chunks(1100, 256, _chunk_draws, workers=2)
+    assert [s for s, _ in pooled] == [0, 256, 512, 768, 1024]
+    for (s1, a), (s2, b) in zip(serial, pooled, strict=True):
+        assert s1 == s2
+        np.testing.assert_array_equal(a, b)
 
 
 def _fresh_draws(base_seed, path_index, n_steps, dbar, h):
