@@ -27,15 +27,8 @@ from .model import (
     validate_assumptions,
 )
 from .rng import coarsen_increments, normal_increments, path_generator
-from .solver import (
-    PathBatch,
-    SolverConfig,
-    apriori_check,
-    bihari_bound,
-    cutoff_psi,
-    simulate,
-    truncate_coefficients,
-)
+from .solver import PathBatch, SolverConfig, cutoff_psi, simulate, truncate_coefficients
+from .bihari import apriori_check, bihari_bound
 from .girsanov import direct_estimate, girsanov_shift, weak_estimate
 from .zvonkin import (
     TransformedModel,

@@ -5,14 +5,13 @@ configparser reads them (a literal % is written %%); the command-line flags
 replace the values of their keys and are taken literally.  Each scenario
 handler returns its verdict and metrics, which run writes to verdict.json.
 
-`simulate`, `couple` and `harnack` decompose their paths into CHUNK-path
-chunks keyed by path index and map them with rng.map_chunks over --workers
-processes, so the emitted bytes do not depend on the worker count; reruns
-with the same config and seed are byte-identical.  The per-run set-up,
-including the u solve of `couple` and `harnack`, is built once before worker
-processes fork.  `girsanov-check` and `gradient` chunk serially inside the
-library; `bihari` runs as one batch, because apriori_check sizes its Psi grid
-from the batch's largest alpha.  The output directory is checked before any
+`simulate`, `couple`, `harnack` and `bihari` decompose their paths into
+CHUNK-path chunks keyed by path index and map them with rng.map_columns over
+--workers processes, so the emitted bytes do not depend on the worker count;
+reruns with the same config and seed are byte-identical.  The per-run
+set-up, including the u solve of `couple` and `harnack`, is built once
+before worker processes fork.  `girsanov-check` and `gradient` chunk
+serially inside the library.  The output directory is checked before any
 scenario work.
 
 Exit codes: 0 all asserted properties pass, 1 any failure, 2 inconclusive
@@ -39,6 +38,7 @@ import numpy as np
 import scipy
 
 from . import __version__
+from .bihari import apriori_columns, apriori_report
 from .coupling import CouplingConfig, entropy_cost, run_coupling_batch
 from .girsanov import SingularDiffusionError, direct_estimate, weak_estimate
 from .harnack import EPS_FD_RANGE, DegenerateVarianceError, ExplosionBeforeHorizonError
@@ -52,8 +52,8 @@ from .measure import (
     make_measure,
 )
 from .model import check_param, dini_check, make_functional, make_model, validate_assumptions
-from .rng import KEY_LIMIT, map_chunks
-from .solver import SolverConfig, apriori_check, simulate
+from .rng import KEY_LIMIT, map_columns
+from .solver import SolverConfig, simulate
 from .zvonkin import (
     CoverageError,
     DivergenceError,
@@ -401,8 +401,7 @@ def _pool_map(cfg: ExperimentConfig, fn) -> list:
     """The per-path columns fn(start, count) returns for the CHUNK-path
     chunks of cfg.n_paths, run on cfg.workers processes and joined in path
     order; fn's set-up is built once, in the parent."""
-    parts = map_chunks(cfg.n_paths, CHUNK, fn, cfg.workers)
-    return [np.concatenate(col) for col in zip(*parts)]
+    return map_columns(cfg.n_paths, CHUNK, fn, cfg.workers)
 
 
 def _coupling_setup(cfg, nu, m, scfg, xi):
@@ -574,9 +573,9 @@ def _run_bihari(cfg, nu, m, scfg, xi):
     T = _horizon(cfg.raw, "bihari", scfg.t_end, scfg.h)
     if T > scfg.t_end:
         raise ConfigError("bihari.T", f"need T <= solver.t_end = {scfg.t_end:g}, got {T:g}")
-    rep = apriori_check(m, nu, xi, scfg, T, cfg.n_paths, cfg.base_seed)
-    ok = rep.pass_fraction >= 0.999
-    return "pass" if ok else "fail", {
+    columns = partial(apriori_columns, m, nu, xi, scfg, T, cfg.base_seed)
+    rep = apriori_report(*_pool_map(cfg, columns), m, nu, xi, T)
+    return "pass" if rep.passed else "fail", {
         "pass_fraction": rep.pass_fraction, "K1": rep.K1, "K2": rep.K2,
         "alpha_mean": rep.alpha_mean, "worst_margin": rep.worst_margin,
     }

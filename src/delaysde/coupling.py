@@ -32,9 +32,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .girsanov import solve_qqt
-from .measure import DelayMeasure, delay_averages, grid_count
-from .model import noise_product
+from .measure import DelayMeasure, check_segment_shape, delay_averages, grid_count
+from .model import noise_product, solve_qqt
 from .rng import path_increments
 from .zvonkin import (
     TransformedModel,
@@ -168,6 +167,8 @@ def run_coupling_batch(
     steps = n_T + n0
     xi_t = np.asarray(xi_t, dtype=float)
     eta_t = np.asarray(eta_t, dtype=float)
+    check_segment_shape(xi_t, n0, tm.base.d)
+    check_segment_shape(eta_t, n0, tm.base.d)
     delta = DELTA_SCALE * (1.0 + float(np.linalg.norm(xi_t[-1] - eta_t[-1])))
     dW = path_increments(dW, base_seed, path_offset, n_paths, steps, tm.base.dbar, h)
     x = np.empty((n0 + steps + 1, n_paths, tm.base.d)).transpose(1, 0, 2)

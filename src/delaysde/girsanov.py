@@ -1,5 +1,5 @@
 """Monte Carlo estimates of the semigroup P_T f: direct_estimate, the one plain
-estimator, for plain and transformed models, and importance-weighted ones.
+estimator, and importance-weighted ones.
 
 The reference process Z of weak_estimate keeps only the linear part and the
 noise; the removed drift is compensated by the exponential density R built
@@ -8,7 +8,7 @@ each discrete factor conditionally unit-mean lognormal, so E[R] = 1 exactly at
 any step size, which keeps the martingale checks sharp.
 
 A diffusion declared constant (dQ = 0) in d = dbar = 1 is read once per
-step, and the shift is solved in scalar form as q (v / (q q)).
+step, and model.solve_qqt solves the shift in scalar form, q (v / (q q)).
 """
 
 from __future__ import annotations
@@ -18,10 +18,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .measure import DelayMeasure, Segment, delay_averages
-from .model import ModelSpec, _zero_b, _zero_B, diffusion_at
+from .model import ModelSpec, SingularDiffusionError, _zero_b, _zero_B, diffusion_at, solve_qqt
 from .rng import chunk_sums, mean_stderr
 from .solver import SolverConfig, simulate
-from .zvonkin import TransformedModel, simulate_transformed
 
 __all__ = [
     "SingularDiffusionError",
@@ -32,38 +31,6 @@ __all__ = [
     "terminal_f",
     "direct_estimate",
 ]
-
-_COND_FLOOR = 1e-12
-
-
-class SingularDiffusionError(np.linalg.LinAlgError):
-    """QQ* is numerically singular at a visited state."""
-
-
-def solve_qqt(Q: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Q*(QQ*)^{-1} rhs for rhs (n, d) and Q in a form of model.diffusion_at:
-    per row (n, d, dbar), or in d = dbar = 1 a 1-D q, shared or per row.
-    The 1-D form gives q (rhs / (q q)) and tests the floor on q q: the bits
-    of the (n, 1, 1) form except the sign of an exact zero."""
-    if Q.ndim == 1:
-        qq = Q * Q
-        if np.any(qq < _COND_FLOOR):
-            raise SingularDiffusionError("QQ* below the conditioning floor")
-        return Q[:, None] * (rhs / qq[:, None])
-    QQt = np.einsum("nik,njk->nij", Q, Q)
-    d = QQt.shape[-1]
-    if d == 1:
-        diag = QQt[:, 0, 0]
-        if np.any(np.abs(diag) < _COND_FLOOR):
-            raise SingularDiffusionError("QQ* below the conditioning floor")
-        y = rhs / diag[:, None]
-    else:
-        ev = np.linalg.eigvalsh(QQt)
-        if ev[:, 0].min() < _COND_FLOOR * max(1.0, ev[:, -1].max()):
-            raise SingularDiffusionError("QQ* below the conditioning floor")
-        y = np.linalg.solve(QQt, rhs[..., None])[..., 0]
-    return np.einsum("ndk,nd->nk", Q, y)
-
 
 def _shift(m: ModelSpec, t: float, x: np.ndarray, avg: np.ndarray) -> np.ndarray:
     """Q*(QQ*)^{-1}{b(t, x) + B(t, avg)} at states x and segment averages avg,
@@ -158,20 +125,15 @@ def weak_estimate(
 
 
 def terminal_f(m, nu, f, xi_vals, cfg, base_seed, n_paths, path_offset=0, dW=None) -> np.ndarray:
-    """f at the t_end segments of paths from xi_vals (n0+1, d), in transformed
-    coordinates for a TransformedModel; a plain path dying by then is an
-    ExplosionBeforeHorizonError."""
-    if isinstance(m, TransformedModel):
-        states, _ = simulate_transformed(m, nu, xi_vals, cfg, base_seed, n_paths, path_offset, dW)
-        n0 = nu.n0(cfg.h)
-        return np.asarray(f(states[:, -n0 - 1 :]), dtype=float)
+    """f at the t_end segments of paths from xi_vals (n0+1, d); a path dying
+    by then is an ExplosionBeforeHorizonError."""
     batch = simulate(m, nu, Segment(xi_vals), cfg, base_seed, n_paths, path_offset, dW)
     batch.check_horizon(cfg.t_end)
     return np.asarray(f(batch.terminal_segments()), dtype=float)
 
 
 def direct_estimate(
-    m: ModelSpec | TransformedModel,
+    m: ModelSpec,
     nu: DelayMeasure,
     xi: Segment,
     f,
@@ -181,8 +143,7 @@ def direct_estimate(
     n_paths: int,
 ) -> tuple[float, float]:
     """Plain Monte Carlo (mean, stderr) of P_T f(xi) over n_paths >= 2 paths,
-    sampled by terminal_f: xi is in transformed coordinates for a
-    TransformedModel."""
+    sampled by terminal_f."""
     if abs(cfg.t_end - T) > 1e-12:
         raise ValueError("cfg.t_end must equal the functional horizon T")
     if n_paths < 2:

@@ -30,7 +30,7 @@ from . import rng
 from .coupling import CouplingConfig, entropy_cost, run_coupling_batch
 from .girsanov import terminal_f
 from .measure import DelayMeasure, batch_seg_norm, grid_count
-from .rng import batch_increments, chunk_sums, map_chunks, mean_stderr
+from .rng import batch_increments, chunk_sums, map_columns, mean_stderr
 from .solver import ExplosionBeforeHorizonError, SolverConfig
 from .zvonkin import TransformedModel
 
@@ -160,8 +160,7 @@ def check_log_harnack(
         raise ValueError("need n >= 2")
     cc = CouplingConfig(T=T, h=h, K=K)
     columns = partial(log_harnack_columns, tm, nu, f, xi_t, eta_t, cc, base_seed)
-    parts = map_chunks(n, rng.ESTIMATOR_CHUNK, columns)
-    joined = [np.concatenate(col) for col in zip(*parts)]
+    joined = map_columns(n, rng.ESTIMATOR_CHUNK, columns)
     return log_harnack_report(*joined, nu, xi_t, eta_t, cc, C_fitted)
 
 
@@ -203,11 +202,10 @@ def check_gradient_estimate(
         raise ValueError("direction must be normalized in the segment norm")
     horizon = T + nu.r0
     steps = grid_count(horizon, h, "horizon")
-    dbar = m.base.dbar if isinstance(m, TransformedModel) else m.dbar
     cfg = SolverConfig(h=h, t_end=horizon)
 
     def sample(offset, count):
-        dW = batch_increments(base_seed, offset, count, steps, dbar, h)
+        dW = batch_increments(base_seed, offset, count, steps, m.dbar, h)
 
         def run(start):
             return terminal_f(m, nu, f, start, cfg, base_seed, count, dW=dW)

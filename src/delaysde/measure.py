@@ -51,6 +51,7 @@ __all__ = [
     "check_shift_domination",
     "constant_segment",
     "delay_averages",
+    "streamed_seg_norms",
 ]
 
 # Steps per block of delay averages (capped at n0) and paths per product
@@ -282,6 +283,15 @@ def delay_averages(m: DelayMeasure, rows: np.ndarray, path_offset: int = 0):
     return _sliding_averages(m.weights, c, rows)
 
 
+def streamed_seg_norms(m: DelayMeasure, sq: np.ndarray, path_offset: int = 0):
+    """Yield the norms sqrt(nu(|x|^2) + |x(0)|^2), shape (n,), of the windows
+    k = 0, 1, ... that delay_averages streams from |x|^2 rows sq (n, n_rows,
+    1), under its rules; a streamed nu(|x|^2) rounded below 0 counts as 0."""
+    n0 = m.n_cells
+    for k, avg in enumerate(delay_averages(m, sq, path_offset)):
+        yield np.sqrt(np.maximum(avg[:, 0], 0.0) + sq[:, k + n0, 0])
+
+
 def _sliding_averages(w: np.ndarray, c: float, rows: np.ndarray):
     """The recursive moving sum A_k = c (A_{k-1} - w_0 x(k-1)) + w_{n0-1}
     x(k+n0-1).  At every k that is a multiple of n0 it restarts from the sum
@@ -352,6 +362,13 @@ def _check_compat(m: DelayMeasure, xi: Segment) -> None:
         raise GridMismatchError(
             f"segment has {xi.values.shape[0]} nodes, measure grid expects {m.n_cells + 1}"
         )
+
+
+def check_segment_shape(values: np.ndarray, n0: int, d: int) -> None:
+    """ValueError unless initial segment values have shape (n0 + 1, d): a
+    segment of another d would broadcast into a runner's states."""
+    if np.shape(values) != (n0 + 1, d):
+        raise ValueError(f"initial segment shape {np.shape(values)} is not {(n0 + 1, d)}")
 
 
 def seg_norm(m: DelayMeasure, xi: Segment) -> float:

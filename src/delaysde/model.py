@@ -16,7 +16,7 @@ When d = dbar = 1 and Q_bounds declares the diffusion constant in the
 state (dQ = 0), diffusion_at reads it once per step, at the origin, as its
 entry q in a 1-D array, so that the products stay scalar (the transformed
 runners carry one such q per row).  Every other diffusion is read row by row
-as an (n, d, dbar) array.  noise_product and girsanov.solve_qqt take both
+as an (n, d, dbar) array.  noise_product and solve_qqt take both
 forms.  The declaration therefore changes results: dQ = 0 must be exact, not
 an upper bound, or the runners use Q at the origin for every state.
 
@@ -42,6 +42,8 @@ __all__ = [
     "semigroup_factors",
     "diffusion_at",
     "noise_product",
+    "SingularDiffusionError",
+    "solve_qqt",
     "dini_check",
     "validate_assumptions",
     "make_model",
@@ -203,6 +205,38 @@ def noise_product(Q: np.ndarray, dW: np.ndarray) -> np.ndarray:
     if Q.ndim == 3:
         return np.einsum("ndk,nk->nd", Q, dW)
     return Q[:, None] * dW
+
+
+_COND_FLOOR = 1e-12
+
+
+class SingularDiffusionError(np.linalg.LinAlgError):
+    """QQ* is numerically singular at a visited state."""
+
+
+def solve_qqt(Q: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Q*(QQ*)^{-1} rhs for rhs (n, d) and Q in a form of diffusion_at:
+    per row (n, d, dbar), or in d = dbar = 1 a 1-D q, shared or per row.
+    The 1-D form gives q (rhs / (q q)) and tests the floor on q q: the bits
+    of the (n, 1, 1) form except the sign of an exact zero."""
+    if Q.ndim == 1:
+        qq = Q * Q
+        if np.any(qq < _COND_FLOOR):
+            raise SingularDiffusionError("QQ* below the conditioning floor")
+        return Q[:, None] * (rhs / qq[:, None])
+    QQt = np.einsum("nik,njk->nij", Q, Q)
+    d = QQt.shape[-1]
+    if d == 1:
+        diag = QQt[:, 0, 0]
+        if np.any(np.abs(diag) < _COND_FLOOR):
+            raise SingularDiffusionError("QQ* below the conditioning floor")
+        y = rhs / diag[:, None]
+    else:
+        ev = np.linalg.eigvalsh(QQt)
+        if ev[:, 0].min() < _COND_FLOOR * max(1.0, ev[:, -1].max()):
+            raise SingularDiffusionError("QQ* below the conditioning floor")
+        y = np.linalg.solve(QQt, rhs[..., None])[..., 0]
+    return np.einsum("ndk,nd->nk", Q, y)
 
 
 # ---------------------------------------------------------------------------

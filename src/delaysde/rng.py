@@ -15,8 +15,9 @@ A batch of increments is stored time-major, as an (n_steps, n_paths, dbar)
 buffer, because the runners read one step of every path at a time; callers
 see it through the (n_paths, n_steps, dbar) transposed view.
 
-map_chunks is the one chunked Monte Carlo driver: the estimators' chunk_sums
-and the CLI's worker pool both run through it.
+map_chunks is the one chunked Monte Carlo driver: the estimators' chunk_sums,
+the per-path columns of map_columns and the CLI's worker pool all run
+through it.
 """
 
 from __future__ import annotations
@@ -28,8 +29,8 @@ from numpy.random import Generator, Philox
 from scipy.special import ndtri
 
 __all__ = [
-    "path_generator", "normal_increments", "coarsen_increments", "map_chunks", "chunk_sums",
-    "mean_stderr",
+    "path_generator", "normal_increments", "coarsen_increments", "map_chunks", "map_columns",
+    "chunk_sums", "mean_stderr",
 ]
 
 _U64 = np.uint64
@@ -141,12 +142,13 @@ def _worker_chunk(chunk):
 
 def map_chunks(n_paths: int, chunk: int, fn, workers: int = 1) -> list:
     """[fn(start, count)] over paths 0..n_paths-1 taken in consecutive chunks
-    of `chunk` paths, in path order.  With workers > 1 the chunks run on a
-    fork pool of that many processes; the chunk list does not depend on the
-    worker count."""
+    of `chunk` paths, in path order.  With workers > 1 and more than one
+    chunk the chunks run on a fork pool of min(workers, chunks) processes;
+    the chunk list does not depend on the worker count."""
     if n_paths < 1 or chunk < 1:
         raise ValueError("need n_paths >= 1 and chunk >= 1")
     chunks = [(s, min(chunk, n_paths - s)) for s in range(0, n_paths, chunk)]
+    workers = min(workers, len(chunks))
     if workers == 1:
         return [fn(*c) for c in chunks]
     import multiprocessing
@@ -154,6 +156,12 @@ def map_chunks(n_paths: int, chunk: int, fn, workers: int = 1) -> list:
     ctx = multiprocessing.get_context("fork")
     with ctx.Pool(workers, initializer=_init_worker, initargs=(fn,)) as pool:
         return pool.map(_worker_chunk, chunks)
+
+
+def map_columns(n_paths: int, chunk: int, fn, workers: int = 1) -> list:
+    """Each per-path column that fn(start, count) returns, as a tuple of
+    arrays, for the chunks of map_chunks, joined in path order."""
+    return [np.concatenate(col) for col in zip(*map_chunks(n_paths, chunk, fn, workers))]
 
 
 def chunk_sums(n_paths: int, sample) -> list:

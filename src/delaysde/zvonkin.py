@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import roots_hermitenorm
 
-from .measure import DelayMeasure, batch_seg_norm, delay_averages, grid_count
+from .measure import DelayMeasure, batch_seg_norm, check_segment_shape, delay_averages, grid_count
 from .model import ModelSpec, diffusion_at, noise_product
 from .rng import path_increments
 
@@ -783,14 +783,18 @@ def simulate_transformed(
 
     xi_t: transformed initial segment values (n0+1, d).  Returns (states, dW)
     with states of shape (n_paths, n0+steps+1, d) on [-r0, t_end], the
-    transposed view of a time-major buffer.
+    transposed view of a time-major buffer.  A finite cfg.trunc_level is a
+    ValueError: there is no truncation here.
     """
+    if math.isfinite(cfg.trunc_level):
+        raise ValueError("simulate_transformed does not truncate; trunc_level must be inf")
     n0 = nu.n0(cfg.h)
     steps = grid_count(cfg.t_end, cfg.h, "t_end")
     h = cfg.h
     dW = path_increments(dW, base_seed, path_offset, n_paths, steps, tm.base.dbar, h)
     states = np.empty((n0 + steps + 1, n_paths, tm.base.d)).transpose(1, 0, 2)
     xi_t = np.asarray(xi_t, dtype=float)
+    check_segment_shape(xi_t, n0, tm.base.d)
     states[:, : n0 + 1] = xi_t
     xinv, ud = pulled_back_history(tm, states, xi_t)
     averages = delay_averages(nu, xinv, path_offset)

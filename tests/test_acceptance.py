@@ -12,13 +12,14 @@ import time
 import numpy as np
 import pytest
 
+from delaysde.bihari import apriori_check, bihari_bound
 from delaysde.coupling import CouplingConfig, fit_entropy_cost, run_coupling_batch
 from delaysde.girsanov import direct_estimate, weak_estimate
 from delaysde.harnack import check_gradient_estimate, check_log_harnack
 from delaysde.measure import batch_seg_norm, constant_segment, make_measure
 from delaysde.model import make_functional, make_model
 from delaysde.rng import batch_increments, coarsen_increments
-from delaysde.solver import SolverConfig, apriori_check, bihari_bound, simulate
+from delaysde.solver import SolverConfig, simulate
 from delaysde.zvonkin import (
     simulate_transformed,
     solve_u,

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from delaysde import cli, rng
+from delaysde.bihari import apriori_check
 from delaysde.cli import ConfigError, main, parse_config
 from delaysde.harnack import check_log_harnack
 from delaysde.model import make_functional
@@ -680,6 +681,48 @@ t_end = 1.0
     assert main(["bihari", "--config", path, "--out", str(out)]) == 0
     verdict = json.loads((out / "verdict.json").read_text())
     assert verdict["metrics"]["pass_fraction"] == 1.0
+
+
+@pytest.mark.parametrize("kind", ["exponential", "atoms"])
+def test_bihari_chunks_match_one_batch_at_any_worker_count(tmp_path, kind):
+    """bihari maps its paths over the CHUNK-path chunks (two here) on the
+    worker pool; its verdict has the bytes of either worker count and the
+    metrics of one apriori_check batch.  The atoms measure streams its
+    averages in blocked products."""
+    measure = "lam = 1.0" if kind == "exponential" else "weights = " + ",".join(
+        ["0.03", "0.01", "0.02", "0.04"] * 4
+    )
+    text = f"""\
+[experiment]
+scenario = bihari
+n_paths = 1100
+base_seed = 3
+[model]
+name = reference
+[measure]
+kind = {kind}
+r0 = 0.5
+{measure}
+[solver]
+h = 0.03125
+t_end = 1.0
+[bihari]
+T = 0.75
+"""
+    path = _write(tmp_path, text)
+    out1, out2 = tmp_path / "w1", tmp_path / "w2"
+    assert main(["bihari", "--config", path, "--out", str(out1), "--workers", "1"]) == 0
+    assert main(["bihari", "--config", path, "--out", str(out2), "--workers", "2"]) == 0
+    verdict = (out1 / "verdict.json").read_bytes()
+    assert verdict == (out2 / "verdict.json").read_bytes()
+    cfg = parse_config(text)
+    nu, m, scfg, xi = cli._build(cfg)
+    assert cfg.n_paths <= rng.ESTIMATOR_CHUNK  # one batch
+    rep = apriori_check(m, nu, xi, scfg, 0.75, cfg.n_paths, cfg.base_seed)
+    assert json.loads(verdict)["metrics"] == cli._jsonable({
+        "pass_fraction": rep.pass_fraction, "K1": rep.K1, "K2": rep.K2,
+        "alpha_mean": rep.alpha_mean, "worst_margin": rep.worst_margin,
+    })
 
 
 def test_gradient_scenario_ou_oracle(tmp_path):

@@ -8,11 +8,12 @@ import dataclasses
 import numpy as np
 import pytest
 
+from delaysde.bihari import apriori_check
 from delaysde.coupling import CouplingConfig, run_coupling_batch
 from delaysde.girsanov import SingularDiffusionError, log_density, solve_qqt, weak_estimate
 from delaysde.measure import constant_segment, make_measure
 from delaysde.model import diffusion_at, make_functional, make_model, noise_product
-from delaysde.solver import SolverConfig, apriori_check, simulate
+from delaysde.solver import SolverConfig, simulate
 from delaysde.zvonkin import (
     TransformedModel,
     simulate_transformed,
@@ -55,7 +56,7 @@ def _runner_outputs(m, nu, sol, n=300):
         "log_density": log_density(m, nu, batch, cfg),
     }
     if m.bihari is not None:
-        rep = apriori_check(m, nu, xi, cfg, 0.5, n, 11, batch=batch)
+        rep = apriori_check(m, nu, xi, cfg, 0.5, n, 11)
         out["apriori.sup_sq"] = rep.sup_sq
     tm = transformed_model(m, nu, sol)
     xi_t = tm.seg_to_transformed(0.0, xi.values[None], h)[0]

@@ -15,7 +15,6 @@ from delaysde.girsanov import (
 from delaysde.measure import constant_segment, make_measure
 from delaysde.model import make_functional, make_model, semigroup_factors
 from delaysde.solver import ExplosionBeforeHorizonError, SolverConfig, simulate
-from delaysde.zvonkin import transformed_model
 
 H7 = 2.0**-7
 
@@ -169,17 +168,6 @@ def test_direct_estimate_ou_mean(nu7):
     cfg = SolverConfig(h=H7, t_end=1.0)
     value, stderr = direct_estimate(m, nu7, constant_segment(nu7, 1.0), f, 1.0, cfg, 11, 2000)
     assert abs(value - math.exp(-1.0)) <= 4.0 * stderr
-
-
-def test_direct_estimate_transformed_agrees_with_plain(nu7):
-    tm = transformed_model(make_model("linear_delay", measure=nu7), nu7, None)
-    f, _ = make_functional("coord0_sq")
-    xi = constant_segment(nu7, 1.0)
-    cfg = SolverConfig(h=H7, t_end=0.5)
-    plain, _ = direct_estimate(tm.base, nu7, xi, f, 0.5, cfg, 7, 500)
-    trans, _ = direct_estimate(tm, nu7, xi, f, 0.5, cfg, 7, 500)
-    # identity transform, same seeds, only the scheme differs by the J factor
-    assert abs(plain - trans) <= 0.05
 
 
 def test_direct_estimate_explosion_fraction_reported(nu7):

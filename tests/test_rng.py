@@ -152,6 +152,41 @@ def test_map_chunks_on_a_pool_matches_serial():
         np.testing.assert_array_equal(a, b)
 
 
+class _FakePool:
+    """Stands in for a fork context: records each requested pool size and
+    runs the chunks in this process, so no process is started."""
+
+    def __init__(self):
+        self.sizes = []
+
+    def Pool(self, size, initializer, initargs):
+        self.sizes.append(size)
+        initializer(*initargs)
+        return self
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, chunks):
+        return [fn(c) for c in chunks]
+
+
+def test_map_chunks_starts_no_more_processes_than_chunks(monkeypatch):
+    import multiprocessing
+
+    fake = _FakePool()
+    monkeypatch.setattr(multiprocessing, "get_context", lambda method: fake)
+    span = lambda s, c: (s, c)  # noqa: E731
+    assert map_chunks(3, 1, span, workers=5000) == [(0, 1), (1, 1), (2, 1)]
+    assert fake.sizes == [3]
+    assert map_chunks(3, 4, span, workers=5000) == [(0, 3)]  # one chunk runs serially
+    assert map_chunks(10, 4, span, workers=2) == [(0, 4), (4, 4), (8, 2)]
+    assert fake.sizes == [3, 2]
+
+
 def _fresh_draws(base_seed, path_index, n_steps, dbar, h):
     """One path's increments from a generator built for it alone."""
     u = np.maximum(path_generator(base_seed, path_index).random((n_steps, dbar)), 2.0**-54)

@@ -4,6 +4,8 @@ import math
 import numpy as np
 import pytest
 
+from delaysde import rng
+from delaysde.bihari import BoundExceedsCapError, apriori_check, bihari_bound, psi_inverse
 from delaysde.measure import (
     GridMismatchError,
     Segment,
@@ -13,16 +15,7 @@ from delaysde.measure import (
 )
 from delaysde.model import make_model
 from delaysde.rng import batch_increments, coarsen_increments
-from delaysde.solver import (
-    R_EXPLODE,
-    BoundExceedsCapError,
-    SolverConfig,
-    apriori_check,
-    bihari_bound,
-    cutoff_psi,
-    simulate,
-    truncate_coefficients,
-)
+from delaysde.solver import R_EXPLODE, SolverConfig, cutoff_psi, simulate, truncate_coefficients
 
 
 def test_config_validation():
@@ -362,6 +355,42 @@ def test_apriori_horizon_within_batch():
         apriori_check(m, nu, xi, SolverConfig(h=0.125, t_end=0.5), 1.0, 10, 0)
 
 
+@pytest.mark.parametrize("name", ["linear_delay", "reference"])
+def test_psi_grid_inverse_matches_the_quadrature_bound(name):
+    """The shared grid of apriori_check inverts Psi_T to within 1e-3 of
+    bihari_bound, and never above it."""
+    h, T = 2.0**-8, 1.0
+    nu = make_measure("exponential", 1.0, h, lam=1.0)
+    m = make_model(name, measure=nu)
+    K1 = nu.kappa(T) * (nu.total_mass() + 1.0)  # the constant segment at 1
+    K2 = 1.0 + nu.total_mass(window=T)
+    alphas = np.arange(1.0, 6.0)
+    grid = psi_inverse(lambda s: m.bihari.Phi(T, s), K1, K2, alphas + T)
+    for alpha, got in zip(alphas, grid):
+        want = bihari_bound(lambda s: float(m.bihari.Phi(T, s)), K1, K2, alpha, T)
+        assert want * (1.0 - 1e-3) <= got <= want
+
+
+@pytest.mark.parametrize("kind", ["exponential", "atoms"])
+def test_apriori_chunks_give_the_one_chunk_report(monkeypatch, kind):
+    """apriori_check joins per-path columns and builds one Psi grid over
+    every target, so each field of its report, bounds included, has the bits
+    of a one-chunk run.  The atoms measure takes the blocked averages."""
+    h = 2.0**-5
+    if kind == "atoms":
+        nu = make_measure("atoms", 0.5, h, weights=[0.03, 0.01, 0.02, 0.04] * 4)
+    else:
+        nu = make_measure(kind, 0.5, h, lam=1.0)
+    m = make_model("reference", measure=nu)
+    xi = constant_segment(nu, 1.0)
+    cfg = SolverConfig(h=h, t_end=1.0)
+    whole = apriori_check(m, nu, xi, cfg, 0.75, 300, 4)
+    monkeypatch.setattr(rng, "ESTIMATOR_CHUNK", 37)
+    chunked = apriori_check(m, nu, xi, cfg, 0.75, 300, 4)
+    for name in whole.__dataclass_fields__:
+        np.testing.assert_array_equal(getattr(chunked, name), getattr(whole, name), err_msg=name)
+
+
 def test_segment_views_consistent():
     nu = make_measure("uniform", 0.5, 0.125)
     m = make_model("ou")
@@ -393,7 +422,7 @@ def _step_mismatch_runs():
     f = lambda seg: 1.0 + seg[:, -1, 0] ** 2  # noqa: E731
     return {
         "simulate": lambda: simulate(m, coarse, xi, cfg, 5, 4),
-        "apriori_check": lambda: apriori_check(m, coarse, xi, cfg, 0.25, 4, 5, batch=batch),
+        "apriori_check": lambda: apriori_check(m, coarse, xi, cfg, 0.25, 4, 5),
         "log_density": lambda: log_density(m, coarse, batch, cfg),
         "terminal_f": lambda: terminal_f(m, coarse, f, xi.values, cfg, 5, 4),
         "simulate_transformed": lambda: simulate_transformed(tm, coarse, xi.values, cfg, 5, 4),
@@ -412,6 +441,44 @@ def test_runner_step_must_match_the_measure(runner):
     another h is a GridMismatchError, not a run with the wrong masses."""
     with pytest.raises(GridMismatchError, match="differs from the measure's step"):
         _step_mismatch_runs()[runner]()
+
+
+def _segment_runs():
+    """Each runner on a d = 2 model from a segment with one component."""
+    from delaysde.coupling import CouplingConfig, run_coupling_batch
+    from delaysde.zvonkin import simulate_transformed, transformed_model
+
+    nu = make_measure("exponential", 0.25, 2.0**-4, lam=1.0)
+    m = make_model("linear_delay", measure=nu, d=2)
+    cfg = SolverConfig(h=2.0**-4, t_end=0.125)
+    xi = constant_segment(nu, 1.0)
+    tm = transformed_model(m, nu, None)
+    return {
+        "simulate": lambda: simulate(m, nu, xi, cfg, 5, 3),
+        "simulate_transformed": lambda: simulate_transformed(tm, nu, xi.values, cfg, 5, 3),
+        "run_coupling_batch": lambda: run_coupling_batch(
+            tm, nu, xi.values, xi.values + 0.1, CouplingConfig(T=0.125, h=2.0**-4, K=2.0), 5, 3
+        ),
+    }
+
+
+@pytest.mark.parametrize("runner", sorted(_segment_runs()))
+def test_runner_refuses_a_segment_of_another_dimension(runner):
+    """A (n0+1, 1) segment would broadcast into a d = 2 model's states."""
+    with pytest.raises(ValueError, match="initial segment shape"):
+        _segment_runs()[runner]()
+
+
+def test_simulate_transformed_refuses_truncation():
+    """simulate_transformed has no truncation, so a finite level would be ignored."""
+    from delaysde.zvonkin import simulate_transformed, transformed_model
+
+    nu = make_measure("exponential", 0.25, 2.0**-4, lam=1.0)
+    tm = transformed_model(make_model("linear_delay", measure=nu), nu, None)
+    xi = constant_segment(nu, 1.0).values
+    cfg = SolverConfig(h=2.0**-4, t_end=0.125, trunc_level=1e-3)
+    with pytest.raises(ValueError, match="trunc_level"):
+        simulate_transformed(tm, nu, xi, cfg, 5, 3)
 
 
 def test_measure_n0_is_its_cell_count():
