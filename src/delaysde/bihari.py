@@ -20,7 +20,7 @@ from .model import diffusion_at, noise_product, semigroup_factors
 from .solver import simulate
 
 __all__ = [
-    "BoundExceedsCapError", "AprioriReport", "bihari_bound", "psi_inverse",
+    "BoundExceedsCapError", "AprioriReport", "bihari_bound", "psi_inverse", "check_kappa",
     "apriori_columns", "apriori_report", "apriori_check",
 ]
 
@@ -93,6 +93,17 @@ def psi_inverse(Phi_T: Callable, K1: float, K2: float, targets: np.ndarray) -> n
         if decades > 300.0:
             raise BoundExceedsCapError("Psi grid cap too small for the sampled alpha values")
     return np.interp(targets, psi, svals)
+
+
+def check_kappa(nu, T: float) -> None:
+    """ValueError unless the shift-domination constant kappa(T) of nu is
+    finite: the bound's K1 = kappa(T) ||xi||^2 is infinite otherwise."""
+    kap = nu.kappa(T)
+    if not np.isfinite(kap):
+        raise ValueError(
+            f"kappa(T={T:g}) = {kap:g}: the measure's shift-domination constant is not finite "
+            "(shifted mass lands on an empty cell), so the Bihari bound's K1 is not either"
+        )
 
 
 @dataclass
@@ -169,6 +180,8 @@ def apriori_report(alpha, sup_sq, m, nu, xi, T) -> AprioriReport:
 
 def apriori_check(m, nu, xi, cfg, T, n_paths, base_seed) -> AprioriReport:
     """Check sup_{t<=T} |Y(t)|^2 <= Psi_T^{-1}(alpha(T)+T) path by path on
-    n_paths paths, taken in ESTIMATOR_CHUNK chunks."""
+    n_paths paths, taken in ESTIMATOR_CHUNK chunks; an infinite kappa(T)
+    is a ValueError before any path."""
+    check_kappa(nu, T)
     columns = partial(apriori_columns, m, nu, xi, cfg, T, base_seed)
     return apriori_report(*rng.map_columns(n_paths, rng.ESTIMATOR_CHUNK, columns), m, nu, xi, T)

@@ -38,7 +38,7 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .bihari import apriori_columns, apriori_report
+from .bihari import apriori_columns, apriori_report, check_kappa
 from .coupling import CouplingConfig, entropy_cost, run_coupling_batch
 from .girsanov import SingularDiffusionError, direct_estimate, weak_estimate
 from .harnack import EPS_FD_RANGE, DegenerateVarianceError, ExplosionBeforeHorizonError
@@ -85,6 +85,12 @@ _ALLOWED = {
     "girsanov": {"functional", "T"},
     "gradient": {"T", "eps_fd", "functional"},
     "bihari": {"T"},
+}
+# the scenarios that read each solver key that not every scenario reads;
+# any other scenario refuses the key
+_SOLVER_KEY_READERS = {
+    "trunc_level": ("simulate", "bihari"),
+    "scheme": ("simulate", "bihari", "girsanov-check"),
 }
 _EXIT_CODES = {"pass": 0, "fail": 1, "inconclusive": 2}
 # verdicts that need standard errors, so at least two paths; every other needs one
@@ -156,6 +162,12 @@ def parse_config(text: str, flags: dict | None = None) -> ExperimentConfig:
         raise ConfigError(
             "experiment.scenario", f"got {scenario!r}; valid scenarios: {', '.join(SCENARIOS)}"
         )
+    for key, readers in _SOLVER_KEY_READERS.items():
+        if key in raw.get("solver", {}) and scenario not in readers:
+            only = f"{', '.join(readers[:-1])} and {readers[-1]}"
+            raise ConfigError(
+                f"solver.{key}", f"scenario {scenario} does not read it; only {only} do"
+            )
     fmt = exp.get("format", "json")
     if fmt not in ("csv", "json"):
         raise ConfigError("experiment.format", f"got {fmt!r}; expected csv or json")
@@ -573,6 +585,10 @@ def _run_bihari(cfg, nu, m, scfg, xi):
     T = _horizon(cfg.raw, "bihari", scfg.t_end, scfg.h)
     if T > scfg.t_end:
         raise ConfigError("bihari.T", f"need T <= solver.t_end = {scfg.t_end:g}, got {T:g}")
+    try:
+        check_kappa(nu, T)
+    except ValueError as e:
+        raise ConfigError("measure", str(e)) from e
     columns = partial(apriori_columns, m, nu, xi, scfg, T, cfg.base_seed)
     rep = apriori_report(*_pool_map(cfg, columns), m, nu, xi, T)
     return "pass" if rep.passed else "fail", {

@@ -7,6 +7,12 @@ from the shift psi = Q*(QQ*)^{-1}(b + B).  Left-endpoint accumulation makes
 each discrete factor conditionally unit-mean lognormal, so E[R] = 1 exactly at
 any step size, which keeps the martingale checks sharp.
 
+Neither estimator stores a path: each batch keeps a ring of n0 + 2 rows per
+path (see solver.simulate), from which f reads the terminal segment, and
+weak_estimate has simulate accumulate log R in the step of Z.  log_density
+sums the same per-step increment, solver.log_r_increment, over a stored
+batch.
+
 A diffusion declared constant (dQ = 0) in d = dbar = 1 is read once per
 step, and model.solve_qqt solves the shift in scalar form, q (v / (q q)).
 """
@@ -18,9 +24,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .measure import DelayMeasure, Segment, delay_averages
-from .model import ModelSpec, SingularDiffusionError, _zero_b, _zero_B, diffusion_at, solve_qqt
+# solve_qqt, the solve inside the shift psi, stays importable from here
+from .model import ModelSpec, SingularDiffusionError, _zero_b, _zero_B, solve_qqt
 from .rng import chunk_sums, mean_stderr
-from .solver import SolverConfig, simulate
+from .solver import SolverConfig, _shift, log_r_increment, simulate
 
 __all__ = [
     "SingularDiffusionError",
@@ -31,12 +38,6 @@ __all__ = [
     "terminal_f",
     "direct_estimate",
 ]
-
-def _shift(m: ModelSpec, t: float, x: np.ndarray, avg: np.ndarray) -> np.ndarray:
-    """Q*(QQ*)^{-1}{b(t, x) + B(t, avg)} at states x and segment averages avg,
-    with Q read by diffusion_at."""
-    return solve_qqt(diffusion_at(m, t, x), m.b(t, x) + m.B(t, avg))
-
 
 def girsanov_shift(
     m: ModelSpec, nu: DelayMeasure, t: float, seg: np.ndarray
@@ -56,13 +57,18 @@ def _reference_model(m: ModelSpec) -> ModelSpec:
 
 
 def log_density(m: ModelSpec, nu: DelayMeasure, batch, cfg: SolverConfig) -> np.ndarray:
-    """log R along simulated paths: sum <psi_k, dW_k> - (h/2) sum |psi_k|^2."""
+    """log R along a stored path batch: sum <psi_k, dW_k> - (h/2) sum |psi_k|^2,
+    by the solver.log_r_increment that simulate sums in its step when given
+    log_r_model=m."""
     n0 = nu.n0(cfg.h)
+    steps = batch.dW.shape[1]
+    if batch.states.shape[1] != n0 + steps + 1:
+        raise ValueError("log_density reads every row: simulate the batch with keep_path=True")
     log_r = np.zeros(batch.n_paths)
     averages = delay_averages(nu, batch.states, batch.path_offset)
-    for k in range(batch.dW.shape[1]):
-        psi = _shift(m, k * cfg.h, batch.states[:, n0 + k], next(averages))
-        log_r += np.einsum("nk,nk->n", psi, batch.dW[:, k]) - 0.5 * cfg.h * np.sum(psi**2, axis=1)
+    for k in range(steps):
+        x = batch.states[:, n0 + k]
+        log_r += log_r_increment(m, k * cfg.h, x, next(averages), batch.dW[:, k], cfg.h)
     return log_r
 
 
@@ -98,8 +104,9 @@ def weak_estimate(
     ref = _reference_model(m)
 
     def sample(offset, count):
-        batch = simulate(ref, nu, xi, cfg, base_seed, count, path_offset=offset)
-        r = np.exp(log_density(m, nu, batch, cfg))
+        batch = simulate(ref, nu, xi, cfg, base_seed, count, path_offset=offset,
+                         keep_path=False, log_r_model=m)
+        r = np.exp(batch.log_r)
         rf = r * np.asarray(f(batch.terminal_segments()), dtype=float)
         return r, r**2, rf, rf**2
 
@@ -127,7 +134,8 @@ def weak_estimate(
 def terminal_f(m, nu, f, xi_vals, cfg, base_seed, n_paths, path_offset=0, dW=None) -> np.ndarray:
     """f at the t_end segments of paths from xi_vals (n0+1, d); a path dying
     by then is an ExplosionBeforeHorizonError."""
-    batch = simulate(m, nu, Segment(xi_vals), cfg, base_seed, n_paths, path_offset, dW)
+    batch = simulate(m, nu, Segment(xi_vals), cfg, base_seed, n_paths, path_offset, dW,
+                     keep_path=False)
     batch.check_horizon(cfg.t_end)
     return np.asarray(f(batch.terminal_segments()), dtype=float)
 

@@ -13,8 +13,12 @@ this quotient representative.
 The delay drift enters through the average nu(window_k) = sum_j w_j x(k + j)
 of each step's window.  delay_averages streams these averages for a path
 batch that grows by one row per step.  The runners store a batch time-major,
-as an (n_rows, n, d) buffer seen through its (n, n_rows, d) transposed view,
-so each step reads and writes one contiguous row.
+as an (n_slots, n, d) buffer seen through its (n, n_slots, d) transposed
+view, so each step reads and writes one contiguous row.  The buffer holds
+every row (n_slots = n_rows) or is a ring of at least n0 + 2 slots holding
+the latest rows; either way row r sits in slot (r + ring_shift(n_slots,
+n_rows)) % n_slots, and delay_averages and streamed_seg_norms read every row
+through that rule.
 
 When the cell masses are geometric, w_{j+1} = w_j / c with 0 < c <= 1 (the
 exponential measure with lam >= 0, lam = 0 and the uniform measure), the
@@ -50,6 +54,7 @@ __all__ = [
     "segments_equal",
     "check_shift_domination",
     "constant_segment",
+    "ring_shift",
     "delay_averages",
     "streamed_seg_norms",
 ]
@@ -262,37 +267,57 @@ def _slide_factor(w: np.ndarray) -> float | None:
     return c
 
 
-def delay_averages(m: DelayMeasure, rows: np.ndarray, path_offset: int = 0):
-    """Yield nu(window_k) per component, shape (n, d), for k = 0, 1, ...,
-    n_rows - n0 - 2, where window_k = rows[:, k : k + n0 + 1].
+def ring_shift(n_slots: int, n_rows: int) -> int:
+    """The shift of a buffer of n_slots rows that holds rows 0..n_rows-1 of a
+    path batch: row r sits in slot (r + shift) % n_slots, which puts the last
+    row in the last slot.  A stored batch, n_slots = n_rows, has shift 0."""
+    return (n_slots - n_rows) % n_slots
 
-    rows (n, n_rows, d) holds a path batch whose first path has global index
-    path_offset; the caller may write it one row per step, but row k + n0
-    must be written before average k is taken.  It is read through
-    rows.transpose(1, 0, 2), which is contiguous when rows is the transposed
-    view of a time-major buffer; a path-major array gives the same bits,
-    only more slowly.
+
+def delay_averages(
+    m: DelayMeasure, rows: np.ndarray, path_offset: int = 0, n_rows: int | None = None
+):
+    """Yield nu(window_k) per component, shape (n, d), for k = 0, 1, ...,
+    n_rows - n0 - 2, where window_k holds rows k..k+n0 of the batch.
+
+    rows (n, n_slots, d) holds a path batch whose first path has global
+    index path_offset: row r sits in slot (r + ring_shift(n_slots, n_rows))
+    % n_slots.  n_rows defaults to n_slots, a stored batch with row r in
+    slot r; a ring of fewer slots must hold at least n0 + 2 of them.  The
+    caller may write the batch one row per step, but row k + n0 must be
+    written before average k is taken, and row k - 1 must still be held
+    then.  It is read through rows.transpose(1, 0, 2), which is contiguous
+    when rows is the transposed view of a time-major buffer; a path-major
+    array gives the same bits, only more slowly.
 
     Geometric cell masses (see _slide_factor) take the sliding recursion in
     O(1) per step, re-anchored by an exact sum every n0 steps; other masses
     take the blocked products.  Both agree with the per-step sum to rounding.
     """
+    n_slots = rows.shape[1]
+    if n_rows is None:
+        n_rows = n_slots
+    if n_slots < min(m.n_cells + 2, n_rows):
+        raise ValueError(f"a ring of {n_slots} rows is shorter than the n0 + 2 an average reads")
     c = _slide_factor(m.weights)
     if c is None:
-        return _blocked_averages(m.weights, rows, path_offset)
-    return _sliding_averages(m.weights, c, rows)
+        return _blocked_averages(m.weights, rows, path_offset, n_rows)
+    return _sliding_averages(m.weights, c, rows, n_rows)
 
 
-def streamed_seg_norms(m: DelayMeasure, sq: np.ndarray, path_offset: int = 0):
+def streamed_seg_norms(
+    m: DelayMeasure, sq: np.ndarray, path_offset: int = 0, n_rows: int | None = None
+):
     """Yield the norms sqrt(nu(|x|^2) + |x(0)|^2), shape (n,), of the windows
-    k = 0, 1, ... that delay_averages streams from |x|^2 rows sq (n, n_rows,
+    k = 0, 1, ... that delay_averages streams from |x|^2 rows sq (n, n_slots,
     1), under its rules; a streamed nu(|x|^2) rounded below 0 counts as 0."""
-    n0 = m.n_cells
-    for k, avg in enumerate(delay_averages(m, sq, path_offset)):
-        yield np.sqrt(np.maximum(avg[:, 0], 0.0) + sq[:, k + n0, 0])
+    n0, n_slots = m.n_cells, sq.shape[1]
+    shift = ring_shift(n_slots, n_slots if n_rows is None else n_rows)
+    for k, avg in enumerate(delay_averages(m, sq, path_offset, n_rows)):
+        yield np.sqrt(np.maximum(avg[:, 0], 0.0) + sq[:, (k + n0 + shift) % n_slots, 0])
 
 
-def _sliding_averages(w: np.ndarray, c: float, rows: np.ndarray):
+def _sliding_averages(w: np.ndarray, c: float, rows: np.ndarray, n_rows: int):
     """The recursive moving sum A_k = c (A_{k-1} - w_0 x(k-1)) + w_{n0-1}
     x(k+n0-1).  At every k that is a multiple of n0 it restarts from the sum
     w_0 x(k) + w_1 x(k+1) + ... + w_{n0-1} x(k+n0-1), taken elementwise in
@@ -300,21 +325,27 @@ def _sliding_averages(w: np.ndarray, c: float, rows: np.ndarray):
     sum and no bit depends on the batch."""
     n0 = len(w)
     by_time = rows.transpose(1, 0, 2)
+    n_slots = len(by_time)
+    shift = ring_shift(n_slots, n_rows)
+
+    def row(r):
+        return by_time[(r + shift) % n_slots]
+
     first, last = w[0], w[-1]
-    for k in range(rows.shape[1] - n0 - 1):
+    for k in range(n_rows - n0 - 1):
         if k % n0 == 0:
-            avg = first * by_time[k]
+            avg = first * row(k)
             for j in range(1, n0):
-                avg += w[j] * by_time[k + j]
+                avg += w[j] * row(k + j)
         else:
-            avg = avg - first * by_time[k - 1]
+            avg = avg - first * row(k - 1)
             if c != 1.0:
                 avg *= c
-            avg += last * by_time[k + n0 - 1]
+            avg += last * row(k + n0 - 1)
         yield avg
 
 
-def _blocked_averages(w: np.ndarray, rows: np.ndarray, path_offset: int):
+def _blocked_averages(w: np.ndarray, rows: np.ndarray, path_offset: int, n_rows: int):
     """Averages in blocks of min(AVERAGE_BLOCK, n0) steps; the last block may
     be shorter.  At a block's first step the known rows k0..k0+n0 of each
     PATH_TILE-path tile are copied into a contiguous, zero-padded tile
@@ -325,8 +356,9 @@ def _blocked_averages(w: np.ndarray, rows: np.ndarray, path_offset: int):
     and in row order, so the bits do not depend on the layout or the batch.
     """
     n0 = len(w)
-    n, n_rows, d = rows.shape
+    n, n_slots, d = rows.shape
     by_time = rows.transpose(1, 0, 2)
+    shift = ring_shift(n_slots, n_rows)
     steps = n_rows - n0 - 1
     first, last = path_offset // PATH_TILE, (path_offset + n - 1) // PATH_TILE
     block = min(AVERAGE_BLOCK, n0)
@@ -336,13 +368,17 @@ def _blocked_averages(w: np.ndarray, rows: np.ndarray, path_offset: int):
     push_rows = max(1, _PUSH_SIZE // (n * d))
     for k0 in range(0, steps, block):
         L = min(block, steps - k0)
+        # rows k0..k0+n0 fill slots s.. up to the buffer's end, then wrap to slot 0
+        s = (k0 + shift) % n_slots
+        head = min(n0 + 1, n_slots - s)
         for t in range(first, last + 1):
             lo = max(t * PATH_TILE - path_offset, 0)
             hi = min((t + 1) * PATH_TILE - path_offset, n)
             at = path_offset + lo - t * PATH_TILE
             if hi - lo < PATH_TILE:
                 tile.fill(0.0)
-            tile[:, at : at + hi - lo] = by_time[k0 : k0 + n0 + 1, lo:hi]
+            tile[:head, at : at + hi - lo] = by_time[s : s + head, lo:hi]
+            tile[head:, at : at + hi - lo] = by_time[: n0 + 1 - head, lo:hi]
             out = toeplitz[:L] @ tile.reshape(n0 + 1, PATH_TILE * d)
             known[:L, lo:hi] = out.reshape(L, PATH_TILE, d)[:, at : at + hi - lo]
         for i in range(L):
@@ -350,7 +386,7 @@ def _blocked_averages(w: np.ndarray, rows: np.ndarray, path_offset: int):
                 # row k0+n0+i-1 was written by the last step; it enters the
                 # averages i..L-1 with weights w[n0-1], w[n0-2], ...
                 wi = w[n0 - L + i : n0][::-1, None, None]
-                row = by_time[k0 + n0 + i - 1]
+                row = by_time[(k0 + n0 + i - 1 + shift) % n_slots]
                 for j in range(i, L, push_rows):
                     top = min(j + push_rows, L)
                     known[j:top] += wi[j - i : top - i] * row

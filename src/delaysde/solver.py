@@ -8,10 +8,14 @@ averages that measure.delay_averages streams, and a truncated run streams
 its segment norms from |x|^2 with measure.streamed_seg_norms.  Everything
 is vectorized over a batch of paths sharing one initial segment.
 
-A batch is stored time-major: states and increments live in (N+1, n, d) and
-(steps, n, dbar) buffers, so each step reads and writes contiguous rows, and
-PathBatch exposes them as the transposed (n, N+1, d) and (n, steps, dbar)
-views.
+A batch is stored time-major: states and increments live in (n_slots, n, d)
+and (steps, n, dbar) buffers, so each step reads and writes contiguous rows,
+and PathBatch exposes them as the transposed (n, n_slots, d) and (n, steps,
+dbar) views.  A caller that reads the path keeps every row, n_slots = N+1;
+the estimators, which read only the terminal segment and log R, keep a ring
+of n0 + 2 rows (see simulate), and simulate forms log R of a target model in
+the step with log_r_increment, which girsanov.log_density sums over a stored
+batch.
 
 A diffusion declared constant in d = dbar = 1 is read once per step, through
 model.diffusion_at and model.noise_product.  While every path of a run
@@ -28,9 +32,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .measure import (
-    DelayMeasure, Segment, check_segment_shape, delay_averages, grid_count, streamed_seg_norms,
+    DelayMeasure, Segment, check_segment_shape, delay_averages, grid_count, ring_shift,
+    streamed_seg_norms,
 )
-from .model import ModelSpec, _zero_B, diffusion_at, noise_product, semigroup_factors
+from .model import ModelSpec, _zero_B, diffusion_at, noise_product, semigroup_factors, solve_qqt
 from .rng import path_increments
 
 __all__ = [
@@ -39,6 +44,7 @@ __all__ = [
     "ExplosionBeforeHorizonError",
     "cutoff_psi",
     "truncate_coefficients",
+    "log_r_increment",
     "simulate",
 ]
 
@@ -82,11 +88,12 @@ class ExplosionBeforeHorizonError(RuntimeError):
 class PathBatch:
     h: float
     r0: float
-    states: np.ndarray  # (n, N+1, d), a view of a time-major (N+1, n, d) buffer
+    states: np.ndarray  # (n, n_slots, d): the last n_slots rows, a view of a time-major buffer
     dW: np.ndarray  # (n, steps, dbar), a view of a time-major buffer unless the caller passed dW
     base_seed: int
     path_offset: int
     lifetimes: np.ndarray  # (n,) nan = no truncation exit
+    log_r: np.ndarray | None = None  # (n,) log R when simulate was given a log_r_model
 
     @property
     def t_min(self) -> float:
@@ -104,12 +111,17 @@ class PathBatch:
             raise ExplosionBeforeHorizonError(frac)
 
     def segment_values(self, t: float) -> np.ndarray:
-        """Batched segment windows at grid time t, shape (n, n0+1, d)."""
+        """Batched segment windows at grid time t, shape (n, n0+1, d); a batch
+        that kept only its last rows holds only the windows inside them."""
         n0 = grid_count(self.r0, self.h, "r0")
         i = grid_count(t + self.r0, self.h, "t - t_min")
-        if i < n0 or i >= self.states.shape[1]:
+        n_rows = n0 + self.dW.shape[1] + 1
+        first = n_rows - self.states.shape[1]  # the first row the batch holds
+        if i < n0 or i >= n_rows:
             raise ValueError(f"t={t} not covered by the batch grid")
-        return self.states[:, i - n0 : i + 1]
+        if i - n0 < first:
+            raise ValueError(f"t={t}: the batch kept only its last {self.states.shape[1]} rows")
+        return self.states[:, i - n0 - first : i + 1 - first]
 
     def terminal_segments(self) -> np.ndarray:
         n0 = grid_count(self.r0, self.h, "r0")
@@ -151,6 +163,20 @@ def truncate_coefficients(m: ModelSpec, level: float) -> ModelSpec:
     )
 
 
+def _shift(m: ModelSpec, t: float, x: np.ndarray, avg: np.ndarray) -> np.ndarray:
+    """psi = Q*(QQ*)^{-1}{b(t, x) + B(t, avg)} at states x and segment
+    averages avg, with Q read by diffusion_at."""
+    return solve_qqt(diffusion_at(m, t, x), m.b(t, x) + m.B(t, avg))
+
+
+def log_r_increment(m, t, x, avg, dw, h) -> np.ndarray:
+    """One step's term <psi, dW> - (h/2) |psi|^2 of log R, shape (n,), with
+    psi the shift of model m at states x and averages avg and dw the step's
+    increments (n, dbar)."""
+    psi = _shift(m, t, x, avg)
+    return np.einsum("nk,nk->n", psi, dw) - 0.5 * h * np.sum(psi**2, axis=1)
+
+
 def simulate(
     m: ModelSpec,
     nu: DelayMeasure,
@@ -160,8 +186,20 @@ def simulate(
     n_paths: int,
     path_offset: int = 0,
     dW: np.ndarray | None = None,
+    keep_path: bool = True,
+    log_r_model: ModelSpec | None = None,
 ) -> PathBatch:
     """Integrate a batch of paths; overflow and threshold exits become recorded lifetimes.
+
+    The rows live in a time-major buffer of n_slots rows, row r in slot
+    (r + measure.ring_shift(n_slots, n_rows)) % n_slots, the slot rule that
+    delay_averages reads by.  keep_path stores every row, n_slots = n_rows =
+    n0 + steps + 1; otherwise the buffer is a ring of n0 + 2 slots, the
+    fewest the averages need (average k reads row k - 1 after row k + n0 is
+    written), and the batch keeps the last n0 + 2 rows, its terminal
+    segment among them.  A log_r_model has log R of its Girsanov density
+    (see girsanov) accumulated in the step, at each state and average of
+    the path, into batch.log_r.  Neither option changes a bit of the path.
 
     The diffusion is read by model.diffusion_at, once per step for a
     constant Q in d = dbar = 1.  Each step's health is checked by one reduction while every
@@ -181,37 +219,46 @@ def simulate(
     check_segment_shape(xi.values, n0, d)
     m_eff = truncate_coefficients(m, cfg.trunc_level)
     dW = path_increments(dW, base_seed, path_offset, n_paths, steps, dbar, cfg.h)
-    states = np.empty((n0 + steps + 1, n_paths, d)).transpose(1, 0, 2)
-    states[:, : n0 + 1] = xi.values
+    n_rows = n0 + steps + 1
+    n_slots = n_rows if keep_path else n0 + 2
+    shift = ring_shift(n_slots, n_rows)
+    states = np.empty((n_slots, n_paths, d)).transpose(1, 0, 2)
+    states[:, (np.arange(n0 + 1) + shift) % n_slots] = xi.values
     lifetimes = np.full(n_paths, np.nan)
     alive = np.ones(n_paths, dtype=bool)
     all_alive = True
     check_seg = math.isfinite(cfg.trunc_level)
     if check_seg:
         # the window norms cut B off and end paths; their |x|^2 rows have a
-        # spare last row, so that the check after the last step has a window
-        sq = np.zeros((n0 + steps + 2, n_paths, 1)).transpose(1, 0, 2)
-        sq[:, : n0 + 1, 0] = np.sum(xi.values**2, axis=1)
-        seg_norms = streamed_seg_norms(nu, sq, path_offset)
+        # spare last row, so that the check after the last step has a
+        # window, and live in a ring of n0 + 2 slots
+        sq_shift = ring_shift(n0 + 2, n_rows + 1)
+        sq = np.zeros((n0 + 2, n_paths, 1)).transpose(1, 0, 2)
+        sq[:, (np.arange(n0 + 1) + sq_shift) % (n0 + 2), 0] = np.sum(xi.values**2, axis=1)
+        seg_norms = streamed_seg_norms(nu, sq, path_offset, n_rows + 1)
         seg_n = next(seg_norms)
         inv_level = 1.0 / cfg.trunc_level
     use_exp = cfg.scheme == "exponential-euler"
     if use_exp:
         E, J = semigroup_factors(m.A, cfg.h)
     h = cfg.h
-    if m.B is _zero_B:  # reads no window, so the averages are never formed
-        averages, B_zero = None, np.zeros((n_paths, d))
-    else:
-        averages = delay_averages(nu, states, path_offset)
+    zero_B = m.B is _zero_B
+    B_zero = np.zeros((n_paths, d)) if zero_B else None
+    log_r = None if log_r_model is None else np.zeros(n_paths)
+    # a path that reads no window and accumulates no log R never forms the averages
+    averages = None if zero_B and log_r is None else delay_averages(nu, states, path_offset, n_rows)
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(steps):
             t = k * h
-            idx = n0 + k
-            x = states[:, idx]
+            at, nxt = (n0 + k + shift) % n_slots, (n0 + k + 1 + shift) % n_slots
+            x = states[:, at]
+            avg = None if averages is None else next(averages)
             bv = m_eff.b(t, x)
-            Bv = B_zero if averages is None else m_eff.B(t, next(averages))
+            Bv = B_zero if zero_B else m_eff.B(t, avg)
             if check_seg:
                 Bv = Bv * cutoff_psi(inv_level * seg_n)[:, None]
+            if log_r is not None:
+                log_r += log_r_increment(log_r_model, t, x, avg, dW[:, k], h)
             noise = noise_product(diffusion_at(m_eff, t, x), dW[:, k])
             if use_exp:
                 xn = E * x + J * (bv + Bv) + E * noise
@@ -220,14 +267,14 @@ def simulate(
             if all_alive and not check_seg:
                 flat = xn.ravel()
                 if np.dot(flat, flat) < _HEALTHY_SQ:
-                    states[:, idx + 1] = xn
+                    states[:, nxt] = xn
                     continue
             finite = np.all(np.isfinite(xn), axis=1)
             xn = np.where(finite[:, None], xn, x)
-            states[:, idx + 1] = np.where(alive[:, None], xn, x)
-            exceeded = np.linalg.norm(states[:, idx + 1], axis=1) >= R_EXPLODE
+            states[:, nxt] = np.where(alive[:, None], xn, x)
+            exceeded = np.linalg.norm(states[:, nxt], axis=1) >= R_EXPLODE
             if check_seg:
-                sq[:, idx + 1, 0] = np.sum(states[:, idx + 1] ** 2, axis=1)
+                sq[:, (n0 + k + 1 + sq_shift) % (n0 + 2), 0] = np.sum(states[:, nxt] ** 2, axis=1)
                 seg_n = next(seg_norms)
                 exceeded |= seg_n >= cfg.trunc_level
             newly = alive & (~finite | exceeded)
@@ -235,4 +282,4 @@ def simulate(
                 lifetimes[newly] = t + h
                 alive &= ~newly
                 all_alive = False
-    return PathBatch(cfg.h, nu.r0, states, dW, base_seed, path_offset, lifetimes)
+    return PathBatch(cfg.h, nu.r0, states, dW, base_seed, path_offset, lifetimes, log_r)

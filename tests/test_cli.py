@@ -155,6 +155,9 @@ def test_main_config_error_exits_3(tmp_path):
     ("simulate", "ou\nd = 0", "", [], "model.d"),
     ("simulate", "ou", "", ["--seed", str(2**64)], "experiment.base_seed"),
     ("girsanov-check", "ou", "", ["--seed", str(2**64 - 1)], "experiment.base_seed"),
+    # an empty cell receives shifted mass, so kappa(T) and the bound's K1 are infinite
+    ("bihari", "linear_delay", "[measure]\nkind = atoms\nweights = 0.1,0,0,0,0.2,0,0,0\n", [],
+     "measure"),
 ], ids=["bihari-ou", "seed", "eps_fd", "functional", "lams-text", "lams-zero", "lam_u",
         "zvonkin-T", "n_t-one", "n_t-fraction", "n_x-zero", "x_max-zero",
         "harnack-one-path", "gradient-one-path", "girsanov-one-path", "x0-text", "x0-nan",
@@ -162,7 +165,7 @@ def test_main_config_error_exits_3(tmp_path):
         "gradient-T-off-grid", "bihari-T-off-grid", "tabulated", "sigma-zero",
         "zvonkin-sigma-zero", "h-inf", "h-nan", "r0-inf", "r0-nan", "t_end-inf", "t_end-nan",
         "sigma-nan", "lam-nan", "sigma-inf", "beta-inf", "d-zero", "seed-2^64",
-        "girsanov-seed-2^64-1"])
+        "girsanov-seed-2^64-1", "bihari-kappa-inf"])
 def test_invalid_scenario_value_exits_3(tmp_path, capsys, scenario, model, extra, argv, field):
     """A bad value of a scenario's own section is a config error naming the
     field, not a traceback under the exit code of a failed verdict."""
@@ -178,6 +181,27 @@ def test_invalid_scenario_value_exits_3(tmp_path, capsys, scenario, model, extra
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1
     assert err[0].startswith(f"config error: [{field}] ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key, value", [("trunc_level", "0.01"), ("scheme", "euler-maruyama")])
+@pytest.mark.parametrize("scenario", cli.SCENARIOS)
+def test_solver_key_is_refused_by_a_scenario_that_does_not_read_it(
+    tmp_path, capsys, scenario, key, value
+):
+    """trunc_level reaches simulate and bihari only, scheme those and
+    girsanov-check; any other scenario would drop the key and echo it in
+    verdict.json, so it exits 3 naming the key before any work."""
+    text = BASE.replace("t_end = 1.0", f"t_end = 1.0\n{key} = {value}")
+    if scenario in cli._SOLVER_KEY_READERS[key]:
+        cfg = parse_config(text.replace("scenario = simulate", f"scenario = {scenario}"))
+        assert cfg.raw["solver"][key] == value
+        return
+    out = tmp_path / "out"
+    assert main([scenario, "--config", _write(tmp_path, text), "--out", str(out)]) == 3
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"config error: [solver.{key}] ")
     assert not out.exists()
 
 

@@ -1,9 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from delaysde import rng
+from delaysde import girsanov, rng
 from delaysde.girsanov import (
     SingularDiffusionError,
     direct_estimate,
@@ -83,6 +84,78 @@ def test_log_density_is_batch_member(offset):
     for count in (1, 3, 300):
         sub = log_density(m, nu, simulate(ref, nu, xi, cfg, 2, count, path_offset=offset), cfg)
         np.testing.assert_array_equal(sub, wide[offset - 250 : offset - 250 + count])
+
+
+@pytest.mark.parametrize("path_model", ["ou", "linear_delay"])
+@pytest.mark.parametrize("kind", ["exponential", "uniform", "atoms", "exponential-2"])
+def test_log_r_formed_in_the_step_equals_log_density(kind, path_model):
+    """simulate with log_r_model=m, on a ring of n0 + 2 rows, gives log R
+    with the bits of log_density over the stored batch of the same paths,
+    for sliding (exponential, uniform) and blocked (atoms, exponential with
+    lam = -2) averages, at path offsets off the PATH_TILE grid.  The ou
+    path's own B is zero, so its averages are formed for log R alone."""
+    h = 2.0**-5
+    w = np.zeros(32)
+    w[[2, 9, 20, 31]] = [0.1, 0.3, 0.2, 0.4]
+    nu = {
+        "exponential": make_measure("exponential", 1.0, h, lam=1.0),
+        "uniform": make_measure("uniform", 1.0, h),
+        "atoms": make_measure("atoms", 1.0, h, weights=w),
+        "exponential-2": make_measure("exponential", 1.0, h, lam=-2.0),
+    }[kind]
+    m = make_model("reference", measure=nu)
+    z = make_model(path_model, measure=nu)
+    xi = constant_segment(nu, 1.0)
+    cfg = SolverConfig(h=h, t_end=1.5)
+    for offset, count in ((37, 300), (300, 1), (511, 260)):
+        stored = simulate(z, nu, xi, cfg, 2, count, path_offset=offset)
+        ring = simulate(z, nu, xi, cfg, 2, count, path_offset=offset, keep_path=False, log_r_model=m)
+        assert ring.states.shape == (count, nu.n_cells + 2, 1)
+        np.testing.assert_array_equal(ring.log_r, log_density(m, nu, stored, cfg))
+        np.testing.assert_array_equal(ring.states, stored.states[:, -nu.n_cells - 2 :])
+        assert stored.log_r is None
+
+
+def test_log_density_refuses_a_ring_batch(nu7):
+    m = make_model("reference", measure=nu7)
+    cfg = SolverConfig(h=H7, t_end=1.0)
+    ring = simulate(make_model("ou"), nu7, constant_segment(nu7, 1.0), cfg, 0, 2, keep_path=False)
+    with pytest.raises(ValueError, match="keep_path"):
+        log_density(m, nu7, ring, cfg)
+
+
+def test_estimators_hold_the_noise_and_a_ring_of_rows(monkeypatch):
+    """weak_estimate and direct_estimate keep n0 + 2 rows per path next to
+    the noise: numpy reports its buffers to tracemalloc, and the peak stays
+    within 1.25 x (dW bytes + ring bytes), below the dW + n0 + steps + 1
+    rows that storing every row would take."""
+    h, n = 2.0**-6, 2048
+    nu = make_measure("exponential", 1.0, h, lam=1.0)
+    m = make_model("reference", measure=nu)
+    xi = constant_segment(nu, 1.0)
+    cfg = SolverConfig(h=h, t_end=1.0)
+    f, _ = make_functional("tanh0")
+    n0, steps = nu.n_cells, 64
+    assert n <= rng.ESTIMATOR_CHUNK  # one batch
+    bound = 1.25 * 8 * n * (steps * m.dbar + (n0 + 2) * m.d)
+    assert 8 * n * (steps * m.dbar + (n0 + steps + 1) * m.d) > bound
+    shapes = []
+
+    def recorded(*args, **kwargs):
+        batch = simulate(*args, **kwargs)
+        shapes.append(batch.states.shape)
+        return batch
+
+    monkeypatch.setattr(girsanov, "simulate", recorded)
+    for estimate in (weak_estimate, direct_estimate):
+        tracemalloc.start()
+        try:
+            estimate(m, nu, xi, f, 1.0, cfg, 5, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound, (estimate.__name__, peak, bound)
+    assert shapes == [(n, n0 + 2, m.d)] * 2
 
 
 def test_weak_estimate_equals_direct_for_driftless_model():

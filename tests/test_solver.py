@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from delaysde import rng
+from delaysde import bihari
 from delaysde.bihari import BoundExceedsCapError, apriori_check, bihari_bound, psi_inverse
 from delaysde.measure import (
     GridMismatchError,
@@ -401,6 +402,81 @@ def test_segment_views_consistent():
         batch.segment_values(0.75)
     seg0 = batch.segment_values(0.0)
     np.testing.assert_array_equal(seg0[0], xi.values)
+
+
+def test_ring_batch_refuses_a_window_it_no_longer_holds():
+    """keep_path=False keeps the last n0 + 2 rows: the windows inside them
+    are those of the stored batch, and an earlier one is refused."""
+    nu = make_measure("uniform", 0.5, 0.125)
+    m = make_model("linear_delay", measure=nu)
+    xi = constant_segment(nu, 1.0)
+    cfg = SolverConfig(h=0.125, t_end=1.0)
+    stored = simulate(m, nu, xi, cfg, 4, 3)
+    ring = simulate(m, nu, xi, cfg, 4, 3, keep_path=False)
+    assert ring.states.shape == (3, nu.n_cells + 2, 1)
+    np.testing.assert_array_equal(ring.states, stored.states[:, -nu.n_cells - 2 :])
+    np.testing.assert_array_equal(ring.terminal_segments(), stored.terminal_segments())
+    for t in (0.875, 1.0):
+        np.testing.assert_array_equal(ring.segment_values(t), stored.segment_values(t))
+    with pytest.raises(ValueError, match="last 6 rows"):
+        ring.segment_values(0.75)
+    with pytest.raises(ValueError, match="not covered"):
+        ring.segment_values(1.125)
+
+
+def _four_measures(h):
+    """Exponential lam = 1 and uniform (sliding averages), atoms with empty
+    cells and exponential lam = -2 (blocked averages), all with r0 = 0.5."""
+    w = np.zeros(16)
+    w[[1, 4, 9, 15]] = [0.05, 0.2, 0.1, 0.15]
+    return {
+        "exponential": make_measure("exponential", 0.5, h, lam=1.0),
+        "uniform": make_measure("uniform", 0.5, h),
+        "atoms": make_measure("atoms", 0.5, h, weights=w),
+        "exponential-2": make_measure("exponential", 0.5, h, lam=-2.0),
+    }
+
+
+@pytest.mark.parametrize("kind", ["exponential", "uniform", "atoms", "exponential-2"])
+def test_truncated_ring_keeps_the_bits_and_exits_of_the_stored_batch(kind):
+    """A truncated run streams its window norms from |x|^2 rows in a ring
+    of n0 + 2 slots; its lifetimes are those of the first window, re-normed
+    whole from the stored states, that reaches the level, and a ring batch
+    ends in the stored batch's rows.  The 300 paths start off the PATH_TILE
+    grid."""
+    h = 2.0**-5
+    nu = _four_measures(h)[kind]
+    m = make_model("linear_delay", measure=nu, beta=2.0)
+    cfg = SolverConfig(h=h, t_end=1.0, trunc_level=1.4)
+    xi = constant_segment(nu, 0.7)
+    stored = simulate(m, nu, xi, cfg, 3, 300, path_offset=37)
+    ring = simulate(m, nu, xi, cfg, 3, 300, path_offset=37, keep_path=False)
+    n0 = nu.n_cells
+    norms = np.stack(
+        [batch_seg_norm(nu, stored.states[:, k : k + n0 + 1]) for k in range(1, 33)], axis=1
+    )
+    hit = norms >= cfg.trunc_level
+    want = np.where(hit.any(axis=1), (hit.argmax(axis=1) + 1) * h, np.nan)
+    assert 0 < np.isnan(want).sum() < len(want)
+    np.testing.assert_array_equal(stored.lifetimes, want)
+    np.testing.assert_array_equal(ring.lifetimes, want)
+    np.testing.assert_array_equal(ring.states, stored.states[:, -n0 - 2 :])
+
+
+def test_apriori_check_refuses_an_infinite_kappa_before_any_path(monkeypatch):
+    """Shifted mass landing on an empty cell makes kappa(T), and so K1,
+    infinite: a ValueError naming kappa, before a path is simulated."""
+    h = 2.0**-5
+    nu = _four_measures(h)["atoms"]
+    assert nu.kappa(1.0) == math.inf
+    m = make_model("linear_delay", measure=nu)
+
+    def no_paths(*args, **kwargs):
+        raise AssertionError("simulate was called")
+
+    monkeypatch.setattr(bihari, "simulate", no_paths)
+    with pytest.raises(ValueError, match="kappa"):
+        apriori_check(m, nu, constant_segment(nu, 1.0), SolverConfig(h=h, t_end=1.0), 1.0, 50, 0)
 
 
 def _step_mismatch_runs():
