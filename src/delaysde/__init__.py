@@ -27,7 +27,7 @@ from .model import (
     validate_assumptions,
 )
 from .rng import coarsen_increments, normal_increments, path_generator
-from .solver import PathBatch, SolverConfig, cutoff_psi, simulate, truncate_coefficients
+from .solver import PathBatch, SolverConfig, cutoff_psi, simulate
 from .bihari import apriori_check, bihari_bound
 from .girsanov import direct_estimate, girsanov_shift, weak_estimate
 from .zvonkin import (

@@ -94,7 +94,7 @@ _SOLVER_KEY_READERS = {
 }
 _EXIT_CODES = {"pass": 0, "fail": 1, "inconclusive": 2}
 # verdicts that need standard errors, so at least two paths; every other needs one
-_MIN_PATHS = {"girsanov-check": 2, "harnack": 2, "gradient": 2}
+_MIN_PATHS = {"girsanov-check": 2, "couple": 2, "harnack": 2, "gradient": 2}
 # library failures of a valid config: exit 2, one stderr line naming the error
 _NUMERICAL_ERRORS = (
     CoverageError,
@@ -418,21 +418,23 @@ def _pool_map(cfg: ExperimentConfig, fn) -> list:
 
 def _coupling_setup(cfg, nu, m, scfg, xi):
     raw = cfg.raw
-    T = _getf(raw, "coupling", "T", 1.0)
+    T = _horizon(raw, "coupling", 1.0, scfg.h)
     K = _getf(raw, "coupling", "K", 1.0)
     d0 = _getf(raw, "coupling", "distance0", 0.1)
     dseg = _getf(raw, "coupling", "distance_seg", 0.0)
-    grid_count(T, scfg.h, "coupling.T / solver.h")
+    for key, v in (("K", K), ("distance0", d0), ("distance_seg", dseg)):
+        if not math.isfinite(v):
+            raise ConfigError(f"coupling.{key}", f"need a finite {key}, got {v:g}")
     try:
         cc = CouplingConfig(T=T, h=scfg.h, K=K)
-    except ValueError as e:  # solver.h > 0 holds already
-        raise ConfigError("coupling.T" if T <= 0 else "coupling.K", str(e)) from e
+    except ValueError as e:  # T and solver.h are checked already
+        raise ConfigError("coupling.K", str(e)) from e
     if needs_transform(m):
         if not m.Q_bounds.get("Q", 0.0) > 0:  # the u solve needs a diffusion
             raise ConfigError("model.sigma", f"the transform of model {m.name!r} needs sigma > 0")
         lam_u = _getf(raw, "coupling", "lam_u", 16.0)
-        if not lam_u > 0:
-            raise ConfigError("coupling.lam_u", f"need lam_u > 0, got {lam_u:g}")
+        if not 0 < lam_u < math.inf:
+            raise ConfigError("coupling.lam_u", f"need a finite lam_u > 0, got {lam_u:g}")
         sol = solve_u(m, lam_u, T + nu.r0)
         tm = transformed_model(m, nu, sol)
     else:

@@ -84,7 +84,7 @@ class CouplingConfig:
     K: float
 
     def __post_init__(self):
-        if self.T <= 0 or self.h <= 0 or self.K < 0:
+        if not (self.T > 0 and self.h > 0 and self.K >= 0):  # NaN fails each test
             raise ValueError("need T > 0, h > 0, K >= 0")
         grid_count(self.T, self.h, "T")
         # the bridge scales X - Y by 1 - h/ghat with ghat <= 1/K^2, which is

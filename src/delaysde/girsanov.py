@@ -1,9 +1,10 @@
 """Monte Carlo estimates of the semigroup P_T f: direct_estimate, the one plain
 estimator, and importance-weighted ones.
 
-The reference process Z of weak_estimate keeps only the linear part and the
-noise; the removed drift is compensated by the exponential density R built
-from the shift psi = Q*(QQ*)^{-1}(b + B).  Left-endpoint accumulation makes
+The reference process Z of weak_estimate is the target model with b and B
+replaced by zero, so it keeps only the linear part and the noise; the removed
+drift is compensated by the exponential density R built from the shift
+psi = Q*(QQ*)^{-1}(b + B).  Left-endpoint accumulation makes
 each discrete factor conditionally unit-mean lognormal, so E[R] = 1 exactly at
 any step size, which keeps the martingale checks sharp.
 
@@ -19,7 +20,7 @@ step, and model.solve_qqt solves the shift in scalar form, q (v / (q q)).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -50,10 +51,7 @@ def girsanov_shift(
 
 
 def _reference_model(m: ModelSpec) -> ModelSpec:
-    return ModelSpec(
-        name=f"{m.name}[linear]", d=m.d, dbar=m.dbar, A=m.A,
-        b=_zero_b, B=_zero_B, Q=m.Q, Q_bounds=m.Q_bounds, params=m.params,
-    )
+    return replace(m, name=f"{m.name}[linear]", b=_zero_b, B=_zero_B)
 
 
 def log_density(m: ModelSpec, nu: DelayMeasure, batch, cfg: SolverConfig) -> np.ndarray:

@@ -282,95 +282,78 @@ def check_param(key: str, value) -> None:
         raise ValueError(f"need a finite {key}, got {value!r}")
 
 
+def _record(params: dict, **defaults) -> dict:
+    """An entry's params record: its parameters as floats, defaults filled in, then the rest."""
+    named = {key: float(params.pop(key, default)) for key, default in defaults.items()}
+    return {**named, **params}
+
+
+def _catalog_spec(name: str, d: int, params: dict, sigma: float, b, B, **fields) -> ModelSpec:
+    """A catalog entry: A = lam I, the diffusion sigma I in d = dbar with its
+    bounds, and the record params, around the entry's own b, B and fields."""
+    return ModelSpec(name, d, d, OperatorA(np.full(d, params["lam"])), b, B, _const_Q(sigma, d, d),
+                     Q_bounds=_const_Q_bounds(sigma), params=params, **fields)
+
+
+def _delay_bihari(beta: float, nu: DelayMeasure, offset: float, note: str) -> BihariData:
+    """(Phi, h) of the delay drift beta nu(xi), with offset added to Phi."""
+    c1 = 1.5 * beta * math.sqrt(nu.total_mass()) + 0.5
+    c2 = 0.5 * beta * math.sqrt(nu.total_mass()) + 0.5
+    return BihariData(lambda t, s: c1 * (1.0 + np.asarray(s, dtype=float)) + offset,
+                      lambda t, r: c2 * (1.0 + np.asarray(r, dtype=float) ** 2), note)
+
+
 def make_model(name: str, measure: DelayMeasure | None = None, **params) -> ModelSpec:
     """Closed coefficient catalog; validators and oracles rely on the analytic forms.
 
-    Catalog: zero, ou, reference, linear_delay, cubic, quadratic, tabulated.
+    Catalog: zero, ou, reference, linear_delay, cubic, quadratic, tabulated,
+    each built by _catalog_spec, the one place that assembles a ModelSpec.
     """
     d = int(params.pop("d", 1))
     for key, value in [("d", d), *params.items()]:
         check_param(key, value)
+    if name in ("reference", "linear_delay", "tabulated") and measure is None:
+        raise ValueError(f"{name} model needs the delay measure to declare constants")
     if name == "zero":
-        lam = float(params.pop("lam", 1.0))
-        return ModelSpec("zero", d, d, OperatorA(np.full(d, lam)), _zero_b, _zero_B,
-                         _const_Q(0.0, d, d), Q_bounds=_const_Q_bounds(0.0),
-                         params={"lam": lam, **params})
+        return _catalog_spec("zero", d, _record(params, lam=1.0), 0.0, _zero_b, _zero_B)
     if name == "ou":
-        lam = float(params.pop("lam", 1.0))
-        sigma = float(params.pop("sigma", 1.0))
-        return ModelSpec("ou", d, d, OperatorA(np.full(d, lam)), _zero_b, _zero_B,
-                         _const_Q(sigma, d, d), phi=DiniModulus.power(0.5), b_sup=0.0,
-                         Q_bounds=_const_Q_bounds(sigma),
-                         params={"lam": lam, "sigma": sigma, **params})
+        p = _record(params, lam=1.0, sigma=1.0)
+        return _catalog_spec("ou", d, p, p["sigma"], _zero_b, _zero_B,
+                             phi=DiniModulus.power(0.5), b_sup=0.0)
     if name == "reference":
-        if measure is None:
-            raise ValueError("reference model needs the delay measure to declare constants")
-        lam = float(params.pop("lam", 1.0))
-        beta = float(params.pop("beta", 0.5))
-        sigma = float(params.pop("sigma", 1.0))
+        p = _record(params, lam=1.0, beta=0.5, sigma=1.0)
 
         def b(t, x):
             return np.sqrt(np.minimum(np.abs(x), 1.0))
 
-        nu1 = measure.total_mass()
-        c1 = 1.5 * beta * math.sqrt(nu1) + 0.5
-        c2 = 0.5 * beta * math.sqrt(nu1)
-        bihari = BihariData(
-            Phi=lambda t, s: c1 * (1.0 + np.asarray(s, dtype=float)) + 0.5,
-            h=lambda t, r: (c2 + 0.5) * (1.0 + np.asarray(r, dtype=float) ** 2),
-            note="Cauchy-Schwarz on the nu-average plus Young on the cross terms",
-        )
-        return ModelSpec("reference", d, d, OperatorA(np.full(d, lam)), b, _nu_B(beta),
-                         _const_Q(sigma, d, d), phi=DiniModulus.power(0.5), b_sup=1.0,
-                         B_lip_sq=beta**2 * nu1,
-                         Q_bounds=_const_Q_bounds(sigma),
-                         bihari=bihari, params={"lam": lam, "beta": beta, "sigma": sigma, **params})
+        note = "Cauchy-Schwarz on the nu-average plus Young on the cross terms"
+        return _catalog_spec("reference", d, p, p["sigma"], b, _nu_B(p["beta"]),
+                             phi=DiniModulus.power(0.5), b_sup=1.0,
+                             B_lip_sq=p["beta"] ** 2 * measure.total_mass(),
+                             bihari=_delay_bihari(p["beta"], measure, 0.5, note))
     if name == "linear_delay":
-        if measure is None:
-            raise ValueError("linear_delay model needs the delay measure to declare constants")
-        lam = float(params.pop("lam", 1.0))
-        beta = float(params.pop("beta", 0.5))
-        sigma = float(params.pop("sigma", 1.0))
-        nu1 = measure.total_mass()
-        c1 = 1.5 * beta * math.sqrt(nu1)
-        c2 = 0.5 * beta * math.sqrt(nu1)
-        bihari = BihariData(
-            Phi=lambda t, s: (c1 + 0.5) * (1.0 + np.asarray(s, dtype=float)),
-            h=lambda t, r: (c2 + 0.5) * (1.0 + np.asarray(r, dtype=float) ** 2),
-            note="linear delay drift; Phi has linear growth so the Bihari integral diverges",
-        )
-        return ModelSpec("linear_delay", d, d, OperatorA(np.full(d, lam)), _zero_b, _nu_B(beta),
-                         _const_Q(sigma, d, d), phi=DiniModulus.power(0.5), b_sup=0.0,
-                         B_lip_sq=beta**2 * nu1,
-                         Q_bounds=_const_Q_bounds(sigma),
-                         bihari=bihari, params={"lam": lam, "beta": beta, "sigma": sigma, **params})
+        p = _record(params, lam=1.0, beta=0.5, sigma=1.0)
+        note = "linear delay drift; Phi has linear growth so the Bihari integral diverges"
+        return _catalog_spec("linear_delay", d, p, p["sigma"], _zero_b, _nu_B(p["beta"]),
+                             phi=DiniModulus.power(0.5), b_sup=0.0,
+                             B_lip_sq=p["beta"] ** 2 * measure.total_mass(),
+                             bihari=_delay_bihari(p["beta"], measure, 0.0, note))
     if name == "cubic":
         # explosive stress entry for lifetime detection
-        lam = float(params.pop("lam", 1.0))
 
         def b(t, x):
             return x**3
 
-        return ModelSpec("cubic", d, d, OperatorA(np.full(d, lam)), b, _zero_B,
-                         _const_Q(0.0, d, d), Q_bounds=_const_Q_bounds(0.0),
-                         params={"lam": lam, **params})
+        return _catalog_spec("cubic", d, _record(params, lam=1.0), 0.0, b, _zero_B)
     if name == "quadratic":
         # deliberately violates (A3') against a sqrt modulus; validator test entry
-        lam = float(params.pop("lam", 1.0))
 
         def b(t, x):
             return x**2
 
-        return ModelSpec("quadratic", d, d, OperatorA(np.full(d, lam)), b, _zero_B,
-                         _const_Q(1.0, d, d), phi=DiniModulus.power(0.5), b_sup=np.inf,
-                         Q_bounds=_const_Q_bounds(1.0),
-                         params={"lam": lam, **params})
+        return _catalog_spec("quadratic", d, _record(params, lam=1.0), 1.0, b, _zero_B,
+                             phi=DiniModulus.power(0.5), b_sup=np.inf)
     if name == "tabulated":
-        if measure is None:
-            raise ValueError("tabulated model needs the delay measure to declare constants")
-        lam = float(params.pop("lam", 1.0))
-        beta = float(params.pop("beta", 0.0))
-        sigma = float(params.pop("sigma", 1.0))
         if "xs" not in params or "ys" not in params:
             raise ValueError("tabulated drift needs xs and ys tables")
         xs = np.asarray(params.pop("xs"), dtype=float)
@@ -379,17 +362,15 @@ def make_model(name: str, measure: DelayMeasure | None = None, **params) -> Mode
             raise ValueError("tabulated drift needs matching 1-d xs/ys tables")
         if d != 1:
             raise ValueError("tabulated drift supports d=1")
+        p = _record(params, lam=1.0, beta=0.0, sigma=1.0)
 
         def b(t, x, _xs=xs, _ys=ys):
             return np.interp(x, _xs, _ys)
 
         slope = float(np.max(np.abs(np.diff(ys) / np.diff(xs)))) if len(xs) > 1 else 0.0
-        nu1 = measure.total_mass()
-        return ModelSpec("tabulated", 1, 1, OperatorA([lam]), b, _nu_B(beta),
-                         _const_Q(sigma, 1, 1), phi=DiniModulus.linear(slope),
-                         b_sup=float(np.max(np.abs(ys))), B_lip_sq=beta**2 * nu1,
-                         Q_bounds=_const_Q_bounds(sigma),
-                         params={"lam": lam, "beta": beta, "sigma": sigma})
+        return _catalog_spec("tabulated", 1, p, p["sigma"], b, _nu_B(p["beta"]),
+                             phi=DiniModulus.linear(slope), b_sup=float(np.max(np.abs(ys))),
+                             B_lip_sq=p["beta"] ** 2 * measure.total_mass())
     raise ValueError(f"unknown model {name!r}")
 
 

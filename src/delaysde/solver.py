@@ -1,4 +1,4 @@
-"""Mild-solution time stepping and coefficient truncation.
+"""Mild-solution time stepping, with or without truncation.
 
 Paths live on a uniform grid over [-r0, T_end].  The exponential-Euler step
 uses the diagonal semigroup factors (E, J) so the drift-free case reproduces
@@ -7,6 +7,11 @@ drift is evaluated at the left-endpoint segment, through the segment
 averages that measure.delay_averages streams, and a truncated run streams
 its segment norms from |x|^2 with measure.streamed_seg_norms.  Everything
 is vectorized over a batch of paths sharing one initial segment.
+
+A trunc_level L cuts the coefficients off in the step: b by cutoff_psi(|x|/L),
+Q read at x cutoff_psi(|x|/L), B by cutoff_psi(||x_t||/L).  A path ends at
+its first window of norm >= L, and |x| is at most its window's norm, so after
+step 0 every cut-off of a live row is exactly 1: they cost one norm a step.
 
 A batch is stored time-major: states and increments live in (n_slots, n, d)
 and (steps, n, dbar) buffers, so each step reads and writes contiguous rows,
@@ -43,7 +48,6 @@ __all__ = [
     "PathBatch",
     "ExplosionBeforeHorizonError",
     "cutoff_psi",
-    "truncate_coefficients",
     "log_r_increment",
     "simulate",
 ]
@@ -135,34 +139,6 @@ def cutoff_psi(r: np.ndarray) -> np.ndarray:
     return 1.0 - u**3 * (10.0 - 15.0 * u + 6.0 * u**2)
 
 
-def truncate_coefficients(m: ModelSpec, level: float) -> ModelSpec:
-    """b and Q cut off outside radius `level`; they coincide with the originals inside.
-
-    B is cut off by the segment norm, which B(t, avg) does not see: simulate
-    multiplies it by cutoff_psi(||x_t|| / level), from the norms of its exit
-    check.  The returned spec keeps m.B.
-    """
-    if not level > 0:
-        raise ValueError("truncation level must be positive")
-    if not math.isfinite(level):
-        return m
-    inv = 1.0 / level
-
-    def b_m(t, x, _b=m.b):
-        fac = cutoff_psi(inv * np.linalg.norm(x, axis=-1))
-        return _b(t, x) * fac[..., None]
-
-    def Q_m(t, x, _Q=m.Q):
-        fac = cutoff_psi(inv * np.linalg.norm(x, axis=-1))
-        return _Q(t, x * fac[..., None])
-
-    return ModelSpec(
-        name=f"{m.name}[trunc={level:g}]", d=m.d, dbar=m.dbar, A=m.A,
-        b=b_m, B=m.B, Q=Q_m, phi=m.phi, b_sup=min(m.b_sup, np.inf),
-        B_lip_sq=m.B_lip_sq, Q_bounds=m.Q_bounds, bihari=m.bihari, params=m.params,
-    )
-
-
 def _shift(m: ModelSpec, t: float, x: np.ndarray, avg: np.ndarray) -> np.ndarray:
     """psi = Q*(QQ*)^{-1}{b(t, x) + B(t, avg)} at states x and segment
     averages avg, with Q read by diffusion_at."""
@@ -217,7 +193,6 @@ def simulate(
     steps = grid_count(cfg.t_end, cfg.h, "t_end")
     d, dbar = m.d, m.dbar
     check_segment_shape(xi.values, n0, d)
-    m_eff = truncate_coefficients(m, cfg.trunc_level)
     dW = path_increments(dW, base_seed, path_offset, n_paths, steps, dbar, cfg.h)
     n_rows = n0 + steps + 1
     n_slots = n_rows if keep_path else n0 + 2
@@ -253,13 +228,16 @@ def simulate(
             at, nxt = (n0 + k + shift) % n_slots, (n0 + k + 1 + shift) % n_slots
             x = states[:, at]
             avg = None if averages is None else next(averages)
-            bv = m_eff.b(t, x)
-            Bv = B_zero if zero_B else m_eff.B(t, avg)
+            bv = m.b(t, x)
+            Bv = B_zero if zero_B else m.B(t, avg)
+            x_Q = x
             if check_seg:
+                cut = cutoff_psi(inv_level * np.linalg.norm(x, axis=-1))[:, None]
+                bv, x_Q = bv * cut, x * cut
                 Bv = Bv * cutoff_psi(inv_level * seg_n)[:, None]
             if log_r is not None:
                 log_r += log_r_increment(log_r_model, t, x, avg, dW[:, k], h)
-            noise = noise_product(diffusion_at(m_eff, t, x), dW[:, k])
+            noise = noise_product(diffusion_at(m, t, x_Q), dW[:, k])
             if use_exp:
                 xn = E * x + J * (bv + Bv) + E * noise
             else:

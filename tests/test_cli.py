@@ -158,6 +158,18 @@ def test_main_config_error_exits_3(tmp_path):
     # an empty cell receives shifted mass, so kappa(T) and the bound's K1 are infinite
     ("bihari", "linear_delay", "[measure]\nkind = atoms\nweights = 0.1,0,0,0,0.2,0,0,0\n", [],
      "measure"),
+    ("couple", "ou", "[coupling]\nT = inf\n", [], "coupling.T"),
+    ("couple", "ou", "[coupling]\nT = nan\n", [], "coupling.T"),
+    ("harnack", "ou", "[coupling]\nT = inf\n", [], "coupling.T"),
+    ("harnack", "ou", "[coupling]\nT = nan\n", [], "coupling.T"),
+    ("couple", "ou", "[coupling]\nT = 0.3\n", [], "coupling.T"),  # solver.h = 0.0625
+    ("couple", "ou", "[coupling]\nK = nan\n", [], "coupling.K"),
+    ("couple", "ou", "[coupling]\nK = inf\n", [], "coupling.K"),
+    ("couple", "ou", "[coupling]\ndistance0 = nan\n", [], "coupling.distance0"),
+    ("harnack", "ou", "[coupling]\ndistance0 = inf\n", [], "coupling.distance0"),
+    ("couple", "ou", "[coupling]\ndistance_seg = inf\n", [], "coupling.distance_seg"),
+    ("couple", "ou", "", ["--paths", "1"], "experiment.n_paths"),  # 3 sigma of a zero stderr
+    ("couple", "reference", "[coupling]\nT = 0.5\nlam_u = inf\n", [], "coupling.lam_u"),
 ], ids=["bihari-ou", "seed", "eps_fd", "functional", "lams-text", "lams-zero", "lam_u",
         "zvonkin-T", "n_t-one", "n_t-fraction", "n_x-zero", "x_max-zero",
         "harnack-one-path", "gradient-one-path", "girsanov-one-path", "x0-text", "x0-nan",
@@ -165,7 +177,10 @@ def test_main_config_error_exits_3(tmp_path):
         "gradient-T-off-grid", "bihari-T-off-grid", "tabulated", "sigma-zero",
         "zvonkin-sigma-zero", "h-inf", "h-nan", "r0-inf", "r0-nan", "t_end-inf", "t_end-nan",
         "sigma-nan", "lam-nan", "sigma-inf", "beta-inf", "d-zero", "seed-2^64",
-        "girsanov-seed-2^64-1", "bihari-kappa-inf"])
+        "girsanov-seed-2^64-1", "bihari-kappa-inf", "coupling-T-inf", "coupling-T-nan",
+        "harnack-T-inf", "harnack-T-nan", "coupling-T-off-grid", "coupling-K-nan",
+        "coupling-K-inf", "distance0-nan", "harnack-distance0-inf", "distance_seg-inf",
+        "couple-one-path", "lam_u-inf"])
 def test_invalid_scenario_value_exits_3(tmp_path, capsys, scenario, model, extra, argv, field):
     """A bad value of a scenario's own section is a config error naming the
     field, not a traceback under the exit code of a failed verdict."""

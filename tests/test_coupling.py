@@ -72,6 +72,10 @@ def test_config_validation():
     CouplingConfig(T=1.0, h=0.125, K=3.9)  # h K^2 = 1.90
     with pytest.raises(ValueError, match=r"h\*K\^2 = 2 "):
         CouplingConfig(T=1.0, h=0.125, K=4.0)  # bridge factor 1 - h/ghat reaches -1
+    # a NaN fails every comparison, the h K^2 < 2 bound included
+    for field in ("T", "h", "K"):
+        with pytest.raises(ValueError, match=r"need T > 0, h > 0, K >= 0"):
+            CouplingConfig(**{"T": 0.5, "h": 2.0**-7, "K": 2.0, field: math.nan})
 
 
 def test_coupling_stores_paths_time_major(nu, tm):

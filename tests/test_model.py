@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -232,3 +233,81 @@ def test_declared_constant_diffusion_is_constant(name, d):
         np.testing.assert_array_equal(m.Q(t, x), np.broadcast_to(at_origin, (200, d, d)))
     want = at_origin[0] if d == 1 else m.Q(0.3, x)
     np.testing.assert_array_equal(diffusion_at(m, 0.3, x), want)
+
+
+_PROBE_T = 0.3
+_PROBE_GRID = np.array([0.0, 0.25, 1.0, 2.0, 10.0])
+# SHA-256 prefixes of every field of each catalog entry, as float.hex
+# strings (see _catalog_fields), pinned before the entries shared one
+# constructor; "set" passes lam 1.5, beta 0.25 and sigma 0.75 to every entry
+_CATALOG_DIGESTS = {
+    ('zero', 1, 'default'): '8fe9ecbfd51e27da',
+    ('zero', 1, 'set'): 'b6a14dd618a99833',
+    ('zero', 2, 'default'): '772d6f1e4f6f979a',
+    ('zero', 2, 'set'): 'da1358e6975d8e1f',
+    ('ou', 1, 'default'): '17d7948942a77785',
+    ('ou', 1, 'set'): '8ad71cf8775e387f',
+    ('ou', 2, 'default'): '07515ddab7c34e78',
+    ('ou', 2, 'set'): '234338e28a805925',
+    ('reference', 1, 'default'): '7f3587aabc202289',
+    ('reference', 1, 'set'): '3019dded71b9f7f2',
+    ('reference', 2, 'default'): '890b4ab0ad4d760b',
+    ('reference', 2, 'set'): '4204d8692936440e',
+    ('linear_delay', 1, 'default'): 'bb1613e3e7d0ffc6',
+    ('linear_delay', 1, 'set'): 'ee288dcf55f377bb',
+    ('linear_delay', 2, 'default'): 'cb38da9d6959aeb4',
+    ('linear_delay', 2, 'set'): 'fbe1eb8166d314cd',
+    ('cubic', 1, 'default'): '392f1ad9489a0f73',
+    ('cubic', 1, 'set'): '3a690cc3840e2dac',
+    ('cubic', 2, 'default'): 'bd000a44fdd3db59',
+    ('cubic', 2, 'set'): '157df58d18fd51f0',
+    ('quadratic', 1, 'default'): 'b439ab0a1ad4e300',
+    ('quadratic', 1, 'set'): '99a5b057fc3f73a9',
+    ('quadratic', 2, 'default'): 'b961bf94e150ef0a',
+    ('quadratic', 2, 'set'): '5216351dd5e9593d',
+    ('tabulated', 1, 'default'): '937963a3da06776d',
+    ('tabulated', 1, 'set'): '53d2398e6e5933ae',
+}
+
+
+def _hex(a):
+    return [float(v).hex() for v in np.ravel(np.asarray(a, dtype=float))]
+
+
+def _catalog_fields(name, d, variant):
+    """Every field of the entry: A's rates, Q_bounds, params, phi, b_sup and
+    B_lip_sq, b, B and Q on fixed probe rows, and the BihariData on a grid."""
+    nu = make_measure("exponential", 0.5, 2.0**-4, lam=1.0)
+    kw = {"lam": 1.5, "beta": 0.25, "sigma": 0.75} if variant == "set" else {}
+    if name == "tabulated":
+        kw.update(xs=[-1.0, 0.0, 2.0], ys=[0.5, -1.0, 3.0])
+    m = make_model(name, measure=nu, d=d, **kw)
+    x = np.linspace(-3.0, 3.0, 7)[:, None] * (1.0 + 0.5 * np.arange(d)) + 0.1 * np.arange(d)
+    phi = m.phi
+    return {
+        "head": [m.name, m.d, m.dbar],
+        "A": _hex(m.A.eigenvalues),
+        "Q_bounds": [(k, _hex(v)) for k, v in sorted(m.Q_bounds.items())],
+        "params": [(k, _hex(v)) for k, v in m.params.items()],
+        "phi": None if phi is None else [
+            phi.tag, [(k, _hex(v)) for k, v in sorted(phi.params.items())],
+            _hex(phi(_PROBE_GRID[1:])),
+        ],
+        "b_sup": _hex(m.b_sup),
+        "B_lip_sq": _hex(m.B_lip_sq),
+        "b": _hex(m.b(_PROBE_T, x)),
+        "B": _hex(m.B(_PROBE_T, x)),
+        "Q": _hex(m.Q(_PROBE_T, x)),
+        "bihari": None if m.bihari is None else [
+            m.bihari.note, _hex(m.bihari.Phi(_PROBE_T, _PROBE_GRID)),
+            _hex(m.bihari.h(_PROBE_T, _PROBE_GRID)),
+        ],
+    }
+
+
+@pytest.mark.parametrize("case", list(_CATALOG_DIGESTS), ids=lambda c: "-".join(map(str, c)))
+def test_catalog_keeps_every_field(case):
+    """Each entry at d = 1 and d = 2 (tabulated: d = 1 only), at its defaults
+    and with every parameter set, keeps the bits of all its fields."""
+    fields = _catalog_fields(*case)
+    assert hashlib.sha256(repr(fields).encode()).hexdigest()[:16] == _CATALOG_DIGESTS[case], fields

@@ -12,11 +12,13 @@ from delaysde.measure import (
     Segment,
     batch_seg_norm,
     constant_segment,
+    delay_averages,
     make_measure,
+    streamed_seg_norms,
 )
-from delaysde.model import make_model
+from delaysde.model import diffusion_at, make_model, noise_product, semigroup_factors
 from delaysde.rng import batch_increments, coarsen_increments
-from delaysde.solver import R_EXPLODE, SolverConfig, cutoff_psi, simulate, truncate_coefficients
+from delaysde.solver import R_EXPLODE, SolverConfig, cutoff_psi, simulate
 
 
 def test_config_validation():
@@ -24,8 +26,9 @@ def test_config_validation():
         SolverConfig(h=0.1, t_end=1.0, scheme="milstein")
     with pytest.raises(ValueError):
         SolverConfig(h=-0.1, t_end=1.0)
-    with pytest.raises(ValueError):
-        SolverConfig(h=0.1, t_end=1.0, trunc_level=0.0)
+    for level in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError):
+            SolverConfig(h=0.1, t_end=1.0, trunc_level=level)
     with pytest.raises(GridMismatchError):
         SolverConfig(h=0.3, t_end=1.0)
 
@@ -228,18 +231,68 @@ def test_truncation_exit_by_segment_norm():
     assert batch.lifetimes[0] == cfg.h
 
 
-def test_truncated_coefficients_match_inside():
-    nu = make_measure("uniform", 1.0, 0.25)
-    m = make_model("reference", measure=nu)
-    tm = truncate_coefficients(m, 10.0)
-    x = np.array([[0.5], [-2.0]])
-    np.testing.assert_array_equal(tm.b(0.0, x), m.b(0.0, x))
-    seg = np.ones((2, nu.n_cells + 1, 1))
-    np.testing.assert_array_equal(tm.B(0.0, nu.average(seg)), m.B(0.0, nu.average(seg)))
-    far = np.array([[100.0]])
-    np.testing.assert_array_equal(tm.b(0.0, far), 0.0)
-    with pytest.raises(ValueError):
-        truncate_coefficients(m, -1.0)
+def _check_truncated_steps(m, nu, batch, cfg):
+    """Each row of a stored truncated batch, and each lifetime, from the
+    rows before it by the truncated step written out: b(t, x) psi(|x|/L),
+    Q at x psi(|x|/L), B psi(||x_t||/L), and an end at the first window
+    whose norm reaches L.  The averages and window norms are streamed from
+    the stored rows, which gives simulate's bits."""
+    L, h = cfg.trunc_level, cfg.h
+    n0, steps = nu.n0(h), batch.dW.shape[1]
+    states = batch.states
+    sq = np.zeros((batch.n_paths, states.shape[1] + 1, 1))
+    sq[:, :-1, 0] = np.sum(states**2, axis=2)
+    norms = streamed_seg_norms(nu, sq, batch.path_offset)
+    averages = delay_averages(nu, states, batch.path_offset)
+    E, J = semigroup_factors(m.A, h)
+    inv = 1.0 / L
+    seg_n = next(norms)
+    alive = np.ones(batch.n_paths, dtype=bool)
+    lifetimes = np.full(batch.n_paths, np.nan)
+    for k in range(steps):
+        t, x = k * h, states[:, n0 + k]
+        fac = cutoff_psi(inv * np.linalg.norm(x, axis=-1))
+        b_cut = m.b(t, x) * fac[..., None]
+        noise = noise_product(diffusion_at(m, t, x * fac[..., None]), batch.dW[:, k])
+        B_cut = m.B(t, next(averages)) * cutoff_psi(inv * seg_n)[:, None]
+        xn = E * x + J * (b_cut + B_cut) + E * noise
+        np.testing.assert_array_equal(states[:, n0 + k + 1], np.where(alive[:, None], xn, x))
+        seg_n = next(norms)
+        newly = alive & (seg_n >= L)
+        lifetimes[newly] = t + h
+        alive &= ~newly
+    np.testing.assert_array_equal(batch.lifetimes, lifetimes)
+
+
+def _state_Q(t, x):
+    # sigma(x) I with sigma(x) = 3 + 1.5 tanh(x_1 + x_2): no dQ = 0
+    return (3.0 + 1.5 * np.tanh(np.sum(x, axis=1)))[:, None, None] * np.eye(2)
+
+
+@pytest.mark.parametrize("case", ["d1-fractional", "d1-beyond-2L", "d2-state-Q"])
+def test_truncated_step_cuts_b_and_Q_off(case):
+    """The truncated step, written out in _check_truncated_steps, holds bit
+    for bit on every row and lifetime of a run whose initial state lies
+    outside the ball: |x(0)| = 1.5 in (L, 2L) gives fractional b and Q
+    cut-offs, and |x(0)| = 2.5 >= 2L cuts b off entirely.  The restoring
+    rate lam = 16 brings most paths back inside at step 0, and a diffusion
+    near 3 ends some of them then or later."""
+    h = 2.0**-4
+    nu = make_measure("exponential", 0.5, h, lam=1.0)
+    if case == "d2-state-Q":
+        m = dataclasses.replace(make_model("reference", measure=nu, d=2, lam=16.0),
+                                Q=_state_Q, Q_bounds={"Q": 4.5})
+        x0 = [1.2, 0.9]
+    else:
+        m = make_model("reference", measure=nu, lam=16.0, sigma=3.0)
+        x0 = [2.5 if case == "d1-beyond-2L" else 1.5]
+    vals = np.full((nu.n_cells + 1, m.d), 0.1)
+    vals[-1] = x0
+    cfg = SolverConfig(h=h, t_end=1.0, trunc_level=1.0)
+    batch = simulate(m, nu, Segment(vals), cfg, 7, 200, path_offset=5)
+    _check_truncated_steps(m, nu, batch, cfg)
+    assert 0 < np.isnan(batch.lifetimes).sum() < batch.n_paths
+    assert cutoff_psi(np.linalg.norm(x0)) < 1.0
 
 
 def test_truncated_run_cuts_B_off_at_step_0():
