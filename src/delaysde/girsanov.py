@@ -12,7 +12,8 @@ Neither estimator stores a path: each batch keeps a ring of n0 + 2 rows per
 path (see solver.simulate), from which f reads the terminal segment, and
 weak_estimate has simulate accumulate log R in the step of Z.  log_density
 sums the same per-step increment, solver.log_r_increment, over a stored
-batch.
+batch.  Both reduce the per-path columns that rng.map_columns joins, so no
+chunk size enters their numbers, and both refuse a path dying before T.
 
 A diffusion declared constant (dQ = 0) in d = dbar = 1 is read once per
 step, and model.solve_qqt solves the shift in scalar form, q (v / (q q)).
@@ -24,10 +25,11 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from . import rng
 from .measure import DelayMeasure, Segment, delay_averages
 # solve_qqt, the solve inside the shift psi, stays importable from here
 from .model import ModelSpec, SingularDiffusionError, _zero_b, _zero_B, solve_qqt
-from .rng import chunk_sums, mean_stderr
+from .rng import map_columns, mean_stderr
 from .solver import SolverConfig, _shift, log_r_increment, simulate
 
 __all__ = [
@@ -48,10 +50,6 @@ def girsanov_shift(
     if seg.ndim == 2:
         seg = seg[None]
     return _shift(m, t, seg[:, -1], nu.average(seg))
-
-
-def _reference_model(m: ModelSpec) -> ModelSpec:
-    return replace(m, name=f"{m.name}[linear]", b=_zero_b, B=_zero_B)
 
 
 def log_density(m: ModelSpec, nu: DelayMeasure, batch, cfg: SolverConfig) -> np.ndarray:
@@ -95,23 +93,28 @@ def weak_estimate(
     """E[f(X_T-segment)] estimated as E[R f(Z_T-segment)] under the reference law.
 
     Z drops b and B; R restores them.  Returns both the unnormalized and the
-    self-normalized importance estimates with the martingale diagnostics.
+    self-normalized importance estimates with the martingale diagnostics
+    over n_paths >= 2 paths; a Z path dying before T raises
+    ExplosionBeforeHorizonError, as in direct_estimate.
     """
     if abs(cfg.t_end - T) > 1e-12:
         raise ValueError("cfg.t_end must equal the functional horizon T")
-    ref = _reference_model(m)
+    if n_paths < 2:
+        raise ValueError("need n_paths >= 2 for a standard error")
+    ref = replace(m, name=f"{m.name}[linear]", b=_zero_b, B=_zero_B)
 
-    def sample(offset, count):
+    def columns(offset, count):
         batch = simulate(ref, nu, xi, cfg, base_seed, count, path_offset=offset,
                          keep_path=False, log_r_model=m)
+        batch.check_horizon(cfg.t_end)
         r = np.exp(batch.log_r)
-        rf = r * np.asarray(f(batch.terminal_segments()), dtype=float)
-        return r, r**2, rf, rf**2
+        return r, r * np.asarray(f(batch.terminal_segments()), dtype=float)
 
-    s_r, s_r2, s_rf, s_rf2 = chunk_sums(n_paths, sample)
-    mean_rf, se_rf = mean_stderr(s_rf, s_rf2, n_paths)
-    mean_r, se_r = mean_stderr(s_r, s_r2, n_paths)
-    ess = s_r**2 / max(s_r2, 1e-300)
+    r, rf = map_columns(n_paths, rng.ESTIMATOR_CHUNK, columns)
+    mean_rf, se_rf = mean_stderr(rf)
+    mean_r, se_r = mean_stderr(r)
+    s_r = np.sum(r)
+    ess = s_r**2 / max(np.sum(r * r), 1e-300)
     warnings = []
     if ess < 0.01 * n_paths:
         warnings.append(
@@ -119,7 +122,7 @@ def weak_estimate(
         )
     return WeakEstimate(
         unnormalized=float(mean_rf),
-        self_normalized=float(s_rf / max(s_r, 1e-300)),
+        self_normalized=float(np.sum(rf) / max(s_r, 1e-300)),
         stderr=float(se_rf),
         mean_R=float(mean_r),
         stderr_R=float(se_r),
@@ -155,9 +158,8 @@ def direct_estimate(
     if n_paths < 2:
         raise ValueError("need n_paths >= 2 for a standard error")
 
-    def sample(offset, count):
-        fv = terminal_f(m, nu, f, xi.values, cfg, base_seed, count, path_offset=offset)
-        return fv, fv**2
+    def columns(offset, count):
+        return (terminal_f(m, nu, f, xi.values, cfg, base_seed, count, path_offset=offset),)
 
-    mean, se = mean_stderr(*chunk_sums(n_paths, sample), n_paths)
+    mean, se = mean_stderr(*map_columns(n_paths, rng.ESTIMATOR_CHUNK, columns))
     return float(mean), float(se)

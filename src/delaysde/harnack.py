@@ -13,9 +13,10 @@ slack needed is the Monte Carlo error of the independently estimated terms.
 
 check_log_harnack is log_harnack_report over the columns that
 log_harnack_columns returns for chunks of coupled pairs, joined in pair
-order; the CLI maps the same column function over its worker pool.  A pair's
-columns do not depend on its chunk, and the report reads only the joined
-columns, so the report does not depend on the chunk size.
+order; the CLI maps the same column function over its worker pool.
+check_gradient_estimate reduces its joined central-difference and f columns
+the same way.  A pair's columns do not depend on its chunk, and each report
+reads only the joined columns, so no report depends on the chunk size.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from . import rng
 from .coupling import CouplingConfig, entropy_cost, run_coupling_batch
 from .girsanov import terminal_f
 from .measure import DelayMeasure, batch_seg_norm, grid_count
-from .rng import batch_increments, chunk_sums, map_columns, mean_stderr
+from .rng import batch_increments, map_columns, mean_stderr
 from .solver import ExplosionBeforeHorizonError, SolverConfig
 from .zvonkin import TransformedModel
 
@@ -204,7 +205,7 @@ def check_gradient_estimate(
     steps = grid_count(horizon, h, "horizon")
     cfg = SolverConfig(h=h, t_end=horizon)
 
-    def sample(offset, count):
+    def columns(offset, count):
         dW = batch_increments(base_seed, offset, count, steps, m.dbar, h)
 
         def run(start):
@@ -212,13 +213,11 @@ def check_gradient_estimate(
 
         fp = run(xi_vals + eps_fd * direction)
         fm = run(xi_vals - eps_fd * direction)
-        diff = (fp - fm) / (2.0 * eps_fd)
-        f0 = run(xi_vals)
-        return diff, diff**2, f0, f0**2
+        return (fp - fm) / (2.0 * eps_fd), run(xi_vals)
 
-    s_d, s_d2, s_f, s_f2 = chunk_sums(n, sample)
-    D, D_se = mean_stderr(s_d, s_d2, n)
-    V = max(s_f2 / n - (s_f / n) ** 2, 0.0)
+    diff, f0 = map_columns(n, rng.ESTIMATOR_CHUNK, columns)
+    D, D_se = mean_stderr(diff)
+    V = max(np.sum(f0 * f0) / n - (np.sum(f0) / n) ** 2, 0.0)
     # stderr of the variance via the fourth-moment-free normal approximation
     V_se = V * math.sqrt(2.0 / max(n - 1, 1))
     if V < 1e-12 and abs(D) > 1e-6:

@@ -15,9 +15,9 @@ A batch of increments is stored time-major, as an (n_steps, n_paths, dbar)
 buffer, because the runners read one step of every path at a time; callers
 see it through the (n_paths, n_steps, dbar) transposed view.
 
-map_chunks is the one chunked Monte Carlo driver: the estimators' chunk_sums,
-the per-path columns of map_columns and the CLI's worker pool all run
-through it.
+map_chunks is the one chunked Monte Carlo driver and map_columns the one join:
+every estimator, check and CLI scenario reduces the per-path columns joined in
+path order, so no result depends on a chunk size.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from scipy.special import ndtri
 
 __all__ = [
     "path_generator", "normal_increments", "coarsen_increments", "map_chunks", "map_columns",
-    "chunk_sums", "mean_stderr",
+    "mean_stderr",
 ]
 
 _U64 = np.uint64
@@ -121,8 +121,8 @@ def coarsen_increments(dw: np.ndarray, factor: int) -> np.ndarray:
     return dw.reshape(shape).sum(axis=step_axis + 1)
 
 
-# Paths per chunk of the library's Monte Carlo estimators.  A path's value
-# does not depend on its chunk; only the rounding of the sums does.
+# Paths per chunk of the library's Monte Carlo estimators.  It sets memory
+# only: the estimators reduce the joined columns, so no bit depends on it.
 ESTIMATOR_CHUNK = 8192
 
 # fn of map_chunks inside a forked pool worker.  The pool initializer sets
@@ -164,23 +164,9 @@ def map_columns(n_paths: int, chunk: int, fn, workers: int = 1) -> list:
     return [np.concatenate(col) for col in zip(*map_chunks(n_paths, chunk, fn, workers))]
 
 
-def chunk_sums(n_paths: int, sample) -> list:
-    """Monte Carlo sums over paths 0..n_paths-1 taken in ESTIMATOR_CHUNK chunks.
-
-    sample(path_offset, count) returns a sequence of per-path value arrays,
-    each of shape (count,).  Each array is summed within its chunk and the
-    chunk sums are added in path order, so only the chunk size enters the
-    rounding.
-    """
-    parts = map_chunks(n_paths, ESTIMATOR_CHUNK, lambda s, c: [np.sum(v) for v in sample(s, c)])
-    sums = [0.0] * len(parts[0])
-    for part in parts:
-        sums = [s + v for s, v in zip(sums, part)]
-    return sums
-
-
-def mean_stderr(s, s2, n: int) -> tuple:
-    """Sample mean and its standard error from the sums s of n values and s2
-    of their squares; a negative rounded variance counts as 0."""
-    mean = s / n
-    return mean, math.sqrt(max(s2 / n - mean**2, 0.0) / n)
+def mean_stderr(v) -> tuple:
+    """Sample mean of the values v and its standard error; a negative
+    rounded variance counts as 0."""
+    n = len(v)
+    mean = np.sum(v) / n
+    return mean, math.sqrt(max(np.sum(v * v) / n - mean**2, 0.0) / n)

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -13,7 +14,8 @@ from delaysde.girsanov import (
     solve_qqt,
     weak_estimate,
 )
-from delaysde.measure import constant_segment, make_measure
+from delaysde.harnack import check_gradient_estimate
+from delaysde.measure import batch_seg_norm, constant_segment, make_measure
 from delaysde.model import make_functional, make_model, semigroup_factors
 from delaysde.solver import ExplosionBeforeHorizonError, SolverConfig, simulate
 
@@ -190,18 +192,61 @@ def test_weak_estimate_cross_validates_reference_model():
     assert not west.warnings
 
 
-def test_weak_estimate_chunking_invariance(monkeypatch):
+def _hex(value):
+    """value with every float spelled out by float.hex, so equal means equal bits."""
+    if isinstance(value, dict):
+        return {k: _hex(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_hex(v) for v in value]
+    return value.hex() if isinstance(value, float) else value
+
+
+@pytest.mark.parametrize("estimator", ["direct_estimate", "weak_estimate", "check_gradient_estimate"])
+def test_estimates_do_not_depend_on_the_chunk(estimator, monkeypatch):
+    """50 paths in chunks of 7 give every field of one chunk of 50, bit for bit."""
     nu = make_measure("uniform", 0.5, 0.125)
     m = make_model("linear_delay", measure=nu)
     xi = constant_segment(nu, 1.0)
     cfg = SolverConfig(h=0.125, t_end=0.5)
     f, _ = make_functional("coord0_sq")
+    direction = np.zeros_like(xi.values)
+    direction[-1] = 1.0
+    direction /= batch_seg_norm(nu, direction[None])[0]
+    runs = {
+        "direct_estimate": lambda: direct_estimate(m, nu, xi, f, 0.5, cfg, 1, 50),
+        "weak_estimate": lambda: asdict(weak_estimate(m, nu, xi, f, 0.5, cfg, 1, 50)),
+        "check_gradient_estimate": lambda: asdict(check_gradient_estimate(
+            m, nu, f, xi.values, direction, 0.5, 0.125, 0.01, 50, 1, C_hat=1.0)),
+    }
     monkeypatch.setattr(rng, "ESTIMATOR_CHUNK", 7)
-    a = weak_estimate(m, nu, xi, f, 0.5, cfg, 1, 50)
+    chunked = _hex(runs[estimator]())
     monkeypatch.setattr(rng, "ESTIMATOR_CHUNK", 50)
-    b = weak_estimate(m, nu, xi, f, 0.5, cfg, 1, 50)
-    assert a.unnormalized == pytest.approx(b.unnormalized, rel=1e-12)
-    assert a.mean_R == pytest.approx(b.mean_R, rel=1e-12)
+    assert chunked == _hex(runs[estimator]())
+
+
+def test_weak_estimate_refuses_paths_dying_before_the_horizon():
+    """A truncated Z run whose paths end before T is refused, as by
+    direct_estimate, instead of averaging the frozen paths."""
+    h = 2.0**-4
+    nu = make_measure("exponential", 0.5, h, lam=1.0)
+    m = make_model("reference", measure=nu)
+    xi = constant_segment(nu, 0.7)
+    cfg = SolverConfig(h=h, t_end=1.0, trunc_level=0.8)
+    f, _ = make_functional("tanh0")
+    for estimate in (direct_estimate, weak_estimate):
+        with pytest.raises(ExplosionBeforeHorizonError) as exc:
+            estimate(m, nu, xi, f, 1.0, cfg, 3, 200)
+        assert exc.value.fraction > 0.5
+
+
+def test_weak_estimate_needs_two_paths():
+    nu = make_measure("uniform", 0.5, 0.125)
+    xi = constant_segment(nu, 1.0)
+    cfg = SolverConfig(h=0.125, t_end=0.5)
+    f, _ = make_functional("tanh0")
+    for estimate in (direct_estimate, weak_estimate):
+        with pytest.raises(ValueError, match="n_paths >= 2"):
+            estimate(make_model("ou"), nu, xi, f, 0.5, cfg, 0, 1)
 
 
 def test_horizon_must_match_config():

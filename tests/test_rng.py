@@ -2,10 +2,8 @@ import numpy as np
 import pytest
 from scipy.special import ndtri
 
-from delaysde import rng
 from delaysde.rng import (
     batch_increments,
-    chunk_sums,
     coarsen_increments,
     map_chunks,
     normal_increments,
@@ -120,22 +118,19 @@ def test_coarsen_rejects_bad_factor():
         coarsen_increments(dw, 0)
 
 
-def test_chunk_sums_visits_paths_in_order(monkeypatch):
+def test_map_chunks_visits_paths_in_order():
     seen = []
 
-    def sample(offset, count):
+    def span(offset, count):
         seen.append((offset, count))
-        v = np.arange(offset, offset + count, dtype=float)
-        return v, v**2
+        return offset, count
 
-    monkeypatch.setattr(rng, "ESTIMATOR_CHUNK", 4)
-    assert chunk_sums(10, sample) == [45.0, 285.0]
+    assert map_chunks(10, 4, span) == [(0, 4), (4, 4), (8, 2)]
     assert seen == [(0, 4), (4, 4), (8, 2)]
-    assert map_chunks(10, 4, lambda s, c: (s, c)) == seen
     with pytest.raises(ValueError):
-        chunk_sums(0, sample)
+        map_chunks(0, 4, span)
     with pytest.raises(ValueError):
-        map_chunks(10, 0, sample)
+        map_chunks(10, 0, span)
 
 
 def _chunk_draws(start, count):
