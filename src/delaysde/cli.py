@@ -2,8 +2,13 @@
 
 The INI file is parsed once.  Its values are interpolated once, as
 configparser reads them (a literal % is written %%); the command-line flags
-replace the values of their keys and are taken literally.  Each scenario
-handler returns its verdict and metrics, which run writes to verdict.json.
+replace the values of their keys and are taken literally.
+
+_KEYS declares each key once: parser, default, single-value check and the
+scenarios that read it.  parse_config reads every key the run reads into its
+record, defaults included; the handlers read the record and verdict.json
+holds it.  A key that the run does not read is refused when the scenario
+reads its section; a section it does not read at all is passed over.
 
 `simulate`, `couple`, `harnack` and `bihari` decompose their paths into
 CHUNK-path chunks keyed by path index and map them with rng.map_columns over
@@ -45,7 +50,6 @@ from .harnack import EPS_FD_RANGE, DegenerateVarianceError, ExplosionBeforeHoriz
 from .harnack import check_gradient_estimate, log_harnack_columns, log_harnack_report
 from .measure import (
     GridMismatchError,
-    Segment,
     check_shift_domination,
     constant_segment,
     grid_count,
@@ -59,6 +63,7 @@ from .zvonkin import (
     DivergenceError,
     InverseConvergenceError,
     needs_transform,
+    picard_u,
     solve_u,
     transformed_model,
     verify_decay,
@@ -71,30 +76,11 @@ SCENARIOS = (
     "harnack", "gradient", "zvonkin", "bihari",
 )
 # 2: non-finite floats are written as null; 3: verdict.json carries the
-# resolved configuration and the library versions
-SCHEMA_VERSION = 3
+# resolved configuration and the library versions; 4: that configuration
+# holds every key the run read, defaults included
+SCHEMA_VERSION = 4
 CHUNK = 1024  # fixed decomposition unit; independent of the worker count
-
-_ALLOWED = {
-    "experiment": {"scenario", "n_paths", "base_seed", "output", "format", "workers"},
-    "model": {"name", "lam", "beta", "sigma", "d", "x0"},
-    "measure": {"kind", "r0", "lam", "density", "weights"},
-    "solver": {"h", "t_end", "scheme", "trunc_level"},
-    "coupling": {"T", "K", "distance0", "distance_seg", "lam_u"},
-    "zvonkin": {"lams", "T", "x_max", "n_x", "n_t"},
-    "girsanov": {"functional", "T"},
-    "gradient": {"T", "eps_fd", "functional"},
-    "bihari": {"T"},
-}
-# the scenarios that read each solver key that not every scenario reads;
-# any other scenario refuses the key
-_SOLVER_KEY_READERS = {
-    "trunc_level": ("simulate", "bihari"),
-    "scheme": ("simulate", "bihari", "girsanov-check"),
-}
 _EXIT_CODES = {"pass": 0, "fail": 1, "inconclusive": 2}
-# verdicts that need standard errors, so at least two paths; every other needs one
-_MIN_PATHS = {"girsanov-check": 2, "couple": 2, "harnack": 2, "gradient": 2}
 # library failures of a valid config: exit 2, one stderr line naming the error
 _NUMERICAL_ERRORS = (
     CoverageError,
@@ -124,6 +110,110 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise ConfigError("command line", message)
 
 
+# ---------------------------------------------------------------------------
+# the config table
+
+# defaults that are not values: a key without one, the catalog entry's own, t_end's
+_REQUIRED, _FROM_MODEL, _T_END = "required", "model entry", "solver.t_end"
+
+
+@dataclass(frozen=True)
+class _Key:
+    parse: object  # text -> value, ValueError on bad text
+    default: object  # a value, _REQUIRED, _FROM_MODEL or _T_END
+    check: object = None  # check(value, scenario), ValueError on a bad value
+    readers: tuple = SCENARIOS
+    kind: str | None = None  # a [measure] key that only this kind reads
+
+
+def _text(value) -> str:
+    """A record value as the INI text that reads back to it."""
+    if isinstance(value, (list, tuple)):
+        return ",".join(map(_text, value))
+    return repr(value) if isinstance(value, float) else str(value)
+
+
+def _floats(text: str) -> tuple:
+    return tuple(float(x) for x in text.split(","))
+
+
+def _need(test, text):
+    """The check that a value passes test, else ValueError "need {text}"."""
+    def check(value, scenario):
+        if not test(value):
+            raise ValueError(f"need {text}, got {_text(value)}")
+    return check
+
+
+def _param(key):
+    return lambda value, scenario: check_param(key, value)  # the catalog's own check
+
+
+def _enough_paths(n, scenario):
+    # a verdict on standard errors needs two paths; every other needs one
+    need = 2 if scenario in ("girsanov-check", "couple", "harnack", "gradient") else 1
+    if n < need:
+        raise ValueError(f"need n_paths >= {need}, got {n}")
+
+
+def _default_of(fn, name):
+    import inspect  # loaded by numpy already; read once, as the table is built
+    return inspect.signature(fn).parameters[name].default
+
+
+_POSITIVE = _need(lambda v: 0 < v < math.inf, "a finite value > 0")
+_FINITE = _need(math.isfinite, "a finite value")
+_AT_LEAST_2 = _need(lambda v: v >= 2, "an integer >= 2")  # np.gradient and a time step
+# girsanov-check keys its reweighted paths with base_seed + 1
+_SEED = _need(lambda v: 0 <= v <= KEY_LIMIT - 2, f"0 <= base_seed <= {KEY_LIMIT - 2}")
+_EPS_FD = _need(lambda v: EPS_FD_RANGE[0] <= v <= EPS_FD_RANGE[1], f"eps_fd in {list(EPS_FD_RANGE)}")
+_SCENARIO = _need(SCENARIOS.__contains__, f"one of {', '.join(SCENARIOS)}")
+_COUPLED = ("couple", "harnack")
+# (section, key) -> how a run reads it; README.md's config table lists the
+# same keys and defaults
+_KEYS = {
+    ("experiment", "scenario"): _Key(str, _REQUIRED, _SCENARIO),
+    ("experiment", "n_paths"): _Key(int, 1000, _enough_paths),
+    ("experiment", "base_seed"): _Key(int, 0, _SEED),
+    ("experiment", "output"): _Key(str, "."),
+    ("experiment", "format"): _Key(str, "json", _need(("csv", "json").__contains__, "csv or json")),
+    ("experiment", "workers"): _Key(int, 1, _need(lambda v: v >= 1, "workers >= 1")),
+    ("model", "name"): _Key(str, "ou"),
+    ("model", "x0"): _Key(float, 1.0, _FINITE),
+    ("model", "d"): _Key(int, _FROM_MODEL, _param("d")),
+    ("model", "lam"): _Key(float, _FROM_MODEL, _param("lam")),
+    ("model", "beta"): _Key(float, _FROM_MODEL, _param("beta")),
+    ("model", "sigma"): _Key(float, _FROM_MODEL, _param("sigma")),
+    ("measure", "kind"): _Key(str, "exponential", _need(
+        ("exponential", "uniform", "atoms").__contains__, "exponential, uniform or atoms")),
+    ("measure", "r0"): _Key(float, 1.0, _POSITIVE),
+    ("measure", "lam"): _Key(float, 1.0, kind="exponential"),
+    ("measure", "density"): _Key(float, _default_of(make_measure, "density"), kind="uniform"),
+    ("measure", "weights"): _Key(_floats, _REQUIRED, kind="atoms"),
+    ("solver", "h"): _Key(float, 2.0**-8, _POSITIVE),
+    ("solver", "t_end"): _Key(float, 1.0, _POSITIVE),
+    ("solver", "scheme"): _Key(str, SolverConfig.scheme, None, ("simulate", "bihari", "girsanov-check")),
+    ("solver", "trunc_level"): _Key(float, SolverConfig.trunc_level, None, ("simulate", "bihari")),
+    ("coupling", "T"): _Key(float, 1.0, _POSITIVE, _COUPLED),
+    ("coupling", "K"): _Key(float, _REQUIRED, _FINITE, _COUPLED),
+    ("coupling", "distance0"): _Key(float, _REQUIRED, _FINITE, _COUPLED),
+    ("coupling", "distance_seg"): _Key(float, 0.0, _FINITE, _COUPLED),
+    ("coupling", "lam_u"): _Key(float, 16.0, _POSITIVE, _COUPLED),
+    ("girsanov", "functional"): _Key(str, "tanh0", None, ("girsanov-check",)),
+    ("girsanov", "T"): _Key(float, _T_END, _POSITIVE, ("girsanov-check",)),
+    ("gradient", "T"): _Key(float, 1.0, _POSITIVE, ("gradient",)),
+    ("gradient", "eps_fd"): _Key(float, 0.01, _EPS_FD, ("gradient",)),
+    ("gradient", "functional"): _Key(str, "coord0", None, ("gradient",)),
+    ("zvonkin", "lams"): _Key(_floats, (2.0, 4.0, 8.0, 16.0, 32.0),
+                              _need(lambda v: min(v) > 0, "every lam > 0"), ("zvonkin",)),
+    ("zvonkin", "T"): _Key(float, 1.0, _POSITIVE, ("zvonkin",)),
+    ("zvonkin", "x_max"): _Key(float, _default_of(picard_u, "x_max"), _POSITIVE, ("zvonkin",)),
+    ("zvonkin", "n_x"): _Key(int, _default_of(picard_u, "n_x"), _AT_LEAST_2, ("zvonkin",)),
+    ("zvonkin", "n_t"): _Key(int, _default_of(picard_u, "n_t"), _AT_LEAST_2, ("zvonkin",)),
+    ("bihari", "T"): _Key(float, _T_END, _POSITIVE, ("bihari",)),
+}
+
+
 @dataclass
 class ExperimentConfig:
     scenario: str
@@ -132,7 +222,26 @@ class ExperimentConfig:
     output: str
     format: str
     workers: int
-    raw: dict = field(default_factory=dict)  # picklable section -> key -> str
+    record: dict = field(default_factory=dict)  # picklable section -> key -> value read
+
+
+def _read(raw: dict, rec: dict, sec: str, key: str, scenario):
+    """Read one key into rec: its given text parsed and checked, or its default."""
+    spec, text = _KEYS[sec, key], raw.get(sec, {}).get(key)
+    if text is not None:
+        try:
+            value = spec.parse(text)
+            if spec.check is not None:
+                spec.check(value, scenario)
+        except ValueError as e:
+            raise ConfigError(f"{sec}.{key}", str(e)) from e
+    elif spec.default is _REQUIRED:
+        raise ConfigError(f"{sec}.{key}", "missing required field")
+    elif spec.default is _FROM_MODEL:  # parse_config records the built model's
+        return
+    else:
+        value = rec["solver"]["t_end"] if spec.default is _T_END else spec.default
+    rec.setdefault(sec, {})[key] = value
 
 
 def parse_config(text: str, flags: dict | None = None) -> ExperimentConfig:
@@ -149,144 +258,60 @@ def parse_config(text: str, flags: dict | None = None) -> ExperimentConfig:
     for sec, keys in (flags or {}).items():
         raw.setdefault(sec, {}).update(keys)
     for sec, keys in raw.items():
-        if sec not in _ALLOWED:
-            raise ConfigError(sec, f"unknown section; expected one of {sorted(_ALLOWED)}")
+        allowed = sorted(k for s, k in _KEYS if s == sec)
+        if not allowed:
+            raise ConfigError(sec, f"unknown section; expected one of {sorted({s for s, _ in _KEYS})}")
         for key in keys:
-            if key not in _ALLOWED[sec]:
-                raise ConfigError(
-                    f"{sec}.{key}", f"unknown key; allowed: {sorted(_ALLOWED[sec])}"
-                )
-    exp = raw.get("experiment", {})
-    scenario = exp.get("scenario", "")
-    if scenario not in SCENARIOS:
-        raise ConfigError(
-            "experiment.scenario", f"got {scenario!r}; valid scenarios: {', '.join(SCENARIOS)}"
-        )
-    for key, readers in _SOLVER_KEY_READERS.items():
-        if key in raw.get("solver", {}) and scenario not in readers:
-            only = f"{', '.join(readers[:-1])} and {readers[-1]}"
-            raise ConfigError(
-                f"solver.{key}", f"scenario {scenario} does not read it; only {only} do"
-            )
-    fmt = exp.get("format", "json")
-    if fmt not in ("csv", "json"):
-        raise ConfigError("experiment.format", f"got {fmt!r}; expected csv or json")
-    try:
-        n_paths = int(exp.get("n_paths", "1000"))
-        base_seed = int(exp.get("base_seed", "0"))
-        workers = int(exp.get("workers", "1"))
-    except ValueError as e:
-        raise ConfigError("experiment", f"non-integer count: {e}") from e
-    need = _MIN_PATHS.get(scenario, 1)
-    if n_paths < need:
-        raise ConfigError("experiment.n_paths", f"need n_paths >= {need}, got {n_paths}")
-    # girsanov-check keys its reweighted paths with base_seed + 1
-    if not 0 <= base_seed <= KEY_LIMIT - 2:
-        raise ConfigError(
-            "experiment.base_seed", f"need 0 <= base_seed <= {KEY_LIMIT - 2}, got {base_seed}"
-        )
-    if workers < 1:
-        raise ConfigError("experiment.workers", "need workers >= 1")
-    cfg = ExperimentConfig(
-        scenario=scenario, n_paths=n_paths, base_seed=base_seed,
-        output=exp.get("output", "."), format=fmt, workers=workers, raw=raw,
-    )
-    _build(cfg)  # surface grid and field errors at parse time
+            if key not in allowed:
+                raise ConfigError(f"{sec}.{key}", f"unknown key; allowed: {allowed}")
+    rec = {}
+    _read(raw, rec, "experiment", "scenario", None)  # the key that selects the readers
+    scenario = rec["experiment"]["scenario"]
+    sections = {sec for (sec, _), spec in _KEYS.items() if scenario in spec.readers}
+    for (sec, key), spec in _KEYS.items():
+        if sec not in sections or (sec, key) == ("experiment", "scenario"):
+            continue
+        kind = rec.get("measure", {}).get("kind")
+        if scenario in spec.readers and spec.kind in (None, kind):
+            _read(raw, rec, sec, key, scenario)
+        elif key in raw.get(sec, {}):
+            who = f"measure kind {kind}" if scenario in spec.readers else f"scenario {scenario}"
+            only = spec.kind or ", ".join(spec.readers)
+            raise ConfigError(f"{sec}.{key}", f"{who} does not read it, only {only}")
+    cfg = ExperimentConfig(**rec["experiment"], record=rec)
+    m = _build(cfg)[1]  # surface grid and field errors at parse time
+    rec["model"].update(d=m.d, **m.params)  # the entry's own keys, defaults included
     return cfg
 
 
-def _getf(raw, sec, key, default=None):
-    v = raw.get(sec, {}).get(key)
-    if v is None:
-        if default is None:
-            raise ConfigError(f"{sec}.{key}", "missing required field")
-        return default
-    try:
-        return float(v)
-    except ValueError as e:
-        raise ConfigError(f"{sec}.{key}", f"not a number: {v!r}") from e
-
-
-def _horizon(raw, sec, default, h=None):
-    """[sec] T, which must be finite and positive and, for a horizon the
-    paths are stepped to, a multiple of the step h."""
-    T = _getf(raw, sec, "T", default)
-    if not 0 < T < math.inf:
-        raise ConfigError(f"{sec}.T", f"need a finite T > 0, got {T:g}")
-    if h is not None:
-        try:
-            grid_count(T, h, "T")
-        except GridMismatchError as e:
-            raise ConfigError(f"{sec}.T", str(e)) from e
-    return T
-
-
-def _functional(raw, sec, default, nu):
-    name = raw.get(sec, {}).get("functional", default)
-    try:
-        return name, make_functional(name, nu)[0]
-    except ValueError as e:
-        raise ConfigError(f"{sec}.functional", str(e)) from e
-
-
 def _build(cfg: ExperimentConfig):
-    """(measure, model, solver config, initial segment) from the raw sections."""
-    raw = cfg.raw
-    r0 = _getf(raw, "measure", "r0", 1.0)
-    h = _getf(raw, "solver", "h", 2.0**-8)
-    t_end = _getf(raw, "solver", "t_end", 1.0)
-    for name, value in (("solver.h", h), ("measure.r0", r0), ("solver.t_end", t_end)):
-        if not 0 < value < math.inf:
-            raise ConfigError(name, f"need a finite value > 0, got {value:g}")
-    kind = raw.get("measure", {}).get("kind", "exponential")
+    """(measure, model, solver config, initial segment) from the record."""
+    rec = cfg.record
+    h, t_end = rec["solver"]["h"], rec["solver"]["t_end"]
+    measure = dict(rec["measure"])  # kind, r0 and the kind's own key
+    kind, r0 = measure.pop("kind"), measure.pop("r0")
     try:
         grid_count(r0, h, "measure.r0 / solver.h")
         grid_count(t_end, h, "solver.t_end / solver.h")
-        mkw = {}
-        if kind == "exponential":
-            mkw["lam"] = _getf(raw, "measure", "lam", 1.0)
-        elif kind == "uniform":
-            mkw["density"] = _getf(raw, "measure", "density", 1.0)
-        elif kind == "atoms":
-            wtxt = raw.get("measure", {}).get("weights")
-            if wtxt is None:
-                raise ConfigError("measure.weights", "atoms measure needs explicit weights")
-            mkw["weights"] = [float(x) for x in wtxt.split(",")]
-        nu = make_measure(kind, r0, h, **mkw)
+        nu = make_measure(kind, r0, h, **measure)
     except GridMismatchError as e:
         raise ConfigError("grids", str(e)) from e
     except ValueError as e:
-        if isinstance(e, ConfigError):
-            raise
         raise ConfigError("measure", str(e)) from e
-    msec = dict(raw.get("model", {}))
-    name = msec.pop("name", "ou")
-    msec.pop("x0", None)
-    x0 = _getf(raw, "model", "x0", 1.0)
-    if not math.isfinite(x0):
-        raise ConfigError("model.x0", f"need a finite x0, got {x0!r}")
-    params = {}
-    for k, v in msec.items():
-        try:
-            params[k] = int(v) if k == "d" else float(v)
-        except ValueError as e:
-            raise ConfigError(f"model.{k}", f"not a number: {v!r}") from e
-        try:
-            check_param(k, params[k])
-        except ValueError as e:
-            raise ConfigError(f"model.{k}", str(e)) from e
+    params = dict(rec["model"])
+    name, x0 = params.pop("name"), params.pop("x0")
+    unread = []
     try:
+        # the entry at its defaults names the keys it reads: the field of a refused one
+        unread = [k for k in params if k != "d" and k not in make_model(name, measure=nu).params]
         m = make_model(name, measure=nu, **params)
     except ValueError as e:
-        raise ConfigError("model.name", str(e)) from e
-    scheme = raw.get("solver", {}).get("scheme", "exponential-euler")
-    trunc = _getf(raw, "solver", "trunc_level", math.inf)
+        raise ConfigError(f"model.{unread[0]}" if unread else "model.name", str(e)) from e
     try:
-        scfg = SolverConfig(h=h, t_end=t_end, scheme=scheme, trunc_level=trunc)
+        scfg = SolverConfig(**rec["solver"])
     except (ValueError, GridMismatchError) as e:
         raise ConfigError("solver", str(e)) from e
-    xi = constant_segment(nu, x0, d=m.d)
-    return nu, m, scfg, xi
+    return nu, m, scfg, constant_segment(nu, x0, d=m.d)
 
 
 def _jsonable(obj):
@@ -305,16 +330,12 @@ def _jsonable(obj):
 
 
 def resolved_config(cfg: ExperimentConfig) -> dict:
-    """The configuration a run used: the parsed sections after the
-    command-line overrides, as INI strings.  `output` and `workers` are left
-    out because they do not change the results; keys absent here took their
-    defaults."""
-    out = {sec: dict(keys) for sec, keys in cfg.raw.items()}
-    exp = out.setdefault("experiment", {})
-    exp.pop("output", None)
-    exp.pop("workers", None)
-    exp.update(scenario=cfg.scenario, n_paths=str(cfg.n_paths),
-               base_seed=str(cfg.base_seed), format=cfg.format)
+    """The configuration a run read: every key of its record, defaults
+    included, as the INI text that reads back to the same value.  `output`
+    and `workers` are left out because they do not change the results, and
+    a section the scenario does not read is not in the record."""
+    out = {sec: {key: _text(v) for key, v in keys.items()} for sec, keys in cfg.record.items()}
+    del out["experiment"]["output"], out["experiment"]["workers"]
     return out
 
 
@@ -409,39 +430,37 @@ def _couple_chunk(setup, start, count):
     return res.tau, res.log_R, res.terminal_segments_equal()
 
 
-def _pool_map(cfg: ExperimentConfig, fn) -> list:
-    """The per-path columns fn(start, count) returns for the CHUNK-path
-    chunks of cfg.n_paths, run on cfg.workers processes and joined in path
-    order; fn's set-up is built once, in the parent."""
-    return map_columns(cfg.n_paths, CHUNK, fn, cfg.workers)
+def _on_grid(sec: str, T: float, h: float) -> float:
+    """[sec] T, a horizon the paths are stepped to, which must be a multiple of h."""
+    try:
+        grid_count(T, h, "T")
+    except GridMismatchError as e:
+        raise ConfigError(f"{sec}.T", str(e)) from e
+    return T
+
+
+def _functional(cfg, sec, nu):
+    try:
+        return make_functional(cfg.record[sec]["functional"], nu)[0]
+    except ValueError as e:
+        raise ConfigError(f"{sec}.functional", str(e)) from e
 
 
 def _coupling_setup(cfg, nu, m, scfg, xi):
-    raw = cfg.raw
-    T = _horizon(raw, "coupling", 1.0, scfg.h)
-    K = _getf(raw, "coupling", "K", 1.0)
-    d0 = _getf(raw, "coupling", "distance0", 0.1)
-    dseg = _getf(raw, "coupling", "distance_seg", 0.0)
-    for key, v in (("K", K), ("distance0", d0), ("distance_seg", dseg)):
-        if not math.isfinite(v):
-            raise ConfigError(f"coupling.{key}", f"need a finite {key}, got {v:g}")
+    c = cfg.record["coupling"]
+    T = _on_grid("coupling", c["T"], scfg.h)
     try:
-        cc = CouplingConfig(T=T, h=scfg.h, K=K)
+        cc = CouplingConfig(T=T, h=scfg.h, K=c["K"])
     except ValueError as e:  # T and solver.h are checked already
         raise ConfigError("coupling.K", str(e)) from e
+    sol = None
     if needs_transform(m):
         if not m.Q_bounds.get("Q", 0.0) > 0:  # the u solve needs a diffusion
             raise ConfigError("model.sigma", f"the transform of model {m.name!r} needs sigma > 0")
-        lam_u = _getf(raw, "coupling", "lam_u", 16.0)
-        if not 0 < lam_u < math.inf:
-            raise ConfigError("coupling.lam_u", f"need a finite lam_u > 0, got {lam_u:g}")
-        sol = solve_u(m, lam_u, T + nu.r0)
-        tm = transformed_model(m, nu, sol)
-    else:
-        tm = transformed_model(m, nu, None)
-    eta_vals = xi.values.copy()
-    eta_vals += dseg
-    eta_vals[-1] += d0
+        sol = solve_u(m, c["lam_u"], T + nu.r0)
+    tm = transformed_model(m, nu, sol)
+    eta_vals = xi.values + c["distance_seg"]
+    eta_vals[-1] += c["distance0"]
     xi_t = tm.seg_to_transformed(0.0, xi.values[None], nu.h)[0]
     eta_t = tm.seg_to_transformed(0.0, eta_vals[None], nu.h)[0]
     return tm, cc, xi_t, eta_t
@@ -452,7 +471,7 @@ def _coupling_setup(cfg, nu, m, scfg, xi):
 
 def _run_simulate(cfg, nu, m, scfg, xi):
     setup = (cfg.base_seed, nu, m, scfg, xi)
-    term_all, lifetimes, sup = _pool_map(cfg, partial(_sim_chunk, setup))
+    term_all, lifetimes, sup = map_columns(cfg.n_paths, CHUNK, partial(_sim_chunk, setup), cfg.workers)
     header = ["path", *[f"x{j}" for j in range(m.d)], "lifetime", "sup_norm"]
     _write_rows(cfg, header, [np.arange(cfg.n_paths), *term_all.T, lifetimes, sup])
     return "pass", {
@@ -476,9 +495,8 @@ def _run_validate(cfg, nu, m, scfg, xi):
     }
 
 def _run_girsanov(cfg, nu, m, scfg, xi):
-    raw = cfg.raw
-    T = _horizon(raw, "girsanov", scfg.t_end, scfg.h)
-    _, f = _functional(raw, "girsanov", "tanh0", nu)
+    T = _on_grid("girsanov", cfg.record["girsanov"]["T"], scfg.h)
+    f = _functional(cfg, "girsanov", nu)
     gcfg = SolverConfig(h=scfg.h, t_end=T, scheme=scfg.scheme)
     direct, d_se = direct_estimate(m, nu, xi, f, T, gcfg, cfg.base_seed, cfg.n_paths)
     west = weak_estimate(m, nu, xi, f, T, gcfg, cfg.base_seed + 1, cfg.n_paths)
@@ -496,7 +514,7 @@ def _run_girsanov(cfg, nu, m, scfg, xi):
 def _run_couple(cfg, nu, m, scfg, xi):
     tm, cc, xi_t, eta_t = _coupling_setup(cfg, nu, m, scfg, xi)
     setup = (cfg.base_seed, nu, tm, cc, xi_t, eta_t)
-    tau, log_r, equal = _pool_map(cfg, partial(_couple_chunk, setup))
+    tau, log_r, equal = map_columns(cfg.n_paths, CHUNK, partial(_couple_chunk, setup), cfg.workers)
     _write_rows(cfg, ["path", "tau", "log_R", "terminal_equal"],
                 [np.arange(len(tau)), tau, log_r, equal.astype(int)])
     ent = entropy_cost(log_r)
@@ -520,7 +538,7 @@ def _run_harnack(cfg, nu, m, scfg, xi):
     tm, cc, xi_t, eta_t = _coupling_setup(cfg, nu, m, scfg, xi)
     f, _ = make_functional("tanh0_pos", nu)
     columns = partial(log_harnack_columns, tm, nu, f, xi_t, eta_t, cc, cfg.base_seed)
-    rep = log_harnack_report(*_pool_map(cfg, columns), nu, xi_t, eta_t, cc)
+    rep = log_harnack_report(*map_columns(cfg.n_paths, CHUNK, columns, cfg.workers), nu, xi_t, eta_t, cc)
     if np.array_equal(xi_t, eta_t):
         verdict = "pass" if rep.jensen_ok else "fail"
     else:
@@ -532,12 +550,9 @@ def _run_harnack(cfg, nu, m, scfg, xi):
     }
 
 def _run_gradient(cfg, nu, m, scfg, xi):
-    raw = cfg.raw
-    T = _horizon(raw, "gradient", 1.0, scfg.h)
-    eps = _getf(raw, "gradient", "eps_fd", 0.01)
-    if not EPS_FD_RANGE[0] <= eps <= EPS_FD_RANGE[1]:
-        raise ConfigError("gradient.eps_fd", f"got {eps:g}; need a value in {list(EPS_FD_RANGE)}")
-    fname, f = _functional(raw, "gradient", "coord0", nu)
+    g = cfg.record["gradient"]
+    T, eps = _on_grid("gradient", g["T"], scfg.h), g["eps_fd"]
+    f = _functional(cfg, "gradient", nu)
     direction = np.zeros((nu.n_cells + 1, m.d))
     direction[-1, 0] = 1.0
     rep = check_gradient_estimate(
@@ -545,7 +560,7 @@ def _run_gradient(cfg, nu, m, scfg, xi):
     )
     metrics = {"D": rep.D, "D_stderr": rep.D_stderr, "V": rep.V, "ratio": rep.ratio}
     verdict = "pass"
-    if m.name == "ou" and fname == "coord0":
+    if m.name == "ou" and g["functional"] == "coord0":
         oracle = math.exp(-m.params["lam"] * (T + nu.r0))
         metrics["oracle"] = oracle
         if not abs(rep.D - oracle) <= 2.0 * eps**2 + 3.0 * rep.D_stderr:
@@ -553,28 +568,10 @@ def _run_gradient(cfg, nu, m, scfg, xi):
     return verdict, metrics
 
 def _run_zvonkin(cfg, nu, m, scfg, xi):
-    raw = cfg.raw
     if not m.Q_bounds.get("Q", 0.0) > 0:
         raise ConfigError("model.sigma", f"the transform of model {m.name!r} needs sigma > 0")
-    T = _horizon(raw, "zvonkin", 1.0)
-    try:
-        lams = [float(x) for x in raw.get("zvonkin", {}).get("lams", "2,4,8,16,32").split(",")]
-    except ValueError as e:
-        raise ConfigError("zvonkin.lams", f"need comma-separated numbers: {e}") from e
-    if not min(lams) > 0:
-        raise ConfigError("zvonkin.lams", "need every lam > 0")
-    kw = {}
-    for key in ("x_max", "n_x", "n_t"):
-        if key in raw.get("zvonkin", {}):
-            v = _getf(raw, "zvonkin", key)
-            if key == "x_max":
-                ok, need = 0 < v < math.inf, "a finite x_max > 0"
-            else:  # np.gradient and the time step need two nodes
-                ok, need = v.is_integer() and v >= 2, f"an integer {key} >= 2"
-            if not ok:
-                raise ConfigError(f"zvonkin.{key}", f"need {need}, got {v:g}")
-            kw[key] = v if key == "x_max" else int(v)
-    rep = verify_decay(m, lams, T, **kw)
+    z = dict(cfg.record["zvonkin"])
+    rep = verify_decay(m, z.pop("lams"), z.pop("T"), **z)  # and picard_u's x_max, n_x, n_t
     ok = rep.monotone and rep.lam_star is not None
     return "pass" if ok else "fail", {
         "lams": rep.lams, "u_sup": rep.u_sups, "du_sup": rep.du_sups,
@@ -584,7 +581,7 @@ def _run_zvonkin(cfg, nu, m, scfg, xi):
 def _run_bihari(cfg, nu, m, scfg, xi):
     if m.bihari is None:
         raise ConfigError("model.name", f"model {m.name!r} declares no (Phi, h) growth data")
-    T = _horizon(cfg.raw, "bihari", scfg.t_end, scfg.h)
+    T = _on_grid("bihari", cfg.record["bihari"]["T"], scfg.h)
     if T > scfg.t_end:
         raise ConfigError("bihari.T", f"need T <= solver.t_end = {scfg.t_end:g}, got {T:g}")
     try:
@@ -592,7 +589,7 @@ def _run_bihari(cfg, nu, m, scfg, xi):
     except ValueError as e:
         raise ConfigError("measure", str(e)) from e
     columns = partial(apriori_columns, m, nu, xi, scfg, T, cfg.base_seed)
-    rep = apriori_report(*_pool_map(cfg, columns), m, nu, xi, T)
+    rep = apriori_report(*map_columns(cfg.n_paths, CHUNK, columns, cfg.workers), m, nu, xi, T)
     return "pass" if rep.passed else "fail", {
         "pass_fraction": rep.pass_fraction, "K1": rep.K1, "K2": rep.K2,
         "alpha_mean": rep.alpha_mean, "worst_margin": rep.worst_margin,

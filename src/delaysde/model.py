@@ -282,10 +282,12 @@ def check_param(key: str, value) -> None:
         raise ValueError(f"need a finite {key}, got {value!r}")
 
 
-def _record(params: dict, **defaults) -> dict:
-    """An entry's params record: its parameters as floats, defaults filled in, then the rest."""
-    named = {key: float(params.pop(key, default)) for key, default in defaults.items()}
-    return {**named, **params}
+def _record(name: str, params: dict, **defaults) -> dict:
+    """An entry's params record: its parameters as floats, defaults filled in."""
+    for key in params:
+        if key not in defaults:
+            raise ValueError(f"model {name!r} does not read {key}; it reads {', '.join(defaults)}")
+    return {key: float(params.get(key, default)) for key, default in defaults.items()}
 
 
 def _catalog_spec(name: str, d: int, params: dict, sigma: float, b, B, **fields) -> ModelSpec:
@@ -308,6 +310,7 @@ def make_model(name: str, measure: DelayMeasure | None = None, **params) -> Mode
 
     Catalog: zero, ou, reference, linear_delay, cubic, quadratic, tabulated,
     each built by _catalog_spec, the one place that assembles a ModelSpec.
+    A parameter the entry does not read is a ValueError, not a silent no-op.
     """
     d = int(params.pop("d", 1))
     for key, value in [("d", d), *params.items()]:
@@ -315,13 +318,13 @@ def make_model(name: str, measure: DelayMeasure | None = None, **params) -> Mode
     if name in ("reference", "linear_delay", "tabulated") and measure is None:
         raise ValueError(f"{name} model needs the delay measure to declare constants")
     if name == "zero":
-        return _catalog_spec("zero", d, _record(params, lam=1.0), 0.0, _zero_b, _zero_B)
+        return _catalog_spec("zero", d, _record(name, params, lam=1.0), 0.0, _zero_b, _zero_B)
     if name == "ou":
-        p = _record(params, lam=1.0, sigma=1.0)
+        p = _record(name, params, lam=1.0, sigma=1.0)
         return _catalog_spec("ou", d, p, p["sigma"], _zero_b, _zero_B,
                              phi=DiniModulus.power(0.5), b_sup=0.0)
     if name == "reference":
-        p = _record(params, lam=1.0, beta=0.5, sigma=1.0)
+        p = _record(name, params, lam=1.0, beta=0.5, sigma=1.0)
 
         def b(t, x):
             return np.sqrt(np.minimum(np.abs(x), 1.0))
@@ -332,7 +335,7 @@ def make_model(name: str, measure: DelayMeasure | None = None, **params) -> Mode
                              B_lip_sq=p["beta"] ** 2 * measure.total_mass(),
                              bihari=_delay_bihari(p["beta"], measure, 0.5, note))
     if name == "linear_delay":
-        p = _record(params, lam=1.0, beta=0.5, sigma=1.0)
+        p = _record(name, params, lam=1.0, beta=0.5, sigma=1.0)
         note = "linear delay drift; Phi has linear growth so the Bihari integral diverges"
         return _catalog_spec("linear_delay", d, p, p["sigma"], _zero_b, _nu_B(p["beta"]),
                              phi=DiniModulus.power(0.5), b_sup=0.0,
@@ -344,14 +347,14 @@ def make_model(name: str, measure: DelayMeasure | None = None, **params) -> Mode
         def b(t, x):
             return x**3
 
-        return _catalog_spec("cubic", d, _record(params, lam=1.0), 0.0, b, _zero_B)
+        return _catalog_spec("cubic", d, _record(name, params, lam=1.0), 0.0, b, _zero_B)
     if name == "quadratic":
         # deliberately violates (A3') against a sqrt modulus; validator test entry
 
         def b(t, x):
             return x**2
 
-        return _catalog_spec("quadratic", d, _record(params, lam=1.0), 1.0, b, _zero_B,
+        return _catalog_spec("quadratic", d, _record(name, params, lam=1.0), 1.0, b, _zero_B,
                              phi=DiniModulus.power(0.5), b_sup=np.inf)
     if name == "tabulated":
         if "xs" not in params or "ys" not in params:
@@ -362,7 +365,7 @@ def make_model(name: str, measure: DelayMeasure | None = None, **params) -> Mode
             raise ValueError("tabulated drift needs matching 1-d xs/ys tables")
         if d != 1:
             raise ValueError("tabulated drift supports d=1")
-        p = _record(params, lam=1.0, beta=0.0, sigma=1.0)
+        p = _record(name, params, lam=1.0, beta=0.0, sigma=1.0)
 
         def b(t, x, _xs=xs, _ys=ys):
             return np.interp(x, _xs, _ys)

@@ -15,7 +15,8 @@ from delaysde import cli, rng
 from delaysde.bihari import apriori_check
 from delaysde.cli import ConfigError, main, parse_config
 from delaysde.harnack import check_log_harnack
-from delaysde.model import make_functional
+from delaysde.measure import make_measure
+from delaysde.model import make_functional, make_model
 
 BASE = """\
 [experiment]
@@ -82,9 +83,9 @@ def test_parse_bad_counts_and_format():
 
 def test_parse_keys_are_case_sensitive():
     cfg = parse_config(
-        "[experiment]\nscenario = couple\n[coupling]\nT = 0.5\nK = 2.0\n"
+        "[experiment]\nscenario = couple\n[coupling]\nT = 0.5\nK = 2.0\ndistance0 = 0.1\n"
     )
-    assert cfg.raw["coupling"]["T"] == "0.5"
+    assert cli.resolved_config(cfg)["coupling"]["T"] == "0.5"
 
 
 def test_main_missing_config_exits_3(tmp_path):
@@ -114,6 +115,10 @@ def test_main_config_error_exits_3(tmp_path):
     assert main(["simulate", "--config", path]) == 3
 
 
+KD = "K = 1.0\ndistance0 = 0.1\n"  # the defaults these keys had before they were required
+ATOMS = ",".join(["0.125"] * 8)  # one weight per cell of BASE's measure
+
+
 @pytest.mark.parametrize("scenario, model, extra, argv, field", [
     ("bihari", "ou", "", [], "model.name"),  # no growth data
     ("simulate", "ou", "", ["--seed", "-1"], "experiment.base_seed"),
@@ -121,7 +126,7 @@ def test_main_config_error_exits_3(tmp_path):
     ("girsanov-check", "ou", "[girsanov]\nfunctional = nope\n", [], "girsanov.functional"),
     ("zvonkin", "reference", "[zvonkin]\nlams = 2,x\n", [], "zvonkin.lams"),
     ("zvonkin", "reference", "[zvonkin]\nlams = 0,2\n", [], "zvonkin.lams"),
-    ("couple", "reference", "[coupling]\nT = 0.5\nlam_u = 0\n", [], "coupling.lam_u"),
+    ("couple", "reference", f"[coupling]\nT = 0.5\n{KD}lam_u = 0\n", [], "coupling.lam_u"),
     ("zvonkin", "reference", "[zvonkin]\nT = 0\n", [], "zvonkin.T"),
     ("zvonkin", "reference", "[zvonkin]\nn_t = 1\n", [], "zvonkin.n_t"),
     ("zvonkin", "reference", "[zvonkin]\nn_t = 8.5\n", [], "zvonkin.n_t"),
@@ -140,7 +145,7 @@ def test_main_config_error_exits_3(tmp_path):
     ("gradient", "ou", "[gradient]\nT = 0.3\n", [], "gradient.T"),
     ("bihari", "linear_delay", "[bihari]\nT = 0.3\n", [], "bihari.T"),
     ("simulate", "tabulated", "", [], "model.name"),  # the CLI cannot pass xs, ys
-    ("couple", "reference\nsigma = 0", "[coupling]\nT = 0.5\n", [], "model.sigma"),
+    ("couple", "reference\nsigma = 0", f"[coupling]\nT = 0.5\n{KD}", [], "model.sigma"),
     ("zvonkin", "zero", "", [], "model.sigma"),  # u needs a diffusion even for b = 0
     ("simulate", "ou", "[solver]\nh = inf\n", [], "solver.h"),
     ("simulate", "ou", "[solver]\nh = nan\n", [], "solver.h"),
@@ -158,18 +163,36 @@ def test_main_config_error_exits_3(tmp_path):
     # an empty cell receives shifted mass, so kappa(T) and the bound's K1 are infinite
     ("bihari", "linear_delay", "[measure]\nkind = atoms\nweights = 0.1,0,0,0,0.2,0,0,0\n", [],
      "measure"),
-    ("couple", "ou", "[coupling]\nT = inf\n", [], "coupling.T"),
-    ("couple", "ou", "[coupling]\nT = nan\n", [], "coupling.T"),
-    ("harnack", "ou", "[coupling]\nT = inf\n", [], "coupling.T"),
-    ("harnack", "ou", "[coupling]\nT = nan\n", [], "coupling.T"),
-    ("couple", "ou", "[coupling]\nT = 0.3\n", [], "coupling.T"),  # solver.h = 0.0625
-    ("couple", "ou", "[coupling]\nK = nan\n", [], "coupling.K"),
-    ("couple", "ou", "[coupling]\nK = inf\n", [], "coupling.K"),
-    ("couple", "ou", "[coupling]\ndistance0 = nan\n", [], "coupling.distance0"),
-    ("harnack", "ou", "[coupling]\ndistance0 = inf\n", [], "coupling.distance0"),
-    ("couple", "ou", "[coupling]\ndistance_seg = inf\n", [], "coupling.distance_seg"),
+    ("couple", "ou", f"[coupling]\nT = inf\n{KD}", [], "coupling.T"),
+    ("couple", "ou", f"[coupling]\nT = nan\n{KD}", [], "coupling.T"),
+    ("harnack", "ou", f"[coupling]\nT = inf\n{KD}", [], "coupling.T"),
+    ("harnack", "ou", f"[coupling]\nT = nan\n{KD}", [], "coupling.T"),
+    ("couple", "ou", f"[coupling]\nT = 0.3\n{KD}", [], "coupling.T"),  # solver.h = 0.0625
+    ("couple", "ou", "[coupling]\nK = nan\ndistance0 = 0.1\n", [], "coupling.K"),
+    ("couple", "ou", "[coupling]\nK = inf\ndistance0 = 0.1\n", [], "coupling.K"),
+    ("couple", "ou", "[coupling]\nK = 1.0\ndistance0 = nan\n", [], "coupling.distance0"),
+    ("harnack", "ou", "[coupling]\nK = 1.0\ndistance0 = inf\n", [], "coupling.distance0"),
+    ("couple", "ou", f"[coupling]\n{KD}distance_seg = inf\n", [], "coupling.distance_seg"),
     ("couple", "ou", "", ["--paths", "1"], "experiment.n_paths"),  # 3 sigma of a zero stderr
-    ("couple", "reference", "[coupling]\nT = 0.5\nlam_u = inf\n", [], "coupling.lam_u"),
+    ("couple", "reference", f"[coupling]\nT = 0.5\n{KD}lam_u = inf\n", [], "coupling.lam_u"),
+    # K and distance0 have no default that couples
+    ("couple", "ou", "[coupling]\nT = 0.5\ndistance0 = 0.1\n", [], "coupling.K"),
+    ("couple", "ou", "[coupling]\nT = 0.5\nK = 1.0\n", [], "coupling.distance0"),
+    ("harnack", "ou", "[coupling]\nT = 0.5\ndistance0 = 0.1\n", [], "coupling.K"),
+    ("harnack", "ou", "[coupling]\nT = 0.5\nK = 1.0\n", [], "coupling.distance0"),
+    # a model key that the catalog entry does not read
+    ("simulate", "zero\nsigma = 0.5", "", [], "model.sigma"),
+    ("simulate", "zero\nbeta = 3.0", "", [], "model.beta"),
+    ("simulate", "ou\nbeta = 3.0", "", [], "model.beta"),
+    # a measure key that the measure kind does not read (BASE's kind is uniform)
+    ("simulate", "ou", "[measure]\nlam = 7.0\n", [], "measure.lam"),
+    ("simulate", "ou", "[measure]\nweights = 1,2\n", [], "measure.weights"),
+    ("simulate", "ou", "[measure]\nkind = exponential\ndensity = 2.0\n", [], "measure.density"),
+    ("simulate", "ou", "[measure]\nkind = exponential\nweights = 1,2\n", [], "measure.weights"),
+    ("simulate", "ou", f"[measure]\nkind = atoms\nweights = {ATOMS}\nlam = 2.0\n", [], "measure.lam"),
+    ("simulate", "ou", f"[measure]\nkind = atoms\nweights = {ATOMS}\ndensity = 2.0\n", [],
+     "measure.density"),
+    ("simulate", "ou", "[measure]\nkind = gamma\n", [], "measure.kind"),
 ], ids=["bihari-ou", "seed", "eps_fd", "functional", "lams-text", "lams-zero", "lam_u",
         "zvonkin-T", "n_t-one", "n_t-fraction", "n_x-zero", "x_max-zero",
         "harnack-one-path", "gradient-one-path", "girsanov-one-path", "x0-text", "x0-nan",
@@ -180,7 +203,10 @@ def test_main_config_error_exits_3(tmp_path):
         "girsanov-seed-2^64-1", "bihari-kappa-inf", "coupling-T-inf", "coupling-T-nan",
         "harnack-T-inf", "harnack-T-nan", "coupling-T-off-grid", "coupling-K-nan",
         "coupling-K-inf", "distance0-nan", "harnack-distance0-inf", "distance_seg-inf",
-        "couple-one-path", "lam_u-inf"])
+        "couple-one-path", "lam_u-inf", "couple-no-K", "couple-no-distance0", "harnack-no-K",
+        "harnack-no-distance0", "zero-sigma", "zero-beta", "ou-beta", "uniform-lam",
+        "uniform-weights", "exponential-density", "exponential-weights", "atoms-lam",
+        "atoms-density", "unknown-kind"])
 def test_invalid_scenario_value_exits_3(tmp_path, capsys, scenario, model, extra, argv, field):
     """A bad value of a scenario's own section is a config error naming the
     field, not a traceback under the exit code of a failed verdict."""
@@ -208,9 +234,9 @@ def test_solver_key_is_refused_by_a_scenario_that_does_not_read_it(
     girsanov-check; any other scenario would drop the key and echo it in
     verdict.json, so it exits 3 naming the key before any work."""
     text = BASE.replace("t_end = 1.0", f"t_end = 1.0\n{key} = {value}")
-    if scenario in cli._SOLVER_KEY_READERS[key]:
+    if scenario in cli._KEYS["solver", key].readers:
         cfg = parse_config(text.replace("scenario = simulate", f"scenario = {scenario}"))
-        assert cfg.raw["solver"][key] == value
+        assert cli.resolved_config(cfg)["solver"][key] == value
         return
     out = tmp_path / "out"
     assert main([scenario, "--config", _write(tmp_path, text), "--out", str(out)]) == 3
@@ -232,7 +258,7 @@ def test_couple_unstable_step_exits_3(tmp_path, capsys):
     """h K^2 >= 2 would make the bridged step grow X - Y: a config error on K."""
     text = BASE.replace("scenario = simulate", "scenario = couple").replace(
         "name = zero", "name = ou"
-    ) + "[coupling]\nT = 0.5\nK = 6.0\n"  # h K^2 = 2.25
+    ) + "[coupling]\nT = 0.5\nK = 6.0\ndistance0 = 0.1\n"  # h K^2 = 2.25
     path = _write(tmp_path, text)
     assert main(["couple", "--config", path, "--out", str(tmp_path / "unstable")]) == 3
     err = capsys.readouterr().err.strip().splitlines()
@@ -255,7 +281,7 @@ def test_simulate_zero_model_outputs(tmp_path):
     out = tmp_path / "out"
     assert main(["simulate", "--config", path, "--out", str(out)]) == 0
     verdict = json.loads((out / "verdict.json").read_text())
-    assert verdict["schema_version"] == 3
+    assert verdict["schema_version"] == 4
     assert verdict["verdict"] == "pass"
     assert verdict["metrics"]["explosion_fraction"] == 0.0
     rows = json.loads((out / "result.json").read_text())["rows"]
@@ -274,28 +300,87 @@ def test_sim_chunk_returns_arrays_that_own_their_data():
         assert a.shape[0] == 6 and a.base is None
 
 
+_ROUND_TRIPS = [
+    ("simulate", "ou", ""),
+    ("couple", "ou", "[coupling]\nT = 0.5\nK = 4.0\ndistance0 = 0.05\n"),
+    ("bihari", "linear_delay", ""),
+    ("zvonkin", "reference", "[zvonkin]\nlams = 4,8\nT = 0.5\nn_x = 41\nn_t = 9\n"),
+]
+
+
 def test_verdict_config_round_trips(tmp_path):
-    """verdict.json carries the resolved configuration, command-line
-    overrides included; written back as INI it reruns to the same bytes."""
-    path = _write(tmp_path, BASE.replace("name = zero", "name = ou"))
-    out = tmp_path / "first"
-    argv = ["simulate", "--config", path, "--out", str(out), "--seed", "7", "--paths", "30",
-            "--step", "0.125", "--workers", "2"]
-    assert main(argv) == 0
+    """verdict.json carries every key the scenario read, defaults and
+    command-line overrides included; written back as INI it reruns to the
+    same bytes."""
+    for scenario, model, extra in _ROUND_TRIPS:
+        (tmp_path / scenario).mkdir()
+        _round_trip(tmp_path / scenario, scenario, model, extra)
+
+
+def _round_trip(work, scenario, model, extra):
+    path = _write(work, BASE.replace("name = zero", f"name = {model}") + extra)
+    out = work / "first"
+    argv = ["--out", str(out), "--seed", "7", "--paths", "30", "--workers", "2"]
+    if scenario == "simulate":
+        argv += ["--step", "0.125"]
+    code = main([scenario, "--config", path, *argv])
+    assert code in (0, 1)
     verdict = json.loads((out / "verdict.json").read_text())
     config = verdict["config"]
     assert config["experiment"] == {
-        "scenario": "simulate", "n_paths": "30", "base_seed": "7", "format": "json",
+        "scenario": scenario, "n_paths": "30", "base_seed": "7", "format": "json",
     }
-    assert config["solver"]["h"] == "0.125"
+    kind = config["measure"]["kind"]
+    entry = make_model(model, measure=make_measure(kind, 0.5, 0.0625))
+    read = {("model", key) for key in ("d", *entry.params)}
+    read |= {(sec, key) for (sec, key), spec in cli._KEYS.items()
+             if scenario in spec.readers and spec.kind in (None, kind)
+             and spec.default is not cli._FROM_MODEL}
+    read -= {("experiment", "output"), ("experiment", "workers")}
+    assert {(sec, key) for sec, keys in config.items() for key in keys} == read
+    if scenario == "simulate":
+        assert config["solver"]["h"] == "0.125"
+    if scenario == "couple":
+        assert config["coupling"] == {"T": "0.5", "K": "4.0", "distance0": "0.05",
+                                      "distance_seg": "0.0", "lam_u": "16.0"}
     assert set(verdict["versions"]) == {"delaysde", "numpy", "scipy", "python"}
     text = "\n".join(f"[{sec}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
                      for sec, keys in config.items())
     assert cli.resolved_config(parse_config(text)) == config
-    again = tmp_path / "again"
-    assert main(["simulate", "--config", _write(tmp_path, text, "resolved.ini"), "--out", str(again)]) == 0
-    assert (again / "result.json").read_bytes() == (out / "result.json").read_bytes()
-    assert (again / "verdict.json").read_bytes() == (out / "verdict.json").read_bytes()
+    again = work / "again"
+    resolved = _write(work, text, "resolved.ini")
+    assert main([scenario, "--config", resolved, "--out", str(again)]) == code
+    for name in ("result.json", "verdict.json"):
+        if (out / name).exists():
+            assert (again / name).read_bytes() == (out / name).read_bytes()
+
+
+def _readme() -> str:
+    return (Path(__file__).resolve().parents[1] / "README.md").read_text()
+
+
+def test_readme_config_table_matches_the_code():
+    """The README's config table lists the keys and defaults of cli._KEYS."""
+    lines = _readme().split("| section | key | default | check | read by |\n")[1].splitlines()
+    rows = {}
+    for line in lines[1:]:
+        if not line.startswith("|"):
+            break
+        sec, key, default = (cell.strip().strip("`") for cell in line.split("|")[1:4])
+        rows[sec, key] = default
+    assert rows == {sec_key: cli._text(spec.default) for sec_key, spec in cli._KEYS.items()}
+
+
+@pytest.mark.parametrize("scenario", ["simulate", "couple"])
+def test_readme_example_config_runs_scenarios_that_skip_its_sections(tmp_path, scenario):
+    """One config serves every scenario: simulate passes over the README
+    example's [coupling] section, which couple reads."""
+    ini = _readme().split("```ini\n")[1].split("```")[0]
+    assert "[coupling]" in ini
+    out = tmp_path / "out"
+    assert main([scenario, "--config", _write(tmp_path, ini), "--out", str(out), "--paths", "96"]) == 0
+    config = json.loads((out / "verdict.json").read_text())["config"]
+    assert ("coupling" in config) == (scenario == "couple")
 
 
 def _reject_constant(token):
@@ -309,7 +394,7 @@ def test_simulate_json_is_strict(tmp_path):
     assert main(["simulate", "--config", path, "--out", str(out)]) == 0
     for name in ("result.json", "verdict.json"):
         payload = json.loads((out / name).read_text(), parse_constant=_reject_constant)
-        assert payload["schema_version"] == 3
+        assert payload["schema_version"] == 4
     payload = json.loads((out / "result.json").read_text())
     col = payload["columns"].index("lifetime")
     assert all(row[col] is None for row in payload["rows"])
@@ -399,11 +484,11 @@ def test_girsanov_explosion_exits_2(tmp_path, capsys):
 
 
 def test_couple_fails_when_pairs_do_not_meet(tmp_path):
-    """With the default K the bridge is too weak to meet by T at this step:
-    the verdict fails even though E[R] is within its error bar."""
+    """With K = 1 the bridge is too weak to meet by T at this step: the
+    verdict fails even though E[R] is within its error bar."""
     text = BASE.replace("scenario = simulate", "scenario = couple").replace(
         "name = zero", "name = ou"
-    ) + "[coupling]\nT = 0.5\ndistance0 = 0.1\n"
+    ) + "[coupling]\nT = 0.5\nK = 1.0\ndistance0 = 0.1\n"
     path = _write(tmp_path, text)
     out = tmp_path / "nomeet"
     assert main(["couple", "--config", path, "--out", str(out)]) == 1
@@ -809,6 +894,7 @@ t_end = 0.5
 [coupling]
 T = 0.5
 K = 6.0
+distance0 = 0.1
 [girsanov]
 T = 0.5
 [gradient]

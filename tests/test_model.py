@@ -223,7 +223,8 @@ def test_declared_constant_diffusion_is_constant(name, d):
     d = 2 it reads the per-row array."""
     nu = make_measure("exponential", 1.0, 0.125, lam=1.0)
     tables = {"xs": [0.0, 1.0], "ys": [0.0, 1.0]} if name == "tabulated" else {}
-    m = make_model(name, measure=nu, d=d, sigma=0.7, **tables)
+    sigma = {"sigma": 0.7} if "sigma" in make_model(name, measure=nu, **tables).params else {}
+    m = make_model(name, measure=nu, d=d, **sigma, **tables)
     if m.Q_bounds.get("dQ") != 0:
         pytest.skip(f"{name} does not declare a constant Q")
     rng = np.random.default_rng(8)
@@ -239,16 +240,20 @@ _PROBE_T = 0.3
 _PROBE_GRID = np.array([0.0, 0.25, 1.0, 2.0, 10.0])
 # SHA-256 prefixes of every field of each catalog entry, as float.hex
 # strings (see _catalog_fields), pinned before the entries shared one
-# constructor; "set" passes lam 1.5, beta 0.25 and sigma 0.75 to every entry
+# constructor; "set" passes each of _SET that the entry reads.  The "set"
+# digests of zero, ou, cubic and quadratic were pinned again when the catalog
+# began to refuse a parameter its entry does not read: they hash the old
+# fields with those parameters dropped from the params record
+_SET = {"lam": 1.5, "beta": 0.25, "sigma": 0.75}
 _CATALOG_DIGESTS = {
     ('zero', 1, 'default'): '8fe9ecbfd51e27da',
-    ('zero', 1, 'set'): 'b6a14dd618a99833',
+    ('zero', 1, 'set'): '908ed9b649d9735f',
     ('zero', 2, 'default'): '772d6f1e4f6f979a',
-    ('zero', 2, 'set'): 'da1358e6975d8e1f',
+    ('zero', 2, 'set'): '77c8f0c622b34e0b',
     ('ou', 1, 'default'): '17d7948942a77785',
-    ('ou', 1, 'set'): '8ad71cf8775e387f',
+    ('ou', 1, 'set'): '5f4d73bc5fb60d20',
     ('ou', 2, 'default'): '07515ddab7c34e78',
-    ('ou', 2, 'set'): '234338e28a805925',
+    ('ou', 2, 'set'): '07ec29d74e0bf125',
     ('reference', 1, 'default'): '7f3587aabc202289',
     ('reference', 1, 'set'): '3019dded71b9f7f2',
     ('reference', 2, 'default'): '890b4ab0ad4d760b',
@@ -258,13 +263,13 @@ _CATALOG_DIGESTS = {
     ('linear_delay', 2, 'default'): 'cb38da9d6959aeb4',
     ('linear_delay', 2, 'set'): 'fbe1eb8166d314cd',
     ('cubic', 1, 'default'): '392f1ad9489a0f73',
-    ('cubic', 1, 'set'): '3a690cc3840e2dac',
+    ('cubic', 1, 'set'): 'decc88319b8f1310',
     ('cubic', 2, 'default'): 'bd000a44fdd3db59',
-    ('cubic', 2, 'set'): '157df58d18fd51f0',
+    ('cubic', 2, 'set'): '7825dec8bdfffba4',
     ('quadratic', 1, 'default'): 'b439ab0a1ad4e300',
-    ('quadratic', 1, 'set'): '99a5b057fc3f73a9',
+    ('quadratic', 1, 'set'): 'a7eb75a39c1ebf19',
     ('quadratic', 2, 'default'): 'b961bf94e150ef0a',
-    ('quadratic', 2, 'set'): '5216351dd5e9593d',
+    ('quadratic', 2, 'set'): 'fe06f804b26e5b90',
     ('tabulated', 1, 'default'): '937963a3da06776d',
     ('tabulated', 1, 'set'): '53d2398e6e5933ae',
 }
@@ -278,10 +283,10 @@ def _catalog_fields(name, d, variant):
     """Every field of the entry: A's rates, Q_bounds, params, phi, b_sup and
     B_lip_sq, b, B and Q on fixed probe rows, and the BihariData on a grid."""
     nu = make_measure("exponential", 0.5, 2.0**-4, lam=1.0)
-    kw = {"lam": 1.5, "beta": 0.25, "sigma": 0.75} if variant == "set" else {}
-    if name == "tabulated":
-        kw.update(xs=[-1.0, 0.0, 2.0], ys=[0.5, -1.0, 3.0])
-    m = make_model(name, measure=nu, d=d, **kw)
+    tables = {"xs": [-1.0, 0.0, 2.0], "ys": [0.5, -1.0, 3.0]} if name == "tabulated" else {}
+    reads = make_model(name, measure=nu, **tables).params
+    kw = {k: v for k, v in _SET.items() if k in reads} if variant == "set" else {}
+    m = make_model(name, measure=nu, d=d, **kw, **tables)
     x = np.linspace(-3.0, 3.0, 7)[:, None] * (1.0 + 0.5 * np.arange(d)) + 0.1 * np.arange(d)
     phi = m.phi
     return {
@@ -311,3 +316,13 @@ def test_catalog_keeps_every_field(case):
     and with every parameter set, keeps the bits of all its fields."""
     fields = _catalog_fields(*case)
     assert hashlib.sha256(repr(fields).encode()).hexdigest()[:16] == _CATALOG_DIGESTS[case], fields
+
+
+@pytest.mark.parametrize("name, key", [
+    ("zero", "sigma"), ("zero", "beta"), ("ou", "beta"), ("cubic", "sigma"), ("quadratic", "beta"),
+])
+def test_catalog_refuses_a_parameter_its_entry_does_not_read(name, key):
+    """A parameter that would act on nothing is refused, not kept in the
+    params record as if it had acted."""
+    with pytest.raises(ValueError, match=f"model '{name}' does not read {key}"):
+        make_model(name, **{key: 0.5})
