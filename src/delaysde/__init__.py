@@ -29,11 +29,10 @@ from .model import (
 from .rng import coarsen_increments, normal_increments, path_generator
 from .solver import PathBatch, SolverConfig, cutoff_psi, simulate
 from .bihari import apriori_check, bihari_bound
-from .girsanov import direct_estimate, girsanov_shift, weak_estimate
+from .girsanov import direct_estimate, weak_estimate
 from .zvonkin import (
     TransformedModel,
     ZvonkinSolution,
-    ou_apply,
     simulate_transformed,
     solve_u,
     theta,

@@ -1,9 +1,10 @@
 """The Bihari a-priori bound: the non-explosion check of a path's drift part.
 
 apriori_check is apriori_report over the columns of apriori_columns, joined
-in path order over chunks of paths; the CLI maps the same column function
-over its worker pool.  The report inverts Psi_T on one grid that covers the
-targets of every path, so no bound depends on the chunk size.
+in path order by rng.map_columns over STORED_ROW_CHUNK chunks of paths, which
+are stored whole, on `workers` processes.  The report inverts Psi_T on one
+grid that covers the targets of every path, so no bound depends on the chunk
+size or the worker count.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .solver import simulate
 
 __all__ = [
     "BoundExceedsCapError", "AprioriReport", "bihari_bound", "psi_inverse", "check_kappa",
-    "apriori_columns", "apriori_report", "apriori_check",
+    "apriori_check",
 ]
 
 
@@ -178,10 +179,11 @@ def apriori_report(alpha, sup_sq, m, nu, xi, T) -> AprioriReport:
     )
 
 
-def apriori_check(m, nu, xi, cfg, T, n_paths, base_seed) -> AprioriReport:
+def apriori_check(m, nu, xi, cfg, T, n_paths, base_seed, workers=1) -> AprioriReport:
     """Check sup_{t<=T} |Y(t)|^2 <= Psi_T^{-1}(alpha(T)+T) path by path on
-    n_paths paths, taken in ESTIMATOR_CHUNK chunks; an infinite kappa(T)
-    is a ValueError before any path."""
+    n_paths paths, taken in STORED_ROW_CHUNK chunks on `workers` processes;
+    an infinite kappa(T) is a ValueError before any path."""
     check_kappa(nu, T)
     columns = partial(apriori_columns, m, nu, xi, cfg, T, base_seed)
-    return apriori_report(*rng.map_columns(n_paths, rng.ESTIMATOR_CHUNK, columns), m, nu, xi, T)
+    joined = rng.map_columns(n_paths, rng.STORED_ROW_CHUNK, columns, workers)
+    return apriori_report(*joined, m, nu, xi, T)

@@ -10,14 +10,14 @@ record, defaults included; the handlers read the record and verdict.json
 holds it.  A key that the run does not read is refused when the scenario
 reads its section; a section it does not read at all is passed over.
 
-`simulate`, `couple`, `harnack` and `bihari` decompose their paths into
-CHUNK-path chunks keyed by path index and map them with rng.map_columns over
---workers processes, so the emitted bytes do not depend on the worker count;
-reruns with the same config and seed are byte-identical.  The per-run
-set-up, including the u solve of `couple` and `harnack`, is built once
-before worker processes fork.  `girsanov-check` and `gradient` chunk
-serially inside the library.  The output directory is checked before any
-scenario work.
+Every path scenario decomposes its paths into chunks keyed by path index and
+maps them with rng.map_columns over --workers processes: `simulate` and
+`couple` directly, in rng.STORED_ROW_CHUNK chunks, and `girsanov-check`,
+`harnack`, `gradient` and `bihari` through the library check they run.  So
+the emitted bytes do not depend on the worker count, and reruns with the
+same config and seed are byte-identical.  The per-run set-up, including the
+u solve of `couple` and `harnack`, is built once before worker processes
+fork.  The output directory is checked before any scenario work.
 
 Exit codes: 0 all asserted properties pass, 1 any failure, 2 inconclusive
 (degenerate weights) or a numerical failure (grid coverage, sup |grad u| >= 1
@@ -42,12 +42,12 @@ from functools import partial
 import numpy as np
 import scipy
 
-from . import __version__
-from .bihari import apriori_columns, apriori_report, check_kappa
+from . import __version__, rng
+from .bihari import apriori_check, check_kappa
 from .coupling import CouplingConfig, entropy_cost, run_coupling_batch
 from .girsanov import SingularDiffusionError, direct_estimate, weak_estimate
 from .harnack import EPS_FD_RANGE, DegenerateVarianceError, ExplosionBeforeHorizonError
-from .harnack import check_gradient_estimate, log_harnack_columns, log_harnack_report
+from .harnack import check_gradient_estimate, check_log_harnack
 from .measure import (
     GridMismatchError,
     check_shift_domination,
@@ -79,7 +79,6 @@ SCENARIOS = (
 # resolved configuration and the library versions; 4: that configuration
 # holds every key the run read, defaults included
 SCHEMA_VERSION = 4
-CHUNK = 1024  # fixed decomposition unit; independent of the worker count
 _EXIT_CODES = {"pass": 0, "fail": 1, "inconclusive": 2}
 # library failures of a valid config: exit 2, one stderr line naming the error
 _NUMERICAL_ERRORS = (
@@ -471,7 +470,8 @@ def _coupling_setup(cfg, nu, m, scfg, xi):
 
 def _run_simulate(cfg, nu, m, scfg, xi):
     setup = (cfg.base_seed, nu, m, scfg, xi)
-    term_all, lifetimes, sup = map_columns(cfg.n_paths, CHUNK, partial(_sim_chunk, setup), cfg.workers)
+    columns = partial(_sim_chunk, setup)
+    term_all, lifetimes, sup = map_columns(cfg.n_paths, rng.STORED_ROW_CHUNK, columns, cfg.workers)
     header = ["path", *[f"x{j}" for j in range(m.d)], "lifetime", "sup_norm"]
     _write_rows(cfg, header, [np.arange(cfg.n_paths), *term_all.T, lifetimes, sup])
     return "pass", {
@@ -498,8 +498,8 @@ def _run_girsanov(cfg, nu, m, scfg, xi):
     T = _on_grid("girsanov", cfg.record["girsanov"]["T"], scfg.h)
     f = _functional(cfg, "girsanov", nu)
     gcfg = SolverConfig(h=scfg.h, t_end=T, scheme=scfg.scheme)
-    direct, d_se = direct_estimate(m, nu, xi, f, T, gcfg, cfg.base_seed, cfg.n_paths)
-    west = weak_estimate(m, nu, xi, f, T, gcfg, cfg.base_seed + 1, cfg.n_paths)
+    direct, d_se = direct_estimate(m, nu, xi, f, T, gcfg, cfg.base_seed, cfg.n_paths, cfg.workers)
+    west = weak_estimate(m, nu, xi, f, T, gcfg, cfg.base_seed + 1, cfg.n_paths, cfg.workers)
     comb = math.sqrt(d_se**2 + west.stderr**2)
     agree = abs(direct - west.unnormalized) <= 3.0 * comb
     mart = abs(west.mean_R - 1.0) <= 3.0 * west.stderr_R
@@ -514,7 +514,8 @@ def _run_girsanov(cfg, nu, m, scfg, xi):
 def _run_couple(cfg, nu, m, scfg, xi):
     tm, cc, xi_t, eta_t = _coupling_setup(cfg, nu, m, scfg, xi)
     setup = (cfg.base_seed, nu, tm, cc, xi_t, eta_t)
-    tau, log_r, equal = map_columns(cfg.n_paths, CHUNK, partial(_couple_chunk, setup), cfg.workers)
+    columns = partial(_couple_chunk, setup)
+    tau, log_r, equal = map_columns(cfg.n_paths, rng.STORED_ROW_CHUNK, columns, cfg.workers)
     _write_rows(cfg, ["path", "tau", "log_R", "terminal_equal"],
                 [np.arange(len(tau)), tau, log_r, equal.astype(int)])
     ent = entropy_cost(log_r)
@@ -537,8 +538,8 @@ def _run_couple(cfg, nu, m, scfg, xi):
 def _run_harnack(cfg, nu, m, scfg, xi):
     tm, cc, xi_t, eta_t = _coupling_setup(cfg, nu, m, scfg, xi)
     f, _ = make_functional("tanh0_pos", nu)
-    columns = partial(log_harnack_columns, tm, nu, f, xi_t, eta_t, cc, cfg.base_seed)
-    rep = log_harnack_report(*map_columns(cfg.n_paths, CHUNK, columns, cfg.workers), nu, xi_t, eta_t, cc)
+    rep = check_log_harnack(tm, nu, f, xi_t, eta_t, cc.T, cc.h, cc.K, cfg.n_paths, cfg.base_seed,
+                            workers=cfg.workers)
     if np.array_equal(xi_t, eta_t):
         verdict = "pass" if rep.jensen_ok else "fail"
     else:
@@ -556,7 +557,8 @@ def _run_gradient(cfg, nu, m, scfg, xi):
     direction = np.zeros((nu.n_cells + 1, m.d))
     direction[-1, 0] = 1.0
     rep = check_gradient_estimate(
-        m, nu, f, xi.values, direction, T, scfg.h, eps, cfg.n_paths, cfg.base_seed
+        m, nu, f, xi.values, direction, T, scfg.h, eps, cfg.n_paths, cfg.base_seed,
+        workers=cfg.workers,
     )
     metrics = {"D": rep.D, "D_stderr": rep.D_stderr, "V": rep.V, "ratio": rep.ratio}
     verdict = "pass"
@@ -588,8 +590,7 @@ def _run_bihari(cfg, nu, m, scfg, xi):
         check_kappa(nu, T)
     except ValueError as e:
         raise ConfigError("measure", str(e)) from e
-    columns = partial(apriori_columns, m, nu, xi, scfg, T, cfg.base_seed)
-    rep = apriori_report(*map_columns(cfg.n_paths, CHUNK, columns, cfg.workers), m, nu, xi, T)
+    rep = apriori_check(m, nu, xi, scfg, T, cfg.n_paths, cfg.base_seed, cfg.workers)
     return "pass" if rep.passed else "fail", {
         "pass_fraction": rep.pass_fraction, "K1": rep.K1, "K2": rep.K2,
         "alpha_mean": rep.alpha_mean, "worst_margin": rep.worst_margin,

@@ -12,8 +12,10 @@ Neither estimator stores a path: each batch keeps a ring of n0 + 2 rows per
 path (see solver.simulate), from which f reads the terminal segment, and
 weak_estimate has simulate accumulate log R in the step of Z.  log_density
 sums the same per-step increment, solver.log_r_increment, over a stored
-batch.  Both reduce the per-path columns that rng.map_columns joins, so no
-chunk size enters their numbers, and both refuse a path dying before T.
+batch.  Both reduce the per-path columns that rng.map_columns joins over
+ESTIMATOR_CHUNK-path chunks on `workers` processes, so neither the chunk
+size nor the worker count enters their numbers, and both refuse a path
+dying before T.
 
 A diffusion declared constant (dQ = 0) in d = dbar = 1 is read once per
 step, and model.solve_qqt solves the shift in scalar form, q (v / (q q)).
@@ -30,27 +32,16 @@ from .measure import DelayMeasure, Segment, delay_averages
 # solve_qqt, the solve inside the shift psi, stays importable from here
 from .model import ModelSpec, SingularDiffusionError, _zero_b, _zero_B, solve_qqt
 from .rng import map_columns, mean_stderr
-from .solver import SolverConfig, _shift, log_r_increment, simulate
+from .solver import SolverConfig, log_r_increment, simulate
 
 __all__ = [
     "SingularDiffusionError",
     "WeakEstimate",
-    "girsanov_shift",
     "log_density",
     "weak_estimate",
     "terminal_f",
     "direct_estimate",
 ]
-
-def girsanov_shift(
-    m: ModelSpec, nu: DelayMeasure, t: float, seg: np.ndarray
-) -> np.ndarray:
-    """psi(t) = Q*(QQ*)^{-1}{b(t, xi(0)) + B(t, xi_t)} for a batch of segments."""
-    seg = np.asarray(seg, dtype=float)
-    if seg.ndim == 2:
-        seg = seg[None]
-    return _shift(m, t, seg[:, -1], nu.average(seg))
-
 
 def log_density(m: ModelSpec, nu: DelayMeasure, batch, cfg: SolverConfig) -> np.ndarray:
     """log R along a stored path batch: sum <psi_k, dW_k> - (h/2) sum |psi_k|^2,
@@ -89,6 +80,7 @@ def weak_estimate(
     cfg: SolverConfig,
     base_seed: int,
     n_paths: int,
+    workers: int = 1,
 ) -> WeakEstimate:
     """E[f(X_T-segment)] estimated as E[R f(Z_T-segment)] under the reference law.
 
@@ -110,7 +102,7 @@ def weak_estimate(
         r = np.exp(batch.log_r)
         return r, r * np.asarray(f(batch.terminal_segments()), dtype=float)
 
-    r, rf = map_columns(n_paths, rng.ESTIMATOR_CHUNK, columns)
+    r, rf = map_columns(n_paths, rng.ESTIMATOR_CHUNK, columns, workers)
     mean_rf, se_rf = mean_stderr(rf)
     mean_r, se_r = mean_stderr(r)
     s_r = np.sum(r)
@@ -150,6 +142,7 @@ def direct_estimate(
     cfg: SolverConfig,
     base_seed: int,
     n_paths: int,
+    workers: int = 1,
 ) -> tuple[float, float]:
     """Plain Monte Carlo (mean, stderr) of P_T f(xi) over n_paths >= 2 paths,
     sampled by terminal_f."""
@@ -161,5 +154,5 @@ def direct_estimate(
     def columns(offset, count):
         return (terminal_f(m, nu, f, xi.values, cfg, base_seed, count, path_offset=offset),)
 
-    mean, se = mean_stderr(*map_columns(n_paths, rng.ESTIMATOR_CHUNK, columns))
+    mean, se = mean_stderr(*map_columns(n_paths, rng.ESTIMATOR_CHUNK, columns, workers))
     return float(mean), float(se)

@@ -12,11 +12,12 @@ is an instance of the Gibbs inequality on the empirical sample, so the only
 slack needed is the Monte Carlo error of the independently estimated terms.
 
 check_log_harnack is log_harnack_report over the columns that
-log_harnack_columns returns for chunks of coupled pairs, joined in pair
-order; the CLI maps the same column function over its worker pool.
-check_gradient_estimate reduces its joined central-difference and f columns
-the same way.  A pair's columns do not depend on its chunk, and each report
-reads only the joined columns, so no report depends on the chunk size.
+log_harnack_columns returns for STORED_ROW_CHUNK chunks of coupled pairs,
+joined in pair order by rng.map_columns on `workers` processes.
+check_gradient_estimate reduces its joined central-difference and f columns,
+in ESTIMATOR_CHUNK chunks, the same way.  A pair's columns do not depend on
+its chunk, and each report reads only the joined columns, so no report
+depends on the chunk size or the worker count.
 """
 
 from __future__ import annotations
@@ -39,8 +40,6 @@ __all__ = [
     "DegenerateVarianceError",
     "ExplosionBeforeHorizonError",
     "check_log_harnack",
-    "log_harnack_columns",
-    "log_harnack_report",
     "check_gradient_estimate",
 ]
 
@@ -149,19 +148,21 @@ def check_log_harnack(
     n: int,
     base_seed: int,
     C_fitted: float | None = None,
+    workers: int = 1,
 ) -> HarnackReport:
     """Exact-chain check of P log f(eta) <= log P f(xi) + E_Q log R at 3 sigma.
 
     One coupling run provides everything: the X sample estimates P f(xi),
     the weighted X sample estimates the left side, and the weights give the
-    entropy cost.  The pairs run in ESTIMATOR_CHUNK chunks.  f must be
+    entropy cost.  The pairs run in STORED_ROW_CHUNK chunks, since the
+    coupling run stores every row, on `workers` processes.  f must be
     strictly positive.
     """
     if n < 2:
         raise ValueError("need n >= 2")
     cc = CouplingConfig(T=T, h=h, K=K)
     columns = partial(log_harnack_columns, tm, nu, f, xi_t, eta_t, cc, base_seed)
-    joined = map_columns(n, rng.ESTIMATOR_CHUNK, columns)
+    joined = map_columns(n, rng.STORED_ROW_CHUNK, columns, workers)
     return log_harnack_report(*joined, nu, xi_t, eta_t, cc, C_fitted)
 
 
@@ -190,9 +191,11 @@ def check_gradient_estimate(
     n: int,
     base_seed: int,
     C_hat: float | None = None,
+    workers: int = 1,
 ) -> GradientReport:
     """Directional derivative of P_{T+r0} f by central differences with common
-    random numbers, against the variance form of the gradient estimate."""
+    random numbers, against the variance form of the gradient estimate.  The
+    paths run in ESTIMATOR_CHUNK chunks on `workers` processes."""
     if n < 2:
         raise ValueError("need n >= 2")
     if not EPS_FD_RANGE[0] <= eps_fd <= EPS_FD_RANGE[1]:
@@ -215,7 +218,7 @@ def check_gradient_estimate(
         fm = run(xi_vals - eps_fd * direction)
         return (fp - fm) / (2.0 * eps_fd), run(xi_vals)
 
-    diff, f0 = map_columns(n, rng.ESTIMATOR_CHUNK, columns)
+    diff, f0 = map_columns(n, rng.ESTIMATOR_CHUNK, columns, workers)
     D, D_se = mean_stderr(diff)
     V = max(np.sum(f0 * f0) / n - (np.sum(f0) / n) ** 2, 0.0)
     # stderr of the variance via the fourth-moment-free normal approximation

@@ -15,9 +15,11 @@ A batch of increments is stored time-major, as an (n_steps, n_paths, dbar)
 buffer, because the runners read one step of every path at a time; callers
 see it through the (n_paths, n_steps, dbar) transposed view.
 
-map_chunks is the one chunked Monte Carlo driver and map_columns the one join:
-every estimator, check and CLI scenario reduces the per-path columns joined in
-path order, so no result depends on a chunk size.
+map_columns is the one chunked Monte Carlo driver: every estimator, check and
+CLI path scenario reduces the per-path columns it joins in path order, over
+one worker or a pool, so no result depends on a chunk size or a worker count.
+The chunk follows what a runner stores: STORED_ROW_CHUNK paths where every
+row is kept, ESTIMATOR_CHUNK where a ring of rows is.
 """
 
 from __future__ import annotations
@@ -29,8 +31,7 @@ from numpy.random import Generator, Philox
 from scipy.special import ndtri
 
 __all__ = [
-    "path_generator", "normal_increments", "coarsen_increments", "map_chunks", "map_columns",
-    "mean_stderr",
+    "path_generator", "normal_increments", "coarsen_increments", "map_columns", "mean_stderr",
 ]
 
 _U64 = np.uint64
@@ -121,11 +122,15 @@ def coarsen_increments(dw: np.ndarray, factor: int) -> np.ndarray:
     return dw.reshape(shape).sum(axis=step_axis + 1)
 
 
-# Paths per chunk of the library's Monte Carlo estimators.  It sets memory
-# only: the estimators reduce the joined columns, so no bit depends on it.
+# Paths per chunk.  They set memory only: every result reduces the joined
+# columns, so no bit depends on them.  Runners that store every row
+# (run_coupling_batch, simulate with keep_path=True) take STORED_ROW_CHUNK
+# paths; the estimators, which keep a ring of n0 + 2 rows, take
+# ESTIMATOR_CHUNK.
+STORED_ROW_CHUNK = 1024
 ESTIMATOR_CHUNK = 8192
 
-# fn of map_chunks inside a forked pool worker.  The pool initializer sets
+# fn of map_columns inside a forked pool worker.  The pool initializer sets
 # it; under fork it reaches the worker unpickled, which fn needs when it
 # holds closures, as transformed models do.
 _WORKER = None
@@ -140,28 +145,25 @@ def _worker_chunk(chunk):
     return _WORKER(*chunk)
 
 
-def map_chunks(n_paths: int, chunk: int, fn, workers: int = 1) -> list:
-    """[fn(start, count)] over paths 0..n_paths-1 taken in consecutive chunks
-    of `chunk` paths, in path order.  With workers > 1 and more than one
-    chunk the chunks run on a fork pool of min(workers, chunks) processes;
-    the chunk list does not depend on the worker count."""
+def map_columns(n_paths: int, chunk: int, fn, workers: int = 1) -> list:
+    """Each per-path column that fn(start, count) returns, as a tuple of
+    arrays, over paths 0..n_paths-1 taken in consecutive chunks of `chunk`
+    paths, joined in path order.  With workers > 1 and more than one chunk
+    the chunks run on a fork pool of min(workers, chunks) processes; the
+    chunk list does not depend on the worker count."""
     if n_paths < 1 or chunk < 1:
         raise ValueError("need n_paths >= 1 and chunk >= 1")
     chunks = [(s, min(chunk, n_paths - s)) for s in range(0, n_paths, chunk)]
     workers = min(workers, len(chunks))
     if workers == 1:
-        return [fn(*c) for c in chunks]
-    import multiprocessing
+        parts = [fn(*c) for c in chunks]
+    else:
+        import multiprocessing
 
-    ctx = multiprocessing.get_context("fork")
-    with ctx.Pool(workers, initializer=_init_worker, initargs=(fn,)) as pool:
-        return pool.map(_worker_chunk, chunks)
-
-
-def map_columns(n_paths: int, chunk: int, fn, workers: int = 1) -> list:
-    """Each per-path column that fn(start, count) returns, as a tuple of
-    arrays, for the chunks of map_chunks, joined in path order."""
-    return [np.concatenate(col) for col in zip(*map_chunks(n_paths, chunk, fn, workers))]
+        ctx = multiprocessing.get_context("fork")
+        with ctx.Pool(workers, initializer=_init_worker, initargs=(fn,)) as pool:
+            parts = pool.map(_worker_chunk, chunks)
+    return [np.concatenate(col) for col in zip(*parts)]
 
 
 def mean_stderr(v) -> tuple:

@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import roots_hermitenorm
 
-from .measure import DelayMeasure, batch_seg_norm, check_segment_shape, delay_averages, grid_count
+from .measure import DelayMeasure, check_segment_shape, delay_averages, grid_count
 from .model import ModelSpec, diffusion_at, noise_product
 from .rng import path_increments
 
@@ -49,7 +49,6 @@ __all__ = [
     "InverseConvergenceError",
     "ZvonkinSolution",
     "TransformedModel",
-    "ou_apply",
     "picard_u",
     "solve_u",
     "theta",
@@ -57,7 +56,6 @@ __all__ = [
     "theta_inverse_ud",
     "transformed_model",
     "transformed_coefficients",
-    "measure_K",
     "needs_transform",
     "simulate_transformed",
     "verify_decay",
@@ -117,28 +115,6 @@ def _apply_gathers(vals: np.ndarray, gathers: list, w: np.ndarray) -> np.ndarray
         blend = blend.reshape(*vals.shape[: a + 1], len(w), *vals.shape[a + 1 :])
         vals = np.tensordot(blend, w, axes=([a + 1], [0]))
     return vals
-
-
-def ou_apply(
-    vals: np.ndarray,
-    grids: list,
-    rates: np.ndarray,
-    sigma: float,
-    dt: float,
-    quad_order: int = 24,
-) -> np.ndarray:
-    """(P0_dt g) on the grid for componentwise g given by `vals` (*shape, c).
-
-    Gauss-Hermite in each noise direction, applied axis by axis; interpolation
-    queries are clipped to the grid (constant extension past the edges).
-    """
-    if dt < 0:
-        raise ValueError("dt must be non-negative")
-    if dt == 0:
-        return vals.copy()
-    z, w = _hermite(quad_order)
-    gathers = _ou_gathers(grids, np.asarray(rates, dtype=float), sigma, z, 1, dt)
-    return _apply_gathers(vals, gathers, w)
 
 
 @dataclass
@@ -604,19 +580,6 @@ def theta_segment(sol: ZvonkinSolution, t: float, seg: np.ndarray, h: float) -> 
     return out
 
 
-def theta_inverse_segment(sol: ZvonkinSolution, t: float, seg: np.ndarray, h: float) -> np.ndarray:
-    return _pull_back_segment(sol, t, seg, h)[0]
-
-
-def _pull_back_segment(sol: ZvonkinSolution, t: float, seg: np.ndarray, h: float):
-    """theta_inverse_segment, and the ud of theta_inverse_ud at its last node
-    (time t)."""
-    out = np.empty_like(seg)
-    for i, ti in enumerate(_seg_times(t, seg.shape[1], h)):
-        out[:, i], ud = theta_inverse_ud(sol, ti, seg[:, i])
-    return out, ud
-
-
 @dataclass
 class TransformedModel:
     """A base equation and the transform Theta = id + u that regularizes its
@@ -688,8 +651,8 @@ def transformed_model(m: ModelSpec, nu: DelayMeasure, sol: ZvonkinSolution | Non
     None, which only folds A into the delay drift).
 
     The transformed drift depends on the state as well as on the average of
-    the pulled-back window, so it has no B(t, avg) of its own: the runners and
-    measure_K form it with transformed_coefficients.  nu is not read.  The
+    the pulled-back window, so it has no B(t, avg) of its own: the runners
+    form it with transformed_coefficients.  nu is not read.  The
     identity transform drops b, so sol None is refused for a model whose
     drift needs_transform finds non-zero.
     """
@@ -700,47 +663,6 @@ def transformed_model(m: ModelSpec, nu: DelayMeasure, sol: ZvonkinSolution | Non
             f"model {m.name!r} has a non-zero drift b, which the identity transform drops"
         )
     return TransformedModel(m, sol)
-
-
-def measure_K(
-    tm: TransformedModel,
-    nu: DelayMeasure,
-    T: float,
-    box: float = 3.0,
-    n_samples: int = 2000,
-    seed: int = 0,
-) -> dict:
-    """Sampled bounds feeding the coupling rate: sup |Q|, sup |(QQ*)^{-1}|,
-    and the segment-Lipschitz constant of the transformed drift.
-
-    The samples are transformed states and windows; the coefficients are
-    transformed_coefficients at their pull-backs.  A null cell has weight 0
-    in the pulled-back average and in the segment norm, so the values sampled
-    there do not change the bounds.
-    """
-    rng = np.random.default_rng(seed)
-    sol, d = tm.sol, tm.base.d
-    n0 = nu.n_cells
-
-    def drift(t, seg):
-        inv, ud = (seg, None) if sol is None else _pull_back_segment(sol, t, seg, nu.h)
-        return transformed_coefficients(tm, t, seg[:, -1], inv[:, -1], ud, nu.average(inv))[0]
-
-    q_sup = qinv_sup = lip = 0.0
-    for t in np.linspace(0.0, T, 9):
-        x = rng.uniform(-box, box, (n_samples, d))
-        x_inv, ud = (x, None) if sol is None else theta_inverse_ud(sol, t, x)
-        Q = transformed_coefficients(tm, t, x, x_inv, ud, None)[1].reshape(n_samples, d, -1)
-        QQt = np.einsum("nik,njk->nij", Q, Q)
-        ev = np.linalg.eigvalsh(QQt)
-        q_sup = max(q_sup, float(np.sqrt(ev[:, -1].max())))
-        qinv_sup = max(qinv_sup, float(1.0 / ev[:, 0].min()))
-        xi = (box / 2) * rng.standard_normal((n_samples, n0 + 1, d))
-        eta = xi + 0.3 * rng.standard_normal(xi.shape)
-        num = np.linalg.norm(drift(t, xi) - drift(t, eta), axis=1)
-        den = batch_seg_norm(nu, xi - eta)
-        lip = max(lip, float((num / np.maximum(den, 1e-300)).max()))
-    return {"Q_sup": q_sup, "QQt_inv_sup": qinv_sup, "B_lip": lip}
 
 
 def pulled_back_history(

@@ -578,14 +578,21 @@ def test_flag_writes_what_the_file_value_writes(tmp_path, flag, sec, key, value)
     assert config.get(sec, {}).get(key, value) == value  # output and workers are left out
 
 
-def test_worker_count_does_not_change_bytes(tmp_path):
-    cfg = BASE.replace("n_paths = 20", "n_paths = 1100")  # spans two chunks
-    path = _write(tmp_path, cfg.replace("name = zero", "name = ou"))
-    out1, out2 = tmp_path / "w1", tmp_path / "w2"
-    assert main(["simulate", "--config", path, "--out", str(out1), "--workers", "1"]) == 0
-    assert main(["simulate", "--config", path, "--out", str(out2), "--workers", "2"]) == 0
-    assert (out1 / "result.json").read_bytes() == (out2 / "result.json").read_bytes()
-    assert (out1 / "verdict.json").read_bytes() == (out2 / "verdict.json").read_bytes()
+def test_worker_count_does_not_change_bytes(tmp_path, monkeypatch):
+    """simulate spans two chunks of paths, and girsanov-check and gradient,
+    with the estimator chunk patched to 64 paths, span four; each writes the
+    same files with the same bytes on 1 and 2 workers."""
+    monkeypatch.setattr(rng, "ESTIMATOR_CHUNK", 64)
+    cfg = BASE.replace("name = zero", "name = ou")
+    for scenario, n_paths in (("simulate", 1100), ("girsanov-check", 200), ("gradient", 200)):
+        path = _write(tmp_path, cfg.replace("n_paths = 20", f"n_paths = {n_paths}"))
+        out1, out2 = tmp_path / scenario / "w1", tmp_path / scenario / "w2"
+        assert main([scenario, "--config", path, "--out", str(out1), "--workers", "1"]) == 0
+        assert main([scenario, "--config", path, "--out", str(out2), "--workers", "2"]) == 0
+        names = sorted(p.name for p in out1.iterdir())
+        assert names == sorted(p.name for p in out2.iterdir())
+        for name in names:
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
 def test_couple_solves_u_once_per_run(tmp_path, monkeypatch):
@@ -629,10 +636,10 @@ distance_seg = 0.05
     assert json.loads((out1 / "verdict.json").read_text())["metrics"]["coupled_fraction"] == 1.0
 
 
-def test_harnack_chunks_match_one_batch_at_any_worker_count(tmp_path):
-    """harnack maps its pairs over the CHUNK-pair chunks (two here) on the
-    worker pool; its verdict has the bytes of either worker count and the
-    metrics of one check_log_harnack batch."""
+def test_harnack_chunks_match_one_batch_at_any_worker_count(tmp_path, monkeypatch):
+    """harnack maps its pairs over the STORED_ROW_CHUNK-pair chunks (two
+    here) on the worker pool; its verdict has the bytes of either worker
+    count and the metrics of one check_log_harnack batch."""
     text = """\
 [experiment]
 scenario = harnack
@@ -662,7 +669,7 @@ distance_seg = 0.05
     nu, m, scfg, xi = cli._build(cfg)
     tm, cc, xi_t, eta_t = cli._coupling_setup(cfg, nu, m, scfg, xi)
     f, _ = make_functional("tanh0_pos", nu)
-    assert cfg.n_paths <= rng.ESTIMATOR_CHUNK  # one batch
+    monkeypatch.setattr(rng, "STORED_ROW_CHUNK", cfg.n_paths)  # one batch
     rep = check_log_harnack(tm, nu, f, xi_t, eta_t, cc.T, cc.h, cc.K, cfg.n_paths, cfg.base_seed)
     metrics = json.loads(verdict)["metrics"]
     assert metrics == cli._jsonable({
@@ -808,9 +815,9 @@ t_end = 1.0
 
 
 @pytest.mark.parametrize("kind", ["exponential", "atoms"])
-def test_bihari_chunks_match_one_batch_at_any_worker_count(tmp_path, kind):
-    """bihari maps its paths over the CHUNK-path chunks (two here) on the
-    worker pool; its verdict has the bytes of either worker count and the
+def test_bihari_chunks_match_one_batch_at_any_worker_count(tmp_path, monkeypatch, kind):
+    """bihari maps its paths over the STORED_ROW_CHUNK-path chunks (two here)
+    on the worker pool; its verdict has the bytes of either worker count and the
     metrics of one apriori_check batch.  The atoms measure streams its
     averages in blocked products."""
     measure = "lam = 1.0" if kind == "exponential" else "weights = " + ",".join(
@@ -841,7 +848,7 @@ T = 0.75
     assert verdict == (out2 / "verdict.json").read_bytes()
     cfg = parse_config(text)
     nu, m, scfg, xi = cli._build(cfg)
-    assert cfg.n_paths <= rng.ESTIMATOR_CHUNK  # one batch
+    monkeypatch.setattr(rng, "STORED_ROW_CHUNK", cfg.n_paths)  # one batch
     rep = apriori_check(m, nu, xi, scfg, 0.75, cfg.n_paths, cfg.base_seed)
     assert json.loads(verdict)["metrics"] == cli._jsonable({
         "pass_fraction": rep.pass_fraction, "K1": rep.K1, "K2": rep.K2,

@@ -9,15 +9,16 @@ from delaysde import girsanov, rng
 from delaysde.girsanov import (
     SingularDiffusionError,
     direct_estimate,
-    girsanov_shift,
     log_density,
     solve_qqt,
     weak_estimate,
 )
-from delaysde.harnack import check_gradient_estimate
+from delaysde.bihari import apriori_check
+from delaysde.harnack import check_gradient_estimate, check_log_harnack
 from delaysde.measure import batch_seg_norm, constant_segment, make_measure
 from delaysde.model import make_functional, make_model, semigroup_factors
-from delaysde.solver import ExplosionBeforeHorizonError, SolverConfig, simulate
+from delaysde.solver import ExplosionBeforeHorizonError, SolverConfig, _shift, simulate
+from delaysde.zvonkin import transformed_model
 
 H7 = 2.0**-7
 
@@ -52,6 +53,14 @@ def test_solve_qqt_singular():
     Q[0, 0, 0] = 1.0  # rank deficient
     with pytest.raises(SingularDiffusionError):
         solve_qqt(Q, np.ones((1, 2)))
+
+
+def girsanov_shift(m, nu, t, seg):
+    """psi(t) = Q*(QQ*)^{-1}{b(t, xi(0)) + B(t, xi_t)} for a batch of segments."""
+    seg = np.asarray(seg, dtype=float)
+    if seg.ndim == 2:
+        seg = seg[None]
+    return _shift(m, t, seg[:, -1], nu.average(seg))
 
 
 def test_girsanov_shift_reference_formula():
@@ -196,14 +205,20 @@ def _hex(value):
     """value with every float spelled out by float.hex, so equal means equal bits."""
     if isinstance(value, dict):
         return {k: _hex(v) for k, v in value.items()}
+    if isinstance(value, np.ndarray):
+        return _hex(value.tolist())
     if isinstance(value, (list, tuple)):
         return [_hex(v) for v in value]
     return value.hex() if isinstance(value, float) else value
 
 
-@pytest.mark.parametrize("estimator", ["direct_estimate", "weak_estimate", "check_gradient_estimate"])
+@pytest.mark.parametrize("estimator", [
+    "direct_estimate", "weak_estimate", "check_gradient_estimate", "check_log_harnack",
+    "apriori_check",
+])
 def test_estimates_do_not_depend_on_the_chunk(estimator, monkeypatch):
-    """50 paths in chunks of 7 give every field of one chunk of 50, bit for bit."""
+    """50 paths in chunks of 7, on 1 or 2 workers, give every field of one
+    chunk of 50, bit for bit."""
     nu = make_measure("uniform", 0.5, 0.125)
     m = make_model("linear_delay", measure=nu)
     xi = constant_segment(nu, 1.0)
@@ -212,16 +227,27 @@ def test_estimates_do_not_depend_on_the_chunk(estimator, monkeypatch):
     direction = np.zeros_like(xi.values)
     direction[-1] = 1.0
     direction /= batch_seg_norm(nu, direction[None])[0]
+    tm = transformed_model(m, nu, None)
+    f_pos, _ = make_functional("tanh0_pos", nu)
     runs = {
-        "direct_estimate": lambda: direct_estimate(m, nu, xi, f, 0.5, cfg, 1, 50),
-        "weak_estimate": lambda: asdict(weak_estimate(m, nu, xi, f, 0.5, cfg, 1, 50)),
-        "check_gradient_estimate": lambda: asdict(check_gradient_estimate(
-            m, nu, f, xi.values, direction, 0.5, 0.125, 0.01, 50, 1, C_hat=1.0)),
+        "direct_estimate": lambda w: direct_estimate(m, nu, xi, f, 0.5, cfg, 1, 50, w),
+        "weak_estimate": lambda w: asdict(weak_estimate(m, nu, xi, f, 0.5, cfg, 1, 50, w)),
+        "check_gradient_estimate": lambda w: asdict(check_gradient_estimate(
+            m, nu, f, xi.values, direction, 0.5, 0.125, 0.01, 50, 1, C_hat=1.0, workers=w)),
+        "check_log_harnack": lambda w: asdict(check_log_harnack(
+            tm, nu, f_pos, xi.values, xi.values + 0.1, 0.5, 0.125, 2.0, 50, 1, C_fitted=1.0,
+            workers=w)),
+        "apriori_check": lambda w: asdict(apriori_check(m, nu, xi, cfg, 0.5, 50, 1, w)),
     }
-    monkeypatch.setattr(rng, "ESTIMATOR_CHUNK", 7)
-    chunked = _hex(runs[estimator]())
-    monkeypatch.setattr(rng, "ESTIMATOR_CHUNK", 50)
-    assert chunked == _hex(runs[estimator]())
+
+    def run(chunk, workers):
+        monkeypatch.setattr(rng, "ESTIMATOR_CHUNK", chunk)
+        monkeypatch.setattr(rng, "STORED_ROW_CHUNK", chunk)
+        return _hex(runs[estimator](workers))
+
+    whole = run(50, 1)
+    for workers in (1, 2):
+        assert run(7, workers) == whole
 
 
 def test_weak_estimate_refuses_paths_dying_before_the_horizon():

@@ -101,7 +101,7 @@ def test_log_harnack_chunks_give_the_one_chunk_report(nu, monkeypatch):
     xi = tm.seg_to_transformed(0.0, constant_segment(nu, 0.5).values[None], nu.h)[0]
     args = (tm, nu, f, xi, xi + 0.1, 0.5, H, 5.0, 100, 11)
     whole = check_log_harnack(*args, C_fitted=1.0)
-    monkeypatch.setattr(rng, "ESTIMATOR_CHUNK", 32)
+    monkeypatch.setattr(rng, "STORED_ROW_CHUNK", 32)
     chunked = check_log_harnack(*args, C_fitted=1.0)
     assert dataclasses.asdict(chunked) == dataclasses.asdict(whole)
     assert whole.setting["n"] == 100

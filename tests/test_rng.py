@@ -5,7 +5,7 @@ from scipy.special import ndtri
 from delaysde.rng import (
     batch_increments,
     coarsen_increments,
-    map_chunks,
+    map_columns,
     normal_increments,
     path_generator,
 )
@@ -118,32 +118,37 @@ def test_coarsen_rejects_bad_factor():
         coarsen_increments(dw, 0)
 
 
-def test_map_chunks_visits_paths_in_order():
+def _span(offset, count):
+    return np.array([offset]), np.array([count])
+
+
+def test_map_columns_visits_paths_in_order():
     seen = []
 
     def span(offset, count):
         seen.append((offset, count))
-        return offset, count
+        return _span(offset, count)
 
-    assert map_chunks(10, 4, span) == [(0, 4), (4, 4), (8, 2)]
+    offsets, counts = map_columns(10, 4, span)
+    assert list(zip(offsets, counts)) == [(0, 4), (4, 4), (8, 2)]
     assert seen == [(0, 4), (4, 4), (8, 2)]
     with pytest.raises(ValueError):
-        map_chunks(0, 4, span)
+        map_columns(0, 4, span)
     with pytest.raises(ValueError):
-        map_chunks(10, 0, span)
+        map_columns(10, 0, span)
 
 
 def _chunk_draws(start, count):
-    return start, batch_increments(3, start, count, 5, 2, 0.25)
+    return np.full(count, start), batch_increments(3, start, count, 5, 2, 0.25)
 
 
-def test_map_chunks_on_a_pool_matches_serial():
-    """A fork pool returns fn's chunk results in path order, as a serial run."""
-    serial = map_chunks(1100, 256, _chunk_draws)
-    pooled = map_chunks(1100, 256, _chunk_draws, workers=2)
-    assert [s for s, _ in pooled] == [0, 256, 512, 768, 1024]
-    for (s1, a), (s2, b) in zip(serial, pooled, strict=True):
-        assert s1 == s2
+def test_map_columns_on_a_pool_matches_serial():
+    """A fork pool joins fn's chunk columns in path order, as a serial run."""
+    serial = map_columns(1100, 256, _chunk_draws)
+    pooled = map_columns(1100, 256, _chunk_draws, workers=2)
+    starts = [0, 256, 512, 768, 1024]
+    np.testing.assert_array_equal(pooled[0], np.repeat(starts, [256, 256, 256, 256, 76]))
+    for a, b in zip(serial, pooled, strict=True):
         np.testing.assert_array_equal(a, b)
 
 
@@ -169,16 +174,19 @@ class _FakePool:
         return [fn(c) for c in chunks]
 
 
-def test_map_chunks_starts_no_more_processes_than_chunks(monkeypatch):
+def test_map_columns_starts_no_more_processes_than_chunks(monkeypatch):
     import multiprocessing
 
     fake = _FakePool()
     monkeypatch.setattr(multiprocessing, "get_context", lambda method: fake)
-    span = lambda s, c: (s, c)  # noqa: E731
-    assert map_chunks(3, 1, span, workers=5000) == [(0, 1), (1, 1), (2, 1)]
+
+    def spans(*args, **kwargs):
+        return [tuple(map(int, c)) for c in zip(*map_columns(*args, **kwargs))]
+
+    assert spans(3, 1, _span, workers=5000) == [(0, 1), (1, 1), (2, 1)]
     assert fake.sizes == [3]
-    assert map_chunks(3, 4, span, workers=5000) == [(0, 3)]  # one chunk runs serially
-    assert map_chunks(10, 4, span, workers=2) == [(0, 4), (4, 4), (8, 2)]
+    assert spans(3, 4, _span, workers=5000) == [(0, 3)]  # one chunk runs serially
+    assert spans(10, 4, _span, workers=2) == [(0, 4), (4, 4), (8, 2)]
     assert fake.sizes == [3, 2]
 
 

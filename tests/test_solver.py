@@ -439,7 +439,7 @@ def test_apriori_chunks_give_the_one_chunk_report(monkeypatch, kind):
     xi = constant_segment(nu, 1.0)
     cfg = SolverConfig(h=h, t_end=1.0)
     whole = apriori_check(m, nu, xi, cfg, 0.75, 300, 4)
-    monkeypatch.setattr(rng, "ESTIMATOR_CHUNK", 37)
+    monkeypatch.setattr(rng, "STORED_ROW_CHUNK", 37)
     chunked = apriori_check(m, nu, xi, cfg, 0.75, 300, 4)
     for name in whole.__dataclass_fields__:
         np.testing.assert_array_equal(getattr(chunked, name), getattr(whole, name), err_msg=name)

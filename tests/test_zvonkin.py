@@ -9,7 +9,7 @@ from scipy.interpolate import RegularGridInterpolator
 from delaysde import coupling, zvonkin
 from delaysde.coupling import CouplingConfig, run_coupling_batch
 from delaysde.girsanov import solve_qqt
-from delaysde.measure import constant_segment, delay_averages, make_measure
+from delaysde.measure import batch_seg_norm, constant_segment, delay_averages, make_measure
 from delaysde.model import ModelSpec, OperatorA, _const_Q, _zero_B, make_model
 from delaysde.solver import SolverConfig, simulate
 from delaysde.zvonkin import (
@@ -17,16 +17,13 @@ from delaysde.zvonkin import (
     DivergenceError,
     InverseConvergenceError,
     ZvonkinSolution,
-    measure_K,
     needs_transform,
-    ou_apply,
     picard_u,
     pulled_back_history,
     simulate_transformed,
     solve_u,
     theta,
     theta_inverse,
-    theta_inverse_segment,
     theta_inverse_ud,
     theta_segment,
     transformed_coefficients,
@@ -58,6 +55,68 @@ def _old_d1_semigroup(disc):
         return ((v[idx] * (1.0 - frac) + v[idx + 1] * frac).reshape(nn, quad_order) @ w)[:, None]
 
     return semigroup
+
+
+def ou_apply(vals, grids, rates, sigma, dt, quad_order=24):
+    """(P0_dt g) on the grid for componentwise g given by `vals` (*shape, c).
+
+    Gauss-Hermite in each noise direction, applied axis by axis; interpolation
+    queries are clipped to the grid (constant extension past the edges).
+    """
+    if dt < 0:
+        raise ValueError("dt must be non-negative")
+    if dt == 0:
+        return vals.copy()
+    z, w = zvonkin._hermite(quad_order)
+    gathers = zvonkin._ou_gathers(grids, np.asarray(rates, dtype=float), sigma, z, 1, dt)
+    return zvonkin._apply_gathers(vals, gathers, w)
+
+
+def theta_inverse_segment(sol, t, seg, h):
+    return _pull_back_segment(sol, t, seg, h)[0]
+
+
+def _pull_back_segment(sol, t, seg, h):
+    """theta_inverse_segment, and the ud of theta_inverse_ud at its last node
+    (time t)."""
+    out = np.empty_like(seg)
+    for i, ti in enumerate(zvonkin._seg_times(t, seg.shape[1], h)):
+        out[:, i], ud = theta_inverse_ud(sol, ti, seg[:, i])
+    return out, ud
+
+
+def measure_K(tm, nu, T, box=3.0, n_samples=2000, seed=0) -> dict:
+    """Sampled bounds of the coupling rate: sup |Q|, sup |(QQ*)^{-1}|, and
+    the segment-Lipschitz constant of the transformed drift.
+
+    The samples are transformed states and windows; the coefficients are
+    transformed_coefficients at their pull-backs.  A null cell has weight 0
+    in the pulled-back average and in the segment norm, so the values sampled
+    there do not change the bounds.
+    """
+    rng = np.random.default_rng(seed)
+    sol, d = tm.sol, tm.base.d
+    n0 = nu.n_cells
+
+    def drift(t, seg):
+        inv, ud = (seg, None) if sol is None else _pull_back_segment(sol, t, seg, nu.h)
+        return transformed_coefficients(tm, t, seg[:, -1], inv[:, -1], ud, nu.average(inv))[0]
+
+    q_sup = qinv_sup = lip = 0.0
+    for t in np.linspace(0.0, T, 9):
+        x = rng.uniform(-box, box, (n_samples, d))
+        x_inv, ud = (x, None) if sol is None else theta_inverse_ud(sol, t, x)
+        Q = transformed_coefficients(tm, t, x, x_inv, ud, None)[1].reshape(n_samples, d, -1)
+        QQt = np.einsum("nik,njk->nij", Q, Q)
+        ev = np.linalg.eigvalsh(QQt)
+        q_sup = max(q_sup, float(np.sqrt(ev[:, -1].max())))
+        qinv_sup = max(qinv_sup, float(1.0 / ev[:, 0].min()))
+        xi = (box / 2) * rng.standard_normal((n_samples, n0 + 1, d))
+        eta = xi + 0.3 * rng.standard_normal(xi.shape)
+        num = np.linalg.norm(drift(t, xi) - drift(t, eta), axis=1)
+        den = batch_seg_norm(nu, xi - eta)
+        lip = max(lip, float((num / np.maximum(den, 1e-300)).max()))
+    return {"Q_sup": q_sup, "QQt_inv_sup": qinv_sup, "B_lip": lip}
 
 
 def _old_ou_apply(vals, grids, rates, sigma, dt, quad_order=24):
