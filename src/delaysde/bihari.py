@@ -1,16 +1,15 @@
 """The Bihari a-priori bound: the non-explosion check of a path's drift part.
 
-apriori_check is apriori_report over the columns of apriori_columns, joined
-in path order by rng.map_columns over STORED_ROW_CHUNK chunks of paths, which
-are stored whole, on `workers` processes.  The report inverts Psi_T on one
-grid that covers the targets of every path, so no bound depends on the chunk
-size or the worker count.
+apriori_check reports over the per-path columns alpha(T) and the running
+square supremum of the drift part, joined in path order by rng.map_columns
+over STORED_ROW_CHUNK chunks of paths, which are stored whole, on `workers`
+processes.  The report inverts Psi_T on one grid that covers the targets of
+every path, so no bound depends on the chunk size or the worker count.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -123,46 +122,50 @@ class AprioriReport:
         return self.pass_fraction >= 0.999
 
 
-def apriori_columns(m, nu, xi, cfg, T, base_seed, start, count) -> tuple:
-    """Per-path columns of paths start..start+count-1, simulated to
-    cfg.t_end >= T: alpha(T) = |X(0)|^2 + 2 int_0^T h_T(||Xbar_s||) ds, by
+def apriori_check(m, nu, xi, cfg, T, n_paths, base_seed, workers=1) -> AprioriReport:
+    """Check sup_{t<=T} |Y(t)|^2 <= Psi_T^{-1}(alpha(T)+T) path by path on
+    n_paths paths simulated to cfg.t_end >= T, taken in STORED_ROW_CHUNK
+    chunks on `workers` processes; an infinite kappa(T) is a ValueError
+    before any path.
+
+    Each path gives alpha(T) = |X(0)|^2 + 2 int_0^T h_T(||Xbar_s||) ds, by
     the left-endpoint rule, and sup_{t<=T} |Y(t)|^2 for Y = X - Xbar.  Xbar,
     the stochastic convolution, is rebuilt with the scheme's own recursion,
     so the drift-only part is exact in the scheme arithmetic, and vanishes on
-    [-r0, 0].  A path's values do not depend on its chunk."""
+    [-r0, 0]."""
+    check_kappa(nu, T)
     if m.bihari is None:
         raise ValueError(f"model {m.name!r} declares no (Phi, h) growth data")
-    steps = grid_count(T, cfg.h, "T")
-    if steps > grid_count(cfg.t_end, cfg.h, "t_end"):
-        raise ValueError(f"T={T} exceeds the horizon of the path batch")
-    batch = simulate(m, nu, xi, cfg, base_seed, count, path_offset=start)
-    states, dW = batch.states, batch.dW
     h, n0 = cfg.h, nu.n0(cfg.h)
+    steps = grid_count(T, h, "T")
+    if steps > grid_count(cfg.t_end, h, "t_end"):
+        raise ValueError(f"T={T} exceeds the horizon of the path batch")
     use_exp = cfg.scheme == "exponential-euler"
     if use_exp:
         E, _ = semigroup_factors(m.A, h)
-    # |Xbar|^2 rows, laid out like the states; 0 on [-r0, 0]
-    sq = np.zeros((n0 + steps + 1, count, 1)).transpose(1, 0, 2)
-    norms = streamed_seg_norms(nu, sq, start)
-    xbar = np.zeros((count, m.d))
-    alpha = np.sum(states[:, n0] ** 2, axis=1)
-    sup_sq = alpha.copy()
-    for k in range(steps):
-        idx = n0 + k
-        alpha += 2.0 * h * np.asarray(m.bihari.h(T, next(norms)), dtype=float)
-        noise = noise_product(diffusion_at(m, k * h, states[:, idx]), dW[:, k])
-        if use_exp:
-            xbar = E * xbar + E * noise
-        else:
-            xbar = xbar + h * m.A.apply(xbar) + noise
-        sq[:, idx + 1, 0] = np.sum(xbar**2, axis=1)
-        np.maximum(sup_sq, np.sum((states[:, idx + 1] - xbar) ** 2, axis=1), out=sup_sq)
-    return alpha, sup_sq
 
+    def columns(start, count):
+        batch = simulate(m, nu, xi, cfg, base_seed, count, path_offset=start)
+        states, dW = batch.states, batch.dW
+        # |Xbar|^2 rows, laid out like the states; 0 on [-r0, 0]
+        sq = np.zeros((n0 + steps + 1, count, 1)).transpose(1, 0, 2)
+        norms = streamed_seg_norms(nu, sq, start)
+        xbar = np.zeros((count, m.d))
+        alpha = np.sum(states[:, n0] ** 2, axis=1)
+        sup_sq = alpha.copy()
+        for k in range(steps):
+            idx = n0 + k
+            alpha += 2.0 * h * np.asarray(m.bihari.h(T, next(norms)), dtype=float)
+            noise = noise_product(diffusion_at(m, k * h, states[:, idx]), dW[:, k])
+            if use_exp:
+                xbar = E * xbar + E * noise
+            else:
+                xbar = xbar + h * m.A.apply(xbar) + noise
+            sq[:, idx + 1, 0] = np.sum(xbar**2, axis=1)
+            np.maximum(sup_sq, np.sum((states[:, idx + 1] - xbar) ** 2, axis=1), out=sup_sq)
+        return alpha, sup_sq
 
-def apriori_report(alpha, sup_sq, m, nu, xi, T) -> AprioriReport:
-    """The path-by-path check of apriori_check from the joined columns of
-    apriori_columns over all paths."""
+    alpha, sup_sq = rng.map_columns(n_paths, rng.STORED_ROW_CHUNK, columns, workers)
     w = nu.weights
     xi_norm_sq = float(w @ np.sum(xi.values[:-1] ** 2, axis=1) + np.sum(xi.values[-1] ** 2))
     K1 = nu.kappa(T) * xi_norm_sq
@@ -177,13 +180,3 @@ def apriori_report(alpha, sup_sq, m, nu, xi, T) -> AprioriReport:
         worst_margin=float(np.max(sup_sq / np.maximum(bounds, 1e-300))),
         bounds=bounds, sup_sq=sup_sq,
     )
-
-
-def apriori_check(m, nu, xi, cfg, T, n_paths, base_seed, workers=1) -> AprioriReport:
-    """Check sup_{t<=T} |Y(t)|^2 <= Psi_T^{-1}(alpha(T)+T) path by path on
-    n_paths paths, taken in STORED_ROW_CHUNK chunks on `workers` processes;
-    an infinite kappa(T) is a ValueError before any path."""
-    check_kappa(nu, T)
-    columns = partial(apriori_columns, m, nu, xi, cfg, T, base_seed)
-    joined = rng.map_columns(n_paths, rng.STORED_ROW_CHUNK, columns, workers)
-    return apriori_report(*joined, m, nu, xi, T)

@@ -10,15 +10,17 @@ states meet, and that tail is what produces the segment-norm term in the
 entropy cost.
 
 Every pair of a batch starts from the same two segments, so their pull-backs
-through Theta are computed once per run.  Each step then pulls X's new rows
-and the Y rows still needed back through one theta_inverse_ud call, which
-also returns u and grad u at each root; the next step's coefficients read
-those instead of the table, and the delay averages slide in O(1) per step
-for exponential and uniform measures, so a step's cost does not grow with
-the delay window.  Before T the density reads Y's drift and diffusion on
-every row; from T on nothing reads Y's drift, and Y's diffusion, noise and
-pull-back are evaluated only on the rows that have neither met nor failed.
-The meeting and finiteness tests of Y run on those open rows only.
+through Theta are computed once per run, by zvonkin.start_transformed.  X
+moves by zvonkin.transformed_step, the step of simulate_transformed.  Each
+step then pulls X's new rows and the Y rows still needed back through one
+theta_inverse_ud call, which also returns u and grad u at each root; the
+next step's coefficients read those instead of the table, and the delay
+averages slide in O(1) per step for exponential and uniform measures, so a
+step's cost does not grow with the delay window.  Before T the density
+reads Y's drift and diffusion on every row; from T on nothing reads Y's
+drift, and Y's diffusion, noise and pull-back are evaluated only on the
+rows that have neither met nor failed.  The meeting and finiteness tests of
+Y run on those open rows only.
 
 The diffusions come from transformed_coefficients with one entry per row;
 for a constant Q in d = dbar = 1 that is the scalar (1 + u') q, so the
@@ -32,14 +34,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .measure import DelayMeasure, check_segment_shape, delay_averages, grid_count
+from .measure import DelayMeasure, grid_count
 from .model import noise_product, solve_qqt
 from .rng import path_increments
 from .zvonkin import (
     TransformedModel,
-    pulled_back_history,
+    start_transformed,
     theta_inverse_ud,
     transformed_coefficients,
+    transformed_step,
 )
 
 __all__ = [
@@ -165,22 +168,14 @@ def run_coupling_batch(
     n0 = nu.n0(h)
     n_T = grid_count(T, h, "T")
     steps = n_T + n0
-    xi_t = np.asarray(xi_t, dtype=float)
-    eta_t = np.asarray(eta_t, dtype=float)
-    check_segment_shape(xi_t, n0, tm.base.d)
-    check_segment_shape(eta_t, n0, tm.base.d)
-    delta = DELTA_SCALE * (1.0 + float(np.linalg.norm(xi_t[-1] - eta_t[-1])))
-    dW = path_increments(dW, base_seed, path_offset, n_paths, steps, tm.base.dbar, h)
-    x = np.empty((n0 + steps + 1, n_paths, tm.base.d)).transpose(1, 0, 2)
-    y = np.empty_like(x)
-    x[:, : n0 + 1] = xi_t
-    y[:, : n0 + 1] = eta_t
+    n_rows = n0 + steps + 1
     # ud_x holds (u, grad u) at X's current pull-back; ud_y at Y's on every
     # row before T and on the open rows, in order, from T on
-    xinv, ud_x = pulled_back_history(tm, x, xi_t)
-    yinv, ud_y = pulled_back_history(tm, y, eta_t)
-    avg_x = delay_averages(nu, xinv, path_offset)
-    avg_y = delay_averages(nu, yinv, path_offset)
+    x, xinv, ud_x, avg_x = start_transformed(tm, nu, xi_t, n_paths, n_rows, path_offset)
+    y, yinv, ud_y, avg_y = start_transformed(tm, nu, eta_t, n_paths, n_rows, path_offset)
+    gap = np.asarray(xi_t, dtype=float)[-1] - np.asarray(eta_t, dtype=float)[-1]
+    delta = DELTA_SCALE * (1.0 + float(np.linalg.norm(gap)))
+    dW = path_increments(dW, base_seed, path_offset, n_paths, steps, tm.base.dbar, h)
     gamma_floor = gamma(T - 0.5 * h, T, K)
     log_r = np.zeros(n_paths)
     tau = np.full(n_paths, np.nan)
@@ -196,10 +191,8 @@ def run_coupling_batch(
         xs, ys = x[:, idx], y[:, idx]
         live = np.flatnonzero(open_)
         sel = slice(None) if len(live) == n_paths else live  # a view when all are open
-        Bx, Qx = transformed_coefficients(tm, t, xs, xinv[:, idx], ud_x, next(avg_x))
-        noise_x = noise_product(Qx, dW[:, k])
         with np.errstate(over="ignore", invalid="ignore"):
-            xn = xs + h * Bx + noise_x
+            xn, Bx, Qx = transformed_step(tm, t, h, xs, xinv[:, idx], ud_x, next(avg_x), dW[:, k])
         if k < n_T:  # phi reads Y's drift and diffusion on every row
             By, Qy = transformed_coefficients(tm, t, ys, yinv[:, idx], ud_y, next(avg_y))
             ghat = max(gamma(min(t + 0.5 * h, T), T, K), gamma_floor)

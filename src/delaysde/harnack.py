@@ -11,20 +11,19 @@ weights the bound
 is an instance of the Gibbs inequality on the empirical sample, so the only
 slack needed is the Monte Carlo error of the independently estimated terms.
 
-check_log_harnack is log_harnack_report over the columns that
-log_harnack_columns returns for STORED_ROW_CHUNK chunks of coupled pairs,
-joined in pair order by rng.map_columns on `workers` processes.
-check_gradient_estimate reduces its joined central-difference and f columns,
-in ESTIMATOR_CHUNK chunks, the same way.  A pair's columns do not depend on
-its chunk, and each report reads only the joined columns, so no report
-depends on the chunk size or the worker count.
+Each check reports over the per-path columns that rng.map_columns joins in
+path order on `workers` processes: check_log_harnack over f at X's terminal
+segment, log R and the coupled flag of STORED_ROW_CHUNK chunks of coupled
+pairs, check_gradient_estimate over the central-difference and f columns of
+ESTIMATOR_CHUNK chunks.  A path's columns do not depend on its chunk, and
+each report reads only the joined columns, so no report depends on the
+chunk size or the worker count.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
@@ -75,28 +74,38 @@ class HarnackReport:
         return self.verdict == "pass"
 
 
-def log_harnack_columns(tm, nu, f, xi_t, eta_t, cc, base_seed, start, count) -> tuple:
-    """Per-pair columns of pairs start..start+count-1 of the coupling run
-    from xi_t and eta_t: f at X's terminal segment, log R and the coupled
-    flag.  A pair's values do not depend on its chunk."""
-    res = run_coupling_batch(tm, nu, xi_t, eta_t, cc, base_seed, count, path_offset=start)
-    fv = np.asarray(f(res.x_states[:, -nu.n0(cc.h) - 1 :]), dtype=float)
-    return fv, res.log_R, res.coupled
-
-
-def log_harnack_report(
-    fv: np.ndarray,
-    log_R: np.ndarray,
-    coupled: np.ndarray,
+def check_log_harnack(
+    tm: TransformedModel,
     nu: DelayMeasure,
+    f,
     xi_t: np.ndarray,
     eta_t: np.ndarray,
-    cc: CouplingConfig,
+    T: float,
+    h: float,
+    K: float,
+    n: int,
+    base_seed: int,
     C_fitted: float | None = None,
+    workers: int = 1,
 ) -> HarnackReport:
-    """The 3-sigma verdict of check_log_harnack from the joined columns of
-    log_harnack_columns over all pairs.  f must be strictly positive."""
-    n = len(fv)
+    """Exact-chain check of P log f(eta) <= log P f(xi) + E_Q log R at 3 sigma.
+
+    One coupling run provides everything: the X sample estimates P f(xi),
+    the weighted X sample estimates the left side, and the weights give the
+    entropy cost.  The pairs run in STORED_ROW_CHUNK chunks, since the
+    coupling run stores every row, on `workers` processes.  f must be
+    strictly positive.
+    """
+    if n < 2:
+        raise ValueError("need n >= 2")
+    cc = CouplingConfig(T=T, h=h, K=K)
+
+    def columns(start, count):
+        res = run_coupling_batch(tm, nu, xi_t, eta_t, cc, base_seed, count, path_offset=start)
+        fv = np.asarray(f(res.x_states[:, -nu.n0(h) - 1 :]), dtype=float)
+        return fv, res.log_R, res.coupled
+
+    fv, log_R, coupled = map_columns(n, rng.STORED_ROW_CHUNK, columns, workers)
     if np.any(fv <= 0):
         raise ValueError("log-Harnack check needs a strictly positive f")
     logf = np.log(fv)
@@ -123,7 +132,7 @@ def log_harnack_report(
     if C_fitted is not None:
         d0 = float(np.linalg.norm(np.asarray(xi_t)[-1] - np.asarray(eta_t)[-1]))
         dseg = float(batch_seg_norm(nu, (np.asarray(xi_t) - np.asarray(eta_t))[None])[0])
-        fitted = log_pf + C_fitted * (d0**2 / cc.T + dseg**2)
+        fitted = log_pf + C_fitted * (d0**2 / T + dseg**2)
     return HarnackReport(
         lhs=lhs, lhs_stderr=lhs_se, log_pf=log_pf, log_pf_stderr=log_pf_se,
         entropy=ent.value, entropy_stderr=ent.stderr, rhs=rhs,
@@ -132,38 +141,8 @@ def log_harnack_report(
         coupled_fraction=float(coupled.mean()),
         jensen_ok=jensen_ok, mean_R=ent.mean_R, stderr_R=ent.stderr_R,
         fitted_rhs=fitted,
-        setting={"T": cc.T, "h": cc.h, "K": cc.K, "n": n},
+        setting={"T": T, "h": h, "K": K, "n": n},
     )
-
-
-def check_log_harnack(
-    tm: TransformedModel,
-    nu: DelayMeasure,
-    f,
-    xi_t: np.ndarray,
-    eta_t: np.ndarray,
-    T: float,
-    h: float,
-    K: float,
-    n: int,
-    base_seed: int,
-    C_fitted: float | None = None,
-    workers: int = 1,
-) -> HarnackReport:
-    """Exact-chain check of P log f(eta) <= log P f(xi) + E_Q log R at 3 sigma.
-
-    One coupling run provides everything: the X sample estimates P f(xi),
-    the weighted X sample estimates the left side, and the weights give the
-    entropy cost.  The pairs run in STORED_ROW_CHUNK chunks, since the
-    coupling run stores every row, on `workers` processes.  f must be
-    strictly positive.
-    """
-    if n < 2:
-        raise ValueError("need n >= 2")
-    cc = CouplingConfig(T=T, h=h, K=K)
-    columns = partial(log_harnack_columns, tm, nu, f, xi_t, eta_t, cc, base_seed)
-    joined = map_columns(n, rng.STORED_ROW_CHUNK, columns, workers)
-    return log_harnack_report(*joined, nu, xi_t, eta_t, cc, C_fitted)
 
 
 @dataclass

@@ -29,6 +29,12 @@ the runners keep that next to each pulled-back row, so a step's
 transformed_coefficients reads no table.  For a base diffusion declared
 constant in d = dbar = 1, transformed_coefficients reads Q once per step and
 the transformed diffusion is the scalar (1 + u') q of each row.
+
+The transformed equation has two runners, simulate_transformed and the
+coupled pair of coupling.run_coupling_batch.  Both open their batches with
+start_transformed, which pulls the shared initial segment back once, and
+both step X with transformed_step, so X of a coupled pair is
+simulate_transformed bit for bit.
 """
 
 from __future__ import annotations
@@ -665,27 +671,39 @@ def transformed_model(m: ModelSpec, nu: DelayMeasure, sol: ZvonkinSolution | Non
     return TransformedModel(m, sol)
 
 
-def pulled_back_history(
-    tm: TransformedModel, states: np.ndarray, seg: np.ndarray
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """(history, ud): storage for Theta^{-1} along a path batch whose rows all
-    start from the one initial segment seg (n0+1, d), filled on [-r0, 0] and
-    laid out in memory like states, and the (u, grad u) of theta_inverse_ud
-    at the pull-back of seg's last node, one column per row.
+def start_transformed(tm: TransformedModel, nu: DelayMeasure, seg, n_paths, n_rows, path_offset):
+    """(rows, history, ud, averages) for n_paths paths that all start from
+    the one transformed segment seg (n0+1, d): rows (n_paths, n_rows, d),
+    the transposed view of a time-major buffer, holding seg on [-r0, 0];
+    history, laid out like rows, holding Theta^{-1} of seg there; the
+    (u, grad u) of theta_inverse_ud at the pull-back of seg's last node, one
+    column per row; and the delay_averages of history.
 
-    With the identity transform the path is its own pull-back: states is
-    returned as is, with ud None.  Otherwise seg is pulled back once and
-    broadcast to every row: every node of [-r0, 0] reads u(0), and the
-    inverse and its lookup work row by row, so one call gives each row the
-    bits of a batch inverse of identical rows.  The caller fills each later
-    node, and keeps the current node's ud, as the path grows.
+    With the identity transform the path is its own pull-back: history is
+    rows, with ud None.  Otherwise seg is pulled back once and broadcast:
+    every node of [-r0, 0] reads u(0), and the inverse works row by row, so
+    each row has the bits of a batch inverse of identical rows.  The runner
+    fills each later node, and keeps the current node's ud, as the path grows.
     """
-    sol = tm.sol
-    if sol is None:
-        return states, None
-    out = np.empty_like(states)
-    out[:, : len(seg)], ud = theta_inverse_ud(sol, 0.0, seg)
-    return out, np.repeat(ud[:, -1:], states.shape[0], axis=1)
+    seg = np.asarray(seg, dtype=float)
+    check_segment_shape(seg, nu.n_cells, tm.base.d)
+    rows = np.empty((n_rows, n_paths, tm.base.d)).transpose(1, 0, 2)
+    rows[:, : len(seg)] = seg
+    history, ud = rows, None
+    if tm.sol is not None:
+        history = np.empty_like(rows)
+        history[:, : len(seg)], ud = theta_inverse_ud(tm.sol, 0.0, seg)
+        ud = np.repeat(ud[:, -1:], n_paths, axis=1)
+    return rows, history, ud, delay_averages(nu, history, path_offset)
+
+
+def transformed_step(tm: TransformedModel, t, h, state, point_inv, ud, avg_inv, dW_k) -> tuple:
+    """(next state, drift, diffusion): one Euler-Maruyama step
+    state + h * drift + diffusion dW_k of the transformed equation, with the
+    transformed_coefficients of (t, state, point_inv, ud, avg_inv).  The
+    floating-point error state is the caller's."""
+    drift, Qv = transformed_coefficients(tm, t, state, point_inv, ud, avg_inv)
+    return state + h * drift + noise_product(Qv, dW_k), drift, Qv
 
 
 def simulate_transformed(
@@ -703,29 +721,28 @@ def simulate_transformed(
     the pulled-back windows instead of inverting every node again, and the
     current node's (u, grad u) kept from the inverse that found it.
 
+    Only cfg.h, cfg.t_end and cfg.trunc_level are read: cfg.scheme is not.
+    The transformed equation is always stepped by Euler-Maruyama with A
+    folded into the drift, so a comparison with solver.simulate must pass
+    scheme="euler-maruyama".  A finite cfg.trunc_level is a ValueError:
+    there is no truncation here.
+
     xi_t: transformed initial segment values (n0+1, d).  Returns (states, dW)
     with states of shape (n_paths, n0+steps+1, d) on [-r0, t_end], the
-    transposed view of a time-major buffer.  A finite cfg.trunc_level is a
-    ValueError: there is no truncation here.
+    transposed view of a time-major buffer.
     """
     if math.isfinite(cfg.trunc_level):
         raise ValueError("simulate_transformed does not truncate; trunc_level must be inf")
     n0 = nu.n0(cfg.h)
     steps = grid_count(cfg.t_end, cfg.h, "t_end")
     h = cfg.h
+    states, xinv, ud, avg = start_transformed(tm, nu, xi_t, n_paths, n0 + steps + 1, path_offset)
     dW = path_increments(dW, base_seed, path_offset, n_paths, steps, tm.base.dbar, h)
-    states = np.empty((n0 + steps + 1, n_paths, tm.base.d)).transpose(1, 0, 2)
-    xi_t = np.asarray(xi_t, dtype=float)
-    check_segment_shape(xi_t, n0, tm.base.d)
-    states[:, : n0 + 1] = xi_t
-    xinv, ud = pulled_back_history(tm, states, xi_t)
-    averages = delay_averages(nu, xinv, path_offset)
     for k in range(steps):
         t = k * h
         idx = n0 + k
         x = states[:, idx]
-        drift, Qv = transformed_coefficients(tm, t, x, xinv[:, idx], ud, next(averages))
-        states[:, idx + 1] = x + h * drift + noise_product(Qv, dW[:, k])
+        states[:, idx + 1] = transformed_step(tm, t, h, x, xinv[:, idx], ud, next(avg), dW[:, k])[0]
         if tm.sol is not None:
             xinv[:, idx + 1], ud = theta_inverse_ud(tm.sol, t + h, states[:, idx + 1])
     return states, dW

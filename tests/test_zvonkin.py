@@ -19,9 +19,9 @@ from delaysde.zvonkin import (
     ZvonkinSolution,
     needs_transform,
     picard_u,
-    pulled_back_history,
     simulate_transformed,
     solve_u,
+    start_transformed,
     theta,
     theta_inverse,
     theta_inverse_ud,
@@ -683,11 +683,17 @@ def test_transform_equivalence_single_h(nu6, ref6, sol_small):
     assert err < 0.05
 
 
-def test_coupled_x_chain_is_simulate_transformed(nu6, ref6, sol_small):
+@pytest.mark.parametrize("case", ["d1", "identity", "d2"])
+def test_coupled_x_chain_is_simulate_transformed(nu6, sol_small, sol_d2, case):
     """X of the coupled pair follows the transformed equation itself: under
-    shared noise it matches simulate_transformed bit for bit on [0, T + r0]."""
-    tm = transformed_model(ref6, nu6, sol_small)
-    xi_t = tm.seg_to_transformed(0.0, constant_segment(nu6, 0.5).values[None], nu6.h)[0]
+    shared noise it matches simulate_transformed bit for bit on [0, T + r0],
+    with a solved u in d=1 and d=2 and with the identity transform."""
+    d = 2 if case == "d2" else 1
+    name = "linear_delay" if case == "identity" else "reference"
+    sol = {"d1": sol_small, "identity": None, "d2": sol_d2}[case]
+    tm = transformed_model(make_model(name, measure=nu6, d=d), nu6, sol)
+    start = constant_segment(nu6, [0.5, -0.3][:d]).values
+    xi_t = tm.seg_to_transformed(0.0, start[None], nu6.h)[0]
     cc = CouplingConfig(T=0.25, h=nu6.h, K=4.0)
     res = run_coupling_batch(tm, nu6, xi_t, xi_t + 0.05, cc, 5, 4)
     cfg = SolverConfig(h=nu6.h, t_end=cc.T + nu6.r0)
@@ -900,22 +906,23 @@ def test_coupling_y_side_matches_full_oracle(nu6, ref6, sol_small, monkeypatch, 
 
 
 @pytest.mark.parametrize("d", [1, 2])
-def test_pulled_back_history_inverts_the_shared_segment_once(nu6, sol_small, sol_d2, d):
+def test_start_transformed_inverts_the_shared_segment_once(nu6, sol_small, sol_d2, d):
     """One pulled-back initial segment, broadcast to every row, has the bits of
     the batch inverse of the identical rows, node by node."""
     sol = sol_small if d == 1 else sol_d2
     tm = transformed_model(make_model("reference", measure=nu6, d=d), nu6, sol)
     n0 = nu6.n_cells
     seg = 0.3 + 0.4 * np.sin(np.arange((n0 + 1) * d, dtype=float)).reshape(n0 + 1, d)
-    states = np.empty((5, n0 + 9, d))
-    states[:, : n0 + 1] = seg
-    out, ud = pulled_back_history(tm, states, seg)
+    states, out, ud, _ = start_transformed(tm, nu6, seg, 5, n0 + 9, 0)
+    assert states.shape == (5, n0 + 9, d)
+    np.testing.assert_array_equal(states[:, : n0 + 1], np.broadcast_to(seg, (5, n0 + 1, d)))
     assert out.shape == states.shape and out is not states
     ref = theta_inverse_segment(sol, 0.0, states[:, : n0 + 1], nu6.h)
     np.testing.assert_array_equal(out[:, : n0 + 1], ref)
     np.testing.assert_array_equal(ud, _stacked_ud(*sol.eval_u_du(0.0, ref[:, -1])))
     identity = transformed_model(make_model("linear_delay", measure=nu6, d=d), nu6, None)
-    history, ud = pulled_back_history(identity, states, seg)
+    states, history, ud, _ = start_transformed(identity, nu6, seg, 5, n0 + 9, 0)
+    np.testing.assert_array_equal(states[:, : n0 + 1], np.broadcast_to(seg, (5, n0 + 1, d)))
     assert history is states and ud is None
 
 
