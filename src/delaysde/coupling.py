@@ -1,8 +1,13 @@
 """Coupling by change of measures for the transformed delay equation.
 
 Two copies share one Brownian motion: X carries the target dynamics; Y gets
-the drift of X plus a bridging pull (X - Y)/gamma that forces the states to
-meet before T.  After the meeting time the states are clamped together so the
+the drift of X plus a bridging pull (X - Y)/gamma.  In continuous time that
+pull forces the states to meet before T; the discrete bridge does not.  Its
+last step scales the gap X - Y by 1 - h/ghat, which lies in [-1.26, -1], so a
+pair still apart at T - h stays apart: the meeting rests on K, whose
+e^{-K^2 t} decay must take the gap below delta earlier.  Item 11 of
+ROADMAP.md (the last bridged step by a ratio of transition densities) is the
+fix.  After the meeting time the states are clamped together so the
 terminal segments agree exactly.  The density R that makes Y's law the target
 law started from the second initial segment accumulates the delay-mismatch
 drift over all of [0, T): histories keep differing for up to r0 after the
@@ -10,9 +15,11 @@ states meet, and that tail is what produces the segment-norm term in the
 entropy cost.
 
 Every pair of a batch starts from the same two segments, so their pull-backs
-through Theta are computed once per run, by zvonkin.start_transformed.  X
-moves by zvonkin.transformed_step, the step of simulate_transformed.  Each
-step then pulls X's new rows and the Y rows still needed back through one
+through Theta are computed once per run, by zvonkin.start_transformed.  X and
+Y are stored whole; each side's pulled-back rows live in a ring of n0 + 2
+rows, whose slot of each row comes from one shift per run.  X moves by
+zvonkin.transformed_step, the step of simulate_transformed.  Each step then
+pulls X's new rows and the Y rows still needed back through one
 theta_inverse_ud call, which also returns u and grad u at each root; the
 next step's coefficients read those instead of the table, and the delay
 averages slide in O(1) per step for exponential and uniform measures, so a
@@ -34,7 +41,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .measure import DelayMeasure, grid_count
+from .measure import DelayMeasure, grid_count, ring_shift
 from .model import noise_product, solve_qqt
 from .rng import path_increments
 from .zvonkin import (
@@ -173,6 +180,10 @@ def run_coupling_batch(
     # row before T and on the open rows, in order, from T on
     x, xinv, ud_x, avg_x = start_transformed(tm, nu, xi_t, n_paths, n_rows, path_offset)
     y, yinv, ud_y, avg_y = start_transformed(tm, nu, eta_t, n_paths, n_rows, path_offset)
+    # the pulled-back rows are rings: row r of either sits in slot
+    # (r + shift) % n_slots
+    n_slots = xinv.shape[1]
+    shift = ring_shift(n_slots, n_rows)
     gap = np.asarray(xi_t, dtype=float)[-1] - np.asarray(eta_t, dtype=float)[-1]
     delta = DELTA_SCALE * (1.0 + float(np.linalg.norm(gap)))
     dW = path_increments(dW, base_seed, path_offset, n_paths, steps, tm.base.dbar, h)
@@ -188,13 +199,14 @@ def run_coupling_batch(
     for k in range(steps):
         t = k * h
         idx = n0 + k
+        cur = (idx + shift) % n_slots
         xs, ys = x[:, idx], y[:, idx]
         live = np.flatnonzero(open_)
         sel = slice(None) if len(live) == n_paths else live  # a view when all are open
         with np.errstate(over="ignore", invalid="ignore"):
-            xn, Bx, Qx = transformed_step(tm, t, h, xs, xinv[:, idx], ud_x, next(avg_x), dW[:, k])
+            xn, Bx, Qx = transformed_step(tm, t, h, xs, xinv[:, cur], ud_x, next(avg_x), dW[:, k])
         if k < n_T:  # phi reads Y's drift and diffusion on every row
-            By, Qy = transformed_coefficients(tm, t, ys, yinv[:, idx], ud_y, next(avg_y))
+            By, Qy = transformed_coefficients(tm, t, ys, yinv[:, cur], ud_y, next(avg_y))
             ghat = max(gamma(min(t + 0.5 * h, T), T, K), gamma_floor)
             z = solve_qqt(Qx, xs - ys)  # (n, dbar): Q*(QQ*)^{-1}(X - Y)
             phi = solve_qqt(Qy, By - Bx) - z / ghat
@@ -202,7 +214,7 @@ def run_coupling_batch(
             Qy = Qy[sel]
             bridge = noise_product(Qy, z[sel]) / ghat
         elif len(live):
-            Qy = transformed_coefficients(tm, t, ys[sel], yinv[sel, idx], ud_y, None)[1]
+            Qy = transformed_coefficients(tm, t, ys[sel], yinv[sel, cur], ud_y, None)[1]
             bridge = 0.0
         y_live = ys[sel]
         if len(live):
@@ -245,9 +257,10 @@ def run_coupling_batch(
         if n_pull == n_paths:
             pull = slice(None)
         x_inv, ud_x, y_inv, ud_pulled = _pull_back(sol, t + h, xn, yn, pull)
-        xinv[:, idx + 1] = x_inv
+        nxt = (cur + 1) % n_slots
+        xinv[:, nxt] = x_inv
         if before_T and n_pull < n_paths:
-            yinv[:, idx + 1] = x_inv
+            yinv[:, nxt] = x_inv
             ud_y = ud_x
             if n_pull:
                 ud_y = ud_x.copy()
@@ -255,7 +268,7 @@ def run_coupling_batch(
         else:
             ud_y = ud_pulled
         if n_pull:
-            yinv[pull, idx + 1] = y_inv
+            yinv[pull, nxt] = y_inv
     return CouplingResult(
         tau, log_r, x, y, delta, T, h, nu.r0, base_seed, path_offset, dW, failed
     )

@@ -93,8 +93,8 @@ def check_log_harnack(
     One coupling run provides everything: the X sample estimates P f(xi),
     the weighted X sample estimates the left side, and the weights give the
     entropy cost.  The pairs run in STORED_ROW_CHUNK chunks, since the
-    coupling run stores every row, on `workers` processes.  f must be
-    strictly positive.
+    coupling run stores every row of X and Y, on `workers` processes.  f must
+    be strictly positive.
     """
     if n < 2:
         raise ValueError("need n >= 2")

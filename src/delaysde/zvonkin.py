@@ -32,9 +32,9 @@ the transformed diffusion is the scalar (1 + u') q of each row.
 
 The transformed equation has two runners, simulate_transformed and the
 coupled pair of coupling.run_coupling_batch.  Both open their batches with
-start_transformed, which pulls the shared initial segment back once, and
-both step X with transformed_step, so X of a coupled pair is
-simulate_transformed bit for bit.
+start_transformed, which pulls the shared initial segment back once into a
+ring of n0 + 2 pulled-back rows, and both step X with transformed_step, so X
+of a coupled pair is simulate_transformed bit for bit.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import roots_hermitenorm
 
-from .measure import DelayMeasure, check_segment_shape, delay_averages, grid_count
+from .measure import DelayMeasure, check_segment_shape, delay_averages, grid_count, ring_shift
 from .model import ModelSpec, diffusion_at, noise_product
 from .rng import path_increments
 
@@ -98,14 +98,26 @@ def _ou_sd(rates: np.ndarray, sigma: float, dt: float) -> np.ndarray:
     return np.sqrt(var)
 
 
+def _uniform_cells(x: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """np.clip(np.searchsorted(x, q) - 1, 0, len(x) - 2) on the uniform grid
+    x for q in [x[0], x[-1]]: the cell from q's offset, nudged once each way
+    to the last node below q, which rounding can miss by one."""
+    last = len(x) - 2
+    idx = np.floor((q - x[0]) * (last + 1) / (x[-1] - x[0])).astype(np.intp)
+    np.clip(idx, 0, last, out=idx)
+    idx -= x[idx] >= q
+    idx += x[idx + 1] < q
+    return np.clip(idx, 0, last, out=idx)
+
+
 def _ou_gathers(grids: list, rates: np.ndarray, sigma: float, z: np.ndarray, k: int, dt: float):
     """Per grid axis, the (cell index, blend weight) of the Gauss-Hermite nodes
-    E x + sd z of P0 over k steps of dt, clipped to the grid."""
+    E x + sd z of P0 over k steps of dt, clipped to the uniform grid."""
     gathers = []
     for x, rate, sd in zip(grids, rates, _ou_sd(rates, sigma, k * dt)):
         E = math.exp(-rate * k * dt)
         q = np.clip(E * x[:, None] + sd * z[None, :], x[0], x[-1]).ravel()
-        idx = np.clip(np.searchsorted(x, q) - 1, 0, len(x) - 2)
+        idx = _uniform_cells(x, q)
         gathers.append((idx, (q - x[idx]) / (x[idx + 1] - x[idx])))
     return gathers
 
@@ -395,12 +407,14 @@ def solve_u(
     n = b_tab[0].size // d
     half = 0.5 * disc.dt
     grads = [_gradient_matrix(grids, k) for k in range(d)]
+    eye = sparse.identity(n)
     u = np.zeros(b_tab.shape)
     g = np.empty_like(u)
     g[-1] = b_tab[-1]  # u(T) = 0
     for i in range(n_t - 2, -1, -1):
         b = b_tab[i].reshape(n, d)
-        op = sparse.identity(n) - half * sum(sparse.diags(b[:, k]) @ grads[k] for k in range(d))
+        # diag(b_k) D_k scales row j of D_k by b[j, k]
+        op = eye - half * sum(grads[k].multiply(b[:, k : k + 1]) for k in range(d))
         rhs = half * b + disc.tail(g, i).reshape(n, d)
         u[i] = splu(sparse.csc_matrix(op)).solve(rhs).reshape(u[i].shape)
         g[i] = _g_of(b_tab[i : i + 1], u[i : i + 1], grids)[0]
@@ -675,15 +689,17 @@ def start_transformed(tm: TransformedModel, nu: DelayMeasure, seg, n_paths, n_ro
     """(rows, history, ud, averages) for n_paths paths that all start from
     the one transformed segment seg (n0+1, d): rows (n_paths, n_rows, d),
     the transposed view of a time-major buffer, holding seg on [-r0, 0];
-    history, laid out like rows, holding Theta^{-1} of seg there; the
-    (u, grad u) of theta_inverse_ud at the pull-back of seg's last node, one
-    column per row; and the delay_averages of history.
+    history, a ring of min(n0 + 2, n_rows) slots laid out like rows, holding
+    Theta^{-1} of seg there, row r in slot (r + ring_shift(n_slots, n_rows))
+    % n_slots; the (u, grad u) of theta_inverse_ud at the pull-back of seg's
+    last node, one column per row; and the delay_averages of history.
 
     With the identity transform the path is its own pull-back: history is
-    rows, with ud None.  Otherwise seg is pulled back once and broadcast:
-    every node of [-r0, 0] reads u(0), and the inverse works row by row, so
-    each row has the bits of a batch inverse of identical rows.  The runner
-    fills each later node, and keeps the current node's ud, as the path grows.
+    rows, with ud None, and its shift is 0.  Otherwise seg is pulled back once
+    and broadcast: every node of [-r0, 0] reads u(0), and the inverse works
+    row by row, so each row has the bits of a batch inverse of identical
+    rows.  The runner fills each later node's slot, and keeps the current
+    node's ud, as the path grows.
     """
     seg = np.asarray(seg, dtype=float)
     check_segment_shape(seg, nu.n_cells, tm.base.d)
@@ -691,10 +707,12 @@ def start_transformed(tm: TransformedModel, nu: DelayMeasure, seg, n_paths, n_ro
     rows[:, : len(seg)] = seg
     history, ud = rows, None
     if tm.sol is not None:
-        history = np.empty_like(rows)
-        history[:, : len(seg)], ud = theta_inverse_ud(tm.sol, 0.0, seg)
+        n_slots = min(len(seg) + 1, n_rows)
+        history = np.empty((n_slots, n_paths, tm.base.d)).transpose(1, 0, 2)
+        slots = (np.arange(len(seg)) + ring_shift(n_slots, n_rows)) % n_slots
+        history[:, slots], ud = theta_inverse_ud(tm.sol, 0.0, seg)
         ud = np.repeat(ud[:, -1:], n_paths, axis=1)
-    return rows, history, ud, delay_averages(nu, history, path_offset)
+    return rows, history, ud, delay_averages(nu, history, path_offset, n_rows)
 
 
 def transformed_step(tm: TransformedModel, t, h, state, point_inv, ud, avg_inv, dW_k) -> tuple:
@@ -716,10 +734,11 @@ def simulate_transformed(
     path_offset: int = 0,
     dW: np.ndarray | None = None,
 ):
-    """Euler integration of the transformed equation with the pulled-back states
-    cached along the path, so the delay drift reads the streamed averages of
-    the pulled-back windows instead of inverting every node again, and the
-    current node's (u, grad u) kept from the inverse that found it.
+    """Euler integration of the transformed equation with the pulled-back
+    states cached in a ring of n0 + 2 rows, so the delay drift reads the
+    streamed averages of the pulled-back windows instead of inverting every
+    node again, and the current node's (u, grad u) kept from the inverse that
+    found it.
 
     Only cfg.h, cfg.t_end and cfg.trunc_level are read: cfg.scheme is not.
     The transformed equation is always stepped by Euler-Maruyama with A
@@ -736,15 +755,19 @@ def simulate_transformed(
     n0 = nu.n0(cfg.h)
     steps = grid_count(cfg.t_end, cfg.h, "t_end")
     h = cfg.h
-    states, xinv, ud, avg = start_transformed(tm, nu, xi_t, n_paths, n0 + steps + 1, path_offset)
+    n_rows = n0 + steps + 1
+    states, xinv, ud, avg = start_transformed(tm, nu, xi_t, n_paths, n_rows, path_offset)
+    n_slots = xinv.shape[1]
+    shift = ring_shift(n_slots, n_rows)
     dW = path_increments(dW, base_seed, path_offset, n_paths, steps, tm.base.dbar, h)
     for k in range(steps):
         t = k * h
         idx = n0 + k
+        cur = (idx + shift) % n_slots
         x = states[:, idx]
-        states[:, idx + 1] = transformed_step(tm, t, h, x, xinv[:, idx], ud, next(avg), dW[:, k])[0]
+        states[:, idx + 1] = transformed_step(tm, t, h, x, xinv[:, cur], ud, next(avg), dW[:, k])[0]
         if tm.sol is not None:
-            xinv[:, idx + 1], ud = theta_inverse_ud(tm.sol, t + h, states[:, idx + 1])
+            xinv[:, (cur + 1) % n_slots], ud = theta_inverse_ud(tm.sol, t + h, states[:, idx + 1])
     return states, dW
 
 

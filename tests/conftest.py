@@ -28,6 +28,31 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
             terminalreporter.write_line(line)
 
 
+@pytest.fixture
+def pin_stored_row_chunk(monkeypatch):
+    """pin() sets rng.STORED_ROW_CHUNK to 1024 paths, so that a run of 1100
+    paths spans two chunks and --workers > 1 starts a pool, and returns the
+    list that collects the chunk count of each map_columns call over
+    stored-row chunks from then on."""
+    from delaysde import cli, harnack, rng
+
+    real = rng.map_columns
+    counts = []
+
+    def counted(n_paths, chunk, fn, workers=1):
+        if chunk == rng.STORED_ROW_CHUNK:
+            counts.append(len(range(0, n_paths, chunk)))
+        return real(n_paths, chunk, fn, workers)
+
+    def pin():
+        monkeypatch.setattr(rng, "STORED_ROW_CHUNK", 1024)
+        for module in (rng, cli, harnack):
+            monkeypatch.setattr(module, "map_columns", counted)
+        return counts
+
+    return pin
+
+
 @pytest.fixture(scope="session")
 def nu():
     return make_measure("exponential", R0, H, lam=1.0)

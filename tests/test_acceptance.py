@@ -276,7 +276,7 @@ def test_criterion_9_bihari_bound(nu8, acceptance_report):
     )
 
 
-def test_criterion_10_determinism(tmp_path, acceptance_report):
+def test_criterion_10_determinism(tmp_path, acceptance_report, pin_stored_row_chunk):
     from delaysde.cli import main
 
     sim_cfg = tmp_path / "sim.ini"
@@ -295,6 +295,8 @@ def test_criterion_10_determinism(tmp_path, acceptance_report):
     ok = True
     details = []
     for label, cfg, scen in (("simulate", sim_cfg, "simulate"), ("couple", cpl_cfg, "couple")):
+        if label == "couple":  # 1100 pairs span two chunks, so 8 workers start a pool
+            stored_chunks = pin_stored_row_chunk()
         outputs = []
         for tag, workers in (("w1", "1"), ("w8", "8"), ("w1b", "1")):
             out = tmp_path / f"{label}-{tag}"
@@ -306,4 +308,5 @@ def test_criterion_10_determinism(tmp_path, acceptance_report):
         same = outputs[0] == outputs[1] == outputs[2]
         ok = ok and same
         details.append(f"{label}: workers 1/8 and rerun byte-identical={same}")
+    assert stored_chunks == [2, 2, 2]
     acceptance_report(10, ok, "; ".join(details))

@@ -578,11 +578,12 @@ def test_flag_writes_what_the_file_value_writes(tmp_path, flag, sec, key, value)
     assert config.get(sec, {}).get(key, value) == value  # output and workers are left out
 
 
-def test_worker_count_does_not_change_bytes(tmp_path, monkeypatch):
+def test_worker_count_does_not_change_bytes(tmp_path, monkeypatch, pin_stored_row_chunk):
     """simulate spans two chunks of paths, and girsanov-check and gradient,
     with the estimator chunk patched to 64 paths, span four; each writes the
     same files with the same bytes on 1 and 2 workers."""
     monkeypatch.setattr(rng, "ESTIMATOR_CHUNK", 64)
+    stored_chunks = pin_stored_row_chunk()
     cfg = BASE.replace("name = zero", "name = ou")
     for scenario, n_paths in (("simulate", 1100), ("girsanov-check", 200), ("gradient", 200)):
         path = _write(tmp_path, cfg.replace("n_paths = 20", f"n_paths = {n_paths}"))
@@ -593,9 +594,10 @@ def test_worker_count_does_not_change_bytes(tmp_path, monkeypatch):
         assert names == sorted(p.name for p in out2.iterdir())
         for name in names:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+    assert stored_chunks == [2, 2]  # the simulate runs
 
 
-def test_couple_solves_u_once_per_run(tmp_path, monkeypatch):
+def test_couple_solves_u_once_per_run(tmp_path, monkeypatch, pin_stored_row_chunk):
     """u is solved once, before the chunks (two here) are spread over workers;
     with the transform in use, worker counts still give the same bytes."""
     text = """\
@@ -626,17 +628,21 @@ distance_seg = 0.05
         return real_solve_u(*args, **kwargs)
 
     monkeypatch.setattr(cli, "solve_u", counted)
+    stored_chunks = pin_stored_row_chunk()
     out1, out2 = tmp_path / "w1", tmp_path / "w2"
     assert main(["couple", "--config", path, "--out", str(out1), "--workers", "1"]) == 0
     assert len(calls) == 1
     assert main(["couple", "--config", path, "--out", str(out2), "--workers", "2"]) == 0
     assert len(calls) == 2  # the second run solved once more, in the parent
+    assert stored_chunks == [2, 2]
     for name in ("result.json", "verdict.json"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
     assert json.loads((out1 / "verdict.json").read_text())["metrics"]["coupled_fraction"] == 1.0
 
 
-def test_harnack_chunks_match_one_batch_at_any_worker_count(tmp_path, monkeypatch):
+def test_harnack_chunks_match_one_batch_at_any_worker_count(
+    tmp_path, monkeypatch, pin_stored_row_chunk
+):
     """harnack maps its pairs over the STORED_ROW_CHUNK-pair chunks (two
     here) on the worker pool; its verdict has the bytes of either worker
     count and the metrics of one check_log_harnack batch."""
@@ -660,9 +666,11 @@ distance0 = 0.05
 distance_seg = 0.05
 """
     path = _write(tmp_path, text)
+    stored_chunks = pin_stored_row_chunk()
     out1, out2 = tmp_path / "w1", tmp_path / "w2"
     assert main(["harnack", "--config", path, "--out", str(out1), "--workers", "1"]) == 0
     assert main(["harnack", "--config", path, "--out", str(out2), "--workers", "2"]) == 0
+    assert stored_chunks == [2, 2]
     verdict = (out1 / "verdict.json").read_bytes()
     assert verdict == (out2 / "verdict.json").read_bytes()
     cfg = parse_config(text)
@@ -815,7 +823,9 @@ t_end = 1.0
 
 
 @pytest.mark.parametrize("kind", ["exponential", "atoms"])
-def test_bihari_chunks_match_one_batch_at_any_worker_count(tmp_path, monkeypatch, kind):
+def test_bihari_chunks_match_one_batch_at_any_worker_count(
+    tmp_path, monkeypatch, pin_stored_row_chunk, kind
+):
     """bihari maps its paths over the STORED_ROW_CHUNK-path chunks (two here)
     on the worker pool; its verdict has the bytes of either worker count and the
     metrics of one apriori_check batch.  The atoms measure streams its
@@ -841,9 +851,11 @@ t_end = 1.0
 T = 0.75
 """
     path = _write(tmp_path, text)
+    stored_chunks = pin_stored_row_chunk()
     out1, out2 = tmp_path / "w1", tmp_path / "w2"
     assert main(["bihari", "--config", path, "--out", str(out1), "--workers", "1"]) == 0
     assert main(["bihari", "--config", path, "--out", str(out2), "--workers", "2"]) == 0
+    assert stored_chunks == [2, 2]
     verdict = (out1 / "verdict.json").read_bytes()
     assert verdict == (out2 / "verdict.json").read_bytes()
     cfg = parse_config(text)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from delaysde.coupling import (
 from delaysde.measure import constant_segment, make_measure
 from delaysde.model import make_model
 from delaysde.rng import normal_increments
-from delaysde.zvonkin import transformed_model
+from delaysde.zvonkin import solve_u, transformed_model
 
 H = 2.0**-8
 
@@ -85,6 +86,30 @@ def test_coupling_stores_paths_time_major(nu, tm):
     for states in (res.x_states, res.y_states):
         assert states.shape == (3, 2 * nu.n_cells + 33, 1)
         assert states.transpose(1, 0, 2).flags.c_contiguous
+
+
+def test_coupled_runner_holds_two_paths_and_two_rings_of_pulled_back_rows():
+    """One run_coupling_batch chunk keeps X, Y and the noise whole, and each
+    side's pulled-back rows in a ring of n0 + 2: numpy reports its buffers
+    to tracemalloc, and the peak stays within 1.25 x those bytes, below the
+    four whole paths and the noise that storing the pull-backs would take."""
+    h, n, T = 2.0**-6, 2048, 1.0
+    nu = make_measure("exponential", 0.5, h, lam=1.0)
+    m = make_model("reference", measure=nu)
+    tm = transformed_model(m, nu, solve_u(m, 16.0, T + nu.r0, n_x=101, n_t=17))
+    n0, n_T = nu.n_cells, round(T / h)
+    n_rows, steps = 2 * n0 + n_T + 1, n0 + n_T
+    bound = 1.25 * 8 * n * (2 * n_rows * m.d + 2 * (n0 + 2) * m.d + steps * m.dbar)
+    assert 8 * n * (4 * n_rows * m.d + steps * m.dbar) > bound
+    xi = np.full((n0 + 1, m.d), 0.5)
+    tracemalloc.start()
+    try:
+        res = run_coupling_batch(tm, nu, xi, xi + 0.05, CouplingConfig(T, h, 6.0), 3, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.x_states.shape == (n, n_rows, m.d) and res.coupled.all()
+    assert peak <= bound, (peak, bound)
 
 
 def test_coupled_step_contraction_factor(nu):

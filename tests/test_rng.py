@@ -196,13 +196,18 @@ def _fresh_draws(base_seed, path_index, n_steps, dbar, h):
     return ndtri(u) * np.sqrt(h)
 
 
-@pytest.mark.parametrize("n_paths", [1, 255, 257, 1000])
-def test_tiled_batch_matches_fresh_generators(n_paths):
-    """Batches of one fill tile and of several keep every path's draws."""
-    got = batch_increments(5, 17, n_paths, 3, 2, 0.25)
+@pytest.mark.parametrize(
+    "n_paths, first",
+    [(1, 17), (255, 17), (257, 17), (1000, 17), (257, 2**64 - 257)],
+    ids=["1", "255", "257", "1000", "257-ending-at-2^64-1"],
+)
+def test_tiled_batch_matches_fresh_generators(n_paths, first):
+    """Batches of one fill tile and of several keep every path's draws, up to
+    the last path index a key holds."""
+    got = batch_increments(5, first, n_paths, 3, 2, 0.25)
     assert got.shape == (n_paths, 3, 2)
     for i in range(n_paths):
-        np.testing.assert_array_equal(got[i], _fresh_draws(5, 17 + i, 3, 2, 0.25))
+        np.testing.assert_array_equal(got[i], _fresh_draws(5, first + i, 3, 2, 0.25))
 
 
 def test_batch_checks_its_last_key():

@@ -9,7 +9,13 @@ from scipy.interpolate import RegularGridInterpolator
 from delaysde import coupling, zvonkin
 from delaysde.coupling import CouplingConfig, run_coupling_batch
 from delaysde.girsanov import solve_qqt
-from delaysde.measure import batch_seg_norm, constant_segment, delay_averages, make_measure
+from delaysde.measure import (
+    batch_seg_norm,
+    constant_segment,
+    delay_averages,
+    make_measure,
+    ring_shift,
+)
 from delaysde.model import ModelSpec, OperatorA, _const_Q, _zero_B, make_model
 from delaysde.solver import SolverConfig, simulate
 from delaysde.zvonkin import (
@@ -207,6 +213,30 @@ def test_ou_apply_two_dimensional_separable():
     out = ou_apply(vals, [g, g], np.array([1.0, 1.0]), 1.0, dt, quad_order=12)
     inner = (np.abs(xx) < 4) & (np.abs(yy) < 4)
     np.testing.assert_allclose(out[..., 0][inner], E * (xx + yy)[inner], atol=1e-10)
+
+
+def test_ou_gathers_find_the_searchsorted_cells(ref6):
+    """The arithmetic cell of _ou_gathers is np.searchsorted(x, q) - 1,
+    clipped to the cells, on every Gauss-Hermite offset of the test grids and
+    of the solve's grid, on the nodes themselves and next to them, and for
+    queries clipped at either end."""
+    z, _ = zvonkin._hermite(24)
+    spans = ((10.0, 801), (2.0, 21), (8.0, 161), (3.0, 81), (5.0, 8))
+    grids = [np.linspace(-a, a, n) for a, n in spans]
+    grids += zvonkin._discretize(ref6, 16.0, 1.0, 6.0, 101, 17, 24).grids
+    for x in grids:
+        def cells(q):
+            return np.clip(np.searchsorted(x, q) - 1, 0, len(x) - 2)
+
+        for dt in (0.01, 0.2, 0.3, 2.0):
+            sd = zvonkin._ou_sd(np.array([1.0]), 1.0, dt)[0]
+            q = np.clip(math.exp(-dt) * x[:, None] + sd * z[None, :], x[0], x[-1]).ravel()
+            if dt == 0.01:
+                assert q.min() == x[0] and q.max() == x[-1]  # clipped at both ends
+            (idx, _), = zvonkin._ou_gathers([x], np.array([1.0]), 1.0, z, 1, dt)
+            np.testing.assert_array_equal(idx, cells(q))
+        near = np.concatenate([x, np.nextafter(x, -np.inf)[1:], np.nextafter(x, np.inf)[:-1]])
+        np.testing.assert_array_equal(zvonkin._uniform_cells(x, near), cells(near))
 
 
 def test_semigroup_gathers_match_old_d1_closure_bit_for_bit(ref6):
@@ -908,7 +938,8 @@ def test_coupling_y_side_matches_full_oracle(nu6, ref6, sol_small, monkeypatch, 
 @pytest.mark.parametrize("d", [1, 2])
 def test_start_transformed_inverts_the_shared_segment_once(nu6, sol_small, sol_d2, d):
     """One pulled-back initial segment, broadcast to every row, has the bits of
-    the batch inverse of the identical rows, node by node."""
+    the batch inverse of the identical rows, node by node, in the slots of a
+    ring of n0 + 2 rows."""
     sol = sol_small if d == 1 else sol_d2
     tm = transformed_model(make_model("reference", measure=nu6, d=d), nu6, sol)
     n0 = nu6.n_cells
@@ -916,9 +947,10 @@ def test_start_transformed_inverts_the_shared_segment_once(nu6, sol_small, sol_d
     states, out, ud, _ = start_transformed(tm, nu6, seg, 5, n0 + 9, 0)
     assert states.shape == (5, n0 + 9, d)
     np.testing.assert_array_equal(states[:, : n0 + 1], np.broadcast_to(seg, (5, n0 + 1, d)))
-    assert out.shape == states.shape and out is not states
+    assert out.shape == (5, n0 + 2, d)
+    slots = (np.arange(n0 + 1) + ring_shift(n0 + 2, n0 + 9)) % (n0 + 2)
     ref = theta_inverse_segment(sol, 0.0, states[:, : n0 + 1], nu6.h)
-    np.testing.assert_array_equal(out[:, : n0 + 1], ref)
+    np.testing.assert_array_equal(out[:, slots], ref)
     np.testing.assert_array_equal(ud, _stacked_ud(*sol.eval_u_du(0.0, ref[:, -1])))
     identity = transformed_model(make_model("linear_delay", measure=nu6, d=d), nu6, None)
     states, history, ud, _ = start_transformed(identity, nu6, seg, 5, n0 + 9, 0)
