@@ -44,7 +44,7 @@ import scipy
 
 from . import __version__, rng
 from .bihari import apriori_check, check_kappa
-from .coupling import CouplingConfig, entropy_cost, run_coupling_batch
+from .coupling import CouplingConfig, entropy_cost, meeting_radius, run_coupling_batch
 from .girsanov import SingularDiffusionError, direct_estimate, weak_estimate
 from .harnack import EPS_FD_RANGE, DegenerateVarianceError, ExplosionBeforeHorizonError
 from .harnack import check_gradient_estimate, check_log_harnack
@@ -462,6 +462,10 @@ def _coupling_setup(cfg, nu, m, scfg, xi):
     eta_vals[-1] += c["distance0"]
     xi_t = tm.seg_to_transformed(0.0, xi.values[None], nu.h)[0]
     eta_t = tm.seg_to_transformed(0.0, eta_vals[None], nu.h)[0]
+    try:
+        meeting_radius(xi_t, eta_t)
+    except ValueError as e:
+        raise ConfigError("coupling.distance0", str(e)) from e
     return tm, cc, xi_t, eta_t
 
 

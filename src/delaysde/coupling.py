@@ -2,32 +2,29 @@
 
 Two copies share one Brownian motion: X carries the target dynamics; Y gets
 the drift of X plus a bridging pull (X - Y)/gamma.  In continuous time that
-pull forces the states to meet before T; the discrete bridge does not.  Its
-last step scales the gap X - Y by 1 - h/ghat, which lies in [-1.26, -1], so a
-pair still apart at T - h stays apart: the meeting rests on K, whose
-e^{-K^2 t} decay must take the gap below delta earlier.  Item 11 of
-ROADMAP.md (the last bridged step by a ratio of transition densities) is the
-fix.  After the meeting time the states are clamped together so the
-terminal segments agree exactly.  The density R that makes Y's law the target
-law started from the second initial segment accumulates the delay-mismatch
-drift over all of [0, T): histories keep differing for up to r0 after the
-states meet, and that tail is what produces the segment-norm term in the
-entropy cost.
+pull forces the states to meet by T.  The discrete bridge forces it on its
+last step: every pair still open at T - h (neither met nor failed) takes
+Y_T := X_T, and log R adds the log-ratio of Y's and X's Euler kernels at X_T
+in place of the Girsanov increment, the exact density of that step.  After
+the meeting time the states are clamped together, so the terminal segments
+of every pair that did not fail agree exactly.  The density R that makes
+Y's law the target law started from the second initial segment accumulates
+the delay-mismatch drift over all of [0, T): histories keep differing for
+up to r0 after the states meet, and that tail is what produces the
+segment-norm term in the entropy cost.
 
 Every pair of a batch starts from the same two segments, so their pull-backs
 through Theta are computed once per run, by zvonkin.start_transformed.  X and
 Y are stored whole; each side's pulled-back rows live in a ring of n0 + 2
 rows, whose slot of each row comes from one shift per run.  X moves by
 zvonkin.transformed_step, the step of simulate_transformed.  Each step then
-pulls X's new rows and the Y rows still needed back through one
+pulls X's new rows and the Y rows not yet met back through one
 theta_inverse_ud call, which also returns u and grad u at each root; the
 next step's coefficients read those instead of the table, and the delay
 averages slide in O(1) per step for exponential and uniform measures, so a
-step's cost does not grow with the delay window.  Before T the density
-reads Y's drift and diffusion on every row; from T on nothing reads Y's
-drift, and Y's diffusion, noise and pull-back are evaluated only on the
-rows that have neither met nor failed.  The meeting and finiteness tests of
-Y run on those open rows only.
+step's cost does not grow with the delay window.  Y's drift, diffusion,
+noise and pull-back are formed on steps before T only: from T on every row
+that has not failed is met, and its Y row is its X row.
 
 The diffusions come from transformed_coefficients with one entry per row;
 for a constant Q in d = dbar = 1 that is the scalar (1 + u') q, so the
@@ -56,14 +53,24 @@ __all__ = [
     "CouplingConfig",
     "CouplingResult",
     "gamma",
-    "gamma_prime",
+    "meeting_radius",
     "run_coupling_batch",
     "entropy_cost",
     "fit_entropy_cost",
 ]
 
-# States within DELTA_SCALE * (1 + |xi(0) - eta(0)|) of each other have met.
 DELTA_SCALE = 1e-8
+
+
+def meeting_radius(xi_t, eta_t) -> float:
+    """delta = DELTA_SCALE * (1 + |xi(0) - eta(0)|), the distance at which
+    states have met; a ValueError if not finite, as every pair would meet."""
+    gap = np.asarray(xi_t, dtype=float)[-1] - np.asarray(eta_t, dtype=float)[-1]
+    with np.errstate(over="ignore"):
+        dist = float(np.linalg.norm(gap))
+    if not math.isfinite(dist):
+        raise ValueError(f"|xi(0) - eta(0)| = {dist} for the gap {gap.tolist()}: need a finite norm")
+    return DELTA_SCALE * (1.0 + dist)
 
 
 def gamma(t, T: float, K: float):
@@ -78,15 +85,6 @@ def gamma(t, T: float, K: float):
     return float(out) if out.ndim == 0 else out
 
 
-def gamma_prime(t, T: float, K: float):
-    """d/dt of the bridging clock; satisfies 2 + gamma' - K^2 gamma = 1."""
-    t = np.asarray(t, dtype=float)
-    if np.any(t < -1e-12) or np.any(t > T + 1e-12):
-        raise ValueError("gamma is defined on [0, T]")
-    out = -np.exp((t - T) * K**2) if K != 0.0 else -np.ones_like(t)
-    return float(out) if out.ndim == 0 else out
-
-
 @dataclass(frozen=True)
 class CouplingConfig:
     T: float
@@ -97,8 +95,9 @@ class CouplingConfig:
         if not (self.T > 0 and self.h > 0 and self.K >= 0):  # NaN fails each test
             raise ValueError("need T > 0, h > 0, K >= 0")
         grid_count(self.T, self.h, "T")
-        # the bridge scales X - Y by 1 - h/ghat with ghat <= 1/K^2, which is
-        # below -1 on every step once h K^2 > 2: the gap then grows
+        # guards the interior midpoint steps: each scales X - Y by 1 - h/ghat
+        # with ghat <= 1/K^2, below -1 once h K^2 > 2, so the gap would grow
+        # until the last step closes it
         if self.h * self.K**2 >= 2.0:
             raise ValueError(
                 f"h*K^2 = {self.h * self.K**2:g} >= 2 makes the coupled step unstable; "
@@ -108,7 +107,7 @@ class CouplingConfig:
 
 @dataclass
 class CouplingResult:
-    tau: np.ndarray  # (n,) meeting time, nan if the states never met by T
+    tau: np.ndarray  # (n,) meeting time, at most T; nan for a pair that failed apart
     log_R: np.ndarray  # (n,)
     x_states: np.ndarray  # (n, N+1, d) on [-r0, T+r0], a view of a time-major (N+1, n, d) buffer
     y_states: np.ndarray  # the same layout
@@ -147,6 +146,15 @@ def _pull_back(sol, t: float, xn: np.ndarray, yn: np.ndarray, pull):
     return inv[:n], ud[:, :n], inv[n:], ud[:, n:]
 
 
+def _log_det_qqt(Q: np.ndarray) -> np.ndarray:
+    """log det QQ* row by row, for Q in a form that solve_qqt takes; in d = 1
+    the log of the one entry, the bits of either form."""
+    if Q.ndim == 1:
+        return np.log(Q * Q)
+    QQt = np.einsum("nik,njk->nij", Q, Q)
+    return np.log(QQt[:, 0, 0]) if QQt.shape[-1] == 1 else np.linalg.slogdet(QQt)[1]
+
+
 def run_coupling_batch(
     tm: TransformedModel,
     nu: DelayMeasure,
@@ -161,14 +169,14 @@ def run_coupling_batch(
     """Integrate the coupled pair on [0, T + r0] from transformed segments
     xi_t, eta_t of shape (n0+1, d), shared by every pair.
 
-    The bridging drift uses the midpoint value of gamma on each step, floored
-    at its last-step value so the pull stays finite; states within
-    delta = DELTA_SCALE * (1 + |xi(0) - eta(0)|) are declared met and clamped.
-
-    Before T the density reads Y's drift and diffusion on every row.  From T
-    on, Y moves with X's drift and its own noise, and only rows that have
-    neither met nor failed evaluate that noise: a met row copies X and a
-    failed row keeps its state.
+    The bridging drift uses the midpoint value of gamma on each step before
+    the last; states within delta = meeting_radius(xi_t, eta_t) are declared
+    met and clamped.  The last bridged step, from T - h to T, closes every
+    pair still open: Y_T := X_T, and log R adds log p_Y(X_T) - log p_X(X_T)
+    for the Euler kernels N(y + h B_y, h Q_y Q_y*) of Y's target step and
+    N(x + h B_x, h Q_x Q_x*) of X's, where the other rows add phi dW -
+    h |phi|^2 / 2.  A row whose X, or whose open Y, overflows keeps its
+    states from then on, as a failed row; every other row has met by T.
     """
     sol = tm.sol
     T, h, K = cc.T, cc.h, cc.K
@@ -176,18 +184,15 @@ def run_coupling_batch(
     n_T = grid_count(T, h, "T")
     steps = n_T + n0
     n_rows = n0 + steps + 1
-    # ud_x holds (u, grad u) at X's current pull-back; ud_y at Y's on every
-    # row before T and on the open rows, in order, from T on
+    # ud_x and ud_y hold (u, grad u) at X's and Y's current pull-backs
     x, xinv, ud_x, avg_x = start_transformed(tm, nu, xi_t, n_paths, n_rows, path_offset)
     y, yinv, ud_y, avg_y = start_transformed(tm, nu, eta_t, n_paths, n_rows, path_offset)
     # the pulled-back rows are rings: row r of either sits in slot
     # (r + shift) % n_slots
     n_slots = xinv.shape[1]
     shift = ring_shift(n_slots, n_rows)
-    gap = np.asarray(xi_t, dtype=float)[-1] - np.asarray(eta_t, dtype=float)[-1]
-    delta = DELTA_SCALE * (1.0 + float(np.linalg.norm(gap)))
+    delta = meeting_radius(xi_t, eta_t)
     dW = path_increments(dW, base_seed, path_offset, n_paths, steps, tm.base.dbar, h)
-    gamma_floor = gamma(T - 0.5 * h, T, K)
     log_r = np.zeros(n_paths)
     tau = np.full(n_paths, np.nan)
     failed = np.zeros(n_paths, dtype=bool)
@@ -195,80 +200,58 @@ def run_coupling_batch(
     tau[met] = 0.0
     y[met, n0] = x[met, n0]
     open_ = ~met  # rows that have neither met nor failed, updated in place
-    frozen = np.flatnonzero(failed)
     for k in range(steps):
         t = k * h
         idx = n0 + k
         cur = (idx + shift) % n_slots
         xs, ys = x[:, idx], y[:, idx]
-        live = np.flatnonzero(open_)
-        sel = slice(None) if len(live) == n_paths else live  # a view when all are open
         with np.errstate(over="ignore", invalid="ignore"):
             xn, Bx, Qx = transformed_step(tm, t, h, xs, xinv[:, cur], ud_x, next(avg_x), dW[:, k])
+        yn = xn  # from the last bridged step on, an open row's Y is its X
         if k < n_T:  # phi reads Y's drift and diffusion on every row
             By, Qy = transformed_coefficients(tm, t, ys, yinv[:, cur], ud_y, next(avg_y))
-            ghat = max(gamma(min(t + 0.5 * h, T), T, K), gamma_floor)
+            ghat = gamma(t + 0.5 * h, T, K)
             z = solve_qqt(Qx, xs - ys)  # (n, dbar): Q*(QQ*)^{-1}(X - Y)
             phi = solve_qqt(Qy, By - Bx) - z / ghat
-            log_r += np.einsum("nk,nk->n", phi, dW[:, k]) - 0.5 * h * np.sum(phi**2, axis=1)
-            Qy = Qy[sel]
-            bridge = noise_product(Qy, z[sel]) / ghat
-        elif len(live):
-            Qy = transformed_coefficients(tm, t, ys[sel], yinv[sel, cur], ud_y, None)[1]
-            bridge = 0.0
-        y_live = ys[sel]
-        if len(live):
-            noise_y = noise_product(Qy, dW[sel, k])
-            with np.errstate(over="ignore", invalid="ignore"):
-                y_live = y_live + h * (Bx[sel] + bridge) + noise_y
-        if frozen.size:
-            xn[frozen] = xs[frozen]
-        if not (np.isfinite(xn).all() and np.isfinite(y_live).all()):
-            bad = ~np.all(np.isfinite(xn), axis=1)
-            bad[live] |= ~np.all(np.isfinite(y_live), axis=1)
-            failed |= bad
+            inc = np.einsum("nk,nk->n", phi, dW[:, k]) - 0.5 * h * np.sum(phi**2, axis=1)
+            if k + 1 < n_T:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    yn = ys + h * (Bx + noise_product(Qy, z) / ghat) + noise_product(Qy, dW[:, k])
+            else:  # the open rows that X keeps finite close at X_T's density ratio
+                c = np.flatnonzero(open_ & np.isfinite(xn).all(axis=1))
+                ry = solve_qqt(Qy[c], xn[c] - ys[c] - h * By[c])
+                rx = solve_qqt(Qx[c], xn[c] - xs[c] - h * Bx[c])
+                quad = np.sum(rx**2, axis=1) - np.sum(ry**2, axis=1)
+                inc[c] = quad / (2.0 * h) + 0.5 * (_log_det_qqt(Qx[c]) - _log_det_qqt(Qy[c]))
+            log_r += inc
+        if not (np.isfinite(xn).all() and np.isfinite(yn).all()):
+            failed |= ~np.isfinite(xn).all(axis=1) | open_ & ~np.isfinite(yn).all(axis=1)
             open_ &= ~failed
-            frozen = np.flatnonzero(failed)
-            xn[frozen] = xs[frozen]
-            keep = open_[live]
-            live = sel = live[keep]
-            y_live = y_live[keep]
+        xn[failed] = xs[failed]
         x[:, idx + 1] = xn
-        yn = y[:, idx + 1]
-        if len(live) < n_paths:
-            yn[...] = xn  # a met row copies X
-            if frozen.size:
-                yn[frozen] = ys[frozen]  # a failed row keeps its state
-        if len(live):
-            yn[sel] = y_live
-            near = np.linalg.norm(xn[sel] - y_live, axis=1) <= delta
-            if near.any():
-                newly = live[near]
-                yn[newly] = xn[newly]
-                tau[newly] = t + h
-                open_[newly] = False
+        if k < n_T:  # the meeting test of the open rows
+            live = np.flatnonzero(open_)
+            newly = live[np.linalg.norm(xn[live] - yn[live], axis=1) <= delta]
+            tau[newly] = t + h
+            open_[newly] = False
+        y_next = y[:, idx + 1]
+        y_next[...] = np.where(open_[:, None], yn, xn)  # a met row copies X
+        y_next[failed] = ys[failed]  # a failed row keeps its state
         if sol is None:
             continue
-        # before T the next step reads Y's pull-back on every row, where a met
-        # row's is its X row's; from T on it reads only the open rows'
-        before_T = k + 1 < n_T
-        pull = np.isnan(tau) if before_T else open_
-        n_pull = np.count_nonzero(pull)
-        if n_pull == n_paths:
-            pull = slice(None)
-        x_inv, ud_x, y_inv, ud_pulled = _pull_back(sol, t + h, xn, yn, pull)
         nxt = (cur + 1) % n_slots
-        xinv[:, nxt] = x_inv
-        if before_T and n_pull < n_paths:
+        if k + 1 < n_T:  # the next step reads Y's pull-back, a met row's its X row's
+            pull = np.isnan(tau)
+            if pull.all():  # plain copies while no row has met
+                pull = slice(None)
+            x_inv, ud_x, y_inv, ud_pulled = _pull_back(sol, t + h, xn, y_next, pull)
             yinv[:, nxt] = x_inv
-            ud_y = ud_x
-            if n_pull:
-                ud_y = ud_x.copy()
-                ud_y[:, pull] = ud_pulled
-        else:
-            ud_y = ud_pulled
-        if n_pull:
             yinv[pull, nxt] = y_inv
+            ud_y = ud_x.copy()
+            ud_y[:, pull] = ud_pulled
+        else:
+            x_inv, ud_x = theta_inverse_ud(sol, t + h, xn)
+        xinv[:, nxt] = x_inv
     return CouplingResult(
         tau, log_r, x, y, delta, T, h, nu.r0, base_seed, path_offset, dW, failed
     )

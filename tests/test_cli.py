@@ -173,6 +173,9 @@ ATOMS = ",".join(["0.125"] * 8)  # one weight per cell of BASE's measure
     ("couple", "ou", "[coupling]\nK = 1.0\ndistance0 = nan\n", [], "coupling.distance0"),
     ("harnack", "ou", "[coupling]\nK = 1.0\ndistance0 = inf\n", [], "coupling.distance0"),
     ("couple", "ou", f"[coupling]\n{KD}distance_seg = inf\n", [], "coupling.distance_seg"),
+    # |xi(0) - eta(0)| squares to inf in the meeting radius: every pair would meet at t = 0
+    ("couple", "ou", "[coupling]\nK = 1.0\ndistance0 = 1e300\n", [], "coupling.distance0"),
+    ("harnack", "ou", "[coupling]\nK = 1.0\ndistance0 = 1.5e308\n", [], "coupling.distance0"),
     ("couple", "ou", "", ["--paths", "1"], "experiment.n_paths"),  # 3 sigma of a zero stderr
     ("couple", "reference", f"[coupling]\nT = 0.5\n{KD}lam_u = inf\n", [], "coupling.lam_u"),
     # K and distance0 have no default that couples
@@ -203,6 +206,7 @@ ATOMS = ",".join(["0.125"] * 8)  # one weight per cell of BASE's measure
         "girsanov-seed-2^64-1", "bihari-kappa-inf", "coupling-T-inf", "coupling-T-nan",
         "harnack-T-inf", "harnack-T-nan", "coupling-T-off-grid", "coupling-K-nan",
         "coupling-K-inf", "distance0-nan", "harnack-distance0-inf", "distance_seg-inf",
+        "distance0-1e300", "harnack-distance0-1.5e308",
         "couple-one-path", "lam_u-inf", "couple-no-K", "couple-no-distance0", "harnack-no-K",
         "harnack-no-distance0", "zero-sigma", "zero-beta", "ou-beta", "uniform-lam",
         "uniform-weights", "exponential-density", "exponential-weights", "atoms-lam",
@@ -483,19 +487,56 @@ def test_girsanov_explosion_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_couple_fails_when_pairs_do_not_meet(tmp_path):
-    """With K = 1 the bridge is too weak to meet by T at this step: the
-    verdict fails even though E[R] is within its error bar."""
+def test_couple_meets_every_pair_with_a_weak_bridge(tmp_path):
+    """With K = 1 the bridge is too weak to bring the pairs together before
+    T at this step; the last bridged step closes every one of them, so the
+    verdict passes with every pair met and equal at the end."""
     text = BASE.replace("scenario = simulate", "scenario = couple").replace(
         "name = zero", "name = ou"
     ) + "[coupling]\nT = 0.5\nK = 1.0\ndistance0 = 0.1\n"
     path = _write(tmp_path, text)
-    out = tmp_path / "nomeet"
-    assert main(["couple", "--config", path, "--out", str(out)]) == 1
+    out = tmp_path / "weak"
+    assert main(["couple", "--config", path, "--out", str(out)]) == 0
     verdict = json.loads((out / "verdict.json").read_text())
-    assert verdict["verdict"] == "fail"
-    assert verdict["metrics"]["coupled_fraction"] < 1.0
+    assert verdict["verdict"] == "pass"
+    assert verdict["metrics"]["coupled_fraction"] == 1.0
+    assert verdict["metrics"]["terminal_equal_fraction"] == 1.0
     assert abs(verdict["metrics"]["mean_R"] - 1.0) <= 3.0 * verdict["metrics"]["stderr_R"]
+    rows = json.loads((out / "result.json").read_text())["rows"]
+    assert sum(row[1] == 0.5 for row in rows) > 0  # closed by the last step
+
+
+@pytest.mark.parametrize("model, K", [("reference", 4.0), ("linear_delay", 0.0)])
+def test_couple_closes_every_pair_that_is_apart_before_T(tmp_path, model, K):
+    """Pairs still apart at T - h: the transformed reference at K = 4 and
+    the identity transform at K = 0, whose bridge meets no pair before T.
+    The last bridged step closes each one, so every pair meets at T and
+    ends with equal terminal segments."""
+    text = f"""\
+[experiment]
+scenario = couple
+n_paths = 400
+base_seed = 5
+[model]
+name = {model}
+[measure]
+kind = uniform
+r0 = 0.5
+[solver]
+h = 0.0078125
+t_end = 1.0
+[coupling]
+T = 0.5
+K = {K}
+distance0 = 0.05
+distance_seg = 0.05
+"""
+    out = tmp_path / "out"
+    assert main(["couple", "--config", _write(tmp_path, text), "--out", str(out)]) == 0
+    metrics = json.loads((out / "verdict.json").read_text())["metrics"]
+    assert metrics["coupled_fraction"] == 1.0 and metrics["terminal_equal_fraction"] == 1.0
+    rows = json.loads((out / "result.json").read_text())["rows"]
+    assert all(row[1] == 0.5 and row[3] == 1 for row in rows)  # every pair closed at T
 
 
 def test_simulate_csv_format(tmp_path):

@@ -9,7 +9,6 @@ from delaysde.coupling import (
     entropy_cost,
     fit_entropy_cost,
     gamma,
-    gamma_prime,
     run_coupling_batch,
 )
 from delaysde.measure import constant_segment, make_measure
@@ -18,6 +17,15 @@ from delaysde.rng import normal_increments
 from delaysde.zvonkin import solve_u, transformed_model
 
 H = 2.0**-8
+
+
+def gamma_prime(t, T: float, K: float):
+    """d/dt of the bridging clock; satisfies 2 + gamma' - K^2 gamma = 1."""
+    t = np.asarray(t, dtype=float)
+    if np.any(t < -1e-12) or np.any(t > T + 1e-12):
+        raise ValueError("gamma is defined on [0, T]")
+    out = -np.exp((t - T) * K**2) if K != 0.0 else -np.ones_like(t)
+    return float(out) if out.ndim == 0 else out
 
 
 @pytest.fixture(scope="module")
@@ -113,9 +121,10 @@ def test_coupled_runner_holds_two_paths_and_two_rings_of_pulled_back_rows():
 
 
 def test_coupled_step_contraction_factor(nu):
-    """Constant diffusion and shared drift: the one bridged step (T = h)
-    shrinks X - Y by exactly 1 - h/gamma_hat, since the noise difference
-    vanishes, and adds phi dW - h phi^2/2 to log R."""
+    """Constant diffusion and shared drift: the one bridged step (T = h) is
+    the last, so it closes X - Y exactly, and the ratio of the two Euler
+    kernels it adds to log R is the Girsanov increment phi dW - h phi^2/2
+    with gamma_hat = h, to 1 ulp, since the noise difference vanishes."""
     tm_ou = transformed_model(make_model("ou", lam=1.0, sigma=1.0), nu, None)
     cc = CouplingConfig(T=H, h=H, K=2.0)
     n0 = nu.n_cells
@@ -123,28 +132,64 @@ def test_coupled_step_contraction_factor(nu):
     eta = constant_segment(nu, 0.4).values
     dW = np.full((1, n0 + 1, 1), 0.37)
     res = run_coupling_batch(tm_ou, nu, xi, eta, cc, 0, 1, dW=dW)
-    ghat = max(gamma(0.5 * H, H, 2.0), gamma(H - 0.5 * H, H, 2.0))
-    gap = res.x_states[0, n0 + 1, 0] - res.y_states[0, n0 + 1, 0]
-    assert gap == pytest.approx(0.6 * (1.0 - H / ghat), rel=1e-12)
+    assert res.x_states[0, n0 + 1, 0] - res.y_states[0, n0 + 1, 0] == 0.0
+    assert res.tau[0] == H
     # phi carries the delay mismatch plus the bridge term
     by_minus_bx = -1.0 * 0.4 - (-1.0 * 1.0)
-    phi = by_minus_bx - 0.6 / ghat
-    assert res.log_R[0] == pytest.approx(phi * 0.37 - 0.5 * H * phi**2, rel=1e-12)
+    phi = by_minus_bx - 0.6 / H
+    expected = phi * 0.37 - 0.5 * H * phi**2
+    assert abs(res.log_R[0] - expected) <= np.spacing(abs(expected))
 
 
 def test_coupled_step_after_horizon_is_free(nu, tm):
     """With T = h only step 0 is bridged: the steps on (T, T + r0] add nothing
-    to log R, whatever their noise."""
+    to log R, whatever their noise.  That step is the last, so log R is the
+    Girsanov increment with gamma_hat = h, to 1 ulp."""
     cc = CouplingConfig(T=H, h=H, K=2.0)
     xi = constant_segment(nu, 1.0).values
     eta = constant_segment(nu, 0.4).values
     dW = normal_increments(0, 0, nu.n_cells + 1, 1, H)[None]
     res = run_coupling_batch(tm, nu, xi, eta, cc, 0, 1, dW=dW)
-    ghat = gamma(0.5 * H, H, 2.0)
     # folded drift -a x + beta nu(x) with a = 1, beta = 1/2
     by_minus_bx = -(0.4 - 1.0) + 0.5 * nu.total_mass() * (0.4 - 1.0)
-    phi = by_minus_bx - 0.6 / ghat
-    assert res.log_R[0] == pytest.approx(phi * dW[0, 0, 0] - 0.5 * H * phi**2, rel=1e-12)
+    phi = by_minus_bx - 0.6 / H
+    expected = phi * dW[0, 0, 0] - 0.5 * H * phi**2
+    assert expected == pytest.approx(-24.0822914728046, rel=1e-14)
+    assert abs(res.log_R[0] - expected) <= np.spacing(abs(expected))
+
+
+def test_ou_coupling_density_is_the_deterministic_bridge_sum():
+    """OU with a constant sigma, no delay drift and K = 0: the gap X - Y is
+    the same on every path, g_{k+1} = g_k (1 - h/ghat_k), so log R is
+    sum_k phi_k dW_k - h/2 sum_k phi_k^2 with phi_k = g_k (lam - 1/ghat_k)/sigma,
+    ghat_k = gamma(t_k + h/2) and ghat = h on the last step, which closes the
+    gap exactly.  E_Q log R = (h/2) sum_k phi_k^2 then converges at first
+    order to g0^2 ((lam T - 1)^3 + 1) / (6 lam T^2 sigma^2)."""
+    lam, sigma, T, g0 = 1.0, 1.0, 0.5, 0.1
+    exact = g0**2 * ((lam * T - 1.0) ** 3 + 1.0) / (6.0 * lam * T**2 * sigma**2)
+    assert exact == pytest.approx(5.833e-3, rel=1e-3)
+    errors = []
+    for p in (5, 7, 9, 11):
+        h = 2.0**-p
+        nu_h = make_measure("uniform", 0.125, h)
+        tm_ou = transformed_model(make_model("ou", lam=lam, sigma=sigma), nu_h, None)
+        xi = constant_segment(nu_h, 1.0).values
+        res = run_coupling_batch(tm_ou, nu_h, xi, xi - g0, CouplingConfig(T, h, 0.0), 23, 16)
+        n0, n_T = nu_h.n_cells, round(T / h)
+        t = h * np.arange(n_T)
+        ghat = np.append(gamma(t[:-1] + 0.5 * h, T, 0.0), h)
+        g = g0 * np.cumprod(np.append(1.0, 1.0 - h / ghat[:-1]))
+        gaps = res.x_states[:, n0 : n0 + n_T + 1, 0] - res.y_states[:, n0 : n0 + n_T + 1, 0]
+        np.testing.assert_allclose(gaps[:, :-1], np.broadcast_to(g, (16, n_T)), rtol=0, atol=1e-14)
+        assert (gaps[:, -1] == 0.0).all() and (res.tau == T).all()
+        phi = gaps[:, :-1] * (lam - 1.0 / ghat) / sigma
+        log_r = np.sum(phi * res.dW[:, :n_T, 0], axis=1) - 0.5 * h * np.sum(phi**2, axis=1)
+        np.testing.assert_allclose(res.log_R, log_r, rtol=1e-12)
+        errors.append(0.5 * h * np.sum(phi[0] ** 2) - exact)
+    assert errors[0] == pytest.approx(-1.08e-4, rel=0.01)
+    assert errors[-1] == pytest.approx(-1.63e-6, rel=0.01)
+    ratios = np.array(errors[:-1]) / np.array(errors[1:])  # h falls by 4 each time
+    assert np.all((ratios > 3.5) & (ratios < 4.5)), ratios
 
 
 def test_equal_starts_couple_immediately(nu, tm):
@@ -199,6 +244,9 @@ def test_delta_scales_with_initial_gap(nu, tm):
     far = run_coupling_batch(tm, nu, xi, xi + 1.0, cc, 0, 1)
     assert near.delta < far.delta
     assert near.delta == pytest.approx(1e-8 * 1.01)
+    # a gap whose norm squares to inf would make every pair meet at t = 0
+    with pytest.raises(ValueError, match="need a finite norm"):
+        run_coupling_batch(tm, nu, xi, xi + 1e300, cc, 0, 1)
 
 
 def test_fit_entropy_cost_recovers_exact_plane():

@@ -817,14 +817,25 @@ def _coefficients_after_lookup(tm, t, state, point_inv, avg_inv):
     return transformed_coefficients(tm, t, state, point_inv, ud, avg_inv)
 
 
+def _log_euler_kernel(x, mean, Q, h):
+    """log of the density of N(mean, h QQ*) at x, row by row, from the
+    covariance matrix itself."""
+    cov = h * np.einsum("nik,njk->nij", Q, Q)
+    r = x - mean
+    quad = np.einsum("ni,ni->n", r, np.linalg.solve(cov, r[..., None])[..., 0])
+    return -0.5 * (quad + np.linalg.slogdet(2.0 * np.pi * cov)[1])
+
+
 def _old_run_coupling_batch(tm, nu, xi_t, eta_t, cc, dW):
     """run_coupling_batch before it pulled the shared initial segment back
     once, skipped the Y side past T and kept u and grad u from the inverse,
     kept as its oracle: every initial row is inverted, Y's coefficients,
     averages, noise and pull-back are formed on every row at every step, and
     each step calls theta_inverse and then eval_u_du.  Its diffusion is the
-    per-row (n, d, dbar) array of a Q not declared constant.  Returns
-    (x, y, log_R, tau, failed)."""
+    per-row (n, d, dbar) array of a Q not declared constant.  Its last
+    bridged step is the runner's: every open row whose X stays finite takes
+    Y_T := X_T and adds the log-ratio of Y's and X's Euler kernels at X_T,
+    here from _log_euler_kernel.  Returns (x, y, log_R, tau, failed)."""
     base = dataclasses.replace(tm.base, Q_bounds={k: v for k, v in tm.base.Q_bounds.items() if k != "dQ"})
     tm = zvonkin.TransformedModel(base, tm.sol)
     sol = tm.sol
@@ -863,15 +874,22 @@ def _old_run_coupling_batch(tm, nu, xi_t, eta_t, cc, dW):
             ghat = max(coupling.gamma(min(t + 0.5 * h, T), T, K), gamma_floor)
             z = solve_qqt(Qx, xs - ys)
             phi = solve_qqt(Qy, By - Bx) - z / ghat
-            log_r += np.einsum("nk,nk->n", phi, dW[:, k]) - 0.5 * h * np.sum(phi**2, axis=1)
+            inc = np.einsum("nk,nk->n", phi, dW[:, k]) - 0.5 * h * np.sum(phi**2, axis=1)
             bridge = np.einsum("ncj,nj->nc", Qy, z) / ghat
         else:
-            bridge = 0.0
+            inc = bridge = 0.0
         noise_x = np.einsum("ncj,nj->nc", Qx, dW[:, k])
         noise_y = np.einsum("ncj,nj->nc", Qy, dW[:, k])
         with np.errstate(over="ignore", invalid="ignore"):
             xn = xs + h * Bx + noise_x
             yn = ys + h * (Bx + bridge) + noise_y
+            if k == round(T / h) - 1:
+                close = np.isnan(tau) & ~failed
+                yn[close] = xn[close]
+                close &= np.all(np.isfinite(xn), axis=1)
+                ratio = _log_euler_kernel(xn, ys + h * By, Qy, h) - _log_euler_kernel(xn, xs + h * Bx, Qx, h)
+                inc = np.where(close, ratio, inc)
+        log_r += inc
         bad = ~(np.all(np.isfinite(xn), axis=1) & np.all(np.isfinite(yn), axis=1))
         failed |= bad
         xn[failed] = xs[failed]
@@ -890,26 +908,27 @@ def _old_run_coupling_batch(tm, nu, xi_t, eta_t, cc, dW):
     return x, y, log_r, tau, failed
 
 
-@pytest.mark.parametrize("case", ["meet-apart", "some-never-meet", "rows-fail"])
+@pytest.mark.parametrize("case", ["meet-apart", "closed-at-T", "rows-fail"])
 def test_coupling_y_side_matches_full_oracle(nu6, ref6, sol_small, monkeypatch, case):
-    """Pulling the shared initial segment back once and stepping Y past T only
-    on rows that have neither met nor failed keeps the bits of the old run,
-    which inverted every initial row and stepped Y in full."""
+    """Pulling the shared initial segment back once and forming nothing of Y
+    from T on keeps the bits of the old run, which inverted every initial
+    row and stepped Y in full; the rows that the last bridged step closes
+    match the oracle's log-ratio of Euler kernels to 1e-10."""
     tm = transformed_model(ref6, nu6, sol_small)
     xi_t = tm.seg_to_transformed(0.0, constant_segment(nu6, 0.5).values[None], nu6.h)[0]
     K, gap = (8.0, 0.5) if case == "meet-apart" else (6.0, 0.1)
     cc = CouplingConfig(T=0.25, h=nu6.h, K=K)
     n, n_T = 32, 16
     base = run_coupling_batch(tm, nu6, xi_t, xi_t + gap, cc, 5, n)
+    closed = np.flatnonzero(base.tau == 0.25)  # still apart at T - h
     dW = base.dW.copy()
     if case == "rows-fail":
-        # after T, the rows that never meet fail one by one, and two that met
-        # fail too; from the last failure on no row is live
-        unmet_rows = np.flatnonzero(~base.coupled)
-        dW[unmet_rows[:1], n_T + 2] = np.inf
-        dW[unmet_rows[1:], n_T + 6] = np.inf
+        # two rows that would be closed at T fail apart, one before T and one
+        # on the last step; two rows met earlier fail after T
+        dW[closed[0], n_T - 3] = np.inf
+        dW[closed[1], n_T - 1] = np.inf
         dW[[3, 7], n_T + 5] = np.inf
-    y_sizes = []  # rows of each call that forms Y's diffusion alone, past T
+    y_sizes = []  # rows of each call that forms Y's diffusion alone
 
     def counted(tm_, t, state, point_inv, ud, avg_inv):
         if avg_inv is None:
@@ -918,21 +937,26 @@ def test_coupling_y_side_matches_full_oracle(nu6, ref6, sol_small, monkeypatch, 
 
     monkeypatch.setattr(coupling, "transformed_coefficients", counted)
     res = run_coupling_batch(tm, nu6, xi_t, xi_t + gap, cc, 5, n, dW=dW)
-    unmet = int(n - res.coupled.sum())
+    assert y_sizes == []  # Y is formed on steps before T only
+    assert np.isfinite(res.log_R[res.coupled]).all()
+    ok = ~res.failed
+    assert res.coupled[ok].all() and res.terminal_segments_equal()[ok].all()
     if case == "meet-apart":
-        assert unmet == 0 and len(np.unique(res.tau)) > 1
-        assert y_sizes == []  # every pair met before T: past it only X is stepped
+        assert len(closed) == 0 and len(np.unique(res.tau)) > 1
     else:
-        assert 0 < unmet < n
-    if case == "some-never-meet":
-        assert not res.failed.any() and y_sizes == [unmet] * 64
+        assert 2 <= len(closed) < n - 2 and 3 not in closed and 7 not in closed
+    if case == "closed-at-T":
+        assert not res.failed.any()
     if case == "rows-fail":
-        assert res.failed.sum() == unmet + 2 and res.failed[~res.coupled].all()
-        assert y_sizes == [unmet] * 3 + [unmet - 1] * 4
+        assert np.array_equal(np.flatnonzero(res.failed), np.union1d(closed[:2], [3, 7]))
+        assert np.isnan(res.tau[closed[:2]]).all()
 
     x, y, log_r, tau, failed = _old_run_coupling_batch(tm, nu6, xi_t, xi_t + gap, cc, dW)
-    for name, ref in (("x_states", x), ("y_states", y), ("log_R", log_r), ("tau", tau), ("failed", failed)):
+    for name, ref in (("x_states", x), ("y_states", y), ("tau", tau), ("failed", failed)):
         np.testing.assert_array_equal(getattr(res, name), ref)
+    last = res.tau == 0.25
+    np.testing.assert_array_equal(res.log_R[~last], log_r[~last])
+    np.testing.assert_allclose(res.log_R[last], log_r[last], rtol=0.0, atol=1e-10)
 
 
 @pytest.mark.parametrize("d", [1, 2])
