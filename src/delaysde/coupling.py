@@ -227,7 +227,9 @@ def run_coupling_batch(
         if not (np.isfinite(xn).all() and np.isfinite(yn).all()):
             failed |= ~np.isfinite(xn).all(axis=1) | open_ & ~np.isfinite(yn).all(axis=1)
             open_ &= ~failed
-        xn[failed] = xs[failed]
+        any_failed = failed.any()
+        if any_failed:
+            xn[failed] = xs[failed]
         x[:, idx + 1] = xn
         if k < n_T:  # the meeting test of the open rows
             live = np.flatnonzero(open_)
@@ -235,8 +237,10 @@ def run_coupling_batch(
             tau[newly] = t + h
             open_[newly] = False
         y_next = y[:, idx + 1]
-        y_next[...] = np.where(open_[:, None], yn, xn)  # a met row copies X
-        y_next[failed] = ys[failed]  # a failed row keeps its state
+        # a met row copies X, and from the last bridged step on so does every other
+        y_next[...] = xn if yn is xn else np.where(open_[:, None], yn, xn)
+        if any_failed:
+            y_next[failed] = ys[failed]  # a failed row keeps its state
         if sol is None:
             continue
         nxt = (cur + 1) % n_slots

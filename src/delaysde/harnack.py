@@ -92,7 +92,10 @@ def check_log_harnack(
 
     One coupling run provides everything: the X sample estimates P f(xi),
     the weighted X sample estimates the left side, and the weights give the
-    entropy cost.  The pairs run in STORED_ROW_CHUNK chunks, since the
+    entropy cost.  The left side reads X's terminal segment as Y's, which
+    holds only for pairs that met, so a run with a pair that did not meet
+    (a failed row) is inconclusive, with every statistic NaN and jensen_ok
+    False.  The pairs run in STORED_ROW_CHUNK chunks, since the
     coupling run stores every row of X and Y, on `workers` processes.  f must
     be strictly positive.
     """
@@ -108,6 +111,16 @@ def check_log_harnack(
     fv, log_R, coupled = map_columns(n, rng.STORED_ROW_CHUNK, columns, workers)
     if np.any(fv <= 0):
         raise ValueError("log-Harnack check needs a strictly positive f")
+    coupled_fraction = float(coupled.mean())
+    setting = {"T": T, "h": h, "K": K, "n": n}
+    if coupled_fraction < 1.0:
+        nan = math.nan
+        return HarnackReport(
+            lhs=nan, lhs_stderr=nan, log_pf=nan, log_pf_stderr=nan, entropy=nan,
+            entropy_stderr=nan, rhs=nan, margin_sigma=nan, verdict="inconclusive",
+            coupled_fraction=coupled_fraction, jensen_ok=False, mean_R=nan, stderr_R=nan,
+            fitted_rhs=None, setting=setting,
+        )
     logf = np.log(fv)
     r = np.exp(log_R)
     ent = entropy_cost(log_R)
@@ -138,10 +151,10 @@ def check_log_harnack(
         entropy=ent.value, entropy_stderr=ent.stderr, rhs=rhs,
         margin_sigma=float((rhs - lhs) / sigma) if sigma > 0 else math.inf,
         verdict=verdict,
-        coupled_fraction=float(coupled.mean()),
+        coupled_fraction=coupled_fraction,
         jensen_ok=jensen_ok, mean_R=ent.mean_R, stderr_R=ent.stderr_R,
         fitted_rhs=fitted,
-        setting={"T": T, "h": h, "K": K, "n": n},
+        setting=setting,
     )
 
 

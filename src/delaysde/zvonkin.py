@@ -8,9 +8,12 @@ u stays below 1/2 the map Theta(t, x) = x + u(t, x) is a bi-Lipschitz change
 of variables, and in the new coordinates the drift is Lipschitz.
 
 Tables live on a padded tensor grid; the semigroup is Gauss-Hermite quadrature
-with linear interpolation of the integrand, applied axis by axis.  Queries
-beyond the padded grid use constant extension during the solve (the drifts of
-interest saturate); public evaluation outside the grid raises CoverageError.
+with linear interpolation of the integrand, applied axis by axis as two
+sparse operators per time offset, A @ v + B @ (v[1:] - v[:-1]) (see
+_ou_operators).  The backward sweep factors its level operator once for a
+time-homogeneous b.  Queries beyond the padded grid use constant extension
+during the solve (the drifts of interest saturate); public evaluation
+outside the grid raises CoverageError.
 
 Between the nodes u and grad u are multilinear in x and linear in t.  In
 every d one gather of the 2^d cell corners per time level, on a stacked
@@ -110,28 +113,48 @@ def _uniform_cells(x: np.ndarray, q: np.ndarray) -> np.ndarray:
     return np.clip(idx, 0, last, out=idx)
 
 
-def _ou_gathers(grids: list, rates: np.ndarray, sigma: float, z: np.ndarray, k: int, dt: float):
-    """Per grid axis, the (cell index, blend weight) of the Gauss-Hermite nodes
-    E x + sd z of P0 over k steps of dt, clipped to the uniform grid."""
-    gathers = []
-    for x, rate, sd in zip(grids, rates, _ou_sd(rates, sigma, k * dt)):
-        E = math.exp(-rate * k * dt)
-        q = np.clip(E * x[:, None] + sd * z[None, :], x[0], x[-1]).ravel()
-        idx = _uniform_cells(x, q)
-        gathers.append((idx, (q - x[idx]) / (x[idx + 1] - x[idx])))
-    return gathers
+def _ou_operators(grids: list, rates: np.ndarray, sigma: float, z: np.ndarray, w: np.ndarray,
+                  dt: float, n_offsets: int):
+    """For each offset k = 1..n_offsets, per grid axis, the pair (A, B) of CSR
+    operators of P0 over k steps of dt along that axis: linear interpolation
+    at the Gauss-Hermite nodes E x + sd z with weights w, clipped to the
+    uniform grid, is A @ v + B @ (v[1:] - v[:-1]).  Row j of A puts the
+    weight w_q on the cell of node (j, q) and row j of B puts w_q times the
+    node's offset in that cell there, so A and B share one int32 index
+    array; A's data and the indptr, which do not depend on k, are shared by
+    every offset.  An offset thus costs 12 bytes per node and axis."""
+    from scipy import sparse
+
+    shared = [
+        (np.tile(w, len(x)), np.arange(0, len(x) * len(w) + 1, len(w), dtype=np.int32)) for x in grids
+    ]
+    ops = []
+    for k in range(1, n_offsets + 1):
+        axes = []
+        for x, rate, sd, (wt, indptr) in zip(grids, rates, _ou_sd(rates, sigma, k * dt), shared):
+            q = np.clip(math.exp(-rate * k * dt) * x[:, None] + sd * z[None, :], x[0], x[-1]).ravel()
+            idx = _uniform_cells(x, q)
+            frac = (q - x[idx]) / (x[idx + 1] - x[idx])
+            cells, n = idx.astype(np.int32), len(x)
+            axes.append((
+                sparse.csr_matrix((wt, cells, indptr), shape=(n, n)),
+                sparse.csr_matrix((wt * frac, cells, indptr), shape=(n, n - 1)),
+            ))
+        ops.append(axes)
+    return ops
 
 
-def _apply_gathers(vals: np.ndarray, gathers: list, w: np.ndarray) -> np.ndarray:
+def _apply_ou(vals: np.ndarray, axes: list) -> np.ndarray:
     """P0 on the grid one axis at a time, exact because linear interpolation on
-    a tensor grid and the tensor Gauss-Hermite weights both factor by axis."""
-    for a, (idx, frac) in enumerate(gathers):
-        frac = frac.reshape(-1, *(1,) * (vals.ndim - a - 1))
-        blend = vals.take(idx, axis=a)
-        blend *= 1.0 - frac
-        blend += vals.take(idx + 1, axis=a) * frac
-        blend = blend.reshape(*vals.shape[: a + 1], len(w), *vals.shape[a + 1 :])
-        vals = np.tensordot(blend, w, axes=([a + 1], [0]))
+    a tensor grid and the tensor Gauss-Hermite weights both factor by axis:
+    along axis a, with that axis's (A, B) of _ou_operators, A @ v + B @ (v[1:]
+    - v[:-1]) on the grid values, every other axis flattened into columns."""
+    for a, (A, B) in enumerate(axes):
+        v = vals.swapaxes(0, a)
+        cols = v.reshape(len(v), -1)
+        out = A @ cols
+        out += B @ (cols[1:] - cols[:-1])
+        vals = out.reshape(v.shape).swapaxes(0, a)
     return vals
 
 
@@ -324,11 +347,10 @@ class _Discretization:
     grids: list
     dt: float
     b_tab: np.ndarray  # (n_t, *shape, d)
-    gathers: list  # per time offset k = 1..n_t-1, the _ou_gathers of P0_{k dt}
-    w: np.ndarray  # Gauss-Hermite weights
+    ops: list  # per time offset k = 1..n_t-1, the _ou_operators of P0_{k dt}
 
     def semigroup(self, k: int, vals: np.ndarray) -> np.ndarray:
-        return _apply_gathers(vals, self.gathers[k - 1], self.w)
+        return _apply_ou(vals, self.ops[k - 1])
 
     def tail(self, g: np.ndarray, i: int) -> np.ndarray:
         """Trapezoid quadrature of the g_j, j > i, into level i:
@@ -374,8 +396,8 @@ def _discretize(
     s_grid = np.linspace(0.0, T, n_t)
     dt = float(s_grid[1] - s_grid[0])
     b_tab = np.stack([np.asarray(m.b(s, pts), dtype=float) for s in s_grid]).reshape(n_t, *shape, d)
-    gathers = [_ou_gathers(grids, rates, sigma, z, k, dt) for k in range(1, n_t)]
-    return _Discretization(lam, T, rates, sigma, s_grid, grids, dt, b_tab, gathers, w)
+    ops = _ou_operators(grids, rates, sigma, z, w, dt, n_t - 1)
+    return _Discretization(lam, T, rates, sigma, s_grid, grids, dt, b_tab, ops)
 
 
 def solve_u(
@@ -394,7 +416,9 @@ def solve_u(
     integrand g = b + (grad u) b at s_j for j >= i, and only the trapezoid
     term j = i involves u_i.  So from u(T) = 0 downward each level solves
     (I - dt/2 sum_k diag(b_k) D_k) u_i = dt/2 b_i + (quadrature of g_j, j > i)
-    with D_k the np.gradient stencil along axis k.  The returned ratios are
+    with D_k the np.gradient stencil along axis k.  The operator is factored
+    on the first level and again on each level whose b differs from the b
+    it was factored for.  The returned ratios are
     empty; picard_u measures the contraction.  Raises DivergenceError when
     sup |grad u| >= 1, where Theta^{-1} no longer contracts.
     """
@@ -411,13 +435,17 @@ def solve_u(
     u = np.zeros(b_tab.shape)
     g = np.empty_like(u)
     g[-1] = b_tab[-1]  # u(T) = 0
+    lu = b_lu = None
     for i in range(n_t - 2, -1, -1):
         b = b_tab[i].reshape(n, d)
-        # diag(b_k) D_k scales row j of D_k by b[j, k]
-        op = eye - half * sum(grads[k].multiply(b[:, k : k + 1]) for k in range(d))
+        if b_lu is None or not np.array_equal(b, b_lu):
+            # diag(b_k) D_k scales row j of D_k by b[j, k]
+            op = eye - half * sum(grads[k].multiply(b[:, k : k + 1]) for k in range(d))
+            lu, b_lu = splu(sparse.csc_matrix(op)), b
         rhs = half * b + disc.tail(g, i).reshape(n, d)
-        u[i] = splu(sparse.csc_matrix(op)).solve(rhs).reshape(u[i].shape)
+        u[i] = lu.solve(rhs).reshape(u[i].shape)
         g[i] = _g_of(b_tab[i : i + 1], u[i : i + 1], grids)[0]
+    disc.ops = None  # freed before the solution's tables are built, which lowers the peak
     sol = disc.solution(u, [])
     if not sol.du_sup < 1.0:
         raise DivergenceError(

@@ -6,6 +6,7 @@ import os
 import pickle
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -812,6 +813,55 @@ distance_seg = 0.0
     verdict = json.loads((out / "verdict.json").read_text())
     assert verdict["metrics"]["jensen_ok"] is True
     assert verdict["metrics"]["entropy"] == 0.0
+
+
+@pytest.mark.parametrize("scenario, code, verdict", [
+    ("couple", 1, "fail"),
+    ("harnack", 2, "inconclusive"),
+])
+def test_a_pair_that_fails_apart_is_not_a_pass(tmp_path, monkeypatch, scenario, code, verdict):
+    """One pair's first increment is infinite, so its X overflows on the
+    first step and the pair is frozen apart as failed.  couple fails such a
+    run on its coupled fraction; harnack, whose left side reads X's terminal
+    segment as Y's, calls it inconclusive before it forms any statistic."""
+    from delaysde import coupling
+
+    real = coupling.path_increments
+
+    def one_infinite(*args):
+        dW = real(*args)
+        dW[0, 0] = np.inf
+        return dW
+
+    monkeypatch.setattr(coupling, "path_increments", one_infinite)
+    text = f"""\
+[experiment]
+scenario = {scenario}
+n_paths = 64
+base_seed = 11
+[model]
+name = reference
+[measure]
+kind = uniform
+r0 = 0.5
+[solver]
+h = 0.03125
+t_end = 1.0
+[coupling]
+T = 0.5
+K = 4.0
+distance0 = 0.1
+"""
+    out = tmp_path / scenario
+    with warnings.catch_warnings():
+        if scenario == "harnack":  # it forms no statistic, so no NaN arithmetic warns
+            warnings.simplefilter("error", RuntimeWarning)
+        assert main([scenario, "--config", _write(tmp_path, text), "--out", str(out)]) == code
+    result = json.loads((out / "verdict.json").read_text())
+    assert result["verdict"] == verdict
+    assert result["metrics"]["coupled_fraction"] == 63 / 64
+    if scenario == "harnack":
+        assert result["metrics"]["lhs"] is None and result["metrics"]["mean_R"] is None
 
 
 def test_couple_scenario_martingale(tmp_path):

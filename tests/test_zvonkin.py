@@ -40,27 +40,40 @@ from delaysde.zvonkin import (
 RATES = np.array([1.0])
 
 
-def _old_d1_semigroup(disc):
-    """The d=1 quadrature gather closure that _discretize built before P0 was
-    applied axis by axis in every dimension, kept as its oracle."""
-    x = disc.grids[0]
-    nn, quad_order = len(x), len(disc.w)
-    z, w = zvonkin._hermite(quad_order)
-    rates, dt = disc.rates, disc.dt
+def _ou_gathers(grids, rates, sigma, z, k, dt):
+    """Per grid axis, the (cell index, blend weight) of the Gauss-Hermite nodes
+    E x + sd z of P0 over k steps of dt, clipped to the uniform grid: the
+    gather form P0 took before its CSR operators, kept with _apply_gathers as
+    their oracle."""
     gathers = []
-    for k in range(1, len(disc.s_grid)):
-        E = math.exp(-rates[0] * k * dt)
-        sd = float(zvonkin._ou_sd(rates, disc.sigma, k * dt)[0])
+    for x, rate, sd in zip(grids, rates, zvonkin._ou_sd(rates, sigma, k * dt)):
+        E = math.exp(-rate * k * dt)
         q = np.clip(E * x[:, None] + sd * z[None, :], x[0], x[-1]).ravel()
-        idx = np.clip(np.searchsorted(x, q) - 1, 0, nn - 2)
+        idx = zvonkin._uniform_cells(x, q)
         gathers.append((idx, (q - x[idx]) / (x[idx + 1] - x[idx])))
+    return gathers
 
-    def semigroup(k, vals):
-        idx, frac = gathers[k - 1]
-        v = vals[:, 0]
-        return ((v[idx] * (1.0 - frac) + v[idx + 1] * frac).reshape(nn, quad_order) @ w)[:, None]
 
-    return semigroup
+def _apply_gathers(vals, gathers, w):
+    """P0 on the grid one axis at a time from the gathers of _ou_gathers."""
+    for a, (idx, frac) in enumerate(gathers):
+        frac = frac.reshape(-1, *(1,) * (vals.ndim - a - 1))
+        blend = vals.take(idx, axis=a)
+        blend *= 1.0 - frac
+        blend += vals.take(idx + 1, axis=a) * frac
+        blend = blend.reshape(*vals.shape[: a + 1], len(w), *vals.shape[a + 1 :])
+        vals = np.tensordot(blend, w, axes=([a + 1], [0]))
+    return vals
+
+
+def _old_semigroup(disc, quad_order):
+    """disc.semigroup through the gathers of _ou_gathers."""
+    z, w = zvonkin._hermite(quad_order)
+    gathers = [
+        _ou_gathers(disc.grids, disc.rates, disc.sigma, z, k, disc.dt)
+        for k in range(1, len(disc.s_grid))
+    ]
+    return lambda k, vals: _apply_gathers(vals, gathers[k - 1], w)
 
 
 def ou_apply(vals, grids, rates, sigma, dt, quad_order=24):
@@ -74,8 +87,8 @@ def ou_apply(vals, grids, rates, sigma, dt, quad_order=24):
     if dt == 0:
         return vals.copy()
     z, w = zvonkin._hermite(quad_order)
-    gathers = zvonkin._ou_gathers(grids, np.asarray(rates, dtype=float), sigma, z, 1, dt)
-    return zvonkin._apply_gathers(vals, gathers, w)
+    ops = zvonkin._ou_operators(grids, np.asarray(rates, dtype=float), sigma, z, w, dt, 1)
+    return zvonkin._apply_ou(vals, ops[0])
 
 
 def theta_inverse_segment(sol, t, seg, h):
@@ -215,12 +228,13 @@ def test_ou_apply_two_dimensional_separable():
     np.testing.assert_allclose(out[..., 0][inner], E * (xx + yy)[inner], atol=1e-10)
 
 
-def test_ou_gathers_find_the_searchsorted_cells(ref6):
-    """The arithmetic cell of _ou_gathers is np.searchsorted(x, q) - 1,
-    clipped to the cells, on every Gauss-Hermite offset of the test grids and
-    of the solve's grid, on the nodes themselves and next to them, and for
-    queries clipped at either end."""
-    z, _ = zvonkin._hermite(24)
+def test_ou_operators_find_the_searchsorted_cells(ref6):
+    """The arithmetic cell of _ou_operators, the index array its A and B
+    share, is np.searchsorted(x, q) - 1, clipped to the cells, on every
+    Gauss-Hermite offset of the test grids and of the solve's grid, on the
+    nodes themselves and next to them, and for queries clipped at either
+    end."""
+    z, w = zvonkin._hermite(24)
     spans = ((10.0, 801), (2.0, 21), (8.0, 161), (3.0, 81), (5.0, 8))
     grids = [np.linspace(-a, a, n) for a, n in spans]
     grids += zvonkin._discretize(ref6, 16.0, 1.0, 6.0, 101, 17, 24).grids
@@ -233,19 +247,30 @@ def test_ou_gathers_find_the_searchsorted_cells(ref6):
             q = np.clip(math.exp(-dt) * x[:, None] + sd * z[None, :], x[0], x[-1]).ravel()
             if dt == 0.01:
                 assert q.min() == x[0] and q.max() == x[-1]  # clipped at both ends
-            (idx, _), = zvonkin._ou_gathers([x], np.array([1.0]), 1.0, z, 1, dt)
-            np.testing.assert_array_equal(idx, cells(q))
+            ((A, B),), = zvonkin._ou_operators([x], np.array([1.0]), 1.0, z, w, dt, 1)
+            assert A.indices.dtype == np.int32 and np.shares_memory(A.indices, B.indices)
+            np.testing.assert_array_equal(A.indices, cells(q))
         near = np.concatenate([x, np.nextafter(x, -np.inf)[1:], np.nextafter(x, np.inf)[:-1]])
         np.testing.assert_array_equal(zvonkin._uniform_cells(x, near), cells(near))
 
 
-def test_semigroup_gathers_match_old_d1_closure_bit_for_bit(ref6):
-    disc = zvonkin._discretize(ref6, 16.0, 1.0, 6.0, 101, 17, 24)
-    old = _old_d1_semigroup(disc)
+@pytest.mark.parametrize("d, kw", [
+    (1, dict(n_x=101, n_t=17, quad_order=24)),
+    (2, dict(n_x=21, n_t=9, quad_order=12)),
+    (3, dict(n_x=7, n_t=5, quad_order=6)),
+])
+def test_semigroup_matches_old_gathers(nu6, d, kw):
+    """Every offset's A @ v + B @ dv along each axis is the gathers' linear
+    interpolation at the same clipped nodes, to 1e-15 of max |v|."""
+    m = make_model("reference", measure=nu6, d=d)
+    disc = zvonkin._discretize(m, 16.0, 1.0, 6.0, kw["n_x"], kw["n_t"], kw["quad_order"])
+    old = _old_semigroup(disc, kw["quad_order"])
     rng = np.random.default_rng(6)
     for k in range(1, len(disc.s_grid)):
-        vals = rng.standard_normal((len(disc.grids[0]), 1))
-        np.testing.assert_array_equal(disc.semigroup(k, vals), old(k, vals))
+        vals = rng.standard_normal(disc.b_tab.shape[1:])
+        new = disc.semigroup(k, vals)
+        assert new.shape == vals.shape
+        np.testing.assert_allclose(new, old(k, vals), rtol=0, atol=1e-15 * np.abs(vals).max())
 
 
 @pytest.mark.parametrize("sizes, rates", [
@@ -266,28 +291,112 @@ def test_ou_apply_matches_old_tensor_quadrature(sizes, rates):
         np.testing.assert_allclose(new, old, rtol=0, atol=1e-14)
 
 
-def test_solve_u_and_picard_u_match_old_d1_closure(ref6, monkeypatch):
-    """In d=1 the sweep, the Picard iterates and their ratios keep the bits of
-    a run through the old gather closure."""
-    kw = dict(n_x=101, n_t=17)
-    new_s = solve_u(ref6, 16.0, 1.0, **kw)
-    new_p = picard_u(ref6, 4.0, 1.0, **kw)
+@pytest.mark.parametrize("d, kw", [
+    (1, dict(n_x=101, n_t=17)),
+    (2, dict(n_x=13, n_t=5, quad_order=6)),
+])
+def test_solve_u_and_picard_u_match_old_gathers(nu6, monkeypatch, d, kw):
+    """The sweep and the Picard iterates through the CSR operators match a
+    run through the old gathers: the tables to 1e-14, the ratios to 1e-9
+    relative at lam = 16, the lam of the CLI's transform.  A ratio divides
+    two sup-norm updates, the last below tol = 1e-8, and the reordered sums
+    move an iterate by a few units of 1e-17; at lam = 4, where |u| ~ 0.25
+    and the sweeps run longer, that is a few 1e-9 of the last ratios."""
+    m = make_model("reference", measure=nu6, d=d)
+    lams = {16.0: 1e-9, 4.0: 1e-8}
+    new_s = solve_u(m, 16.0, 1.0, **kw)
+    new_p = {lam: picard_u(m, lam, 1.0, **kw) for lam in lams}
     discretize = zvonkin._discretize
     calls = []
 
-    def with_old_closure(*args):
+    def with_old_gathers(*args):
         disc = discretize(*args)
-        old = _old_d1_semigroup(disc)
+        old = _old_semigroup(disc, args[-1])
         disc.semigroup = lambda k, vals: calls.append(k) or old(k, vals)
         return disc
 
-    monkeypatch.setattr(zvonkin, "_discretize", with_old_closure)
-    old_s = solve_u(ref6, 16.0, 1.0, **kw)
-    old_p = picard_u(ref6, 4.0, 1.0, **kw)
+    monkeypatch.setattr(zvonkin, "_discretize", with_old_gathers)
+    old_s = solve_u(m, 16.0, 1.0, **kw)
     assert calls
-    np.testing.assert_array_equal(new_s.u_tab, old_s.u_tab)
-    np.testing.assert_array_equal(new_p.u_tab, old_p.u_tab)
-    assert new_p.ratios == old_p.ratios and len(new_p.ratios) > 3
+    np.testing.assert_allclose(new_s.u_tab, old_s.u_tab, rtol=0, atol=1e-14)
+    for lam, rtol in lams.items():
+        old_p = picard_u(m, lam, 1.0, **kw)
+        np.testing.assert_allclose(new_p[lam].u_tab, old_p.u_tab, rtol=0, atol=1e-14)
+        assert len(new_p[lam].ratios) == len(old_p.ratios) > 3
+        np.testing.assert_allclose(new_p[lam].ratios, old_p.ratios, rtol=rtol)
+
+
+def _solve_u_factoring_every_level(m, lam, T, x_max=6.0, n_x=401, n_t=65, quad_order=24):
+    """u of solve_u's sweep with a fresh splu of the level operator on every
+    level, as the sweep ran before it kept one factorization per drift
+    level; kept as its oracle."""
+    from scipy import sparse
+    from scipy.sparse.linalg import splu
+
+    disc = zvonkin._discretize(m, lam, T, x_max, n_x, n_t, quad_order)
+    grids, b_tab = disc.grids, disc.b_tab
+    d = len(grids)
+    n = b_tab[0].size // d
+    half = 0.5 * disc.dt
+    grads = [zvonkin._gradient_matrix(grids, k) for k in range(d)]
+    u = np.zeros(b_tab.shape)
+    g = np.empty_like(u)
+    g[-1] = b_tab[-1]
+    for i in range(n_t - 2, -1, -1):
+        b = b_tab[i].reshape(n, d)
+        op = sparse.identity(n) - half * sum(grads[k].multiply(b[:, k : k + 1]) for k in range(d))
+        rhs = half * b + disc.tail(g, i).reshape(n, d)
+        u[i] = splu(sparse.csc_matrix(op)).solve(rhs).reshape(u[i].shape)
+        g[i] = zvonkin._g_of(b_tab[i : i + 1], u[i : i + 1], grids)[0]
+    return u
+
+
+@pytest.mark.parametrize("d, kw", [
+    (1, dict(n_x=101, n_t=17)),
+    (2, dict(n_x=13, n_t=5, quad_order=6)),
+])
+@pytest.mark.parametrize("homogeneous", [True, False])
+def test_solve_u_factors_each_distinct_drift_level_once(nu6, monkeypatch, d, kw, homogeneous):
+    """solve_u factors the level operator again only where b changes: once
+    for a catalog drift, on every level for b(t, x) = (1 + t) tanh(x); its u
+    has the bits of a factorization per level either way."""
+    import scipy.sparse.linalg
+
+    m = make_model("reference", measure=nu6, d=d)
+    if not homogeneous:
+        m = dataclasses.replace(m, b=lambda t, x: (1.0 + t) * np.tanh(x))
+    splu = scipy.sparse.linalg.splu
+    factored = []
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", lambda a: factored.append(a) or splu(a))
+    sol = solve_u(m, 16.0, 1.0, **kw)
+    assert len(factored) == (1 if homogeneous else kw["n_t"] - 1)
+    monkeypatch.undo()
+    np.testing.assert_array_equal(sol.u_tab, _solve_u_factoring_every_level(m, 16.0, 1.0, **kw))
+
+
+def test_u_solve_peaks_near_its_operators():
+    """At the CLI couple geometry (r0 1, T 0.5 + r0, default grid: 860
+    nodes, 24 Gauss-Hermite nodes, 64 offsets), _discretize and the sweep
+    peak below 1.25 x the bytes of the operators and below the 21.1 MB the
+    gather tables took, so the operators hold no second copy and the
+    sweep's own arrays stay small beside them."""
+    import tracemalloc
+
+    nu = make_measure("exponential", 1.0, 2.0**-8, lam=1.0)
+    m = make_model("reference", measure=nu)
+    disc = zvonkin._discretize(m, 16.0, 1.5, 6.0, 401, 65, 24)
+    arrays = [a for axes in disc.ops for pair in axes for M in pair for a in (M.data, M.indices, M.indptr)]
+    # each buffer once: A's weights and row pointers and the shared index arrays
+    ops_bytes = sum({a.__array_interface__["data"][0]: a.nbytes for a in arrays}.values())
+    del disc, arrays
+    assert ops_bytes == pytest.approx(860 * 24 * 64 * 12, rel=0.02)
+    tracemalloc.start()
+    try:
+        solve_u(m, 16.0, 1.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * ops_bytes and peak < 21.1e6
 
 
 def test_solve_u_zero_drift_is_zero():
