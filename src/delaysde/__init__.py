@@ -26,7 +26,7 @@ from .model import (
     semigroup_factors,
     validate_assumptions,
 )
-from .rng import coarsen_increments, normal_increments, path_generator
+from .rng import normal_increments, path_generator
 from .solver import PathBatch, SolverConfig, cutoff_psi, simulate
 from .bihari import apriori_check, bihari_bound
 from .girsanov import direct_estimate, weak_estimate

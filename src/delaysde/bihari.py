@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from . import rng
-from .measure import grid_count, streamed_seg_norms
+from .measure import Rows, grid_count, streamed_seg_norms
 from .model import diffusion_at, noise_product, semigroup_factors
 from .solver import simulate
 
@@ -147,8 +147,8 @@ def apriori_check(m, nu, xi, cfg, T, n_paths, base_seed, workers=1) -> AprioriRe
     def columns(start, count):
         batch = simulate(m, nu, xi, cfg, base_seed, count, path_offset=start)
         states, dW = batch.states, batch.dW
-        # |Xbar|^2 rows, laid out like the states; 0 on [-r0, 0]
-        sq = np.zeros((n0 + steps + 1, count, 1)).transpose(1, 0, 2)
+        # |Xbar|^2 rows in a ring of n0 + 2, the fewest the norms read; 0 on [-r0, 0]
+        sq = Rows(count, n0 + steps + 1, 1, n_slots=n0 + 2, first=np.zeros((n0 + 1, 1)))
         norms = streamed_seg_norms(nu, sq, start)
         xbar = np.zeros((count, m.d))
         alpha = np.sum(states[:, n0] ** 2, axis=1)
@@ -161,7 +161,7 @@ def apriori_check(m, nu, xi, cfg, T, n_paths, base_seed, workers=1) -> AprioriRe
                 xbar = E * xbar + E * noise
             else:
                 xbar = xbar + h * m.A.apply(xbar) + noise
-            sq[:, idx + 1, 0] = np.sum(xbar**2, axis=1)
+            sq[idx + 1] = np.sum(xbar**2, axis=1, keepdims=True)
             np.maximum(sup_sq, np.sum((states[:, idx + 1] - xbar) ** 2, axis=1), out=sup_sq)
         return alpha, sup_sq
 

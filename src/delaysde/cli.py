@@ -445,6 +445,13 @@ def _functional(cfg, sec, nu):
         raise ConfigError(f"{sec}.functional", str(e)) from e
 
 
+def _check_sigma(m):
+    """ConfigError unless m has a diffusion, sigma > 0, which the u solve of
+    its transform needs."""
+    if not m.Q_bounds.get("Q", 0.0) > 0:
+        raise ConfigError("model.sigma", f"the transform of model {m.name!r} needs sigma > 0")
+
+
 def _coupling_setup(cfg, nu, m, scfg, xi):
     c = cfg.record["coupling"]
     T = _on_grid("coupling", c["T"], scfg.h)
@@ -454,8 +461,7 @@ def _coupling_setup(cfg, nu, m, scfg, xi):
         raise ConfigError("coupling.K", str(e)) from e
     sol = None
     if needs_transform(m):
-        if not m.Q_bounds.get("Q", 0.0) > 0:  # the u solve needs a diffusion
-            raise ConfigError("model.sigma", f"the transform of model {m.name!r} needs sigma > 0")
+        _check_sigma(m)
         sol = solve_u(m, c["lam_u"], T + nu.r0)
     tm = transformed_model(m, nu, sol)
     eta_vals = xi.values + c["distance_seg"]
@@ -574,8 +580,7 @@ def _run_gradient(cfg, nu, m, scfg, xi):
     return verdict, metrics
 
 def _run_zvonkin(cfg, nu, m, scfg, xi):
-    if not m.Q_bounds.get("Q", 0.0) > 0:
-        raise ConfigError("model.sigma", f"the transform of model {m.name!r} needs sigma > 0")
+    _check_sigma(m)
     z = dict(cfg.record["zvonkin"])
     rep = verify_decay(m, z.pop("lams"), z.pop("T"), **z)  # and picard_u's x_max, n_x, n_t
     ok = rep.monotone and rep.lam_star is not None

@@ -15,8 +15,8 @@ segment-norm term in the entropy cost.
 
 Every pair of a batch starts from the same two segments, so their pull-backs
 through Theta are computed once per run, by zvonkin.start_transformed.  X and
-Y are stored whole; each side's pulled-back rows live in a ring of n0 + 2
-rows, whose slot of each row comes from one shift per run.  X moves by
+Y are stored whole and each side's pulled-back rows live in a ring of n0 + 2
+rows, all four in measure.Rows buffers.  X moves by
 zvonkin.transformed_step, the step of simulate_transformed.  Each step then
 pulls X's new rows and the Y rows not yet met back through one
 theta_inverse_ud call, which also returns u and grad u at each root; the
@@ -38,8 +38,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .measure import DelayMeasure, grid_count, ring_shift
-from .model import noise_product, solve_qqt
+from .measure import DelayMeasure, grid_count
+from .model import log_det_qqt, noise_product, solve_qqt
 from .rng import path_increments
 from .zvonkin import (
     TransformedModel,
@@ -109,7 +109,7 @@ class CouplingConfig:
 class CouplingResult:
     tau: np.ndarray  # (n,) meeting time, at most T; nan for a pair that failed apart
     log_R: np.ndarray  # (n,)
-    x_states: np.ndarray  # (n, N+1, d) on [-r0, T+r0], a view of a time-major (N+1, n, d) buffer
+    x_states: np.ndarray  # (n, N+1, d) on [-r0, T+r0], the paths view of a stored measure.Rows
     y_states: np.ndarray  # the same layout
     delta: float
     T: float
@@ -146,15 +146,6 @@ def _pull_back(sol, t: float, xn: np.ndarray, yn: np.ndarray, pull):
     return inv[:n], ud[:, :n], inv[n:], ud[:, n:]
 
 
-def _log_det_qqt(Q: np.ndarray) -> np.ndarray:
-    """log det QQ* row by row, for Q in a form that solve_qqt takes; in d = 1
-    the log of the one entry, the bits of either form."""
-    if Q.ndim == 1:
-        return np.log(Q * Q)
-    QQt = np.einsum("nik,njk->nij", Q, Q)
-    return np.log(QQt[:, 0, 0]) if QQt.shape[-1] == 1 else np.linalg.slogdet(QQt)[1]
-
-
 def run_coupling_batch(
     tm: TransformedModel,
     nu: DelayMeasure,
@@ -187,29 +178,23 @@ def run_coupling_batch(
     # ud_x and ud_y hold (u, grad u) at X's and Y's current pull-backs
     x, xinv, ud_x, avg_x = start_transformed(tm, nu, xi_t, n_paths, n_rows, path_offset)
     y, yinv, ud_y, avg_y = start_transformed(tm, nu, eta_t, n_paths, n_rows, path_offset)
-    # the pulled-back rows are rings: row r of either sits in slot
-    # (r + shift) % n_slots
-    n_slots = xinv.shape[1]
-    shift = ring_shift(n_slots, n_rows)
     delta = meeting_radius(xi_t, eta_t)
     dW = path_increments(dW, base_seed, path_offset, n_paths, steps, tm.base.dbar, h)
     log_r = np.zeros(n_paths)
     tau = np.full(n_paths, np.nan)
     failed = np.zeros(n_paths, dtype=bool)
-    met = np.linalg.norm(x[:, n0] - y[:, n0], axis=1) <= delta
+    met = np.linalg.norm(x[n0] - y[n0], axis=1) <= delta
     tau[met] = 0.0
-    y[met, n0] = x[met, n0]
+    y[n0][met] = x[n0][met]
     open_ = ~met  # rows that have neither met nor failed, updated in place
     for k in range(steps):
-        t = k * h
-        idx = n0 + k
-        cur = (idx + shift) % n_slots
-        xs, ys = x[:, idx], y[:, idx]
+        t, r = k * h, n0 + k
+        xs, ys = x[r], y[r]
         with np.errstate(over="ignore", invalid="ignore"):
-            xn, Bx, Qx = transformed_step(tm, t, h, xs, xinv[:, cur], ud_x, next(avg_x), dW[:, k])
+            xn, Bx, Qx = transformed_step(tm, t, h, xs, xinv[r], ud_x, next(avg_x), dW[:, k])
         yn = xn  # from the last bridged step on, an open row's Y is its X
         if k < n_T:  # phi reads Y's drift and diffusion on every row
-            By, Qy = transformed_coefficients(tm, t, ys, yinv[:, cur], ud_y, next(avg_y))
+            By, Qy = transformed_coefficients(tm, t, ys, yinv[r], ud_y, next(avg_y))
             ghat = gamma(t + 0.5 * h, T, K)
             z = solve_qqt(Qx, xs - ys)  # (n, dbar): Q*(QQ*)^{-1}(X - Y)
             phi = solve_qqt(Qy, By - Bx) - z / ghat
@@ -222,7 +207,7 @@ def run_coupling_batch(
                 ry = solve_qqt(Qy[c], xn[c] - ys[c] - h * By[c])
                 rx = solve_qqt(Qx[c], xn[c] - xs[c] - h * Bx[c])
                 quad = np.sum(rx**2, axis=1) - np.sum(ry**2, axis=1)
-                inc[c] = quad / (2.0 * h) + 0.5 * (_log_det_qqt(Qx[c]) - _log_det_qqt(Qy[c]))
+                inc[c] = quad / (2.0 * h) + 0.5 * (log_det_qqt(Qx[c]) - log_det_qqt(Qy[c]))
             log_r += inc
         if not (np.isfinite(xn).all() and np.isfinite(yn).all()):
             failed |= ~np.isfinite(xn).all(axis=1) | open_ & ~np.isfinite(yn).all(axis=1)
@@ -230,34 +215,33 @@ def run_coupling_batch(
         any_failed = failed.any()
         if any_failed:
             xn[failed] = xs[failed]
-        x[:, idx + 1] = xn
+        x[r + 1] = xn
         if k < n_T:  # the meeting test of the open rows
             live = np.flatnonzero(open_)
             newly = live[np.linalg.norm(xn[live] - yn[live], axis=1) <= delta]
             tau[newly] = t + h
             open_[newly] = False
-        y_next = y[:, idx + 1]
+        y_next = y[r + 1]
         # a met row copies X, and from the last bridged step on so does every other
         y_next[...] = xn if yn is xn else np.where(open_[:, None], yn, xn)
         if any_failed:
             y_next[failed] = ys[failed]  # a failed row keeps its state
         if sol is None:
             continue
-        nxt = (cur + 1) % n_slots
         if k + 1 < n_T:  # the next step reads Y's pull-back, a met row's its X row's
             pull = np.isnan(tau)
             if pull.all():  # plain copies while no row has met
                 pull = slice(None)
             x_inv, ud_x, y_inv, ud_pulled = _pull_back(sol, t + h, xn, y_next, pull)
-            yinv[:, nxt] = x_inv
-            yinv[pull, nxt] = y_inv
+            yinv[r + 1] = x_inv
+            yinv[r + 1][pull] = y_inv
             ud_y = ud_x.copy()
             ud_y[:, pull] = ud_pulled
         else:
             x_inv, ud_x = theta_inverse_ud(sol, t + h, xn)
-        xinv[:, nxt] = x_inv
+        xinv[r + 1] = x_inv
     return CouplingResult(
-        tau, log_r, x, y, delta, T, h, nu.r0, base_seed, path_offset, dW, failed
+        tau, log_r, x.paths, y.paths, delta, T, h, nu.r0, base_seed, path_offset, dW, failed
     )
 
 
@@ -275,16 +259,18 @@ class EntropyEstimate:
 
 def entropy_cost(log_R: np.ndarray) -> EntropyEstimate:
     """Relative-entropy cost of the coupling from the log-weights of one batch."""
-    r = np.exp(log_R)
-    rlr = r * log_R
-    n = len(r)
-    mean_r = float(r.mean())
-    stderr_r = float(r.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-    value = float(rlr.sum() / max(r.sum(), 1e-300))
-    # delta-method stderr of the ratio estimator
-    resid = rlr - value * r
-    stderr = float(resid.std(ddof=1) / (max(mean_r, 1e-300) * math.sqrt(n))) if n > 1 else 0.0
-    ess = float(r.sum() ** 2 / max((r**2).sum(), 1e-300))
+    n = len(log_R)
+    # a non-finite log R (a failed pair) gives NaN or inf statistics, silently
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = np.exp(log_R)
+        rlr = r * log_R
+        mean_r = float(r.mean())
+        stderr_r = float(r.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+        value = float(rlr.sum() / max(r.sum(), 1e-300))
+        # delta-method stderr of the ratio estimator
+        resid = rlr - value * r
+        stderr = float(resid.std(ddof=1) / (max(mean_r, 1e-300) * math.sqrt(n))) if n > 1 else 0.0
+        ess = float(r.sum() ** 2 / max((r**2).sum(), 1e-300))
     warnings = []
     if ess < 0.01 * n:
         warnings.append(f"degenerate coupling weights: ess={ess:.1f} of {n}")

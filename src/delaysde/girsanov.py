@@ -28,7 +28,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import rng
-from .measure import DelayMeasure, Segment, delay_averages
+from .measure import DelayMeasure, Rows, Segment, delay_averages
 # solve_qqt, the solve inside the shift psi, stays importable from here
 from .model import ModelSpec, SingularDiffusionError, _zero_b, _zero_B, solve_qqt
 from .rng import map_columns, mean_stderr
@@ -52,7 +52,7 @@ def log_density(m: ModelSpec, nu: DelayMeasure, batch, cfg: SolverConfig) -> np.
     if batch.states.shape[1] != n0 + steps + 1:
         raise ValueError("log_density reads every row: simulate the batch with keep_path=True")
     log_r = np.zeros(batch.n_paths)
-    averages = delay_averages(nu, batch.states, batch.path_offset)
+    averages = delay_averages(nu, Rows.stored(batch.states), batch.path_offset)
     for k in range(steps):
         x = batch.states[:, n0 + k]
         log_r += log_r_increment(m, k * cfg.h, x, next(averages), batch.dW[:, k], cfg.h)

@@ -12,13 +12,9 @@ this quotient representative.
 
 The delay drift enters through the average nu(window_k) = sum_j w_j x(k + j)
 of each step's window.  delay_averages streams these averages for a path
-batch that grows by one row per step.  The runners store a batch time-major,
-as an (n_slots, n, d) buffer seen through its (n, n_slots, d) transposed
-view, so each step reads and writes one contiguous row.  The buffer holds
-every row (n_slots = n_rows) or is a ring of at least n0 + 2 slots holding
-the latest rows; either way row r sits in slot (r + ring_shift(n_slots,
-n_rows)) % n_slots, and delay_averages and streamed_seg_norms read every row
-through that rule.
+batch that grows by one row per step, held in a Rows buffer: the one
+time-major layout of every runner's rows, stored whole or as a ring of the
+latest rows (see Rows for its slot rule).
 
 When the cell masses are geometric, w_{j+1} = w_j / c with 0 < c <= 1 (the
 exponential measure with lam >= 0, lam = 0 and the uniform measure), the
@@ -54,7 +50,7 @@ __all__ = [
     "segments_equal",
     "check_shift_domination",
     "constant_segment",
-    "ring_shift",
+    "Rows",
     "delay_averages",
     "streamed_seg_norms",
 ]
@@ -267,85 +263,101 @@ def _slide_factor(w: np.ndarray) -> float | None:
     return c
 
 
-def ring_shift(n_slots: int, n_rows: int) -> int:
-    """The shift of a buffer of n_slots rows that holds rows 0..n_rows-1 of a
-    path batch: row r sits in slot (r + shift) % n_slots, which puts the last
-    row in the last slot.  A stored batch, n_slots = n_rows, has shift 0."""
-    return (n_slots - n_rows) % n_slots
+class Rows:
+    """Rows 0..n_rows-1 of a batch of n paths in d dimensions, time-major in
+    n_slots slots: every row (n_slots = n_rows) or a ring of the latest rows.
+
+    Row r sits in slot (r + shift) % n_slots with shift = (n_slots - n_rows)
+    % n_slots, which puts the last row in the last slot; a stored batch has
+    shift 0.  The buffer is an (n_slots, n, d) array seen through its
+    transposed (n, n_slots, d) view paths, so rows[r], row r of every path,
+    is one contiguous (n, d) block that a step reads or writes whole.  first,
+    a segment (n0 + 1, d) shared by every path, fills rows 0..n0.  A ring
+    that streams delay_averages holds at least n0 + 2 slots.
+    """
+
+    def __init__(self, n: int, n_rows: int, d: int, n_slots: int | None = None, first=None):
+        n_slots = n_rows if n_slots is None else min(n_slots, n_rows)
+        self.n_rows, self.n_slots, self.shift = n_rows, n_slots, (n_slots - n_rows) % n_slots
+        self.paths = np.empty((n_slots, n, d)).transpose(1, 0, 2)
+        if first is not None:
+            self.paths[:, self.slot(np.arange(len(first)))] = first
+
+    @classmethod
+    def stored(cls, paths: np.ndarray) -> Rows:
+        """Every row of a stored batch paths (n, n_rows, d), path-major or the
+        view of a time-major buffer, with shift 0."""
+        rows = cls.__new__(cls)
+        rows.n_rows = rows.n_slots = paths.shape[1]
+        rows.shift, rows.paths = 0, paths
+        return rows
+
+    def slot(self, r):
+        return (r + self.shift) % self.n_slots
+
+    # the slot rule inline: a runner's step reads and writes several rows
+    def __getitem__(self, r: int) -> np.ndarray:
+        return self.paths[:, (r + self.shift) % self.n_slots]
+
+    def __setitem__(self, r: int, value) -> None:
+        self.paths[:, (r + self.shift) % self.n_slots] = value
 
 
-def delay_averages(
-    m: DelayMeasure, rows: np.ndarray, path_offset: int = 0, n_rows: int | None = None
-):
+def delay_averages(m: DelayMeasure, rows: Rows, path_offset: int = 0):
     """Yield nu(window_k) per component, shape (n, d), for k = 0, 1, ...,
-    n_rows - n0 - 2, where window_k holds rows k..k+n0 of the batch.
+    n_rows - n0 - 2, where window_k holds rows k..k+n0 of the batch rows,
+    whose first path has global index path_offset.
 
-    rows (n, n_slots, d) holds a path batch whose first path has global
-    index path_offset: row r sits in slot (r + ring_shift(n_slots, n_rows))
-    % n_slots.  n_rows defaults to n_slots, a stored batch with row r in
-    slot r; a ring of fewer slots must hold at least n0 + 2 of them.  The
-    caller may write the batch one row per step, but row k + n0 must be
-    written before average k is taken, and row k - 1 must still be held
-    then.  It is read through rows.transpose(1, 0, 2), which is contiguous
-    when rows is the transposed view of a time-major buffer; a path-major
+    A ring must hold at least n0 + 2 slots.  The caller may write the batch
+    one row per step, but row k + n0 must be written before average k is
+    taken, and row k - 1 must still be held then.  The rows are read by
+    slot, which is contiguous in a time-major buffer; a stored path-major
     array gives the same bits, only more slowly.
 
     Geometric cell masses (see _slide_factor) take the sliding recursion in
     O(1) per step, re-anchored by an exact sum every n0 steps; other masses
     take the blocked products.  Both agree with the per-step sum to rounding.
     """
-    n_slots = rows.shape[1]
-    if n_rows is None:
-        n_rows = n_slots
-    if n_slots < min(m.n_cells + 2, n_rows):
+    n_slots = rows.n_slots
+    if n_slots < min(m.n_cells + 2, rows.n_rows):
         raise ValueError(f"a ring of {n_slots} rows is shorter than the n0 + 2 an average reads")
     c = _slide_factor(m.weights)
     if c is None:
-        return _blocked_averages(m.weights, rows, path_offset, n_rows)
-    return _sliding_averages(m.weights, c, rows, n_rows)
+        return _blocked_averages(m.weights, rows, path_offset)
+    return _sliding_averages(m.weights, c, rows)
 
 
-def streamed_seg_norms(
-    m: DelayMeasure, sq: np.ndarray, path_offset: int = 0, n_rows: int | None = None
-):
+def streamed_seg_norms(m: DelayMeasure, sq: Rows, path_offset: int = 0):
     """Yield the norms sqrt(nu(|x|^2) + |x(0)|^2), shape (n,), of the windows
-    k = 0, 1, ... that delay_averages streams from |x|^2 rows sq (n, n_slots,
-    1), under its rules; a streamed nu(|x|^2) rounded below 0 counts as 0."""
-    n0, n_slots = m.n_cells, sq.shape[1]
-    shift = ring_shift(n_slots, n_slots if n_rows is None else n_rows)
-    for k, avg in enumerate(delay_averages(m, sq, path_offset, n_rows)):
-        yield np.sqrt(np.maximum(avg[:, 0], 0.0) + sq[:, (k + n0 + shift) % n_slots, 0])
+    k = 0, 1, ... that delay_averages streams from |x|^2 rows sq (d = 1),
+    under its rules; a streamed nu(|x|^2) rounded below 0 counts as 0."""
+    n0 = m.n_cells
+    for k, avg in enumerate(delay_averages(m, sq, path_offset)):
+        yield np.sqrt(np.maximum(avg[:, 0], 0.0) + sq[k + n0][:, 0])
 
 
-def _sliding_averages(w: np.ndarray, c: float, rows: np.ndarray, n_rows: int):
+def _sliding_averages(w: np.ndarray, c: float, rows: Rows):
     """The recursive moving sum A_k = c (A_{k-1} - w_0 x(k-1)) + w_{n0-1}
     x(k+n0-1).  At every k that is a multiple of n0 it restarts from the sum
     w_0 x(k) + w_1 x(k+1) + ... + w_{n0-1} x(k+n0-1), taken elementwise in
     that order, so no step drifts more than n0 - 1 updates from an exact
     sum and no bit depends on the batch."""
     n0 = len(w)
-    by_time = rows.transpose(1, 0, 2)
-    n_slots = len(by_time)
-    shift = ring_shift(n_slots, n_rows)
-
-    def row(r):
-        return by_time[(r + shift) % n_slots]
-
     first, last = w[0], w[-1]
-    for k in range(n_rows - n0 - 1):
+    for k in range(rows.n_rows - n0 - 1):
         if k % n0 == 0:
-            avg = first * row(k)
+            avg = first * rows[k]
             for j in range(1, n0):
-                avg += w[j] * row(k + j)
+                avg += w[j] * rows[k + j]
         else:
-            avg = avg - first * row(k - 1)
+            avg = avg - first * rows[k - 1]
             if c != 1.0:
                 avg *= c
-            avg += last * row(k + n0 - 1)
+            avg += last * rows[k + n0 - 1]
         yield avg
 
 
-def _blocked_averages(w: np.ndarray, rows: np.ndarray, path_offset: int, n_rows: int):
+def _blocked_averages(w: np.ndarray, rows: Rows, path_offset: int):
     """Averages in blocks of min(AVERAGE_BLOCK, n0) steps; the last block may
     be shorter.  At a block's first step the known rows k0..k0+n0 of each
     PATH_TILE-path tile are copied into a contiguous, zero-padded tile
@@ -356,10 +368,9 @@ def _blocked_averages(w: np.ndarray, rows: np.ndarray, path_offset: int, n_rows:
     and in row order, so the bits do not depend on the layout or the batch.
     """
     n0 = len(w)
-    n, n_slots, d = rows.shape
-    by_time = rows.transpose(1, 0, 2)
-    shift = ring_shift(n_slots, n_rows)
-    steps = n_rows - n0 - 1
+    n, n_slots, d = rows.paths.shape
+    by_time = rows.paths.transpose(1, 0, 2)
+    steps = rows.n_rows - n0 - 1
     first, last = path_offset // PATH_TILE, (path_offset + n - 1) // PATH_TILE
     block = min(AVERAGE_BLOCK, n0)
     tile = np.empty((n0 + 1, PATH_TILE, d))
@@ -369,7 +380,7 @@ def _blocked_averages(w: np.ndarray, rows: np.ndarray, path_offset: int, n_rows:
     for k0 in range(0, steps, block):
         L = min(block, steps - k0)
         # rows k0..k0+n0 fill slots s.. up to the buffer's end, then wrap to slot 0
-        s = (k0 + shift) % n_slots
+        s = rows.slot(k0)
         head = min(n0 + 1, n_slots - s)
         for t in range(first, last + 1):
             lo = max(t * PATH_TILE - path_offset, 0)
@@ -386,7 +397,7 @@ def _blocked_averages(w: np.ndarray, rows: np.ndarray, path_offset: int, n_rows:
                 # row k0+n0+i-1 was written by the last step; it enters the
                 # averages i..L-1 with weights w[n0-1], w[n0-2], ...
                 wi = w[n0 - L + i : n0][::-1, None, None]
-                row = by_time[(k0 + n0 + i - 1 + shift) % n_slots]
+                row = rows[k0 + n0 + i - 1]
                 for j in range(i, L, push_rows):
                     top = min(j + push_rows, L)
                     known[j:top] += wi[j - i : top - i] * row

@@ -44,6 +44,7 @@ __all__ = [
     "noise_product",
     "SingularDiffusionError",
     "solve_qqt",
+    "log_det_qqt",
     "dini_check",
     "validate_assumptions",
     "make_model",
@@ -237,6 +238,15 @@ def solve_qqt(Q: np.ndarray, rhs: np.ndarray) -> np.ndarray:
             raise SingularDiffusionError("QQ* below the conditioning floor")
         y = np.linalg.solve(QQt, rhs[..., None])[..., 0]
     return np.einsum("ndk,nd->nk", Q, y)
+
+
+def log_det_qqt(Q: np.ndarray) -> np.ndarray:
+    """log det QQ* row by row, for Q in a form that solve_qqt takes; in d = 1
+    the log of the one entry, the bits of either form."""
+    if Q.ndim == 1:
+        return np.log(Q * Q)
+    QQt = np.einsum("nik,njk->nij", Q, Q)
+    return np.log(QQt[:, 0, 0]) if QQt.shape[-1] == 1 else np.linalg.slogdet(QQt)[1]
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,7 @@ from numpy.random import Generator, Philox
 from scipy.special import ndtri
 
 __all__ = [
-    "path_generator", "normal_increments", "coarsen_increments", "map_columns", "mean_stderr",
+    "path_generator", "normal_increments", "map_columns", "mean_stderr",
 ]
 
 _U64 = np.uint64
@@ -106,25 +106,6 @@ def path_increments(dW, base_seed, path_offset, n_paths, n_steps, dbar, h) -> np
     if dW.shape != (n_paths, n_steps, dbar):
         raise ValueError(f"dW shape {dW.shape} != {(n_paths, n_steps, dbar)}")
     return dW
-
-
-def coarsen_increments(dw: np.ndarray, factor: int) -> np.ndarray:
-    """Sum consecutive groups of `factor` increments along the step axis.
-
-    Maps increments on step h to increments on step factor*h over the same
-    Brownian path; used by the strong-order and h-halving tests.
-    """
-    if factor < 1:
-        raise ValueError("factor must be >= 1")
-    # the order of the sum follows the memory layout, so sum a C-ordered
-    # copy: a time-major view then gives the bits of a path-major array
-    dw = np.ascontiguousarray(dw)
-    step_axis = dw.ndim - 2
-    n_steps = dw.shape[step_axis]
-    if n_steps % factor != 0:
-        raise ValueError(f"{n_steps} steps not divisible by factor {factor}")
-    shape = dw.shape[:step_axis] + (n_steps // factor, factor) + dw.shape[step_axis + 1 :]
-    return dw.reshape(shape).sum(axis=step_axis + 1)
 
 
 # Paths per chunk.  They set memory only: every result reduces the joined

@@ -13,9 +13,9 @@ Q read at x cutoff_psi(|x|/L), B by cutoff_psi(||x_t||/L).  A path ends at
 its first window of norm >= L, and |x| is at most its window's norm, so after
 step 0 every cut-off of a live row is exactly 1: they cost one norm a step.
 
-A batch is stored time-major: states and increments live in (n_slots, n, d)
-and (steps, n, dbar) buffers, so each step reads and writes contiguous rows,
-and PathBatch exposes them as the transposed (n, n_slots, d) and (n, steps,
+A batch's states live in a measure.Rows buffer and its increments in a
+time-major (steps, n, dbar) buffer, so each step reads and writes
+contiguous rows; PathBatch exposes them as (n, n_slots, d) and (n, steps,
 dbar) views.  A caller that reads the path keeps every row, n_slots = N+1;
 the estimators, which read only the terminal segment and log R, keep a ring
 of n0 + 2 rows (see simulate), and simulate forms log R of a target model in
@@ -37,8 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .measure import (
-    DelayMeasure, Segment, check_segment_shape, delay_averages, grid_count, ring_shift,
-    streamed_seg_norms,
+    DelayMeasure, Rows, Segment, check_segment_shape, delay_averages, grid_count, streamed_seg_norms,
 )
 from .model import ModelSpec, _zero_B, diffusion_at, noise_product, semigroup_factors, solve_qqt
 from .rng import path_increments
@@ -167,11 +166,10 @@ def simulate(
 ) -> PathBatch:
     """Integrate a batch of paths; overflow and threshold exits become recorded lifetimes.
 
-    The rows live in a time-major buffer of n_slots rows, row r in slot
-    (r + measure.ring_shift(n_slots, n_rows)) % n_slots, the slot rule that
-    delay_averages reads by.  keep_path stores every row, n_slots = n_rows =
-    n0 + steps + 1; otherwise the buffer is a ring of n0 + 2 slots, the
-    fewest the averages need (average k reads row k - 1 after row k + n0 is
+    The rows live in a measure.Rows buffer, whose paths view becomes
+    batch.states.  keep_path stores every row, n_slots = n_rows = n0 +
+    steps + 1; otherwise the buffer is a ring of n0 + 2 slots, the fewest
+    the averages need (average k reads row k - 1 after row k + n0 is
     written), and the batch keeps the last n0 + 2 rows, its terminal
     segment among them.  A log_r_model has log R of its Girsanov density
     (see girsanov) accumulated in the step, at each state and average of
@@ -195,10 +193,7 @@ def simulate(
     check_segment_shape(xi.values, n0, d)
     dW = path_increments(dW, base_seed, path_offset, n_paths, steps, dbar, cfg.h)
     n_rows = n0 + steps + 1
-    n_slots = n_rows if keep_path else n0 + 2
-    shift = ring_shift(n_slots, n_rows)
-    states = np.empty((n_slots, n_paths, d)).transpose(1, 0, 2)
-    states[:, (np.arange(n0 + 1) + shift) % n_slots] = xi.values
+    states = Rows(n_paths, n_rows, d, n_slots=None if keep_path else n0 + 2, first=xi.values)
     lifetimes = np.full(n_paths, np.nan)
     alive = np.ones(n_paths, dtype=bool)
     all_alive = True
@@ -207,10 +202,8 @@ def simulate(
         # the window norms cut B off and end paths; their |x|^2 rows have a
         # spare last row, so that the check after the last step has a
         # window, and live in a ring of n0 + 2 slots
-        sq_shift = ring_shift(n0 + 2, n_rows + 1)
-        sq = np.zeros((n0 + 2, n_paths, 1)).transpose(1, 0, 2)
-        sq[:, (np.arange(n0 + 1) + sq_shift) % (n0 + 2), 0] = np.sum(xi.values**2, axis=1)
-        seg_norms = streamed_seg_norms(nu, sq, path_offset, n_rows + 1)
+        sq = Rows(n_paths, n_rows + 1, 1, n_slots=n0 + 2, first=np.sum(xi.values**2, axis=1, keepdims=True))
+        seg_norms = streamed_seg_norms(nu, sq, path_offset)
         seg_n = next(seg_norms)
         inv_level = 1.0 / cfg.trunc_level
     use_exp = cfg.scheme == "exponential-euler"
@@ -221,12 +214,11 @@ def simulate(
     B_zero = np.zeros((n_paths, d)) if zero_B else None
     log_r = None if log_r_model is None else np.zeros(n_paths)
     # a path that reads no window and accumulates no log R never forms the averages
-    averages = None if zero_B and log_r is None else delay_averages(nu, states, path_offset, n_rows)
+    averages = None if zero_B and log_r is None else delay_averages(nu, states, path_offset)
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(steps):
             t = k * h
-            at, nxt = (n0 + k + shift) % n_slots, (n0 + k + 1 + shift) % n_slots
-            x = states[:, at]
+            x = states[n0 + k]
             avg = None if averages is None else next(averages)
             bv = m.b(t, x)
             Bv = B_zero if zero_B else m.B(t, avg)
@@ -245,14 +237,15 @@ def simulate(
             if all_alive and not check_seg:
                 flat = xn.ravel()
                 if np.dot(flat, flat) < _HEALTHY_SQ:
-                    states[:, nxt] = xn
+                    states[n0 + k + 1] = xn
                     continue
             finite = np.all(np.isfinite(xn), axis=1)
             xn = np.where(finite[:, None], xn, x)
-            states[:, nxt] = np.where(alive[:, None], xn, x)
-            exceeded = np.linalg.norm(states[:, nxt], axis=1) >= R_EXPLODE
+            xn = np.where(alive[:, None], xn, x)
+            states[n0 + k + 1] = xn
+            exceeded = np.linalg.norm(xn, axis=1) >= R_EXPLODE
             if check_seg:
-                sq[:, (n0 + k + 1 + sq_shift) % (n0 + 2), 0] = np.sum(states[:, nxt] ** 2, axis=1)
+                sq[n0 + k + 1] = np.sum(xn**2, axis=1, keepdims=True)
                 seg_n = next(seg_norms)
                 exceeded |= seg_n >= cfg.trunc_level
             newly = alive & (~finite | exceeded)
@@ -260,4 +253,4 @@ def simulate(
                 lifetimes[newly] = t + h
                 alive &= ~newly
                 all_alive = False
-    return PathBatch(cfg.h, nu.r0, states, dW, base_seed, path_offset, lifetimes, log_r)
+    return PathBatch(cfg.h, nu.r0, states.paths, dW, base_seed, path_offset, lifetimes, log_r)

@@ -36,8 +36,9 @@ the transformed diffusion is the scalar (1 + u') q of each row.
 The transformed equation has two runners, simulate_transformed and the
 coupled pair of coupling.run_coupling_batch.  Both open their batches with
 start_transformed, which pulls the shared initial segment back once into a
-ring of n0 + 2 pulled-back rows, and both step X with transformed_step, so X
-of a coupled pair is simulate_transformed bit for bit.
+ring of n0 + 2 pulled-back rows (a measure.Rows, like the states), and both
+step X with transformed_step, so X of a coupled pair is simulate_transformed
+bit for bit.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import roots_hermitenorm
 
-from .measure import DelayMeasure, check_segment_shape, delay_averages, grid_count, ring_shift
+from .measure import DelayMeasure, Rows, check_segment_shape, delay_averages, grid_count
 from .model import ModelSpec, diffusion_at, noise_product
 from .rng import path_increments
 
@@ -715,15 +716,14 @@ def transformed_model(m: ModelSpec, nu: DelayMeasure, sol: ZvonkinSolution | Non
 
 def start_transformed(tm: TransformedModel, nu: DelayMeasure, seg, n_paths, n_rows, path_offset):
     """(rows, history, ud, averages) for n_paths paths that all start from
-    the one transformed segment seg (n0+1, d): rows (n_paths, n_rows, d),
-    the transposed view of a time-major buffer, holding seg on [-r0, 0];
-    history, a ring of min(n0 + 2, n_rows) slots laid out like rows, holding
-    Theta^{-1} of seg there, row r in slot (r + ring_shift(n_slots, n_rows))
-    % n_slots; the (u, grad u) of theta_inverse_ud at the pull-back of seg's
-    last node, one column per row; and the delay_averages of history.
+    the one transformed segment seg (n0+1, d): rows, a measure.Rows that
+    stores all n_rows rows and holds seg on [-r0, 0]; history, a Rows ring
+    of n0 + 2 slots holding Theta^{-1} of seg there; the (u, grad u) of
+    theta_inverse_ud at the pull-back of seg's last node, one column per
+    row; and the delay_averages of history.
 
     With the identity transform the path is its own pull-back: history is
-    rows, with ud None, and its shift is 0.  Otherwise seg is pulled back once
+    rows, with ud None.  Otherwise seg is pulled back once
     and broadcast: every node of [-r0, 0] reads u(0), and the inverse works
     row by row, so each row has the bits of a batch inverse of identical
     rows.  The runner fills each later node's slot, and keeps the current
@@ -731,16 +731,13 @@ def start_transformed(tm: TransformedModel, nu: DelayMeasure, seg, n_paths, n_ro
     """
     seg = np.asarray(seg, dtype=float)
     check_segment_shape(seg, nu.n_cells, tm.base.d)
-    rows = np.empty((n_rows, n_paths, tm.base.d)).transpose(1, 0, 2)
-    rows[:, : len(seg)] = seg
+    rows = Rows(n_paths, n_rows, tm.base.d, first=seg)
     history, ud = rows, None
     if tm.sol is not None:
-        n_slots = min(len(seg) + 1, n_rows)
-        history = np.empty((n_slots, n_paths, tm.base.d)).transpose(1, 0, 2)
-        slots = (np.arange(len(seg)) + ring_shift(n_slots, n_rows)) % n_slots
-        history[:, slots], ud = theta_inverse_ud(tm.sol, 0.0, seg)
+        inv, ud = theta_inverse_ud(tm.sol, 0.0, seg)
+        history = Rows(n_paths, n_rows, tm.base.d, n_slots=len(seg) + 1, first=inv)
         ud = np.repeat(ud[:, -1:], n_paths, axis=1)
-    return rows, history, ud, delay_averages(nu, history, path_offset, n_rows)
+    return rows, history, ud, delay_averages(nu, history, path_offset)
 
 
 def transformed_step(tm: TransformedModel, t, h, state, point_inv, ud, avg_inv, dW_k) -> tuple:
@@ -776,27 +773,21 @@ def simulate_transformed(
 
     xi_t: transformed initial segment values (n0+1, d).  Returns (states, dW)
     with states of shape (n_paths, n0+steps+1, d) on [-r0, t_end], the
-    transposed view of a time-major buffer.
+    paths view of a stored measure.Rows.
     """
     if math.isfinite(cfg.trunc_level):
         raise ValueError("simulate_transformed does not truncate; trunc_level must be inf")
     n0 = nu.n0(cfg.h)
     steps = grid_count(cfg.t_end, cfg.h, "t_end")
     h = cfg.h
-    n_rows = n0 + steps + 1
-    states, xinv, ud, avg = start_transformed(tm, nu, xi_t, n_paths, n_rows, path_offset)
-    n_slots = xinv.shape[1]
-    shift = ring_shift(n_slots, n_rows)
+    states, xinv, ud, avg = start_transformed(tm, nu, xi_t, n_paths, n0 + steps + 1, path_offset)
     dW = path_increments(dW, base_seed, path_offset, n_paths, steps, tm.base.dbar, h)
     for k in range(steps):
-        t = k * h
-        idx = n0 + k
-        cur = (idx + shift) % n_slots
-        x = states[:, idx]
-        states[:, idx + 1] = transformed_step(tm, t, h, x, xinv[:, cur], ud, next(avg), dW[:, k])[0]
+        t, r = k * h, n0 + k
+        states[r + 1] = transformed_step(tm, t, h, states[r], xinv[r], ud, next(avg), dW[:, k])[0]
         if tm.sol is not None:
-            xinv[:, (cur + 1) % n_slots], ud = theta_inverse_ud(tm.sol, t + h, states[:, idx + 1])
-    return states, dW
+            xinv[r + 1], ud = theta_inverse_ud(tm.sol, t + h, states[r + 1])
+    return states.paths, dW
 
 
 @dataclass

@@ -18,7 +18,7 @@ from delaysde.girsanov import direct_estimate, weak_estimate
 from delaysde.harnack import check_gradient_estimate, check_log_harnack
 from delaysde.measure import batch_seg_norm, constant_segment, make_measure
 from delaysde.model import make_functional, make_model
-from delaysde.rng import batch_increments, coarsen_increments
+from delaysde.rng import batch_increments
 from delaysde.solver import SolverConfig, simulate
 from delaysde.zvonkin import (
     simulate_transformed,
@@ -27,6 +27,7 @@ from delaysde.zvonkin import (
     transformed_model,
     verify_decay,
 )
+from helpers import coarsen_increments
 
 H8 = 2.0**-8
 R0 = 1.0

@@ -853,15 +853,17 @@ K = 4.0
 distance0 = 0.1
 """
     out = tmp_path / scenario
-    with warnings.catch_warnings():
-        if scenario == "harnack":  # it forms no statistic, so no NaN arithmetic warns
-            warnings.simplefilter("error", RuntimeWarning)
+    with warnings.catch_warnings():  # the NaN and inf statistics of the failed pair warn nowhere
+        warnings.simplefilter("error", RuntimeWarning)
         assert main([scenario, "--config", _write(tmp_path, text), "--out", str(out)]) == code
     result = json.loads((out / "verdict.json").read_text())
     assert result["verdict"] == verdict
     assert result["metrics"]["coupled_fraction"] == 63 / 64
     if scenario == "harnack":
         assert result["metrics"]["lhs"] is None and result["metrics"]["mean_R"] is None
+    else:  # the weights of an infinite log R are not numbers
+        for key in ("mean_R", "stderr_R", "ess", "entropy_selfnorm"):
+            assert result["metrics"][key] is None, key
 
 
 def test_couple_scenario_martingale(tmp_path):

@@ -9,6 +9,7 @@ from delaysde import measure
 from delaysde.measure import (
     DelayMeasure,
     GridMismatchError,
+    Rows,
     Segment,
     batch_seg_norm,
     check_shift_domination,
@@ -299,7 +300,7 @@ _ATOMS = [0.0, 0.1, 0.0, 0.0, 0.3, 0.2, 0.0, 0.25, 0.15, 0.0]
 )
 def test_delay_averages_match_per_step_oracle(m, d, steps):
     rows = np.random.default_rng(3).standard_normal((5, m.n_cells + steps + 1, d))
-    got = np.stack(list(delay_averages(m, rows)))
+    got = np.stack(list(delay_averages(m, Rows.stored(rows))))
     np.testing.assert_allclose(got, _per_step_averages(m, rows), rtol=0, atol=1e-12)
 
 
@@ -312,7 +313,7 @@ def test_delay_averages_read_only_written_rows():
     rows = np.full_like(full, np.nan)
     rows[:, : n0 + 1] = full[:, : n0 + 1]
     got = []
-    for k, avg in enumerate(delay_averages(m, rows)):
+    for k, avg in enumerate(delay_averages(m, Rows.stored(rows))):
         got.append(avg.copy())
         rows[:, n0 + k + 1] = full[:, n0 + k + 1]
     np.testing.assert_allclose(np.stack(got), _per_step_averages(m, full), rtol=0, atol=1e-12)
@@ -346,11 +347,11 @@ def test_delay_averages_are_batch_independent(d, layout, m):
     rows = np.random.default_rng(5).standard_normal((600, m.n_cells + 40, d))
     if layout == "time-major":
         rows = _time_major(rows)
-    ref = np.stack(list(delay_averages(m, rows, path_offset=start)))
+    ref = np.stack(list(delay_averages(m, Rows.stored(rows), path_offset=start)))
     for offset in (255, 256, 511):
         for count in (1, 3, 300):
             lo = offset - start
-            sub = np.stack(list(delay_averages(m, rows[lo : lo + count], path_offset=offset)))
+            sub = np.stack(list(delay_averages(m, Rows.stored(rows[lo : lo + count]), path_offset=offset)))
             np.testing.assert_array_equal(sub, ref[:, lo : lo + count])
 
 
@@ -365,9 +366,71 @@ def test_delay_averages_are_batch_independent(d, layout, m):
 )
 def test_delay_averages_same_bits_in_either_layout(m, d):
     rows = np.random.default_rng(6).standard_normal((300, m.n_cells + 75, d))
-    path_major = np.stack(list(delay_averages(m, rows, path_offset=7)))
-    time_major = np.stack(list(delay_averages(m, _time_major(rows), path_offset=7)))
+    path_major = np.stack(list(delay_averages(m, Rows.stored(rows), path_offset=7)))
+    time_major = np.stack(list(delay_averages(m, Rows.stored(_time_major(rows)), path_offset=7)))
     np.testing.assert_array_equal(time_major, path_major)
+
+
+@pytest.mark.parametrize("ring", [True, False], ids=["ring", "stored"])
+@pytest.mark.parametrize("n0", [1, 3, 8])
+@pytest.mark.parametrize("extra", [0, 1, 2, 5, 23])
+def test_rows_written_in_order_hold_the_last_slots(ring, n0, extra):
+    """Rows 0..n0 from a shared first segment, then rows written one by one,
+    leave paths equal to the last n_slots rows of a stored oracle, for rings
+    of n0 + 2 slots and for stored batches, with the last row in the last
+    slot."""
+    n, d, n_rows = 3, 2, n0 + 1 + extra
+    gen = np.random.default_rng(9)
+    oracle = gen.standard_normal((n, n_rows, d))
+    oracle[:, : n0 + 1] = gen.standard_normal((n0 + 1, d))
+    rows = Rows(n, n_rows, d, n_slots=n0 + 2 if ring else None, first=oracle[0, : n0 + 1])
+    for r in range(n0 + 1, n_rows):
+        rows[r] = oracle[:, r]
+    n_slots = min(n0 + 2, n_rows) if ring else n_rows
+    assert rows.paths.shape == (n, n_slots, d) and rows.n_rows == n_rows
+    np.testing.assert_array_equal(rows.paths, oracle[:, n_rows - n_slots :])
+    assert rows.slot(n_rows - 1) == n_slots - 1
+
+
+def test_rows_index_a_ring_after_wrap_around():
+    """rows[r] reads and writes row r of every path, one contiguous block of
+    the time-major buffer, as long as the ring still holds it."""
+    rows = Rows(4, 22, 1, n_slots=5)
+    assert rows.shift == 3
+    for r in range(22):
+        rows[r] = r
+        for q in range(max(r - 4, 0), r + 1):
+            np.testing.assert_array_equal(rows[q], np.full((4, 1), float(q)))
+        assert rows[r].flags.c_contiguous and np.shares_memory(rows[r], rows.paths)
+    np.testing.assert_array_equal(rows.paths[0, :, 0], np.arange(17.0, 22.0))
+    rows[19][1:] = -1.0  # a view: its rows write through
+    np.testing.assert_array_equal(rows[19][:, 0], [19.0, -1.0, -1.0, -1.0])
+
+
+def test_rows_stored_wraps_a_batch_with_shift_0():
+    paths = np.arange(2 * 6 * 3, dtype=float).reshape(2, 6, 3)
+    for batch in (paths, _time_major(paths)):
+        rows = Rows.stored(batch)
+        assert rows.paths is batch and rows.shift == 0 and rows.n_rows == rows.n_slots == 6
+        for r in range(6):
+            np.testing.assert_array_equal(rows[r], paths[:, r])
+    assert Rows(2, 6, 3).shift == 0
+
+
+@pytest.mark.parametrize("m", [_EXP, _ATOMS_64], ids=["sliding", "blocked"])
+def test_delay_averages_of_a_ring_have_the_stored_bits(m):
+    """A ring of n0 + 2 slots, written one row per average as a runner
+    writes it, streams the averages of the stored rows bit for bit."""
+    n0 = m.n_cells
+    full = np.random.default_rng(10).standard_normal((300, n0 + 100, 2))
+    ring = Rows(300, n0 + 100, 2, n_slots=n0 + 2, first=full[0, : n0 + 1])
+    full[:, : n0 + 1] = full[0, : n0 + 1]
+    got = []
+    for k, avg in enumerate(delay_averages(m, ring, path_offset=7)):
+        got.append(avg.copy())
+        ring[n0 + k + 1] = full[:, n0 + k + 1]
+    want = np.stack(list(delay_averages(m, Rows.stored(_time_major(full)), path_offset=7)))
+    np.testing.assert_array_equal(np.stack(got), want)
 
 
 def test_delay_averages_split_push_keeps_bits(monkeypatch):
@@ -375,8 +438,8 @@ def test_delay_averages_split_push_keeps_bits(monkeypatch):
     averages at a time; the split must not change a bit."""
     m = _ATOMS_64
     rows = _time_major(np.random.default_rng(7).standard_normal((5, m.n_cells + 100, 2)))
-    whole = np.stack(list(delay_averages(m, rows)))
+    whole = np.stack(list(delay_averages(m, Rows.stored(rows))))
     monkeypatch.setattr(measure, "_PUSH_SIZE", 1)
-    split = np.stack(list(delay_averages(m, rows)))
+    split = np.stack(list(delay_averages(m, Rows.stored(rows))))
     np.testing.assert_array_equal(split, whole)
     np.testing.assert_allclose(split, _per_step_averages(m, rows), rtol=0, atol=1e-12)

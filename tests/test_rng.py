@@ -4,11 +4,11 @@ from scipy.special import ndtri
 
 from delaysde.rng import (
     batch_increments,
-    coarsen_increments,
     map_columns,
     normal_increments,
     path_generator,
 )
+from helpers import coarsen_increments
 
 
 def test_same_key_same_stream():

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from delaysde import bihari
 from delaysde.bihari import BoundExceedsCapError, apriori_check, bihari_bound, psi_inverse
 from delaysde.measure import (
     GridMismatchError,
+    Rows,
     Segment,
     batch_seg_norm,
     constant_segment,
@@ -17,8 +19,9 @@ from delaysde.measure import (
     streamed_seg_norms,
 )
 from delaysde.model import diffusion_at, make_model, noise_product, semigroup_factors
-from delaysde.rng import batch_increments, coarsen_increments
+from delaysde.rng import batch_increments
 from delaysde.solver import R_EXPLODE, SolverConfig, cutoff_psi, simulate
+from helpers import coarsen_increments
 
 
 def test_config_validation():
@@ -242,8 +245,8 @@ def _check_truncated_steps(m, nu, batch, cfg):
     states = batch.states
     sq = np.zeros((batch.n_paths, states.shape[1] + 1, 1))
     sq[:, :-1, 0] = np.sum(states**2, axis=2)
-    norms = streamed_seg_norms(nu, sq, batch.path_offset)
-    averages = delay_averages(nu, states, batch.path_offset)
+    norms = streamed_seg_norms(nu, Rows.stored(sq), batch.path_offset)
+    averages = delay_averages(nu, Rows.stored(states), batch.path_offset)
     E, J = semigroup_factors(m.A, h)
     inv = 1.0 / L
     seg_n = next(norms)
@@ -443,6 +446,34 @@ def test_apriori_chunks_give_the_one_chunk_report(monkeypatch, kind):
     chunked = apriori_check(m, nu, xi, cfg, 0.75, 300, 4)
     for name in whole.__dataclass_fields__:
         np.testing.assert_array_equal(getattr(chunked, name), getattr(whole, name), err_msg=name)
+
+
+def test_apriori_check_holds_a_ring_of_xbar_rows():
+    """apriori_check keeps its |Xbar|^2 rows in a ring of n0 + 2 slots: numpy
+    reports its buffers to tracemalloc, and one chunk's peak stays within
+    1.25 x (states + dW + ring bytes), below the states, dW and n0 + steps
+    + 1 |Xbar|^2 rows that storing every row would take.  worst_margin has
+    the bits that every stored |Xbar|^2 row gives."""
+    h, n = 2.0**-6, 2048
+    nu = make_measure("uniform", 0.25, h)
+    m = make_model("reference", measure=nu)
+    xi = constant_segment(nu, 0.5)
+    cfg = SolverConfig(h=h, t_end=1.0)
+    n0, steps = nu.n_cells, 64
+    assert n <= rng.STORED_ROW_CHUNK  # one chunk
+    states, dW = 8 * n * (n0 + steps + 1) * m.d, 8 * n * steps * m.dbar
+    bound = 1.25 * (states + dW + 8 * n * (n0 + 2))
+    assert states + dW + 8 * n * (n0 + steps + 1) > bound
+    apriori_check(m, nu, xi, cfg, 1.0, 4, 1)  # the imports of the first call are not traced
+    tracemalloc.start()
+    try:
+        rep = apriori_check(m, nu, xi, cfg, 1.0, n, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound, (peak, bound)
+    assert rep.pass_fraction == 1.0
+    assert rep.worst_margin == 0.0009981158675902882
 
 
 def test_segment_views_consistent():

@@ -10,11 +10,11 @@ from delaysde import coupling, zvonkin
 from delaysde.coupling import CouplingConfig, run_coupling_batch
 from delaysde.girsanov import solve_qqt
 from delaysde.measure import (
+    Rows,
     batch_seg_norm,
     constant_segment,
     delay_averages,
     make_measure,
-    ring_shift,
 )
 from delaysde.model import ModelSpec, OperatorA, _const_Q, _zero_B, make_model
 from delaysde.solver import SolverConfig, simulate
@@ -965,7 +965,7 @@ def _old_run_coupling_batch(tm, nu, xi_t, eta_t, cc, dW):
         return out
 
     xinv, yinv = history(x), history(y)
-    avg_x, avg_y = delay_averages(nu, xinv), delay_averages(nu, yinv)
+    avg_x, avg_y = delay_averages(nu, Rows.stored(xinv)), delay_averages(nu, Rows.stored(yinv))
     gamma_floor = coupling.gamma(T - 0.5 * h, T, K)
     log_r = np.zeros(n_paths)
     tau = np.full(n_paths, np.nan)
@@ -1078,16 +1078,16 @@ def test_start_transformed_inverts_the_shared_segment_once(nu6, sol_small, sol_d
     n0 = nu6.n_cells
     seg = 0.3 + 0.4 * np.sin(np.arange((n0 + 1) * d, dtype=float)).reshape(n0 + 1, d)
     states, out, ud, _ = start_transformed(tm, nu6, seg, 5, n0 + 9, 0)
-    assert states.shape == (5, n0 + 9, d)
-    np.testing.assert_array_equal(states[:, : n0 + 1], np.broadcast_to(seg, (5, n0 + 1, d)))
-    assert out.shape == (5, n0 + 2, d)
-    slots = (np.arange(n0 + 1) + ring_shift(n0 + 2, n0 + 9)) % (n0 + 2)
-    ref = theta_inverse_segment(sol, 0.0, states[:, : n0 + 1], nu6.h)
-    np.testing.assert_array_equal(out[:, slots], ref)
+    assert states.paths.shape == (5, n0 + 9, d)
+    np.testing.assert_array_equal(states.paths[:, : n0 + 1], np.broadcast_to(seg, (5, n0 + 1, d)))
+    assert out.paths.shape == (5, n0 + 2, d)
+    slots = out.slot(np.arange(n0 + 1))
+    ref = theta_inverse_segment(sol, 0.0, states.paths[:, : n0 + 1], nu6.h)
+    np.testing.assert_array_equal(out.paths[:, slots], ref)
     np.testing.assert_array_equal(ud, _stacked_ud(*sol.eval_u_du(0.0, ref[:, -1])))
     identity = transformed_model(make_model("linear_delay", measure=nu6, d=d), nu6, None)
     states, history, ud, _ = start_transformed(identity, nu6, seg, 5, n0 + 9, 0)
-    np.testing.assert_array_equal(states[:, : n0 + 1], np.broadcast_to(seg, (5, n0 + 1, d)))
+    np.testing.assert_array_equal(states.paths[:, : n0 + 1], np.broadcast_to(seg, (5, n0 + 1, d)))
     assert history is states and ud is None
 
 
